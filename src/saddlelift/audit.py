@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import ExprError
 from .forms import FormError, SaddleForm, membership, witness_eval
 
 _CHUNK = 200_000
@@ -191,7 +192,7 @@ def _witness_row(form: SaddleForm, x):
     rep = membership(form, p, 1e-9)
     try:
         wval = form.g.value(p.vec)
-    except Exception:
+    except ExprError:
         return math.nan, False, math.inf
     gap = abs(wval - form.reference(x))
     return wval, rep.feasible, max(gap, rep.max_violation)
@@ -219,9 +220,9 @@ def _gradient_bound(form: SaddleForm, x, probe=None) -> np.ndarray:
     for p in probes:
         try:
             _, grad = form.g.value_grad(p)
-            bound = np.maximum(bound, np.abs(grad[n:]))
-        except Exception:
+        except ExprError:
             continue
+        bound = np.maximum(bound, np.abs(grad[n:]))
     return bound
 
 

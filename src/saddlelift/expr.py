@@ -2,18 +2,26 @@
 
 Every scalar function handled by this package (saddle objectives, constraint
 left-hand sides, penalty ingredients) is an immutable expression tree built
-from the node types below.  Evaluation is exact recursive arithmetic; the
-gradient is the exact chain rule.  Curvature is *declared* metadata attached
-to each node and checked empirically by sampling, never inferred symbolically.
+from the node types below.  Scalar evaluation runs on kernels: a tape
+(:mod:`saddlelift.kernels`) lowers one or more trees into straight-line
+Python, compiled on first evaluation and cached on the node (or on the form
+whose components it evaluates together), giving exact values and the exact
+chain-rule gradient in sparse forward mode.  The lenient batch evaluator
+used by the grid audit stays a per-node interpreter over numpy arrays.
+Curvature is *declared* metadata attached to each node and checked
+empirically by sampling, never inferred symbolically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .kernels import Tape
 
 CONVEX = "convex"
 CONCAVE = "concave"
@@ -63,15 +71,8 @@ class Expr:
 
     def value(self, point: np.ndarray) -> float:
         """Exact value at ``point``; raises on domain violations."""
-        p = np.asarray(point, dtype=float)
-        if p.ndim != 1:
-            raise DimensionError(f"expected 1-d point, got shape {p.shape}")
-        if self.max_index() >= p.size:
-            raise DimensionError(
-                f"expression references index {self.max_index()} "
-                f"but point has dimension {p.size}"
-            )
-        return float(self._val(p))
+        p, tape = self._checked(point)
+        return float(tape.value(p.tolist())[0])
 
     def value_batch(self, points: np.ndarray) -> np.ndarray:
         """Lenient vectorized value over ``points`` of shape (dim, N).
@@ -85,14 +86,33 @@ class Expr:
 
     def value_grad(self, point: np.ndarray) -> tuple[float, np.ndarray]:
         """Value and exact gradient (length ``len(point)``) at ``point``."""
+        p, tape = self._checked(point)
+        vals, jac, kinks = tape.value_grad(p.tolist())
+        if kinks[0] is not None:
+            raise kink_error(kinks[0])
+        return float(vals[0]), jac[0]
+
+    def tape(self) -> Tape:
+        """This expression's kernels, compiled on first use and kept on the node."""
+        return cached_tape(self, (self,))
+
+    def _checked(self, point) -> tuple[np.ndarray, Tape]:
         p = np.asarray(point, dtype=float)
-        if self.max_index() >= p.size:
+        if p.ndim != 1:
+            raise DimensionError(f"expected 1-d point, got shape {p.shape}")
+        tape = self.tape()
+        if tape.dim > p.size:
             raise DimensionError(
-                f"expression references index {self.max_index()} "
+                f"expression references index {tape.dim - 1} "
                 f"but point has dimension {p.size}"
             )
-        v, g = self._vg(p)
-        return float(v), g
+        return p, tape
+
+    def __getstate__(self):
+        # compiled kernels do not pickle; a copy compiles its own
+        state = dict(self.__dict__)
+        state.pop("_tape", None)
+        return state
 
     # -- structure ----------------------------------------------------------
 
@@ -128,14 +148,7 @@ class Expr:
         for c in self.children():
             yield from c.walk()
 
-    # hooks implemented by subclasses
-    def _val(self, p):  # strict, scalar point
-        raise NotImplementedError
-
     def _val_batch(self, p):  # lenient, (dim, N) points
-        raise NotImplementedError
-
-    def _vg(self, p):  # (value, gradient)
         raise NotImplementedError
 
     # -- sugar (scalar-only products; there is no general product node) ------
@@ -177,14 +190,8 @@ class Const(Expr):
     c: float
     tag: str = AFFINE
 
-    def _val(self, p):
-        return self.c
-
     def _val_batch(self, p):
         return np.full(p.shape[1:], self.c)
-
-    def _vg(self, p):
-        return self.c, np.zeros(p.size)
 
     def is_affine(self):
         return True
@@ -201,16 +208,8 @@ class Var(Expr):
     index: int
     tag: str = AFFINE
 
-    def _val(self, p):
-        return p[self.index]
-
     def _val_batch(self, p):
         return p[self.index]
-
-    def _vg(self, p):
-        g = np.zeros(p.size)
-        g[self.index] = 1.0
-        return p[self.index], g
 
     def max_index(self):
         return self.index
@@ -233,25 +232,11 @@ class Affine(Expr):
     offset: float = 0.0
     tag: str = AFFINE
 
-    def _val(self, p):
-        acc = self.offset
-        for i, c in self.terms:
-            acc += c * p[i]
-        return acc
-
     def _val_batch(self, p):
         acc = np.full(p.shape[1:], self.offset)
         for i, c in self.terms:
             acc = acc + c * p[i]
         return acc
-
-    def _vg(self, p):
-        g = np.zeros(p.size)
-        acc = self.offset
-        for i, c in self.terms:
-            acc += c * p[i]
-            g[i] += c
-        return acc, g
 
     def max_index(self):
         return max((i for i, _ in self.terms), default=-1)
@@ -289,23 +274,11 @@ class Sum(Expr):
     parts: tuple[Expr, ...]
     tag: str = NONE
 
-    def _val(self, p):
-        return sum(c._val(p) for c in self.parts)
-
     def _val_batch(self, p):
         acc = np.zeros(p.shape[1:])
         for c in self.parts:
             acc = acc + c._val_batch(p)
         return acc
-
-    def _vg(self, p):
-        v = 0.0
-        g = np.zeros(p.size)
-        for c in self.parts:
-            cv, cg = c._vg(p)
-            v += cv
-            g += cg
-        return v, g
 
     def children(self):
         return self.parts
@@ -326,15 +299,8 @@ class Scale(Expr):
     c: float
     tag: str = NONE
 
-    def _val(self, p):
-        return self.c * self.child._val(p)
-
     def _val_batch(self, p):
         return self.c * self.child._val_batch(p)
-
-    def _vg(self, p):
-        v, g = self.child._vg(p)
-        return self.c * v, self.c * g
 
     def children(self):
         return (self.child,)
@@ -351,17 +317,9 @@ class Square(Expr):
     child: Expr
     tag: str = NONE
 
-    def _val(self, p):
-        v = self.child._val(p)
-        return v * v
-
     def _val_batch(self, p):
         v = self.child._val_batch(p)
         return v * v
-
-    def _vg(self, p):
-        v, g = self.child._vg(p)
-        return v * v, 2.0 * v * g
 
     def children(self):
         return (self.child,)
@@ -380,15 +338,8 @@ class IntPow(Expr):
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError("integer power requires k >= 1")
 
-    def _val(self, p):
-        return self.child._val(p) ** self.k
-
     def _val_batch(self, p):
         return self.child._val_batch(p) ** self.k
-
-    def _vg(self, p):
-        v, g = self.child._vg(p)
-        return v**self.k, self.k * v ** (self.k - 1) * g
 
     def children(self):
         return (self.child,)
@@ -409,28 +360,9 @@ class RealPow(Expr):
         if self.a <= 0:
             raise ValueError("real power requires exponent a > 0")
 
-    def _val(self, p):
-        v = self.child._val(p)
-        if v < 0:
-            raise DomainEvalError(f"real power of negative value {v}", self)
-        return v**self.a
-
     def _val_batch(self, p):
         v = self.child._val_batch(p)
         return np.where(v < 0, np.nan, np.abs(v) ** self.a)
-
-    def _vg(self, p):
-        v, g = self.child._vg(p)
-        if v < 0:
-            raise DomainEvalError(f"real power of negative value {v}", self)
-        if v == 0.0:
-            if self.a < 1.0:
-                raise NondifferentiableError(
-                    f"real power {self.a} not differentiable at 0", self
-                )
-            dv = 1.0 if self.a == 1.0 else 0.0
-            return 0.0, dv * g
-        return v**self.a, self.a * v ** (self.a - 1.0) * g
 
     def children(self):
         return (self.child,)
@@ -444,16 +376,8 @@ class Exp(Expr):
     child: Expr
     tag: str = NONE
 
-    def _val(self, p):
-        return math.exp(self.child._val(p))
-
     def _val_batch(self, p):
         return np.exp(self.child._val_batch(p))
-
-    def _vg(self, p):
-        v, g = self.child._vg(p)
-        e = math.exp(v)
-        return e, e * g
 
     def children(self):
         return (self.child,)
@@ -467,21 +391,9 @@ class Log(Expr):
     child: Expr
     tag: str = NONE
 
-    def _val(self, p):
-        v = self.child._val(p)
-        if v <= 0:
-            raise DomainEvalError(f"log of non-positive value {v}", self)
-        return math.log(v)
-
     def _val_batch(self, p):
         v = self.child._val_batch(p)
         return np.where(v <= 0, np.nan, np.log(np.where(v <= 0, 1.0, v)))
-
-    def _vg(self, p):
-        v, g = self.child._vg(p)
-        if v <= 0:
-            raise DomainEvalError(f"log of non-positive value {v}", self)
-        return math.log(v), g / v
 
     def children(self):
         return (self.child,)
@@ -501,15 +413,8 @@ class Sin(Expr):
         if not self.child.is_affine():
             raise ValueError("sin node requires an affine argument")
 
-    def _val(self, p):
-        return math.sin(self.child._val(p))
-
     def _val_batch(self, p):
         return np.sin(self.child._val_batch(p))
-
-    def _vg(self, p):
-        v, g = self.child._vg(p)
-        return math.sin(v), math.cos(v) * g
 
     def children(self):
         return (self.child,)
@@ -525,19 +430,8 @@ class Max0(Expr):
     child: Expr
     tag: str = NONE
 
-    def _val(self, p):
-        return max(self.child._val(p), 0.0)
-
     def _val_batch(self, p):
         return np.maximum(self.child._val_batch(p), 0.0)
-
-    def _vg(self, p):
-        v, g = self.child._vg(p)
-        if v == 0.0:
-            raise NondifferentiableError("max-with-zero kink at 0", self)
-        if v > 0:
-            return v, g
-        return 0.0, 0.0 * g
 
     def children(self):
         return (self.child,)
@@ -553,17 +447,8 @@ class Abs(Expr):
     child: Expr
     tag: str = NONE
 
-    def _val(self, p):
-        return abs(self.child._val(p))
-
     def _val_batch(self, p):
         return np.abs(self.child._val_batch(p))
-
-    def _vg(self, p):
-        v, g = self.child._vg(p)
-        if v == 0.0:
-            raise NondifferentiableError("abs kink at 0", self)
-        return abs(v), math.copysign(1.0, v) * g
 
     def children(self):
         return (self.child,)
@@ -661,6 +546,31 @@ def max0(child: Expr, tag: str | None = None) -> Expr:
 
 def absolute(child: Expr, tag: str | None = None) -> Expr:
     return _finish(Abs(child), tag)
+
+
+# ---------------------------------------------------------------------------
+# kernels (compiled by saddlelift.kernels, imported on first evaluation)
+
+
+def kink_error(node: Expr) -> NondifferentiableError:
+    """The error for a gradient requested at the kink of ``node``."""
+    if isinstance(node, RealPow):
+        return NondifferentiableError(f"real power {node.a} not differentiable at 0", node)
+    if isinstance(node, Max0):
+        return NondifferentiableError("max-with-zero kink at 0", node)
+    return NondifferentiableError("abs kink at 0", node)
+
+
+def cached_tape(owner, outputs) -> Tape:
+    """The tape of ``outputs`` kept on the frozen object ``owner``, made on
+    first use; copies made with ``dataclasses.replace`` start without one."""
+    tape = owner.__dict__.get("_tape")
+    if tape is None:
+        from .kernels import Tape  # the compiler is only needed to evaluate
+
+        tape = Tape(outputs)
+        object.__setattr__(owner, "_tape", tape)
+    return tape
 
 
 # ---------------------------------------------------------------------------

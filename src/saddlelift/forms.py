@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import expr as ex
 from .expr import Expr
+
+if TYPE_CHECKING:
+    from .kernels import Tape
 
 D2_TOL = 1e-9
 
@@ -239,6 +242,11 @@ class SaddleForm:
             yield f"g{i + 1}", gi
         for j, hj in enumerate(self.eq):
             yield f"h{j + 1}", hj
+
+    def tape(self) -> Tape:
+        """Kernels evaluating (g, g_1..g_s, h_1..h_r) together, compiled on
+        first use and kept on the form."""
+        return ex.cached_tape(self, (self.g, *self.ineq, *self.eq))
 
     @property
     def ineq_linear(self) -> tuple[bool, ...]:

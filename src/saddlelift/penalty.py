@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
 from .forms import SaddleForm, SaddlePoint
 
 
@@ -38,76 +39,89 @@ class PenaltyParams:
 
 
 def _vals(form: SaddleForm, v: np.ndarray):
-    gval = form.g.value(v)
-    ivals = np.array([gi.value(v) for gi in form.ineq])
-    evals = np.array([hj.value(v) for hj in form.eq])
-    return gval, ivals, evals
+    """g, then the lists of g_i and h_j values at ``v``, from one kernel call."""
+    vals = form.tape().value(v.tolist())
+    s = 1 + len(form.ineq)
+    return vals[0], vals[1:s], vals[s:]
+
+
+def _vals_grads(form: SaddleForm, v: np.ndarray):
+    """As :func:`_vals`, plus ``grad(k)``: the gradient of component k (0 is
+    g, then the g_i, then the h_j), raising where it does not exist."""
+    vals, jac, kinks = form.tape().value_grad(v.tolist())
+
+    def grad(k: int) -> np.ndarray:
+        if kinks[k] is not None:
+            raise ex.kink_error(kinks[k])
+        return jac[k]
+
+    s = 1 + len(form.ineq)
+    return vals[0], vals[1:s], vals[s:], grad
+
+
+def _exact(form: SaddleForm, p: SaddlePoint):
+    """g and the total violation sum max(g_i, 0) + sum |h_j| at ``p``."""
+    gval, ivals, evals = _vals(form, p.vec)
+    return gval, np.maximum(ivals, 0.0).sum() + np.abs(evals).sum()
 
 
 def total_violation(form: SaddleForm, p: SaddlePoint) -> float:
     """P(p) = sum max(g_i, 0) + sum |h_j|."""
-    _, ivals, evals = _vals(form, p.vec)
-    return float(np.maximum(ivals, 0.0).sum() + np.abs(evals).sum())
+    return float(_exact(form, p)[1])
 
 
 def penalty_f(form: SaddleForm, p: SaddlePoint, rho: float) -> float:
-    gval, ivals, evals = _vals(form, p.vec)
-    return float(gval + rho * (np.maximum(ivals, 0.0).sum() + np.abs(evals).sum()))
+    gval, viol = _exact(form, p)
+    return float(gval + rho * viol)
 
 
 def penalty_g(form: SaddleForm, p: SaddlePoint, rho: float) -> float:
-    gval, ivals, evals = _vals(form, p.vec)
-    return float(-gval + rho * (np.maximum(ivals, 0.0).sum() + np.abs(evals).sum()))
+    gval, viol = _exact(form, p)
+    return float(-gval + rho * viol)
 
 
-def _smoothed_terms(form: SaddleForm, v: np.ndarray, rho: float, theta: float):
-    """Shared accumulation of rho * sum (g_i+)^theta + rho * sum |h_j|^theta."""
+def _smoothed_terms(ivals, evals, rho: float, theta: float, grad=None, size: int = 0):
+    """rho * sum (g_i+)^theta + rho * sum |h_j|^theta, and with ``grad``
+    (see :func:`_vals_grads`) its gradient of length ``size``."""
     value = 0.0
-    grad = np.zeros(v.size)
-    for gi in form.ineq:
-        gv = gi.value(v)
-        if gv > 0.0:
-            gv_, gg = gi.value_grad(v)
-            value += rho * gv_**theta
-            grad += rho * theta * gv_ ** (theta - 1.0) * gg
-    for hj in form.eq:
-        hv = hj.value(v)
-        if hv != 0.0:
-            hv_, hg = hj.value_grad(v)
-            value += rho * abs(hv_) ** theta
-            grad += rho * theta * abs(hv_) ** (theta - 1.0) * np.sign(hv_) * hg
-    return value, grad
-
-
-def _smoothed_value(form: SaddleForm, v: np.ndarray, rho: float, theta: float) -> float:
-    value = 0.0
-    for gi in form.ineq:
-        gv = gi.value(v)
+    out = np.zeros(size) if grad is not None else None
+    for k, gv in enumerate(ivals, 1):
         if gv > 0.0:
             value += rho * gv**theta
-    for hj in form.eq:
-        hv = hj.value(v)
+            if grad is not None:
+                out += rho * theta * gv ** (theta - 1.0) * grad(k)
+    for k, hv in enumerate(evals, 1 + len(ivals)):
         if hv != 0.0:
             value += rho * abs(hv) ** theta
-    return value
+            if grad is not None:
+                out += rho * theta * abs(hv) ** (theta - 1.0) * np.sign(hv) * grad(k)
+    return value, out
+
+
+def _smoothed(form: SaddleForm, p: SaddlePoint, rho: float, theta: float):
+    if theta <= 1:
+        raise ValueError("smoothing exponent theta must be > 1")
+    gval, ivals, evals, grad = _vals_grads(form, p.vec)
+    ggrad = grad(0)
+    pv, pg = _smoothed_terms(ivals, evals, rho, theta, grad, p.vec.size)
+    return gval, ggrad, pv, pg
 
 
 def penalty_f_theta_value(form: SaddleForm, p: SaddlePoint, rho: float, theta: float) -> float:
-    return float(form.g.value(p.vec) + _smoothed_value(form, p.vec, rho, theta))
+    gval, ivals, evals = _vals(form, p.vec)
+    return float(gval + _smoothed_terms(ivals, evals, rho, theta)[0])
 
 
 def penalty_g_theta_value(form: SaddleForm, p: SaddlePoint, rho: float, theta: float) -> float:
-    return float(-form.g.value(p.vec) + _smoothed_value(form, p.vec, rho, theta))
+    gval, ivals, evals = _vals(form, p.vec)
+    return float(-gval + _smoothed_terms(ivals, evals, rho, theta)[0])
 
 
 def penalty_f_theta(
     form: SaddleForm, p: SaddlePoint, rho: float, theta: float
 ) -> tuple[float, np.ndarray]:
     """Smoothed F with its full-space gradient."""
-    if theta <= 1:
-        raise ValueError("smoothing exponent theta must be > 1")
-    gval, ggrad = form.g.value_grad(p.vec)
-    pv, pg = _smoothed_terms(form, p.vec, rho, theta)
+    gval, ggrad, pv, pg = _smoothed(form, p, rho, theta)
     return float(gval + pv), ggrad + pg
 
 
@@ -115,10 +129,7 @@ def penalty_g_theta(
     form: SaddleForm, p: SaddlePoint, rho: float, theta: float
 ) -> tuple[float, np.ndarray]:
     """Smoothed G with its full-space gradient."""
-    if theta <= 1:
-        raise ValueError("smoothing exponent theta must be > 1")
-    gval, ggrad = form.g.value_grad(p.vec)
-    pv, pg = _smoothed_terms(form, p.vec, rho, theta)
+    gval, ggrad, pv, pg = _smoothed(form, p, rho, theta)
     return float(-gval + pv), -ggrad + pg
 
 
@@ -128,34 +139,24 @@ def penalty_g2(form: SaddleForm, p: SaddlePoint, rho: float) -> tuple[float, np.
     C^1 everywhere, and convex in the z block whenever every g_i is convex
     and every h_j affine there.
     """
-    v = p.vec
-    gval, ggrad = form.g.value_grad(v)
+    gval, ivals, evals, grad = _vals_grads(form, p.vec)
     value = -gval
-    grad = -ggrad
-    for gi in form.ineq:
-        gv = gi.value(v)
+    out = -grad(0)
+    for k, gv in enumerate(ivals, 1):
         if gv > 0.0:
-            gv_, gg = gi.value_grad(v)
-            value += rho * gv_**2
-            grad += 2.0 * rho * gv_ * gg
-    for hj in form.eq:
-        hv, hg = hj.value_grad(v)
+            value += rho * gv**2
+            out += 2.0 * rho * gv * grad(k)
+    for k, hv in enumerate(evals, 1 + len(ivals)):
         value += rho * hv**2
-        grad += 2.0 * rho * hv * hg
-    return float(value), grad
+        out += 2.0 * rho * hv * grad(k)
+    return float(value), out
 
 
 def eps_feasible(form: SaddleForm, p: SaddlePoint, eps: float) -> bool:
     """True iff every g_i <= eps, every |h_j| <= eps, and box excess <= eps."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    v = p.vec
-    if form.box.excess(v) > eps:
+    if form.box.excess(p.vec) > eps:
         return False
-    for gi in form.ineq:
-        if gi.value(v) > eps:
-            return False
-    for hj in form.eq:
-        if abs(hj.value(v)) > eps:
-            return False
-    return True
+    _, ivals, evals = _vals(form, p.vec)
+    return not (any(gv > eps for gv in ivals) or any(abs(hv) > eps for hv in evals))

@@ -237,6 +237,23 @@ def inner_minimize_multistart(
     return best
 
 
+def _block_objective(form: SaddleForm, base, block, penalty, penalty_value, rho, theta):
+    """``obj(sub, need_grad)`` for :func:`inner_minimize`: a smoothed penalty
+    over the coordinates ``block`` of ``base``, the others held fixed."""
+    part = form.partition
+    full = np.array(base, dtype=float)
+
+    def obj(sub, need_grad):
+        full[block] = sub
+        sp = SaddlePoint(part, full)
+        if need_grad:
+            v, grad = penalty(form, sp, rho, theta)
+            return v, grad[block]
+        return penalty_value(form, sp, rho, theta), None
+
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # alternating penalty solver
 
@@ -310,16 +327,9 @@ def alternating_penalty_solve(
     for k in range(1, params.max_outer + 1):
         rho = params.rho1 * params.growth ** (k - 1)
 
-        full = p.copy()
-
-        def obj_xy(sub, need_grad):
-            full[xy] = sub
-            sp = SaddlePoint(part, full)
-            if need_grad:
-                v, grad = penalty_f_theta(form, sp, rho, theta)
-                return v, grad[xy]
-            return penalty_f_theta_value(form, sp, rho, theta), None
-
+        obj_xy = _block_objective(
+            form, p, xy, penalty_f_theta, penalty_f_theta_value, rho, theta
+        )
         res_xy = inner_minimize_multistart(
             obj_xy, lo[xy], hi[xy], p[xy], params.inner, rng
         )
@@ -334,16 +344,9 @@ def alternating_penalty_solve(
                 if (z_lo > lo[zz]).any() or (z_hi < hi[zz]).any()
                 else ""
             )
-            full_z = p2.copy()
-
-            def obj_z(sub, need_grad):
-                full_z[zz] = sub
-                sp = SaddlePoint(part, full_z)
-                if need_grad:
-                    v, grad = penalty_g_theta(form, sp, rho, theta)
-                    return v, grad[zz]
-                return penalty_g_theta_value(form, sp, rho, theta), None
-
+            obj_z = _block_objective(
+                form, p2, zz, penalty_g_theta, penalty_g_theta_value, rho, theta
+            )
             res_z = inner_minimize_multistart(
                 obj_z, z_lo, z_hi, p2[zz], params.inner, rng
             )
@@ -542,16 +545,9 @@ def exactness_probe(
     for i, rho in enumerate(rho_list):
         rng = np.random.default_rng(seed + i)
         base = p_star.vec.copy()
-
-        def obj_xy(sub, need_grad):
-            q = base.copy()
-            q[xy] = sub
-            sp = SaddlePoint(part, q)
-            if need_grad:
-                v, grad = penalty_f_theta(form, sp, rho, theta)
-                return v, grad[xy]
-            return penalty_f_theta_value(form, sp, rho, theta), None
-
+        obj_xy = _block_objective(
+            form, base, xy, penalty_f_theta, penalty_f_theta_value, rho, theta
+        )
         window = (
             np.maximum(lo[xy], p_star.vec[xy] - halfwidth),
             np.minimum(hi[xy], p_star.vec[xy] + halfwidth),
@@ -565,15 +561,9 @@ def exactness_probe(
         f_star = penalty_f(form, p_star, rho)
 
         if part.m2 > 0:
-            def obj_z(sub, need_grad):
-                q = base.copy()
-                q[zz] = sub
-                sp = SaddlePoint(part, q)
-                if need_grad:
-                    v, grad = penalty_g_theta(form, sp, rho, theta)
-                    return v, grad[zz]
-                return penalty_g_theta_value(form, sp, rho, theta), None
-
+            obj_z = _block_objective(
+                form, base, zz, penalty_g_theta, penalty_g_theta_value, rho, theta
+            )
             window_z = (
                 np.maximum(lo[zz], p_star.vec[zz] - halfwidth),
                 np.minimum(hi[zz], p_star.vec[zz] + halfwidth),

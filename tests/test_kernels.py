@@ -1,0 +1,211 @@
+"""Compiled kernels: agreement with the batch interpreter and with finite
+differences over the whole catalog, wide and deep trees, non-finite
+constants, overflow, error reporting and kernel caching."""
+
+import dataclasses
+import gc
+import math
+import pickle
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from saddlelift import algebra
+from saddlelift import expr as ex
+from saddlelift.catalog import default_suite, make_catalog_form, trivial_convex
+from saddlelift.forms import Box, SaddleForm, SaddlePoint, VarPartition
+from saddlelift.penalty import penalty_f_theta, penalty_f_theta_value
+
+
+def _readme_compositions():
+    sq = trivial_convex(ex.square(ex.var(0)), 1, "sq", nonneg=True)
+    root = algebra.power(sq, 0.5)
+    return [root, algebra.product(root, sq), algebra.scaled_sum(root, sq, 1.0, 2.0)]
+
+
+FORMS = {f.name: f for f in default_suite() + _readme_compositions()}
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_form_kernels_match_batch_values_and_fd_gradients(name, seed):
+    form = FORMS[name]
+    lo, hi = form.effective_window()
+    p = np.random.default_rng(seed).uniform(lo, hi)
+    comps = [e for _, e in form.components()]
+    batch = [float(e.value_batch(p[:, None])[0]) for e in comps]
+    if any(math.isnan(b) for b in batch):
+        with pytest.raises(ex.DomainEvalError):
+            form.tape().value(p.tolist())
+        return
+    vals = form.tape().value(p.tolist())
+    np.testing.assert_allclose(vals, batch, rtol=1e-12, atol=1e-9)
+    vals_g, jac, kinks = form.tape().value_grad(p.tolist())
+    assert vals_g == vals
+    for k, e in enumerate(comps):
+        # the expression's own kernel gives the form kernel's numbers exactly
+        assert e.value(p) == vals[k]
+        if kinks[k] is not None:
+            continue
+        _, grad = e.value_grad(p)
+        assert grad.tobytes() == jac[k].tobytes()
+        try:
+            fd = ex.fd_gradient(e, p)
+        except ex.DomainEvalError:
+            continue  # p within a step of the domain boundary
+        np.testing.assert_allclose(jac[k], fd, rtol=1e-5, atol=1e-5 * (1.0 + abs(vals[k])))
+
+
+def test_wide_affine_and_sum_compile():
+    n = 1000
+    rng = np.random.default_rng(0)
+    coef = rng.normal(size=n)
+    p = rng.normal(size=n)
+    aff = ex.affine(enumerate(coef), 0.5)
+    want = 0.5
+    for c, x in zip(coef, p):
+        want += c * x
+    assert aff.value(p) == want
+    _, g = aff.value_grad(p)
+    np.testing.assert_array_equal(g, coef)
+    total = ex.add(*[ex.square(ex.var(i)) for i in range(n)])
+    want = 0.0
+    for x in p:
+        want += x * x
+    assert total.value(p) == want
+    _, g = total.value_grad(p)
+    np.testing.assert_array_equal(g, 2.0 * p)
+
+
+def test_deep_chain_compiles():
+    # built from the node classes directly: the tagging constructors recurse
+    depth = 1000
+    e = ex.var(0)
+    for _ in range(depth):
+        e = ex.Scale(ex.Sum((e, ex.Const(0.5))), 0.5)
+    v, g = e.value_grad(np.array([1.0]))
+    assert v == pytest.approx(0.5)
+    assert g[0] == 0.5**depth
+
+
+def test_nonfinite_constants():
+    e = ex.add(ex.var(0), ex.const(math.inf))
+    assert e.value([1.0]) == math.inf
+    v, g = e.value_grad([1.0])
+    assert v == math.inf and g.tolist() == [1.0]
+    assert math.isnan(ex.scale(ex.const(math.nan), 2.0).value([0.0]))
+    aff = ex.affine([(0, math.inf)], math.nan)
+    v, g = aff.value_grad([1.0])
+    assert math.isnan(v) and g.tolist() == [math.inf]
+
+
+def test_power_overflow_gives_inf():
+    with np.errstate(over="ignore"):
+        cube = ex.ipow(ex.var(0), 3)
+        assert cube.value([1e200]) == math.inf
+        assert cube.value([-1e200]) == -math.inf
+        v, g = cube.value_grad([1e200])
+        assert v == math.inf and g[0] == math.inf
+        root = ex.rpow(ex.var(0), 2.5)
+        assert root.value([1e200]) == math.inf
+        v, g = root.value_grad([1e250])
+        assert v == math.inf and g[0] == math.inf
+    # exp overflow is an error, as with math.exp
+    with pytest.raises(OverflowError):
+        ex.exp(ex.var(0)).value([1000.0])
+
+
+def test_domain_error_names_the_offending_node():
+    bad = ex.log(ex.var(1))
+    e = ex.add(ex.square(ex.var(0)), bad)
+    for fn in (e.value, e.value_grad):
+        with pytest.raises(ex.DomainEvalError) as err:
+            fn([1.0, -1.0])
+        assert err.value.node is bad
+    neg = ex.rpow(ex.var(0), 1.5)
+    with pytest.raises(ex.DomainEvalError) as err:
+        ex.add(neg, ex.var(1)).value([-2.0, 0.0])
+    assert err.value.node is neg
+
+
+def test_real_power_kinks():
+    root = ex.rpow(ex.var(0), 0.5)
+    e = ex.add(root, ex.var(1))
+    assert e.value([0.0, 1.0]) == 1.0
+    with pytest.raises(ex.NondifferentiableError) as err:
+        e.value_grad([0.0, 1.0])
+    assert err.value.node is root
+    assert ex.rpow(ex.var(0), 1.0).value_grad([0.0])[1].tolist() == [1.0]
+    assert ex.rpow(ex.var(0), 2.5).value_grad([0.0])[1].tolist() == [0.0]
+
+
+def _kink_form(offset):
+    # g = x^2 with the constraint sqrt(x) + offset <= 0 on x >= 0
+    return SaddleForm(
+        name="kink",
+        partition=VarPartition(1, 0, 0),
+        box=Box((0.0,), (math.inf,)),
+        g=ex.square(ex.var(0)),
+        ineq=(ex.add(ex.rpow(ex.var(0), 0.5), ex.const(offset)),),
+    )
+
+
+def test_penalty_gradient_needs_only_active_constraints_differentiable():
+    inactive = _kink_form(-1.0)
+    p = SaddlePoint(inactive.partition, np.zeros(1))
+    assert penalty_f_theta(inactive, p, 10.0, 1.5) == (0.0, pytest.approx([0.0]))
+    active = _kink_form(1.0)
+    assert penalty_f_theta_value(active, p, 10.0, 1.5) == 10.0
+    with pytest.raises(ex.NondifferentiableError) as err:
+        penalty_f_theta(active, p, 10.0, 1.5)
+    assert isinstance(err.value.node, ex.RealPow)
+
+
+def test_value_and_value_grad_share_the_point_check():
+    for fn in (ex.var(0).value, ex.var(0).value_grad):
+        with pytest.raises(ex.DimensionError):
+            fn(np.zeros((2, 2)))
+    for fn in (ex.var(3).value, ex.var(3).value_grad):
+        with pytest.raises(ex.DimensionError):
+            fn(np.zeros(2))
+
+
+def test_copies_compile_their_own_kernels():
+    e = ex.square(ex.var(0))
+    assert e.value([3.0, 5.0]) == 9.0
+    assert e.tape() is e.tape()
+    moved = e.remap({0: 1})
+    assert moved.value([3.0, 5.0]) == 25.0
+    tagged = e.with_tag(ex.CONVEX)
+    assert "_tape" not in vars(tagged)
+    assert tagged.value([3.0]) == 9.0
+    assert tagged.tape() is not e.tape()
+
+    form = make_catalog_form("abs_power")
+    p = SaddlePoint(form.partition, np.array([1.0, 1.0, 0.0]))  # violations (1, 1, 0)
+    before = penalty_f_theta_value(form, p, 10.0, 1.5)
+    shifted = dataclasses.replace(form, ineq=tuple(gi - 1.0 for gi in form.ineq))
+    assert shifted.tape() is not form.tape()
+    assert penalty_f_theta_value(shifted, p, 10.0, 1.5) != before
+    assert penalty_f_theta_value(form, p, 10.0, 1.5) == before
+
+
+def test_kernels_do_not_keep_forms_alive():
+    form = make_catalog_form("maxabs_minus_sum", n=2)
+    p = SaddlePoint(form.partition, np.ones(form.partition.total))
+    penalty_f_theta(form, p, 10.0, 1.5)
+    ref = weakref.ref(form)
+    del form
+    gc.collect()
+    assert ref() is None
+
+
+def test_evaluated_expressions_pickle():
+    e = ex.log(ex.add(ex.var(0), ex.const(1.0)))
+    e.value_grad([1.0])
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e
+    assert back.value_grad([1.0])[0] == e.value([1.0])

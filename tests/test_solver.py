@@ -293,3 +293,32 @@ def test_trace_csv_shape():
     lines = csv.strip().splitlines()
     assert lines[0] == "k,rho,F,G,P,step_norm,f_ref"
     assert len(lines) == len(res.trace) + 1
+
+
+# Recorded before the expressions were compiled to kernels: the n=5 max-abs
+# solve from the z>0 acceptance start with the paper parameters.  Any change
+# to evaluation order or solver arithmetic moves these bytes.
+GOLDEN_N5_TRACE = (
+    "k,rho,F,G,P,step_norm,f_ref\n"
+    "1,10,-1.23660311,1.23660311,0,7415.72906,0\n"
+    "2,1000,-1.23660311,1.23660311,0,6.87021737e-13,0\n"
+)
+GOLDEN_N5_POINT = (
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000ee89ff99fbd3df3fee89ff99fbd3df3f3172ff99fbd3df3f"
+    "3172ff99fbd3df3f3172ff99fbd3df3fef89ff99fbd3df3fe62f18c033a8cf3f"
+    "e62f18c033a8cf3f8a1918c033a8cf3f8a1918c033a8cf3f8a1918c033a8cf3f"
+)
+
+
+def test_golden_trajectory_maxabs_n5():
+    n = 5
+    form = make_catalog_form("maxabs_minus_sum", n=n)
+    params = SolverParams(eps=1e-6, rho1=10.0, growth=100.0, theta=1.01, max_outer=20)
+    start = np.concatenate([np.arange(1.0, 2 * n + 2), 1000.0 * np.arange(1, n + 1)])
+    res = alternating_penalty_solve(form, params, start=start, seed=0)
+    assert trace_to_csv(res.trace) == GOLDEN_N5_TRACE
+    assert res.point.vec.tobytes().hex() == GOLDEN_N5_POINT
+    assert res.diagnostic == (
+        "inner xy: pg=4.975e-01 its=8; inner z: pg=5.530e-01 its=10; z trust window active"
+    )
