@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import ExprError
-from .forms import FormError, SaddleForm, membership, witness_eval
+from .forms import FormError, SaddleForm, witness_eval, witness_report
 
 _CHUNK = 200_000
 
@@ -60,7 +60,7 @@ def _default_bounds(form: SaddleForm, x: np.ndarray) -> list[tuple[float, float]
                 if math.isfinite(wi):
                     bounds[i][0] = min(bounds[i][0], wi - 1.0)
                     bounds[i][1] = max(bounds[i][1], wi + 1.0)
-        except Exception:
+        except (ExprError, FormError):
             pass
     blo = form.box.lower_array()[n:]
     bhi = form.box.upper_array()[n:]
@@ -186,16 +186,10 @@ def _witness_row(form: SaddleForm, x):
     if form.witness is None or form.reference is None:
         return math.nan, False, math.inf
     try:
-        p = witness_eval(form, x, check=False)
-    except Exception:
+        report = witness_report(form, x)
+    except (ExprError, FormError):
         return math.nan, False, math.inf
-    rep = membership(form, p, 1e-9)
-    try:
-        wval = form.g.value(p.vec)
-    except ExprError:
-        return math.nan, False, math.inf
-    gap = abs(wval - form.reference(x))
-    return wval, rep.feasible, max(gap, rep.max_violation)
+    return report.value, report.membership.feasible, report.error
 
 
 def _gradient_bound(form: SaddleForm, x, probe=None) -> np.ndarray:
@@ -210,7 +204,7 @@ def _gradient_bound(form: SaddleForm, x, probe=None) -> np.ndarray:
     elif form.witness is not None:
         try:
             probes.append(witness_eval(form, x, check=False).vec)
-        except Exception:
+        except (ExprError, FormError):
             pass
     if not probes:
         lo, hi = form.effective_window()

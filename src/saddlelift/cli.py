@@ -41,8 +41,7 @@ from .forms import (
     VarPartition,
     WitnessAbsentError,
     WitnessInfeasibleError,
-    membership,
-    witness_eval,
+    witness_report,
 )
 from .solver import (
     InnerParams,
@@ -311,23 +310,23 @@ def cmd_witness(args) -> int:
     form, _, _ = load_problem_file(args.file)
     x = _parse_vector(args.x, form.partition.n, "--x")
     try:
-        p = witness_eval(form, x, check=True)
+        report = witness_report(form, x, check=True)
     except (WitnessAbsentError, WitnessInfeasibleError) as err:
         _emit({"form": form.name, "error": str(err)})
         return 2
-    rep = membership(form, p)
+    p = report.point
     out = {
         "form": form.name,
         "x": p.x,
         "y": p.y,
         "z": p.z,
-        "g_value": form.g.value(p.vec),
-        "reference": form.reference(x) if form.reference is not None else None,
-        "max_violation": rep.max_violation,
-        "feasible": rep.feasible,
+        "g_value": report.value,
+        "reference": report.reference,
+        "max_violation": report.membership.max_violation,
+        "feasible": report.membership.feasible,
     }
-    if form.reference is not None:
-        out["witness_gap"] = abs(out["g_value"] - out["reference"])
+    if report.gap is not None:
+        out["witness_gap"] = report.gap
     _emit(out)
     return 0
 

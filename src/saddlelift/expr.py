@@ -2,12 +2,12 @@
 
 Every scalar function handled by this package (saddle objectives, constraint
 left-hand sides, penalty ingredients) is an immutable expression tree built
-from the node types below.  Scalar evaluation runs on kernels: a tape
+from the node types below.  All evaluation runs on kernels: a tape
 (:mod:`saddlelift.kernels`) lowers one or more trees into straight-line
 Python, compiled on first evaluation and cached on the node (or on the form
-whose components it evaluates together), giving exact values and the exact
-chain-rule gradient in sparse forward mode.  The lenient batch evaluator
-used by the grid audit stays a per-node interpreter over numpy arrays.
+whose components it evaluates together).  From one lowering it gives exact
+values, the exact chain-rule gradient in sparse forward mode, and the
+lenient batch values over many points that the grid audit scans.
 Curvature is *declared* metadata attached to each node and checked
 empirically by sampling, never inferred symbolically.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -80,9 +80,7 @@ class Expr:
         Out-of-domain entries become NaN instead of raising; callers treat
         NaN as infeasible.
         """
-        with np.errstate(all="ignore"):
-            out = self._val_batch(np.asarray(points, dtype=float))
-        return np.broadcast_to(out, points.shape[1:]).astype(float)
+        return self.tape().value_batch(points)[0]
 
     def value_grad(self, point: np.ndarray) -> tuple[float, np.ndarray]:
         """Value and exact gradient (length ``len(point)``) at ``point``."""
@@ -143,14 +141,6 @@ class Expr:
             raise ValueError(f"unknown curvature tag {tag!r}")
         return replace(self, tag=tag)
 
-    def walk(self) -> Iterable["Expr"]:
-        yield self
-        for c in self.children():
-            yield from c.walk()
-
-    def _val_batch(self, p):  # lenient, (dim, N) points
-        raise NotImplementedError
-
     # -- sugar (scalar-only products; there is no general product node) ------
 
     def _coerce(self, other) -> "Expr":
@@ -190,9 +180,6 @@ class Const(Expr):
     c: float
     tag: str = AFFINE
 
-    def _val_batch(self, p):
-        return np.full(p.shape[1:], self.c)
-
     def is_affine(self):
         return True
 
@@ -207,9 +194,6 @@ class Const(Expr):
 class Var(Expr):
     index: int
     tag: str = AFFINE
-
-    def _val_batch(self, p):
-        return p[self.index]
 
     def max_index(self):
         return self.index
@@ -231,12 +215,6 @@ class Affine(Expr):
     terms: tuple[tuple[int, float], ...]
     offset: float = 0.0
     tag: str = AFFINE
-
-    def _val_batch(self, p):
-        acc = np.full(p.shape[1:], self.offset)
-        for i, c in self.terms:
-            acc = acc + c * p[i]
-        return acc
 
     def max_index(self):
         return max((i for i, _ in self.terms), default=-1)
@@ -274,12 +252,6 @@ class Sum(Expr):
     parts: tuple[Expr, ...]
     tag: str = NONE
 
-    def _val_batch(self, p):
-        acc = np.zeros(p.shape[1:])
-        for c in self.parts:
-            acc = acc + c._val_batch(p)
-        return acc
-
     def children(self):
         return self.parts
 
@@ -299,9 +271,6 @@ class Scale(Expr):
     c: float
     tag: str = NONE
 
-    def _val_batch(self, p):
-        return self.c * self.child._val_batch(p)
-
     def children(self):
         return (self.child,)
 
@@ -316,10 +285,6 @@ class Scale(Expr):
 class Square(Expr):
     child: Expr
     tag: str = NONE
-
-    def _val_batch(self, p):
-        v = self.child._val_batch(p)
-        return v * v
 
     def children(self):
         return (self.child,)
@@ -337,9 +302,6 @@ class IntPow(Expr):
     def __post_init__(self):
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError("integer power requires k >= 1")
-
-    def _val_batch(self, p):
-        return self.child._val_batch(p) ** self.k
 
     def children(self):
         return (self.child,)
@@ -360,10 +322,6 @@ class RealPow(Expr):
         if self.a <= 0:
             raise ValueError("real power requires exponent a > 0")
 
-    def _val_batch(self, p):
-        v = self.child._val_batch(p)
-        return np.where(v < 0, np.nan, np.abs(v) ** self.a)
-
     def children(self):
         return (self.child,)
 
@@ -376,9 +334,6 @@ class Exp(Expr):
     child: Expr
     tag: str = NONE
 
-    def _val_batch(self, p):
-        return np.exp(self.child._val_batch(p))
-
     def children(self):
         return (self.child,)
 
@@ -390,10 +345,6 @@ class Exp(Expr):
 class Log(Expr):
     child: Expr
     tag: str = NONE
-
-    def _val_batch(self, p):
-        v = self.child._val_batch(p)
-        return np.where(v <= 0, np.nan, np.log(np.where(v <= 0, 1.0, v)))
 
     def children(self):
         return (self.child,)
@@ -413,43 +364,6 @@ class Sin(Expr):
         if not self.child.is_affine():
             raise ValueError("sin node requires an affine argument")
 
-    def _val_batch(self, p):
-        return np.sin(self.child._val_batch(p))
-
-    def children(self):
-        return (self.child,)
-
-    remap = _unary_remap
-    subst = _unary_subst
-
-
-@dataclass(frozen=True)
-class Max0(Expr):
-    """max(child, 0); used only when assembling penalties, never in forms."""
-
-    child: Expr
-    tag: str = NONE
-
-    def _val_batch(self, p):
-        return np.maximum(self.child._val_batch(p), 0.0)
-
-    def children(self):
-        return (self.child,)
-
-    remap = _unary_remap
-    subst = _unary_subst
-
-
-@dataclass(frozen=True)
-class Abs(Expr):
-    """Absolute value; used only when assembling penalties, never in forms."""
-
-    child: Expr
-    tag: str = NONE
-
-    def _val_batch(self, p):
-        return np.abs(self.child._val_batch(p))
-
     def children(self):
         return (self.child,)
 
@@ -464,7 +378,7 @@ def _derived_tag(node: Expr) -> str:
     """Structural tag where one is forced; NONE elsewhere."""
     if node.is_affine():
         return AFFINE
-    if isinstance(node, (Square, Exp, Max0, Abs)) and node.child.is_affine():
+    if isinstance(node, (Square, Exp)) and node.child.is_affine():
         return CONVEX
     if isinstance(node, Log) and node.child.is_affine():
         return CONCAVE
@@ -540,25 +454,13 @@ def sin(child: Expr, tag: str | None = None) -> Expr:
     return _finish(Sin(child), tag)
 
 
-def max0(child: Expr, tag: str | None = None) -> Expr:
-    return _finish(Max0(child), tag)
-
-
-def absolute(child: Expr, tag: str | None = None) -> Expr:
-    return _finish(Abs(child), tag)
-
-
 # ---------------------------------------------------------------------------
 # kernels (compiled by saddlelift.kernels, imported on first evaluation)
 
 
-def kink_error(node: Expr) -> NondifferentiableError:
+def kink_error(node: RealPow) -> NondifferentiableError:
     """The error for a gradient requested at the kink of ``node``."""
-    if isinstance(node, RealPow):
-        return NondifferentiableError(f"real power {node.a} not differentiable at 0", node)
-    if isinstance(node, Max0):
-        return NondifferentiableError("max-with-zero kink at 0", node)
-    return NondifferentiableError("abs kink at 0", node)
+    return NondifferentiableError(f"real power {node.a} not differentiable at 0", node)
 
 
 def cached_tape(owner, outputs) -> Tape:
@@ -800,10 +702,6 @@ def parse_sexpr(text: str, resolve: Callable[[str], int]) -> Expr:
             node = log(expr())
         elif head == "sin":
             node = sin(expr())
-        elif head == "max0":
-            node = max0(expr())
-        elif head == "abs":
-            node = absolute(expr())
         elif head == "tag":
             tok, tat = need()
             if tok not in _TAGS:
@@ -857,10 +755,6 @@ def to_sexpr(e: Expr, name_of: Callable[[int], str]) -> str:
             return f"(log {emit(node.child)})"
         if isinstance(node, Sin):
             return f"(sin {emit(node.child)})"
-        if isinstance(node, Max0):
-            return f"(max0 {emit(node.child)})"
-        if isinstance(node, Abs):
-            return f"(abs {emit(node.child)})"
         raise TypeError(f"unknown node {type(node).__name__}")
 
     def emit(node: Expr) -> str:

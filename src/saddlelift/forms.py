@@ -220,12 +220,6 @@ class SaddleForm:
         for label, e in self.components():
             if e.max_index() >= total:
                 raise FormError(f"{label} references index {e.max_index()} >= {total}")
-            for node in e.walk():
-                if isinstance(node, (ex.Max0, ex.Abs)):
-                    raise FormError(
-                        f"{label} contains a nonsmooth {type(node).__name__} node; "
-                        "forms must be built from differentiable pieces"
-                    )
         for j, h in enumerate(self.eq):
             if not h.is_affine():
                 raise FormError(f"equality h{j} is not structurally affine")
@@ -313,33 +307,69 @@ def membership(form: SaddleForm, p: SaddlePoint, tol: float = D2_TOL) -> Members
 def witness_eval(form: SaddleForm, x, check: bool = True) -> SaddlePoint:
     """Evaluate the witness map at ``x``.
 
-    With ``check`` the returned point is validated: feasible to 1e-9 and the
-    value identity |g(x,y,z) - reference(x)| <= 1e-9.  Failures raise
+    With ``check`` the returned point is validated as by
+    :func:`witness_report`: feasible to 1e-9 and the value identity
+    |g(x,y,z) - reference(x)| <= 1e-9.  Failures raise
     :class:`WitnessInfeasibleError`, which signals a catalog bug and belongs
     in the known-issues registry.
     """
+    if check:
+        return witness_report(form, x, check=True).point
     if form.witness is None:
         raise WitnessAbsentError(f"form {form.name!r} has no witness map")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.shape != (form.partition.n,):
         raise FormError(f"x has shape {xv.shape}, expected ({form.partition.n},)")
     y, z = form.witness(xv)
-    p = SaddlePoint.from_blocks(form.partition, xv, y, z)
-    if check:
-        rep = membership(form, p, D2_TOL)
-        if not rep.feasible:
-            raise WitnessInfeasibleError(
-                f"witness of {form.name!r} infeasible at x={xv.tolist()}: "
-                f"max violation {rep.max_violation:.3e}"
-            )
-        if form.reference is not None:
-            gap = abs(form.g.value(p.vec) - form.reference(xv))
-            if gap > D2_TOL:
-                raise WitnessInfeasibleError(
-                    f"witness identity of {form.name!r} fails at x={xv.tolist()}: "
-                    f"|g - f| = {gap:.3e}"
-                )
-    return p
+    return SaddlePoint.from_blocks(form.partition, xv, y, z)
+
+
+@dataclass(frozen=True)
+class WitnessReport:
+    """The witness point at some x and how well it keeps the witness identity."""
+
+    point: SaddlePoint
+    membership: MembershipReport
+    value: float  # g at the witness point
+    reference: float | None  # f(x); None for a form without a reference
+
+    @property
+    def gap(self) -> float | None:
+        """|g - f(x)| at the witness point; None without a reference."""
+        return None if self.reference is None else abs(self.value - self.reference)
+
+    @property
+    def error(self) -> float:
+        """The larger of the identity gap and the largest violation."""
+        return max(self.gap or 0.0, self.membership.max_violation)
+
+
+def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
+    """Evaluate the witness at ``x`` and measure the witness identity there.
+
+    Evaluation errors (:class:`~saddlelift.expr.ExprError`, and
+    :class:`FormError` for a missing or malformed witness) propagate.  With
+    ``check``, a point infeasible at 1e-9 or a gap above 1e-9 raises
+    :class:`WitnessInfeasibleError`.
+    """
+    p = witness_eval(form, x, check=False)
+    report = WitnessReport(
+        p,
+        membership(form, p, D2_TOL),
+        form.g.value(p.vec),
+        None if form.reference is None else form.reference(p.x),
+    )
+    if check and not report.membership.feasible:
+        raise WitnessInfeasibleError(
+            f"witness of {form.name!r} infeasible at x={p.x.tolist()}: "
+            f"max violation {report.membership.max_violation:.3e}"
+        )
+    if check and report.gap is not None and report.gap > D2_TOL:
+        raise WitnessInfeasibleError(
+            f"witness identity of {form.name!r} fails at x={p.x.tolist()}: "
+            f"|g - f| = {report.gap:.3e}"
+        )
+    return report
 
 
 @dataclass(frozen=True)
@@ -404,11 +434,8 @@ def validate_form(form: SaddleForm, samples: int = 50, seed: int = 0) -> FormAud
         ok = True
         for x in form.sample_x(rng, samples):
             try:
-                p = witness_eval(form, x, check=False)
-                rep = membership(form, p, D2_TOL)
-                gap = abs(form.g.value(p.vec) - form.reference(x))
-                err = max(gap, rep.max_violation)
-            except (ex.ExprError, FormError) as exc:
+                err = witness_report(form, x).error
+            except (ex.ExprError, FormError):
                 ok = False
                 bad_x = x
                 worst = math.inf

@@ -7,9 +7,13 @@ Each node's arithmetic is written in the order the exact chain rule
 evaluates it (a square's gradient is (2.0*v)*g_i, sums add left to right
 from 0.0 with explicit '+'), so every value and gradient is bitwise
 reproducible.  The gradient kernel is sparse forward mode: a node carries
-only the gradient entries of the variables below it.  Only names, indices,
-ints and reprs of finite floats are written into the source; other
-constants and the nodes named by errors are passed in the namespace.
+only the gradient entries of the variables below it.  The batch kernel
+writes the value kernel's statements over rows of a (dim, N) array of
+points, with numpy's exp/log/sin and NaN where the value kernel raises a
+domain error; each temporary is deleted after its last reader, so peak
+memory stays near that of evaluating the tree node by node.  Only names,
+indices, ints and reprs of finite floats are written into the source;
+other constants and the nodes named by errors are passed in the namespace.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import math
 import numpy as np
 
 from .expr import (
-    Abs,
     Affine,
     Const,
     DomainEvalError,
@@ -27,7 +30,6 @@ from .expr import (
     Expr,
     IntPow,
     Log,
-    Max0,
     RealPow,
     Scale,
     Sin,
@@ -62,17 +64,25 @@ def _postorder(outputs) -> list[Expr]:
 
 
 class _Lowering:
-    """Writes the body of one kernel; ``grad`` adds the gradient entries."""
+    """Writes the body of one kernel of ``outputs``.
 
-    def __init__(self, order, grad: bool):
-        self.grad = grad
+    ``mode`` is "value", "grad" (adds the gradient entries) or "batch"
+    (numpy rows for points, NaN for domain errors, dead temporaries
+    deleted).
+    """
+
+    def __init__(self, outputs, mode: str):
+        self.grad = mode == "grad"
+        self.batch = mode == "batch"
+        lib = np if self.batch else math
         self.lines: list[str] = []
         self.namespace = {
-            "exp": math.exp,
-            "log": math.log,
-            "sin": math.sin,
+            "exp": lib.exp,
+            "log": lib.log,
+            "sin": lib.sin,
             "cos": math.cos,
-            "copysign": math.copysign,
+            "_where": np.where,
+            "_abs": np.abs,
             "_overflow_pow": _overflow_pow,
             "DomainEvalError": DomainEvalError,
         }
@@ -82,8 +92,20 @@ class _Lowering:
         self.entries: dict[int, dict[int, float | str]] = {}
         self.kinks: dict[int, str] = {}  # node id -> local naming its kink
         self.used: set[int] = set()
+        order = _postorder(outputs)
+        last_reader = {id(c): k for k, node in enumerate(order) for c in node.children()}
+        keep = {id(e) for e in outputs}
         for k, node in enumerate(order):
             self._lower(k, node)
+            if self.batch:
+                # Var rows are views of the points, and shared by index
+                dead = {
+                    self.value[id(c)]
+                    for c in node.children()
+                    if last_reader[id(c)] == k and id(c) not in keep and not isinstance(c, Var)
+                }
+                if dead:
+                    self.emit(f"del {', '.join(sorted(dead))}")
 
     def const(self, c: float) -> str:
         c = float(c)
@@ -184,6 +206,9 @@ class _Lowering:
         elif isinstance(node, Exp):
             self.emit(f"{t} = exp({a})")
             factor = t
+        elif isinstance(node, Log) and self.batch:
+            nan = self.const(math.nan)
+            self.emit(f"{t} = _where({a} <= 0.0, {nan}, log(_where({a} <= 0.0, 1.0, {a})))")
         elif isinstance(node, Log):
             n = self.node_name(k, node)
             self.emit(
@@ -196,28 +221,6 @@ class _Lowering:
             self.emit(f"{t} = sin({a})")
             if self.grad:
                 self.emit(f"{d} = cos({a})")
-        elif isinstance(node, Max0):
-            if not self.grad:
-                self.emit(f"{t} = max({a}, 0.0)")
-            else:
-                self.kinks[id(node)] = f"k{k}"
-                self.emit(
-                    f"k{k} = None",
-                    f"if {a} > 0.0:",
-                    f"    {t} = {a}",
-                    f"    {d} = 1.0",
-                    "else:",
-                    f"    {t} = 0.0",
-                    f"    {d} = 0.0",
-                    f"    if {a} == 0.0:",
-                    f"        k{k} = {self.node_name(k, node)}",
-                )
-        elif isinstance(node, Abs):
-            self.emit(f"{t} = abs({a})")
-            if self.grad:
-                self.kinks[id(node)] = f"k{k}"
-                n = self.node_name(k, node)
-                self.emit(f"k{k} = {n} if {a} == 0.0 else None", f"{d} = copysign(1.0, {a})")
         else:
             raise TypeError(f"cannot compile node {type(node).__name__}")
         if not self.grad:
@@ -238,6 +241,10 @@ class _Lowering:
 
     def _real_pow(self, k: int, t: str, d: str, a: str, node: RealPow) -> None:
         e = self.const(node.a)
+        if self.batch:
+            # |a| ** e, not a ** e: a zero of either sign gives +0.0
+            self.emit(f"{t} = _where({a} < 0.0, {self.const(math.nan)}, _abs({a}) ** {e})")
+            return
         n = self.node_name(k, node)
         self.emit(
             f"if {a} < 0.0:",
@@ -282,28 +289,39 @@ class Tape:
     of shape (len(outputs), len(p)), and per output the first node (in
     evaluation order) where the gradient does not exist, or None; a
     gradient is only valid where that entry is None.  Domain errors raise
-    :class:`DomainEvalError` from either kernel.  ``dim`` is one more than
-    the largest variable index referenced.  The value kernel is compiled
-    when the tape is made and the gradient kernel on its first call.
+    :class:`DomainEvalError` from either kernel.  ``value_batch(points)``
+    evaluates every column of a (dim, N) array, giving one array of shape
+    ``points.shape[1:]`` per output, NaN where the point is outside a
+    node's domain.  ``dim`` is one more than the largest variable index
+    referenced.  The value kernel is compiled when the tape is made, the
+    others on their first call.
     """
 
     def __init__(self, outputs):
         self.outputs = tuple(outputs)
         leaves = (n for n in _postorder(self.outputs) if isinstance(n, (Var, Affine)))
         self.dim = 1 + max((n.max_index() for n in leaves), default=-1)
-        self.value = self._compile(grad=False)
+        self.value = self._compile("value")
         self._value_grad = None
+        self._value_batch = None
 
     def value_grad(self, p: list) -> tuple[list, np.ndarray, tuple]:
         if self._value_grad is None:
-            self._value_grad = self._compile(grad=True)
+            self._value_grad = self._compile("grad")
         return self._value_grad(p)
 
-    def _compile(self, grad: bool):
-        low = _Lowering(_postorder(self.outputs), grad)
+    def value_batch(self, points) -> list[np.ndarray]:
+        if self._value_batch is None:
+            self._value_batch = self._compile("batch")
+        p = np.asarray(points, dtype=float)
+        with np.errstate(all="ignore"):
+            return [np.broadcast_to(v, p.shape[1:]).astype(float) for v in self._value_batch(p)]
+
+    def _compile(self, mode: str):
+        low = _Lowering(self.outputs, mode)
         outs = ", ".join(low.value[id(e)] for e in self.outputs)
         body = [f"p{i} = p[{i}]" for i in sorted(low.used)] + low.lines
-        if not grad:
+        if mode != "grad":
             body.append(f"return [{outs}]")
         else:
             rows, cols, entries = [], [], []

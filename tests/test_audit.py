@@ -16,7 +16,7 @@ from saddlelift.audit import (
     parse_registry_line,
 )
 from saddlelift.catalog import make_catalog_form, trivial_convex
-from saddlelift.forms import FormError
+from saddlelift.forms import Box, FormError, SaddleForm, VarPartition, validate_form
 
 
 def test_dc_oracle_matches_analytic_value():
@@ -71,6 +71,23 @@ def test_identity_audit_failed_classification():
     rep = identity_audit(form, [np.array([0.5])], GridSpec(resolution=41), tol=1e-2)
     assert rep.classification == "failed"
     assert "witness_gap" in rep.counterexample
+
+
+def test_witness_outside_a_constraint_domain_fails_the_audit():
+    # the witness puts y = -1, where the constraint -log(y) <= 0 is undefined
+    form = SaddleForm(
+        name="log_witness",
+        partition=VarPartition(1, 1, 0),
+        box=Box.whole(2),
+        g=ex.var(1),
+        ineq=(ex.neg(ex.log(ex.var(1))),),
+        witness=lambda x: (np.array([-1.0]), np.empty(0)),
+        reference=lambda x: 1.0,
+    )
+    rep = identity_audit(form, [np.array([0.5])], GridSpec(resolution=41), tol=1e-2)
+    assert rep.classification == "failed"
+    assert math.isinf(rep.rows[0].witness_gap)
+    assert [it.label for it in validate_form(form, samples=5).failures()] == ["witness identity"]
 
 
 def test_refinement_shrinks_with_resolution():

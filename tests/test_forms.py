@@ -113,16 +113,6 @@ def test_nonaffine_equality_rejected():
         )
 
 
-def test_nonsmooth_nodes_rejected_in_forms():
-    with pytest.raises(FormError):
-        sl.SaddleForm(
-            name="bad",
-            partition=VarPartition(1, 0, 0),
-            box=Box.whole(1),
-            g=ex.absolute(ex.var(0)),
-        )
-
-
 def test_validate_dc_form():
     form = make_catalog_form("dc")  # d = 2x^2, c = x^2
     rep = validate_form(form, samples=40, seed=1)

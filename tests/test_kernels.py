@@ -1,6 +1,7 @@
-"""Compiled kernels: agreement with the batch interpreter and with finite
-differences over the whole catalog, wide and deep trees, non-finite
-constants, overflow, error reporting and kernel caching."""
+"""Compiled kernels: agreement with a recursive reference evaluator and with
+finite differences over the whole catalog, batch values against scalar
+values, wide and deep trees, non-finite constants, overflow, error reporting
+and kernel caching."""
 
 import dataclasses
 import gc
@@ -17,6 +18,57 @@ from saddlelift import expr as ex
 from saddlelift.catalog import default_suite, make_catalog_form, trivial_convex
 from saddlelift.forms import Box, SaddleForm, SaddlePoint, VarPartition
 from saddlelift.penalty import penalty_f_theta, penalty_f_theta_value
+from test_expr import _node_zoo
+
+
+def _power(v, a):
+    try:
+        return v**a
+    except OverflowError:
+        return math.copysign(math.inf, v) if a % 2 == 1 else math.inf
+
+
+def _reference(e, p):
+    """Value of ``e`` at the point ``p`` by recursion over the tree, with the
+    math module's semantics and NaN where ``e`` is undefined."""
+    if isinstance(e, ex.Const):
+        return e.c
+    if isinstance(e, ex.Var):
+        return p[e.index]
+    if isinstance(e, ex.Affine):
+        acc = e.offset
+        for i, c in e.terms:
+            acc = acc + c * p[i]
+        return acc
+    if isinstance(e, ex.Sum):
+        acc = 0.0
+        for part in e.parts:
+            acc = acc + _reference(part, p)
+        return acc
+    v = _reference(e.child, p)
+    if isinstance(e, ex.Scale):
+        return e.c * v
+    if isinstance(e, ex.Square):
+        return v * v
+    if isinstance(e, ex.IntPow):
+        return _power(v, e.k)
+    if isinstance(e, ex.RealPow):
+        return math.nan if v < 0.0 else _power(v, e.a)
+    if isinstance(e, ex.Exp):
+        return math.exp(v)
+    if isinstance(e, ex.Log):
+        return math.log(v) if v > 0.0 else math.nan
+    if isinstance(e, ex.Sin):
+        return math.sin(v)
+    raise TypeError(f"no reference for {type(e).__name__}")
+
+
+def _numpy_may_differ(e) -> bool:
+    """Whether ``e`` has a node whose numpy and math results may differ in
+    the last bits (vectorized exp, log and powers)."""
+    if isinstance(e, (ex.Exp, ex.Log, ex.IntPow, ex.RealPow)):
+        return True
+    return any(_numpy_may_differ(c) for c in e.children())
 
 
 def _readme_compositions():
@@ -26,6 +78,8 @@ def _readme_compositions():
 
 
 FORMS = {f.name: f for f in default_suite() + _readme_compositions()}
+# numpy's vectorized exp, log and power agree with libm's to a few ulp
+BATCH_TOL = 16 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))
@@ -36,13 +90,16 @@ def test_form_kernels_match_batch_values_and_fd_gradients(name, seed):
     lo, hi = form.effective_window()
     p = np.random.default_rng(seed).uniform(lo, hi)
     comps = [e for _, e in form.components()]
-    batch = [float(e.value_batch(p[:, None])[0]) for e in comps]
-    if any(math.isnan(b) for b in batch):
+    ref = [_reference(e, p.tolist()) for e in comps]
+    batch = [b[0] for b in form.tape().value_batch(p[:, None])]
+    assert [math.isnan(b) for b in batch] == [math.isnan(r) for r in ref]
+    if any(math.isnan(r) for r in ref):
         with pytest.raises(ex.DomainEvalError):
             form.tape().value(p.tolist())
         return
     vals = form.tape().value(p.tolist())
-    np.testing.assert_allclose(vals, batch, rtol=1e-12, atol=1e-9)
+    assert vals == ref
+    np.testing.assert_allclose(batch, vals, rtol=BATCH_TOL, atol=BATCH_TOL)
     vals_g, jac, kinks = form.tape().value_grad(p.tolist())
     assert vals_g == vals
     for k, e in enumerate(comps):
@@ -59,6 +116,32 @@ def test_form_kernels_match_batch_values_and_fd_gradients(name, seed):
         np.testing.assert_allclose(jac[k], fd, rtol=1e-5, atol=1e-5 * (1.0 + abs(vals[k])))
 
 
+EXPRS = {f"{f.name}/{label}": (e, f.effective_window()) for f in FORMS.values() for label, e in f.components()}
+EXPRS.update({f"zoo{k}": (e, (np.full(2, -3.0), np.full(2, 3.0))) for k, e in enumerate(_node_zoo())})
+
+
+@pytest.mark.parametrize("name", sorted(EXPRS))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batch_column_matches_value(name, seed):
+    e, (lo, hi) = EXPRS[name]
+    rng = np.random.default_rng(seed)
+    # outside the window too, and with zeros, to reach domain boundaries
+    p = rng.uniform(lo - (hi - lo) / 2, hi + (hi - lo) / 2)
+    p[rng.random(p.size) < 0.25] = 0.0
+    batch = e.value_batch(p[:, None])
+    assert batch.shape == (1,)
+    try:
+        v = e.value(p)
+    except ex.DomainEvalError:
+        assert math.isnan(batch[0])
+        return
+    if _numpy_may_differ(e):
+        np.testing.assert_allclose(batch[0], v, rtol=BATCH_TOL, atol=BATCH_TOL)
+    else:
+        assert batch[0] == v or (math.isnan(batch[0]) and math.isnan(v))
+
+
 def test_wide_affine_and_sum_compile():
     n = 1000
     rng = np.random.default_rng(0)
@@ -69,6 +152,7 @@ def test_wide_affine_and_sum_compile():
     for c, x in zip(coef, p):
         want += c * x
     assert aff.value(p) == want
+    assert aff.value_batch(p[:, None]).tolist() == [want]
     _, g = aff.value_grad(p)
     np.testing.assert_array_equal(g, coef)
     total = ex.add(*[ex.square(ex.var(i)) for i in range(n)])
@@ -76,6 +160,7 @@ def test_wide_affine_and_sum_compile():
     for x in p:
         want += x * x
     assert total.value(p) == want
+    assert total.value_batch(p[:, None]).tolist() == [want]
     _, g = total.value_grad(p)
     np.testing.assert_array_equal(g, 2.0 * p)
 
@@ -89,6 +174,7 @@ def test_deep_chain_compiles():
     v, g = e.value_grad(np.array([1.0]))
     assert v == pytest.approx(0.5)
     assert g[0] == 0.5**depth
+    assert e.value_batch(np.array([[1.0, -3.0]])).tolist() == [v, e.value([-3.0])]
 
 
 def test_nonfinite_constants():
