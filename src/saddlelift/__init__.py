@@ -29,7 +29,6 @@ from .forms import (
     witness_eval,
 )
 from .penalty import (
-    PenaltyParams,
     eps_feasible,
     penalty_f,
     penalty_f_theta,
@@ -60,7 +59,6 @@ __all__ = [
     "IdentityAuditReport",
     "InnerParams",
     "KktReport",
-    "PenaltyParams",
     "SaddleForm",
     "SaddlePoint",
     "SolveResult",

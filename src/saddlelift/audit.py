@@ -113,6 +113,7 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
                 pts[part.n + j] = yv
             pts[part.n + part.m1 :] = cols
             feas = np.ones(width, dtype=bool)
+            # per constraint, so a slice stops at the first one leaving no point feasible
             for gi in form.ineq:
                 vals = gi.value_batch(pts)
                 feas &= ~np.isnan(vals) & (vals <= grid.feas_tol)

@@ -478,14 +478,6 @@ def cached_tape(owner, outputs) -> Tape:
 # ---------------------------------------------------------------------------
 # module-level operations
 
-def eval_expr(e: Expr, point) -> float:
-    return e.value(np.asarray(point, dtype=float))
-
-
-def gradient(e: Expr, point) -> np.ndarray:
-    return e.value_grad(np.asarray(point, dtype=float))[1]
-
-
 def fd_gradient(e: Expr, point, step: float = 1e-5) -> np.ndarray:
     """Central finite differences; the independent oracle for value_grad."""
     p = np.asarray(point, dtype=float)

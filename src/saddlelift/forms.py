@@ -56,14 +56,6 @@ class VarPartition:
         return self.n + self.m1 + self.m2
 
     @property
-    def x_indices(self) -> range:
-        return range(0, self.n)
-
-    @property
-    def y_indices(self) -> range:
-        return range(self.n, self.n + self.m1)
-
-    @property
     def z_indices(self) -> range:
         return range(self.n + self.m1, self.total)
 
@@ -142,9 +134,6 @@ class Box:
         below = np.where(np.isfinite(lo), lo - p, -math.inf)
         above = np.where(np.isfinite(hi), p - hi, -math.inf)
         return float(max(0.0, below.max(initial=-math.inf), above.max(initial=-math.inf)))
-
-    def contains(self, p: np.ndarray, tol: float = 0.0) -> bool:
-        return self.excess(np.asarray(p, dtype=float)) <= tol
 
     def slice(self, indices) -> "Box":
         idx = list(indices)
@@ -242,6 +231,29 @@ class SaddleForm:
         first use and kept on the form."""
         return ex.cached_tape(self, (self.g, *self.ineq, *self.eq))
 
+    def values(self, v: np.ndarray) -> tuple[float, list, list]:
+        """g, then the lists of g_i and h_j values at the point vector ``v``,
+        from one call of the value kernel.  Domain errors raise
+        :class:`~saddlelift.expr.DomainEvalError`."""
+        vals = self.tape().value(v.tolist())
+        s = 1 + len(self.ineq)
+        return vals[0], vals[1:s], vals[s:]
+
+    def values_grads(self, v: np.ndarray):
+        """As :meth:`values`, plus ``grad(k)``: the gradient of component k
+        (0 is g, then the g_i, then the h_j), raising
+        :class:`~saddlelift.expr.NondifferentiableError` where it does not
+        exist.  One call of the value+gradient kernel."""
+        vals, jac, kinks = self.tape().value_grad(v.tolist())
+
+        def grad(k: int) -> np.ndarray:
+            if kinks[k] is not None:
+                raise ex.kink_error(kinks[k])
+            return jac[k]
+
+        s = 1 + len(self.ineq)
+        return vals[0], vals[1:s], vals[s:], grad
+
     @property
     def ineq_linear(self) -> tuple[bool, ...]:
         return tuple(gi.is_affine() for gi in self.ineq)
@@ -288,13 +300,18 @@ class MembershipReport:
 
 
 def membership(form: SaddleForm, p: SaddlePoint, tol: float = D2_TOL) -> MembershipReport:
-    """Per-constraint violation report at ``p``."""
+    """Per-constraint violation report at ``p``.
+
+    A constraint value that is NaN counts as a violation.  The form is
+    evaluated as a whole, so a domain error in g raises here too.
+    """
     v = p.vec
     try:
-        iv = np.array([max(gi.value(v), 0.0) for gi in form.ineq])
+        _, ivals, evals = form.values(v)
     except ex.DomainEvalError as err:
         raise ex.DomainEvalError(f"{err} (while checking membership of {form.name})", err.node)
-    ev = np.array([abs(hj.value(v)) for hj in form.eq])
+    iv = np.array([max(gv, 0.0) for gv in ivals])
+    ev = np.array([abs(hv) for hv in evals])
     bx = form.box.excess(v)
     feasible = bx <= tol
     if iv.size:
@@ -356,7 +373,7 @@ def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
     report = WitnessReport(
         p,
         membership(form, p, D2_TOL),
-        form.g.value(p.vec),
+        form.values(p.vec)[0],
         None if form.reference is None else form.reference(p.x),
     )
     if check and not report.membership.feasible:

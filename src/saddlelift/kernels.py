@@ -315,7 +315,11 @@ class Tape:
             self._value_batch = self._compile("batch")
         p = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
-            return [np.broadcast_to(v, p.shape[1:]).astype(float) for v in self._value_batch(p)]
+            values = self._value_batch(p)
+        outs = [np.empty(p.shape[1:]) for _ in values]
+        for out, v in zip(outs, values):
+            out[...] = v  # a fresh array, also where v is a float or a row of p
+        return outs
 
     def _compile(self, mode: str):
         low = _Lowering(self.outputs, mode)

@@ -18,50 +18,14 @@ penalized; solvers keep iterates inside the box by projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import expr as ex
-from .forms import SaddleForm, SaddlePoint
-
-
-@dataclass(frozen=True)
-class PenaltyParams:
-    rho: float
-    theta: float = 1.01
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("penalty weight rho must be > 0")
-        if self.theta <= 1:
-            raise ValueError("smoothing exponent theta must be > 1")
-
-
-def _vals(form: SaddleForm, v: np.ndarray):
-    """g, then the lists of g_i and h_j values at ``v``, from one kernel call."""
-    vals = form.tape().value(v.tolist())
-    s = 1 + len(form.ineq)
-    return vals[0], vals[1:s], vals[s:]
-
-
-def _vals_grads(form: SaddleForm, v: np.ndarray):
-    """As :func:`_vals`, plus ``grad(k)``: the gradient of component k (0 is
-    g, then the g_i, then the h_j), raising where it does not exist."""
-    vals, jac, kinks = form.tape().value_grad(v.tolist())
-
-    def grad(k: int) -> np.ndarray:
-        if kinks[k] is not None:
-            raise ex.kink_error(kinks[k])
-        return jac[k]
-
-    s = 1 + len(form.ineq)
-    return vals[0], vals[1:s], vals[s:], grad
+from .forms import SaddleForm, SaddlePoint, membership
 
 
 def _exact(form: SaddleForm, p: SaddlePoint):
     """g and the total violation sum max(g_i, 0) + sum |h_j| at ``p``."""
-    gval, ivals, evals = _vals(form, p.vec)
+    gval, ivals, evals = form.values(p.vec)
     return gval, np.maximum(ivals, 0.0).sum() + np.abs(evals).sum()
 
 
@@ -82,7 +46,7 @@ def penalty_g(form: SaddleForm, p: SaddlePoint, rho: float) -> float:
 
 def _smoothed_terms(ivals, evals, rho: float, theta: float, grad=None, size: int = 0):
     """rho * sum (g_i+)^theta + rho * sum |h_j|^theta, and with ``grad``
-    (see :func:`_vals_grads`) its gradient of length ``size``."""
+    (see :meth:`SaddleForm.values_grads`) its gradient of length ``size``."""
     value = 0.0
     out = np.zeros(size) if grad is not None else None
     for k, gv in enumerate(ivals, 1):
@@ -101,19 +65,19 @@ def _smoothed_terms(ivals, evals, rho: float, theta: float, grad=None, size: int
 def _smoothed(form: SaddleForm, p: SaddlePoint, rho: float, theta: float):
     if theta <= 1:
         raise ValueError("smoothing exponent theta must be > 1")
-    gval, ivals, evals, grad = _vals_grads(form, p.vec)
+    gval, ivals, evals, grad = form.values_grads(p.vec)
     ggrad = grad(0)
     pv, pg = _smoothed_terms(ivals, evals, rho, theta, grad, p.vec.size)
     return gval, ggrad, pv, pg
 
 
 def penalty_f_theta_value(form: SaddleForm, p: SaddlePoint, rho: float, theta: float) -> float:
-    gval, ivals, evals = _vals(form, p.vec)
+    gval, ivals, evals = form.values(p.vec)
     return float(gval + _smoothed_terms(ivals, evals, rho, theta)[0])
 
 
 def penalty_g_theta_value(form: SaddleForm, p: SaddlePoint, rho: float, theta: float) -> float:
-    gval, ivals, evals = _vals(form, p.vec)
+    gval, ivals, evals = form.values(p.vec)
     return float(-gval + _smoothed_terms(ivals, evals, rho, theta)[0])
 
 
@@ -139,7 +103,7 @@ def penalty_g2(form: SaddleForm, p: SaddlePoint, rho: float) -> tuple[float, np.
     C^1 everywhere, and convex in the z block whenever every g_i is convex
     and every h_j affine there.
     """
-    gval, ivals, evals, grad = _vals_grads(form, p.vec)
+    gval, ivals, evals, grad = form.values_grads(p.vec)
     value = -gval
     out = -grad(0)
     for k, gv in enumerate(ivals, 1):
@@ -153,10 +117,12 @@ def penalty_g2(form: SaddleForm, p: SaddlePoint, rho: float) -> tuple[float, np.
 
 
 def eps_feasible(form: SaddleForm, p: SaddlePoint, eps: float) -> bool:
-    """True iff every g_i <= eps, every |h_j| <= eps, and box excess <= eps."""
+    """True iff every g_i <= eps, every |h_j| <= eps, and box excess <= eps:
+    :func:`~saddlelift.forms.membership` at tolerance eps, whose rule counts
+    a NaN constraint value as violated.  Constraints are not evaluated
+    outside the box."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if form.box.excess(p.vec) > eps:
         return False
-    _, ivals, evals = _vals(form, p.vec)
-    return not (any(gv > eps for gv in ivals) or any(abs(hv) > eps for hv in evals))
+    return membership(form, p, eps).feasible

@@ -455,16 +455,14 @@ def kkt_residual(
             f"kkt_residual needs a feasible point; max violation {rep.max_violation:.3e}"
         )
     part = form.partition
-    v = p.vec
     xy = np.arange(part.n + part.m1)
     zz = np.arange(part.n + part.m1, part.total)
     s, r = len(form.ineq), len(form.eq)
 
-    _, ggrad = form.g.value_grad(v)
-    gi_vals = np.array([gi.value(v) for gi in form.ineq])
-    grads = [gi.value_grad(v)[1] for gi in form.ineq] + [
-        hj.value_grad(v)[1] for hj in form.eq
-    ]
+    _, ivals, _, grad = form.values_grads(p.vec)
+    ggrad = grad(0)
+    gi_vals = np.array(ivals)
+    grads = [grad(k) for k in range(1, 1 + s + r)]
     is_ineq = [True] * s + [False] * r
     active = [gi_vals[i] >= -act_tol for i in range(s)] + [True] * r
 
@@ -544,39 +542,27 @@ def exactness_probe(
     rows = []
     for i, rho in enumerate(rho_list):
         rng = np.random.default_rng(seed + i)
-        base = p_star.vec.copy()
-        obj_xy = _block_objective(
-            form, base, xy, penalty_f_theta, penalty_f_theta_value, rho, theta
-        )
-        window = (
-            np.maximum(lo[xy], p_star.vec[xy] - halfwidth),
-            np.minimum(hi[xy], p_star.vec[xy] + halfwidth),
-        )
-        res = inner_minimize_multistart(
-            obj_xy, lo[xy], hi[xy], p_star.vec[xy], inner, rng, window=window
-        )
-        cand = base.copy()
-        cand[xy] = res.point
-        f_cand = penalty_f(form, SaddlePoint(part, cand), rho)
-        f_star = penalty_f(form, p_star, rho)
-
-        if part.m2 > 0:
-            obj_z = _block_objective(
-                form, base, zz, penalty_g_theta, penalty_g_theta_value, rho, theta
-            )
-            window_z = (
-                np.maximum(lo[zz], p_star.vec[zz] - halfwidth),
-                np.minimum(hi[zz], p_star.vec[zz] + halfwidth),
-            )
-            res_z = inner_minimize_multistart(
-                obj_z, lo[zz], hi[zz], p_star.vec[zz], inner, rng, window=window_z
-            )
-            cand_z = base.copy()
-            cand_z[zz] = res_z.point
-            g_cand = penalty_g(form, SaddlePoint(part, cand_z), rho)
-        else:
-            g_cand = penalty_g(form, p_star, rho)
-        g_star = penalty_g(form, p_star, rho)
+        at_cand, at_star = [], []
+        for block, penalty, penalty_value, exact in (
+            (xy, penalty_f_theta, penalty_f_theta_value, penalty_f),
+            (zz, penalty_g_theta, penalty_g_theta_value, penalty_g),
+        ):
+            cand = p_star.vec.copy()
+            if block.size:
+                obj = _block_objective(
+                    form, p_star.vec, block, penalty, penalty_value, rho, theta
+                )
+                window = (
+                    np.maximum(lo[block], p_star.vec[block] - halfwidth),
+                    np.minimum(hi[block], p_star.vec[block] + halfwidth),
+                )
+                res = inner_minimize_multistart(
+                    obj, lo[block], hi[block], p_star.vec[block], inner, rng, window=window
+                )
+                cand[block] = res.point
+            at_cand.append(exact(form, SaddlePoint(part, cand), rho))
+            at_star.append(exact(form, p_star, rho))
+        (f_cand, g_cand), (f_star, g_star) = at_cand, at_star
 
         rows.append(
             ExactnessRow(

@@ -17,6 +17,7 @@ from saddlelift import algebra
 from saddlelift import expr as ex
 from saddlelift.catalog import default_suite, make_catalog_form, trivial_convex
 from saddlelift.forms import Box, SaddleForm, SaddlePoint, VarPartition
+from saddlelift.kernels import Tape
 from saddlelift.penalty import penalty_f_theta, penalty_f_theta_value
 from test_expr import _node_zoo
 
@@ -140,6 +141,20 @@ def test_batch_column_matches_value(name, seed):
         np.testing.assert_allclose(batch[0], v, rtol=BATCH_TOL, atol=BATCH_TOL)
     else:
         assert batch[0] == v or (math.isnan(batch[0]) and math.isnan(v))
+
+
+def test_batch_outputs_are_fresh_arrays():
+    # a Var output is a row of the points and a Const output a float inside
+    # the kernel; both come back as new writable float arrays
+    points = np.arange(6.0).reshape(2, 3)
+    before = points.copy()
+    row, const = Tape((ex.var(1), ex.const(2.5))).value_batch(points)
+    for out, expected in ((row, points[1]), (const, np.full(3, 2.5))):
+        assert out.dtype == float and out.flags.writeable and out.flags.owndata
+        assert not np.shares_memory(out, points)
+        np.testing.assert_array_equal(out, expected)
+        out[:] = -1.0
+    np.testing.assert_array_equal(points, before)
 
 
 def test_wide_affine_and_sum_compile():

@@ -1,11 +1,14 @@
 """Penalty functions: exact values, smoothed gradients, feasibility test."""
 
+import math
+
 import numpy as np
 import pytest
 
 import saddlelift.penalty as pe
+from saddlelift import expr as ex
 from saddlelift.catalog import make_catalog_form
-from saddlelift.forms import SaddlePoint
+from saddlelift.forms import Box, SaddleForm, SaddlePoint, VarPartition, membership
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +57,6 @@ def test_theta_must_exceed_one(f41):
     p = _pt(f41, [1, 1, 0])
     with pytest.raises(ValueError):
         pe.penalty_f_theta(f41, p, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        pe.PenaltyParams(rho=1.0, theta=0.9)
-    with pytest.raises(ValueError):
-        pe.PenaltyParams(rho=-1.0)
 
 
 def _fd_penalty(fun, form, p, step=1e-6):
@@ -144,3 +143,21 @@ def test_eps_feasible(f41):
 
 def test_eps_feasible_checks_box(f41):
     assert not pe.eps_feasible(f41, _pt(f41, [0, -1.0, 0]), 1e-6)
+
+
+def _nan_form():
+    # x0^2 - x0^2 overflows to inf - inf = NaN at x0 = 1e200
+    part = VarPartition(1, 0, 0)
+    gi = ex.parse_sexpr("(+ (pow x0 2) (neg (pow x0 2)))", part.index_of)
+    return SaddleForm("nan_constraint", part, Box.whole(1), ex.var(0), ineq=(gi,))
+
+
+def test_eps_feasible_rejects_nan_constraint_values():
+    # a NaN constraint value is a violation, as membership counts it
+    form = _nan_form()
+    p = _pt(form, [1e200])
+    with np.errstate(over="ignore"):
+        assert math.isnan(form.ineq[0].value(p.vec))
+        assert not membership(form, p, 1e-6).feasible
+        assert not pe.eps_feasible(form, p, 1e-6)
+    assert pe.eps_feasible(form, _pt(form, [3.0]), 1e-6)
