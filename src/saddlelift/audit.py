@@ -18,9 +18,8 @@ registry is a deliberate, reviewable change.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,57 +88,45 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
             f"grid needs {part.m1 + part.m2} axis bounds, got {len(bounds)}"
         )
     axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in bounds]
-    y_axes, z_axes = axes[: part.m1], axes[part.m1 :]
+    shape = (grid.resolution,) * len(axes)
+    ny, nz = grid.resolution**part.m1, grid.resolution**part.m2
 
-    if z_axes:
-        mesh = np.meshgrid(*z_axes, indexing="ij")
-        zgrid = np.stack([m.ravel() for m in mesh])  # (m2, Nz)
-    else:
-        zgrid = np.zeros((0, 1))
-    nz = zgrid.shape[1]
+    def points(flat):
+        """The grid points at flat indices, y-major, as (total, len(flat))."""
+        pts = np.empty((part.total, flat.size))
+        pts[: part.n] = x[:, None]
+        for k, i in enumerate(np.unravel_index(flat, shape) if axes else ()):
+            pts[part.n + k] = axes[k][i]
+        return pts
 
-    best_val = math.inf
-    best_point = None
-    y_iter = itertools.product(*y_axes) if y_axes else [()]
-    for ycombo in y_iter:
-        inner_max = -math.inf
-        inner_arg = None
-        for s in range(0, nz, _CHUNK):
-            cols = zgrid[:, s : s + _CHUNK]
-            width = cols.shape[1]
-            pts = np.empty((part.total, width))
-            pts[: part.n] = x[:, None]
-            for j, yv in enumerate(ycombo):
-                pts[part.n + j] = yv
-            pts[part.n + part.m1 :] = cols
-            feas = np.ones(width, dtype=bool)
-            # per constraint, so a slice stops at the first one leaving no point feasible
-            for gi in form.ineq:
-                vals = gi.value_batch(pts)
-                feas &= ~np.isnan(vals) & (vals <= grid.feas_tol)
-                if not feas.any():
-                    break
-            if feas.any():
-                for hj in form.eq:
-                    vals = hj.value_batch(pts)
-                    feas &= ~np.isnan(vals) & (np.abs(vals) <= grid.feas_tol)
-                    if not feas.any():
-                        break
+    # per y slice: max of g over its feasible z (-inf when there is none) and
+    # the first z achieving it; chunks hold whole slices
+    slice_max = np.full(ny, -math.inf)
+    slice_arg = np.zeros(ny, dtype=np.intp)
+    rows = max(1, _CHUNK // nz)
+    checks = [(gi, False) for gi in form.ineq] + [(hj, True) for hj in form.eq]
+    for s in range(0, ny, rows):
+        e = min(s + rows, ny)
+        pts = points(np.arange(s * nz, e * nz))
+        feas = np.ones(pts.shape[1], dtype=bool)
+        # per constraint, so a chunk stops at the first one leaving no point feasible
+        for c, is_eq in checks:
+            vals = c.value_batch(pts)
+            feas &= (np.abs(vals) if is_eq else vals) <= grid.feas_tol  # NaN fails
             if not feas.any():
-                continue
-            gvals = form.g.value_batch(pts)
-            gvals = np.where(np.isnan(gvals), -math.inf, gvals)
-            gvals[~feas] = -math.inf
-            j = int(np.argmax(gvals))
-            if gvals[j] > inner_max:
-                inner_max = float(gvals[j])
-                inner_arg = pts[:, j].copy()
-        if inner_arg is None:
-            continue  # no feasible z slice for this y
-        if inner_max < best_val:
-            best_val = inner_max
-            best_point = inner_arg
-    return best_val, best_point
+                break
+        else:
+            g = form.g.value_batch(pts)
+            g[np.isnan(g) | ~feas] = -math.inf
+            g = g.reshape(e - s, nz)
+            slice_arg[s:e] = g.argmax(axis=1)
+            slice_max[s:e] = g[np.arange(e - s), slice_arg[s:e]]
+    # a slice whose max is -inf has no feasible z; one whose max is +inf never wins
+    slice_max[slice_max == -math.inf] = math.inf
+    k = int(np.argmin(slice_max))
+    if slice_max[k] == math.inf:
+        return math.inf, None
+    return float(slice_max[k]), points(np.array([k * nz + slice_arg[k]]))[:, 0]
 
 
 def grid_minmax(form: SaddleForm, x, grid: GridSpec | None = None) -> float:
@@ -245,12 +232,11 @@ def identity_audit(
         x = np.atleast_1d(np.asarray(x, dtype=float))
         ref = form.reference(x)
         wval, wfeas, wgap = _witness_row(form, x)
-        oracle, opoint = _grid_scan(form, x, grid)
-        if grid.bounds is not None:
-            bounds = grid.bounds
-        else:
-            bounds = tuple(_default_bounds(form, x))
-        steps = np.array([(hi - lo) / (grid.resolution - 1) for lo, hi in bounds])
+        gx = grid
+        if grid.bounds is None:
+            gx = replace(grid, bounds=tuple(_default_bounds(form, x)))
+        oracle, opoint = _grid_scan(form, x, gx)
+        steps = np.array([(hi - lo) / (gx.resolution - 1) for lo, hi in gx.bounds])
         allowance = (
             float(steps @ _gradient_bound(form, x, probe=opoint))
             if steps.size

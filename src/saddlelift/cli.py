@@ -90,24 +90,27 @@ def _x_resolver(name: str) -> int:
 _EXPR_FIELDS = ("q", "d", "c", "b")
 
 
+def _parse_expr_fields(fields) -> dict:
+    """A copy of ``fields`` with the string values of _EXPR_FIELDS parsed."""
+    out = dict(fields)
+    for key in _EXPR_FIELDS:
+        if isinstance(out.get(key), str):
+            out[key] = ex.parse_sexpr(out[key], _x_resolver)
+    return out
+
+
 def load_form(doc: dict) -> SaddleForm:
     prob = doc.get("problem")
     if not isinstance(prob, dict):
         raise CliError("problem file needs a 'problem' object")
     if "catalog" in prob:
-        params = dict(prob.get("params", {}))
-        for key in _EXPR_FIELDS:
-            if key in params and isinstance(params[key], str):
-                params[key] = ex.parse_sexpr(params[key], _x_resolver)
+        params = _parse_expr_fields(prob.get("params", {}))
         try:
             return cat.make_catalog_form(prob["catalog"], **params)
         except KeyError as err:
             raise CliError(f"unknown catalog id: {err.args[0]}", 1)
     if "structured" in prob:
-        data = dict(prob.get("data", {}))
-        for key in _EXPR_FIELDS:
-            if key in data and isinstance(data[key], str):
-                data[key] = ex.parse_sexpr(data[key], _x_resolver)
+        data = _parse_expr_fields(prob.get("data", {}))
         try:
             return cat.make_structured(prob["structured"], data)
         except KeyError as err:

@@ -532,7 +532,8 @@ def curvature_audit(
 
     Draws ``samples`` pairs (u, v) in the (clipped) box, varying only
     ``axes`` when given, and tests the blend inequality at t in
-    {1/4, 1/2, 3/4}.  The first violated pair is returned as counterexample.
+    {1/4, 1/2, 3/4}.  A pair with a NaN value (outside the domain) is
+    skipped.  The first violated pair is returned as counterexample.
     """
     tag = e.tag if tag is None else tag
     lower = np.asarray(lower, dtype=float)
@@ -540,34 +541,33 @@ def curvature_audit(
     if tag == NONE:
         return CurvatureReport(tag, True, 0)
     lo, hi = sample_window(lower, upper, clip)
-    rng = np.random.default_rng(seed)
     dim = lo.size
     axes = list(range(dim)) if axes is None else list(axes)
+    # one row per attempt: the base point, u's axes, v's axes, in the order
+    # one attempt at a time would draw them
+    lows, highs = (np.concatenate([b, b[axes], b[axes]]) for b in (lo, hi))
+    draws = np.random.default_rng(seed).uniform(lows, highs, (samples * 20, lows.size))
+    u, v = draws[:, :dim].copy(), draws[:, :dim].copy()
+    u[:, axes], v[:, axes] = np.split(draws[:, dim:], 2, axis=1)
+    ts = (0.25, 0.5, 0.75)
+    pts = np.concatenate([u, v] + [t * u + (1.0 - t) * v for t in ts])
+    values = e.value_batch(pts.T).reshape(5, -1).T.tolist()
     checked = 0
-    attempts = 0
-    while checked < samples and attempts < samples * 20:
-        attempts += 1
-        base = rng.uniform(lo, hi)
-        u = base.copy()
-        v = base.copy()
-        u[axes] = rng.uniform(lo[axes], hi[axes])
-        v[axes] = rng.uniform(lo[axes], hi[axes])
-        try:
-            fu = e.value(u)
-            fv = e.value(v)
-            for t in (0.25, 0.5, 0.75):
-                mid = t * u + (1.0 - t) * v
-                fm = e.value(mid)
-                blend = t * fu + (1.0 - t) * fv
-                if tag == CONVEX and fm > blend + tol:
-                    return CurvatureReport(tag, False, checked, (u, v, t))
-                if tag == CONCAVE and fm < blend - tol:
-                    return CurvatureReport(tag, False, checked, (u, v, t))
-                if tag == AFFINE and abs(fm - blend) > tol:
-                    return CurvatureReport(tag, False, checked, (u, v, t))
-        except DomainEvalError:
-            continue
-        checked += 1
+    for a, (fu, fv, *fms) in enumerate(values):
+        if checked == samples:
+            break
+        for t, fm in zip(ts, fms):
+            if math.isnan(fu) or math.isnan(fv) or math.isnan(fm):
+                break
+            blend = t * fu + (1.0 - t) * fv
+            if (
+                (tag == CONVEX and fm > blend + tol)
+                or (tag == CONCAVE and fm < blend - tol)
+                or (tag == AFFINE and abs(fm - blend) > tol)
+            ):
+                return CurvatureReport(tag, False, checked, (u[a], v[a], t))
+        else:
+            checked += 1
     if checked == 0:
         raise DomainEvalError("no in-domain sample pairs found for audit", e)
     return CurvatureReport(tag, True, checked)

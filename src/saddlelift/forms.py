@@ -291,12 +291,13 @@ class MembershipReport:
 
     @property
     def max_violation(self) -> float:
+        """The largest violation; inf where a constraint value is NaN."""
         parts = [self.box_excess]
         if self.ineq_violation.size:
             parts.append(float(self.ineq_violation.max()))
         if self.eq_violation.size:
             parts.append(float(self.eq_violation.max()))
-        return max(parts)
+        return math.inf if any(map(math.isnan, parts)) else max(parts)
 
 
 def membership(form: SaddleForm, p: SaddlePoint, tol: float = D2_TOL) -> MembershipReport:

@@ -1,0 +1,273 @@
+"""The grid oracle and the curvature audit evaluate in bulk: one batch call
+per component per chunk of whole y slices, and one batch call per curvature
+audit.  Both must give, bit for bit, what the earlier loops gave: the grid
+scan one y slice at a time, the curvature audit five scalar evaluations per
+sample pair.  Test-local copies of those loops are the reference."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from saddlelift import audit
+from saddlelift import expr as ex
+from saddlelift.audit import GridSpec, _default_bounds, _grid_scan
+from saddlelift.catalog import make_catalog_form, trivial_convex
+from saddlelift.forms import Box, SaddleForm, VarPartition
+from test_kernels import FORMS
+
+
+# -- references: the loops the bulk evaluation replaced
+
+
+def _ref_grid_scan(form, x, grid):
+    """One y slice at a time, its z mesh in chunks of audit._CHUNK points."""
+    part = form.partition
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if form.box.slice(range(part.n)).excess(x) > grid.feas_tol:
+        return math.inf, None
+    bounds = list(grid.bounds) if grid.bounds is not None else _default_bounds(form, x)
+    axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in bounds]
+    y_axes, z_axes = axes[: part.m1], axes[part.m1 :]
+    if z_axes:
+        zgrid = np.stack([m.ravel() for m in np.meshgrid(*z_axes, indexing="ij")])
+    else:
+        zgrid = np.zeros((0, 1))
+    nz = zgrid.shape[1]
+    best_val, best_point = math.inf, None
+    for ycombo in itertools.product(*y_axes) if y_axes else [()]:
+        inner_max, inner_arg = -math.inf, None
+        for s in range(0, nz, audit._CHUNK):
+            cols = zgrid[:, s : s + audit._CHUNK]
+            width = cols.shape[1]
+            pts = np.empty((part.total, width))
+            pts[: part.n] = x[:, None]
+            for j, yv in enumerate(ycombo):
+                pts[part.n + j] = yv
+            pts[part.n + part.m1 :] = cols
+            feas = np.ones(width, dtype=bool)
+            for gi in form.ineq:
+                vals = gi.value_batch(pts)
+                feas &= ~np.isnan(vals) & (vals <= grid.feas_tol)
+            for hj in form.eq:  # no early exit: it changes no result
+                vals = hj.value_batch(pts)
+                feas &= ~np.isnan(vals) & (np.abs(vals) <= grid.feas_tol)
+            if not feas.any():
+                continue
+            gvals = form.g.value_batch(pts)
+            gvals = np.where(np.isnan(gvals), -math.inf, gvals)
+            gvals[~feas] = -math.inf
+            j = int(np.argmax(gvals))
+            if gvals[j] > inner_max:
+                inner_max = float(gvals[j])
+                inner_arg = pts[:, j].copy()
+        if inner_arg is not None and inner_max < best_val:
+            best_val, best_point = inner_max, inner_arg
+    return best_val, best_point
+
+
+def _ref_curvature_audit(e, lower, upper, tag, samples, seed, axes=None, tol=1e-9):
+    """Five scalar evaluations per attempt; a domain error skips the pair."""
+    lo, hi = ex.sample_window(np.asarray(lower, float), np.asarray(upper, float), 10.0)
+    rng = np.random.default_rng(seed)
+    axes = list(range(lo.size)) if axes is None else list(axes)
+    checked = attempts = 0
+    while checked < samples and attempts < samples * 20:
+        attempts += 1
+        base = rng.uniform(lo, hi)
+        u, v = base.copy(), base.copy()
+        u[axes] = rng.uniform(lo[axes], hi[axes])
+        v[axes] = rng.uniform(lo[axes], hi[axes])
+        try:
+            fu, fv = e.value(u), e.value(v)
+            for t in (0.25, 0.5, 0.75):
+                fm = e.value(t * u + (1.0 - t) * v)
+                blend = t * fu + (1.0 - t) * fv
+                if (
+                    (tag == ex.CONVEX and fm > blend + tol)
+                    or (tag == ex.CONCAVE and fm < blend - tol)
+                    or (tag == ex.AFFINE and abs(fm - blend) > tol)
+                ):
+                    return ex.CurvatureReport(tag, False, checked, (u, v, t))
+        except ex.DomainEvalError:
+            continue
+        checked += 1
+    if checked == 0:
+        raise ex.DomainEvalError("no in-domain sample pairs found for audit", e)
+    return ex.CurvatureReport(tag, True, checked)
+
+
+# -- comparison
+
+
+def _bits(value, point):
+    return np.float64(value).tobytes(), None if point is None else (point.shape, point.tobytes())
+
+
+def _curvature_outcome(fn, *args, **kw):
+    try:
+        rep = fn(*args, **kw)
+    except ex.DomainEvalError:
+        return ex.DomainEvalError
+    ce = rep.counterexample
+    return rep.tag, rep.passed, rep.pairs_checked, None if ce is None else (ce[0].tobytes(), ce[1].tobytes(), ce[2])
+
+
+# -- grid scan
+
+
+def _form(name, part, g, ineq=(), eq=(), lo=-2.0, hi=2.0):
+    box = Box((lo,) * part.total, (hi,) * part.total)
+    return SaddleForm(name, part, box, g, ineq=ineq, eq=eq)
+
+
+def _grid_cases():
+    y, z = ex.var(1), ex.var(2)
+    p11 = VarPartition(1, 1, 1)
+    cases = [
+        # suite forms of every shape: m1 = 0 (dc, bilinear2_a, cos_0_2pi) and up to 4 axes
+        *((make_catalog_form(n), None, 7) for n in ("dc", "abs_power", "bilinear2_a", "pow_a_plus_1")),
+        (make_catalog_form("cos_0_2pi"), None, 5),
+        (make_catalog_form("relu_a"), None, 5),
+        # m2 = 0: each y slice is one point
+        (_form("m2_zero", VarPartition(1, 1, 0), ex.square(y - ex.var(0)), ineq=(y - 1.0,)), None, 9),
+        (trivial_convex(ex.square(ex.var(0)), 1, "sq"), None, 5),
+        # an equality and an inequality
+        (_form("eq", p11, y - ex.square(z), ineq=(y - 1.0,), eq=(z - y,)), None, 9),
+        # NaN g: at y <= 0 the whole slice, at z <= 0 part of it
+        (_form("nan_y", p11, ex.log(y) - ex.square(z - ex.var(0))), None, 9),
+        (_form("nan_z", p11, ex.square(y) + ex.log(z)), None, 9),
+        # x^2 = 25 needs z >= 25: no feasible grid point
+        (make_catalog_form("abs_power"), ((0.0, 1.0), (0.0, 1.0)), 11),
+    ]
+    return {form.name + ("/bounded" if b else ""): (form, b, res) for form, b, res in cases}
+
+
+GRID_CASES = _grid_cases()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, audit._CHUNK])
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_grid_scan_matches_per_slice_scan(name, chunk, monkeypatch):
+    # chunk 7 holds several slices of a 1-axis z mesh and splits the 2-axis
+    # ones (Nz > _CHUNK) in the reference; chunk 1 is one slice per call
+    monkeypatch.setattr(audit, "_CHUNK", chunk)
+    form, bounds, res = GRID_CASES[name]
+    grid = GridSpec(resolution=res, bounds=bounds)
+    rng = np.random.default_rng(3)
+    xs = form.sample_x(rng, 3) if name != "abs_power/bounded" else [np.array([5.0])]
+    results = []
+    for x in xs:
+        got = _grid_scan(form, x, grid)
+        want = _ref_grid_scan(form, x, grid)
+        assert _bits(*got) == _bits(*want), x
+        results.append(got)
+    if name == "abs_power/bounded":
+        assert results == [(math.inf, None)]
+    else:
+        assert any(p is not None for _, p in results)
+
+
+# -- curvature audit
+
+
+def _domain_cases():
+    x = ex.var(0)
+    return {
+        "log_half_window": (ex.log(x), [-1.0], [1.0]),  # some pairs outside the domain
+        "log_outside": (ex.log(x), [-2.0], [-1.0]),  # every pair outside: raises
+        "log_ring": (ex.log(ex.square(x) - 1.0), [-3.0], [3.0]),  # mids leave the domain
+        "sqrt_half_window": (ex.rpow(x, 0.5), [-1.0], [1.0]),
+    }
+
+
+CURVATURE_CASES = {**FORMS, **_domain_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_CASES))
+def test_curvature_audit_matches_pairwise_loop(name):
+    case = CURVATURE_CASES[name]
+    if isinstance(case, SaddleForm):
+        lo, hi = case.effective_window()
+        part = case.partition
+        exprs = [e for _, e in case.components()]
+        axis_sets = (None, list(part.xy_indices), list(part.z_indices))
+    else:
+        e, lo, hi = case
+        exprs, axis_sets = [e], (None,)
+    outcomes = []
+    for e in exprs:
+        for tag in (ex.CONVEX, ex.CONCAVE, ex.AFFINE):
+            for axes in axis_sets:
+                for seed in (0, 1):
+                    args = (e, lo, hi)
+                    kw = dict(tag=tag, samples=20, seed=seed, axes=axes)
+                    got = _curvature_outcome(ex.curvature_audit, *args, **kw)
+                    assert got == _curvature_outcome(_ref_curvature_audit, *args, **kw), (tag, axes, seed)
+                    outcomes.append(got)
+    if name == "log_outside":
+        assert set(outcomes) == {ex.DomainEvalError}
+
+
+def test_curvature_audit_skips_nan_values():
+    # inf - inf: NaN without a domain error; such a pair confirms nothing
+    e = ex.ipow(ex.var(0), 2) - ex.ipow(ex.var(0), 2)
+    with np.errstate(over="ignore"), pytest.raises(ex.DomainEvalError):
+        ex.curvature_audit(e, [1e200], [1e200], tag=ex.CONVEX, samples=5)
+
+
+# -- call counts
+
+
+class _Counter:
+    def __init__(self, monkeypatch, name):
+        self.calls = 0
+        method = getattr(ex.Expr, name)
+
+        def counted(expr, *args, **kw):
+            self.calls += 1
+            return method(expr, *args, **kw)
+
+        monkeypatch.setattr(ex.Expr, name, counted)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, audit._CHUNK])
+@pytest.mark.parametrize("name", ["eq", "relu_a", "nan_y", "m2_zero"])
+def test_grid_scan_batch_calls_per_chunk(name, chunk, monkeypatch):
+    monkeypatch.setattr(audit, "_CHUNK", chunk)
+    form, bounds, res = GRID_CASES[name]
+    part = form.partition
+    ny, nz = res**part.m1, res**part.m2
+    bound = (len(form.ineq) + len(form.eq) + 1) * -(-ny // max(1, chunk // nz))
+    batch = _Counter(monkeypatch, "value_batch")
+    for x in form.sample_x(np.random.default_rng(3), 3):
+        batch.calls = 0
+        _grid_scan(form, x, GridSpec(resolution=res, bounds=bounds))
+        assert 0 < batch.calls <= bound
+
+
+@pytest.mark.parametrize("chunk, calls", [(1, 2 * 9), (4, 2 * 3), (audit._CHUNK, 2)])
+def test_grid_scan_without_early_exit_makes_every_call(chunk, calls, monkeypatch):
+    # every point feasible: each chunk of whole slices evaluates g1 and g once
+    monkeypatch.setattr(audit, "_CHUNK", chunk)
+    form, _, res = GRID_CASES["m2_zero"]
+    form = SaddleForm("loose", form.partition, form.box, form.g, ineq=(ex.var(1) - 5.0,))
+    batch = _Counter(monkeypatch, "value_batch")
+    _grid_scan(form, [0.5], GridSpec(resolution=res))
+    assert batch.calls == calls
+
+
+def test_curvature_audit_is_one_batch_call(monkeypatch):
+    batch = _Counter(monkeypatch, "value_batch")
+    scalar = _Counter(monkeypatch, "value")
+    for form in FORMS.values():
+        lo, hi = form.effective_window()
+        for _, e in form.components():
+            before = batch.calls
+            try:
+                ex.curvature_audit(e, lo, hi, tag=ex.CONVEX, samples=10)
+            except ex.DomainEvalError:
+                pass
+            assert batch.calls == before + 1
+    assert scalar.calls == 0

@@ -5,7 +5,8 @@ from pathlib import Path
 
 
 from saddlelift import cli
-from saddlelift.catalog import make_catalog_form
+from saddlelift import expr as ex
+from saddlelift.catalog import make_catalog_form, make_structured
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -25,6 +26,18 @@ def _dc_problem():
         "solver": {"max_outer": 15},
         "start": [2.0, 0.0],
     }
+
+
+def test_load_form_parses_expression_strings_of_catalog_and_structured_forms():
+    doc = _dc_problem()
+    assert cli.load_form(doc).g == make_catalog_form(
+        "dc", d=ex.scale(ex.square(ex.var(0)), 2.0, tag=ex.CONVEX), c=ex.square(ex.var(0)), n=1
+    ).g
+    data = {"q": "(sq (aff x0 1 -1))", "lam": 2.0, "n": 1}
+    form = cli.load_form({"problem": {"structured": "sparse_l0", "data": data}})
+    want = make_structured("sparse_l0", {"q": ex.square(ex.affine([(0, 1.0)], -1.0)), "lam": 2.0, "n": 1})
+    assert (form.g, form.ineq, form.eq) == (want.g, want.ineq, want.eq)
+    assert data["q"] == "(sq (aff x0 1 -1))"  # the document is not modified
 
 
 def test_solve_dc(tmp_path, capsys):

@@ -19,8 +19,10 @@ from saddlelift.forms import (
     SaddleForm,
     SaddlePoint,
     VarPartition,
+    WitnessInfeasibleError,
     WitnessReport,
     membership,
+    validate_form,
     witness_eval,
     witness_report,
 )
@@ -165,3 +167,24 @@ def test_membership_domain_error_names_the_form_and_node():
     with pytest.raises(ex.DomainEvalError) as err:
         membership(form, form.point([-1.0]))
     assert "logobj" in str(err.value) and err.value.node is bad
+
+
+def test_nan_violation_reads_inf_and_fails_the_witness_identity():
+    # Python's max drops a NaN, so the violation used to read 0.0 and
+    # validate_form passed a witness that witness_report(check=True) rejects
+    form = dataclasses.replace(
+        _nan_form(),
+        witness=lambda x: ((), ()),
+        reference=lambda x: float(x[0]),
+        window=Box((1e200,), (1e200,)),
+    )
+    with np.errstate(over="ignore"):
+        report = witness_report(form, [1e200])
+        assert not report.membership.feasible
+        assert report.membership.max_violation == math.inf
+        assert report.error == math.inf
+        with pytest.raises(WitnessInfeasibleError):
+            witness_report(form, [1e200], check=True)
+        items = {it.label: it for it in validate_form(form, samples=3).items}
+    assert not items["witness identity"].passed
+    assert "worst error inf" in items["witness identity"].detail
