@@ -179,9 +179,9 @@ def form_to_inline(form: SaddleForm) -> dict:
 
 
 def load_solver_params(doc: dict) -> SolverParams:
-    raw = dict(doc.get("solver", {}))
-    inner = InnerParams(**raw.pop("inner", {}))
     try:
+        raw = dict(doc.get("solver", {}))
+        inner = InnerParams(**raw.pop("inner", {}))
         return SolverParams(inner=inner, **raw)
     except (TypeError, ValueError) as err:
         raise CliError(f"bad solver parameters: {err}")

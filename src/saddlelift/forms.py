@@ -124,9 +124,6 @@ class Box:
     def upper_array(self) -> np.ndarray:
         return np.array(self.upper, dtype=float)
 
-    def project(self, p: np.ndarray) -> np.ndarray:
-        return np.clip(p, self.lower_array(), self.upper_array())
-
     def excess(self, p: np.ndarray) -> float:
         """Largest coordinatewise violation of the bounds (0 if inside)."""
         lo = self.lower_array()
@@ -254,10 +251,6 @@ class SaddleForm:
         s = 1 + len(self.ineq)
         return vals[0], vals[1:s], vals[s:], grad
 
-    @property
-    def ineq_linear(self) -> tuple[bool, ...]:
-        return tuple(gi.is_affine() for gi in self.ineq)
-
     def point(self, vec) -> SaddlePoint:
         return SaddlePoint(self.partition, np.asarray(vec, dtype=float))
 
@@ -353,8 +346,12 @@ class WitnessReport:
 
     @property
     def gap(self) -> float | None:
-        """|g - f(x)| at the witness point; None without a reference."""
-        return None if self.reference is None else abs(self.value - self.reference)
+        """|g - f(x)| at the witness point, inf where it is NaN; None
+        without a reference."""
+        if self.reference is None:
+            return None
+        gap = abs(self.value - self.reference)
+        return math.inf if math.isnan(gap) else gap
 
     @property
     def error(self) -> float:

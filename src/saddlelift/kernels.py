@@ -25,6 +25,7 @@ import numpy as np
 from .expr import (
     Affine,
     Const,
+    DimensionError,
     DomainEvalError,
     Exp,
     Expr,
@@ -41,7 +42,8 @@ from .expr import (
 
 def _overflow_pow(v: float, e) -> float:
     """``v ** e`` where Python floats raise OverflowError: numpy gives inf."""
-    return float(np.float64(v) ** e)
+    with np.errstate(over="ignore"):
+        return float(np.float64(v) ** e)
 
 
 def _postorder(outputs) -> list[Expr]:
@@ -314,6 +316,11 @@ class Tape:
         if self._value_batch is None:
             self._value_batch = self._compile("batch")
         p = np.asarray(points, dtype=float)
+        if p.shape[0] < self.dim:
+            raise DimensionError(
+                f"expressions reference index {self.dim - 1} "
+                f"but points have dimension {p.shape[0]}"
+            )
         with np.errstate(all="ignore"):
             values = self._value_batch(p)
         outs = [np.empty(p.shape[1:]) for _ in values]

@@ -11,9 +11,11 @@ and the C^1 smoothed variants with exponent theta > 1:
     F_theta = g + rho * sum max(g_i,0)^theta + rho * sum |h_j|^theta
     G_theta = -g + ...
 
-The gradient of v^theta at v = 0 is taken as exactly 0 (the one-sided limit),
-so F_theta / G_theta / G2 are differentiable everywhere.  Box bounds are not
-penalized; solvers keep iterates inside the box by projection.
+F_theta, G_theta and G2 are one sum at power theta or 2.  The gradient of
+v^theta at v = 0 is taken as exactly 0 (the one-sided limit), so they are
+differentiable everywhere.  A NaN g_i counts as violated in every penalty.
+Box bounds are not penalized; solvers keep iterates inside the box by
+projection.
 """
 
 from __future__ import annotations
@@ -44,57 +46,54 @@ def penalty_g(form: SaddleForm, p: SaddlePoint, rho: float) -> float:
     return float(-gval + rho * viol)
 
 
-def _smoothed_terms(ivals, evals, rho: float, theta: float, grad=None, size: int = 0):
-    """rho * sum (g_i+)^theta + rho * sum |h_j|^theta, and with ``grad``
-    (see :meth:`SaddleForm.values_grads`) its gradient of length ``size``."""
+def _smoothed(
+    form: SaddleForm, p: SaddlePoint, sign: float, rho: float, power: float, grad: bool
+):
+    """sign*g + rho * sum max(g_i,0)^power + rho * sum |h_j|^power at ``p``,
+    and with ``grad`` its full-space gradient (else None).  A NaN g_i counts
+    as violated, as in :func:`_exact` and :func:`membership`."""
+    if power <= 1:
+        raise ValueError("smoothing exponent theta must be > 1")
+    if grad:
+        gval, ivals, evals, jac = form.values_grads(p.vec)
+        ggrad = jac(0)
+        out = np.zeros(p.vec.size)
+    else:
+        gval, ivals, evals = form.values(p.vec)
     value = 0.0
-    out = np.zeros(size) if grad is not None else None
     for k, gv in enumerate(ivals, 1):
-        if gv > 0.0:
-            value += rho * gv**theta
-            if grad is not None:
-                out += rho * theta * gv ** (theta - 1.0) * grad(k)
+        if not gv <= 0.0:
+            value += rho * gv**power
+            if grad:
+                out += rho * power * gv ** (power - 1.0) * jac(k)
     for k, hv in enumerate(evals, 1 + len(ivals)):
         if hv != 0.0:
-            value += rho * abs(hv) ** theta
-            if grad is not None:
-                out += rho * theta * abs(hv) ** (theta - 1.0) * np.sign(hv) * grad(k)
-    return value, out
-
-
-def _smoothed(form: SaddleForm, p: SaddlePoint, rho: float, theta: float):
-    if theta <= 1:
-        raise ValueError("smoothing exponent theta must be > 1")
-    gval, ivals, evals, grad = form.values_grads(p.vec)
-    ggrad = grad(0)
-    pv, pg = _smoothed_terms(ivals, evals, rho, theta, grad, p.vec.size)
-    return gval, ggrad, pv, pg
+            value += rho * abs(hv) ** power
+            if grad:
+                out += rho * power * abs(hv) ** (power - 1.0) * np.sign(hv) * jac(k)
+    return float(sign * gval + value), (sign * ggrad + out if grad else None)
 
 
 def penalty_f_theta_value(form: SaddleForm, p: SaddlePoint, rho: float, theta: float) -> float:
-    gval, ivals, evals = form.values(p.vec)
-    return float(gval + _smoothed_terms(ivals, evals, rho, theta)[0])
+    return _smoothed(form, p, 1.0, rho, theta, False)[0]
 
 
 def penalty_g_theta_value(form: SaddleForm, p: SaddlePoint, rho: float, theta: float) -> float:
-    gval, ivals, evals = form.values(p.vec)
-    return float(-gval + _smoothed_terms(ivals, evals, rho, theta)[0])
+    return _smoothed(form, p, -1.0, rho, theta, False)[0]
 
 
 def penalty_f_theta(
     form: SaddleForm, p: SaddlePoint, rho: float, theta: float
 ) -> tuple[float, np.ndarray]:
     """Smoothed F with its full-space gradient."""
-    gval, ggrad, pv, pg = _smoothed(form, p, rho, theta)
-    return float(gval + pv), ggrad + pg
+    return _smoothed(form, p, 1.0, rho, theta, True)
 
 
 def penalty_g_theta(
     form: SaddleForm, p: SaddlePoint, rho: float, theta: float
 ) -> tuple[float, np.ndarray]:
     """Smoothed G with its full-space gradient."""
-    gval, ggrad, pv, pg = _smoothed(form, p, rho, theta)
-    return float(-gval + pv), -ggrad + pg
+    return _smoothed(form, p, -1.0, rho, theta, True)
 
 
 def penalty_g2(form: SaddleForm, p: SaddlePoint, rho: float) -> tuple[float, np.ndarray]:
@@ -103,17 +102,7 @@ def penalty_g2(form: SaddleForm, p: SaddlePoint, rho: float) -> tuple[float, np.
     C^1 everywhere, and convex in the z block whenever every g_i is convex
     and every h_j affine there.
     """
-    gval, ivals, evals, grad = form.values_grads(p.vec)
-    value = -gval
-    out = -grad(0)
-    for k, gv in enumerate(ivals, 1):
-        if gv > 0.0:
-            value += rho * gv**2
-            out += 2.0 * rho * gv * grad(k)
-    for k, hv in enumerate(evals, 1 + len(ivals)):
-        value += rho * hv**2
-        out += 2.0 * rho * hv * grad(k)
-    return float(value), out
+    return _smoothed(form, p, -1.0, rho, 2.0, True)
 
 
 def eps_feasible(form: SaddleForm, p: SaddlePoint, eps: float) -> bool:

@@ -40,15 +40,17 @@ STATUS_CONVERGED = "eps_feasible_converged"
 STATUS_RHO_CAP = "rho_cap_reached"
 STATUS_MAX_OUTER = "max_outer_reached"
 
+# inner line search: first trial step, backtracking factor, Armijo slope fraction
+_INITIAL_STEP = 1.0
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
+
 
 @dataclass(frozen=True)
 class InnerParams:
     max_iters: int = 2000
     grad_tol: float = 1e-8
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
     restarts: int = 0
-    armijo: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,6 @@ class SolverParams:
     theta: float = 1.01
     max_outer: int = 30
     rho_cap: float = 1e12
-    z_trust: float = 1e4
     inner: InnerParams = field(default_factory=InnerParams)
 
     def __post_init__(self):
@@ -109,7 +110,7 @@ def inner_minimize(obj, lower, upper, start, params: InnerParams) -> InnerResult
         return float(np.linalg.norm(state["p"] - np.clip(state["p"] - state["g"], lo, hi)))
 
     def joint_phase() -> str:
-        step = params.initial_step
+        step = _INITIAL_STEP
         prev_p = prev_g = None
         while state["iters"] < params.max_iters:
             p, f, g = state["p"], state["f"], state["g"]
@@ -131,10 +132,10 @@ def inner_minimize(obj, lower, upper, start, params: InnerParams) -> InnerResult
                 if not d.any():
                     break
                 fq = obj(q, False)[0]
-                if math.isfinite(fq) and fq <= f + params.armijo * float(g @ d):
+                if math.isfinite(fq) and fq <= f + _ARMIJO * float(g @ d):
                     accepted = True
                     break
-                alpha *= params.backtrack_factor
+                alpha *= _BACKTRACK
             if not accepted or fq >= f:
                 return "stalled"
             prev_p, prev_g = p, g
@@ -163,19 +164,19 @@ def inner_minimize(obj, lower, upper, start, params: InnerParams) -> InnerResult
                 for _ in range(30):
                     ti = min(max(q[i] - alpha * gi, lo[i]), hi[i])
                     if ti == q[i]:
-                        alpha *= params.backtrack_factor
+                        alpha *= _BACKTRACK
                         continue
                     old = q[i]
                     q[i] = ti
                     fq = obj(q, False)[0]
-                    if math.isfinite(fq) and fq <= f - params.armijo * abs(gi * (ti - old)):
+                    if math.isfinite(fq) and fq <= f - _ARMIJO * abs(gi * (ti - old)):
                         f = fq
                         warm[i] = 2.0 * alpha
                         accepted = True
                         moved = True
                         break
                     q[i] = old
-                    alpha *= params.backtrack_factor
+                    alpha *= _BACKTRACK
                 if not accepted:
                     blocked[i] = True
             if not moved:
@@ -337,23 +338,16 @@ def alternating_penalty_solve(
         p2[xy] = res_xy.point
 
         if part.m2 > 0:
-            z_lo = np.maximum(lo[zz], p2[zz] - params.z_trust)
-            z_hi = np.minimum(hi[zz], p2[zz] + params.z_trust)
-            trust_note = (
-                "; z trust window active"
-                if (z_lo > lo[zz]).any() or (z_hi < hi[zz]).any()
-                else ""
-            )
             obj_z = _block_objective(
                 form, p2, zz, penalty_g_theta, penalty_g_theta_value, rho, theta
             )
             res_z = inner_minimize_multistart(
-                obj_z, z_lo, z_hi, p2[zz], params.inner, rng
+                obj_z, lo[zz], hi[zz], p2[zz], params.inner, rng
             )
             p2[zz] = res_z.point
             diagnostic = (
                 f"inner xy: pg={res_xy.pg_norm:.3e} its={res_xy.iterations}; "
-                f"inner z: pg={res_z.pg_norm:.3e} its={res_z.iterations}{trust_note}"
+                f"inner z: pg={res_z.pg_norm:.3e} its={res_z.iterations}"
             )
         else:
             diagnostic = f"inner xy: pg={res_xy.pg_norm:.3e} its={res_xy.iterations}"
@@ -519,21 +513,17 @@ def exactness_probe(
     rho_list,
     restarts: int = 8,
     seed: int = 0,
-    halfwidth: float = 2.0,
     theta: float = 1.01,
-    inner: InnerParams | None = None,
-    margin: float = 1e-6,
 ) -> tuple[ExactnessRow, ...]:
     """Multistart search for points beating the exact penalties at ``p_star``.
 
     For each rho, the descent penalty is searched over the (x, y) block with
     z fixed at p_star (and the ascent penalty over z with (x, y) fixed),
-    starting from p_star and ``restarts`` random points within ``halfwidth``
-    of it.  Candidates are compared with the exact (nonsmooth) penalties; an
-    improvement by more than ``margin`` is evidence against exactness.
+    starting from p_star and ``restarts`` random points within 2 of it.
+    Candidates are compared with the exact (nonsmooth) penalties; an
+    improvement by more than 1e-6 is evidence against exactness.
     """
-    inner = inner or InnerParams(restarts=restarts)
-    inner = replace(inner, restarts=restarts)
+    inner = InnerParams(restarts=restarts)
     part = form.partition
     lo = form.box.lower_array()
     hi = form.box.upper_array()
@@ -553,8 +543,8 @@ def exactness_probe(
                     form, p_star.vec, block, penalty, penalty_value, rho, theta
                 )
                 window = (
-                    np.maximum(lo[block], p_star.vec[block] - halfwidth),
-                    np.minimum(hi[block], p_star.vec[block] + halfwidth),
+                    np.maximum(lo[block], p_star.vec[block] - 2.0),
+                    np.minimum(hi[block], p_star.vec[block] + 2.0),
                 )
                 res = inner_minimize_multistart(
                     obj, lo[block], hi[block], p_star.vec[block], inner, rng, window=window
@@ -569,10 +559,10 @@ def exactness_probe(
                 rho=float(rho),
                 f_at_candidate=f_cand,
                 f_at_point=f_star,
-                f_improved=f_cand < f_star - margin,
+                f_improved=f_cand < f_star - 1e-6,
                 g_at_candidate=g_cand,
                 g_at_point=g_star,
-                g_improved=g_cand < g_star - margin,
+                g_improved=g_cand < g_star - 1e-6,
             )
         )
     return tuple(rows)

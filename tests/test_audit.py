@@ -7,6 +7,7 @@ import pytest
 
 from saddlelift import expr as ex
 from saddlelift.audit import (
+    CLASS_FAILED,
     GridSpec,
     RegistryEntry,
     append_issue,
@@ -14,9 +15,18 @@ from saddlelift.audit import (
     identity_audit,
     load_registry,
     parse_registry_line,
+    registry_sweep,
 )
 from saddlelift.catalog import make_catalog_form, trivial_convex
-from saddlelift.forms import Box, FormError, SaddleForm, VarPartition, validate_form
+from saddlelift.forms import (
+    Box,
+    FormError,
+    SaddleForm,
+    VarPartition,
+    WitnessInfeasibleError,
+    validate_form,
+    witness_report,
+)
 
 
 def test_dc_oracle_matches_analytic_value():
@@ -88,6 +98,25 @@ def test_witness_outside_a_constraint_domain_fails_the_audit():
     assert rep.classification == "failed"
     assert math.isinf(rep.rows[0].witness_gap)
     assert [it.label for it in validate_form(form, samples=5).failures()] == ["witness identity"]
+
+
+def test_nan_objective_at_the_witness_fails_the_identity():
+    # g = x0^2 - x0^2 is inf - inf = NaN at x0 = 1e200, where f = 0
+    part = VarPartition(1, 0, 5)
+    form = SaddleForm(
+        name="nan_objective",
+        partition=part,
+        box=Box((1e200,) + (-math.inf,) * 5, (1e200,) + (math.inf,) * 5),
+        g=ex.add(ex.ipow(ex.var(0), 2), ex.neg(ex.ipow(ex.var(0), 2))),
+        witness=lambda x: (np.empty(0), np.zeros(5)),
+        reference=lambda x: 0.0,
+    )
+    report = witness_report(form, [1e200])
+    assert math.isnan(report.value) and report.gap == math.inf == report.error
+    with pytest.raises(WitnessInfeasibleError):
+        witness_report(form, [1e200], check=True)
+    assert "witness identity" in [it.label for it in validate_form(form, samples=5).failures()]
+    assert registry_sweep([form])["nan_objective"].classification == CLASS_FAILED
 
 
 def test_refinement_shrinks_with_resolution():

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from saddlelift import cli
 from saddlelift import expr as ex
@@ -138,6 +139,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "line" in err and "column" in err
     assert cli.main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("solver", [{"z_trust": 1e4}, {"inner": {"armijo": 1e-4}}, {"inner": [1]}])
+def test_bad_solver_parameters_exit_one(tmp_path, capsys, solver):
+    path = _write(tmp_path, {**_dc_problem(), "solver": solver})
+    assert cli.main(["solve", path]) == 1
+    assert "error: bad solver parameters" in capsys.readouterr().err
 
 
 def test_expression_parse_error_carries_position(tmp_path, capsys):

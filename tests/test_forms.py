@@ -133,7 +133,6 @@ def test_out_of_range_index_rejected():
 
 def test_box_and_window():
     box = Box((0.0, -np.inf), (1.0, np.inf))
-    assert box.project(np.array([2.0, -5.0]))[0] == 1.0
     assert box.excess(np.array([1.5, 0.0])) == 0.5
     lo, hi = ex.sample_window(box.lower_array(), box.upper_array())
     assert lo[1] == -10.0 and hi[1] == 10.0
@@ -147,11 +146,6 @@ def test_saddle_point_blocks():
     np.testing.assert_array_equal(p.z, [4.0])
     with pytest.raises(FormError):
         SaddlePoint(part, np.zeros(3))
-
-
-def test_inequality_linearity_flags(f41):
-    # y^4 - z and x^2 - z are nonlinear, -y is linear
-    assert f41.ineq_linear == (False, False, True)
 
 
 def test_partition_names():

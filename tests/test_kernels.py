@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import warnings
 import weakref
 
 import numpy as np
@@ -204,7 +205,8 @@ def test_nonfinite_constants():
 
 
 def test_power_overflow_gives_inf():
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the documented inf comes without a warning
         cube = ex.ipow(ex.var(0), 3)
         assert cube.value([1e200]) == math.inf
         assert cube.value([-1e200]) == -math.inf
@@ -272,6 +274,10 @@ def test_value_and_value_grad_share_the_point_check():
     for fn in (ex.var(3).value, ex.var(3).value_grad):
         with pytest.raises(ex.DimensionError):
             fn(np.zeros(2))
+    with pytest.raises(ex.DimensionError):
+        ex.square(ex.var(3)).value_batch(np.zeros((2, 4)))
+    with pytest.raises(ex.DimensionError):
+        ex.curvature_audit(ex.square(ex.var(3)), np.zeros(2), np.ones(2))
 
 
 def test_copies_compile_their_own_kernels():

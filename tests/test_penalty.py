@@ -8,7 +8,16 @@ import pytest
 import saddlelift.penalty as pe
 from saddlelift import expr as ex
 from saddlelift.catalog import make_catalog_form
-from saddlelift.forms import Box, SaddleForm, SaddlePoint, VarPartition, membership
+from saddlelift.forms import (
+    Box,
+    FormError,
+    SaddleForm,
+    SaddlePoint,
+    VarPartition,
+    membership,
+    witness_eval,
+)
+from test_kernels import FORMS
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +170,128 @@ def test_eps_feasible_rejects_nan_constraint_values():
         assert not membership(form, p, 1e-6).feasible
         assert not pe.eps_feasible(form, p, 1e-6)
     assert pe.eps_feasible(form, _pt(form, [3.0]), 1e-6)
+
+
+def test_smoothed_penalties_count_a_nan_constraint_as_violated():
+    # as F, P and membership do; a NaN g_i once dropped out of the sum
+    form = _nan_form()
+    p = _pt(form, [1e200])
+    for value, grad in (
+        pe.penalty_f_theta(form, p, 10.0, 1.01),
+        pe.penalty_g_theta(form, p, 10.0, 1.01),
+        pe.penalty_g2(form, p, 10.0),
+    ):
+        assert math.isnan(value) and np.isnan(grad).all()
+    assert math.isnan(pe.penalty_f_theta_value(form, p, 10.0, 1.01))
+    assert math.isnan(pe.penalty_g_theta_value(form, p, 10.0, 1.01))
+    assert math.isnan(pe.penalty_f(form, p, 10.0))
+
+
+# -- reference: the separate smoothed sums F_theta/G_theta and G2 had before
+#    they shared one loop (a NaN g_i compared false there and was dropped)
+
+
+def _ref_terms(ivals, evals, rho, theta, grad=None, size=0):
+    value = 0.0
+    out = np.zeros(size) if grad is not None else None
+    for k, gv in enumerate(ivals, 1):
+        if gv > 0.0:
+            value += rho * gv**theta
+            if grad is not None:
+                out += rho * theta * gv ** (theta - 1.0) * grad(k)
+    for k, hv in enumerate(evals, 1 + len(ivals)):
+        if hv != 0.0:
+            value += rho * abs(hv) ** theta
+            if grad is not None:
+                out += rho * theta * abs(hv) ** (theta - 1.0) * np.sign(hv) * grad(k)
+    return value, out
+
+
+def _ref_theta_value(form, p, sign, rho, theta):
+    gval, ivals, evals = form.values(p.vec)
+    return float((gval if sign > 0 else -gval) + _ref_terms(ivals, evals, rho, theta)[0])
+
+
+def _ref_theta(form, p, sign, rho, theta):
+    if theta <= 1:
+        raise ValueError("smoothing exponent theta must be > 1")
+    gval, ivals, evals, grad = form.values_grads(p.vec)
+    ggrad = grad(0)
+    pv, pg = _ref_terms(ivals, evals, rho, theta, grad, p.vec.size)
+    if sign > 0:
+        return float(gval + pv), ggrad + pg
+    return float(-gval + pv), -ggrad + pg
+
+
+def _ref_g2(form, p, rho):
+    gval, ivals, evals, grad = form.values_grads(p.vec)
+    value = -gval
+    out = -grad(0)
+    for k, gv in enumerate(ivals, 1):
+        if gv > 0.0:
+            value += rho * gv**2
+            out += 2.0 * rho * gv * grad(k)
+    for k, hv in enumerate(evals, 1 + len(ivals)):
+        value += rho * hv**2
+        out += 2.0 * rho * hv * grad(k)
+    return float(value), out
+
+
+def _arrays(fn, *args):
+    """The result of ``fn`` as float64 arrays, or the type of its exception."""
+    try:
+        out = fn(*args)
+    except Exception as err:  # compared by type
+        return type(err)
+    return [np.asarray(o, dtype=float) for o in (out if isinstance(out, tuple) else (out,))]
+
+
+def _bytes(fn, *args):
+    out = _arrays(fn, *args)
+    return out if isinstance(out, type) else [o.tobytes() for o in out]
+
+
+def _penalty_points(form):
+    rng = np.random.default_rng(3)
+    lo, hi = form.effective_window()
+    vecs = [rng.uniform(lo, hi) for _ in range(8)] + [np.full(lo.size, 1e200)]
+    if form.witness is not None:
+        for x in form.sample_x(rng, 4):
+            try:
+                vecs.append(witness_eval(form, x, check=False).vec)
+            except (ex.ExprError, FormError):
+                pass
+    return [SaddlePoint(form.partition, v) for v in vecs]
+
+
+def _nan_ineq(form, p):
+    try:
+        return any(map(math.isnan, form.values(p.vec)[1]))
+    except ex.ExprError:
+        return False
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_shared_smoothed_sum_matches_the_separate_sums(name):
+    # F_theta and G_theta bit for bit; G2 to rounding, since it once added
+    # its terms onto -g rather than onto 0
+    form = FORMS[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in _penalty_points(form):
+            if _nan_ineq(form, p):
+                continue
+            for rho, theta in ((10.0, 1.01), (1e4, 1.5)):
+                for sign, value_fn, grad_fn in (
+                    (1.0, pe.penalty_f_theta_value, pe.penalty_f_theta),
+                    (-1.0, pe.penalty_g_theta_value, pe.penalty_g_theta),
+                ):
+                    args = (form, p, rho, theta)
+                    assert _bytes(value_fn, *args) == _bytes(_ref_theta_value, form, p, sign, rho, theta)
+                    assert _bytes(grad_fn, *args) == _bytes(_ref_theta, form, p, sign, rho, theta)
+                got, want = _arrays(pe.penalty_g2, form, p, rho), _arrays(_ref_g2, form, p, rho)
+                if isinstance(want, type):
+                    assert got is want
+                    continue
+                for g, w in zip(got, want):
+                    scale = np.abs(w[np.isfinite(w)]).max(initial=0.0)
+                    np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * scale)

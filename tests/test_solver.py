@@ -320,5 +320,5 @@ def test_golden_trajectory_maxabs_n5():
     assert trace_to_csv(res.trace) == GOLDEN_N5_TRACE
     assert res.point.vec.tobytes().hex() == GOLDEN_N5_POINT
     assert res.diagnostic == (
-        "inner xy: pg=4.975e-01 its=8; inner z: pg=5.530e-01 its=10; z trust window active"
+        "inner xy: pg=4.975e-01 its=8; inner z: pg=5.530e-01 its=10"
     )
