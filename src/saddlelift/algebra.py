@@ -8,7 +8,8 @@ operand's, then any auxiliaries introduced by the operation.
 
 Semantic hypotheses (nonnegativity, sign, joint convexity of the lifted
 objective, monotonicity of a composed scalar map) are caller declarations;
-they are spot-checked by sampling and a detected violation is a hard error.
+every operation requires the ones it needs and spot-checks them by sampling,
+and a detected violation is a hard error.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ from .forms import Box, FormError, SaddleForm, VarPartition
 
 class HypothesisViolationError(FormError):
     """A declared semantic hypothesis is absent or contradicted by sampling."""
-
-
-def _require(form: SaddleForm, decl: str, op: str) -> None:
-    if decl not in form.declares:
-        raise HypothesisViolationError(
-            f"{op} needs {form.name!r} declared {decl!r}; "
-            f"present declarations: {sorted(form.declares)}"
-        )
 
 
 def _spot_check_sign(form: SaddleForm, decl: str, op: str, samples: int = 25, seed: int = 7):
@@ -64,172 +57,150 @@ def _spot_check_joint_convexity(form: SaddleForm, op: str, samples: int = 25, se
         )
 
 
-def _relocated(form: SaddleForm, y_off: int, z_off: int, new_m1: int):
-    """Remap a form's expressions into a larger partition.
-
-    The x block stays at 0..n-1; the y block moves to n+y_off; the z block
-    moves to n+new_m1+z_off.
-    """
-    p = form.partition
-    mapping: dict[int, int] = {}
-    for j in range(p.m1):
-        mapping[p.n + j] = p.n + y_off + j
-    for k in range(p.m2):
-        mapping[p.n + p.m1 + k] = p.n + new_m1 + z_off + k
-    g = form.g.remap(mapping)
-    ineq = tuple(e.remap(mapping) for e in form.ineq)
-    eq = tuple(e.remap(mapping) for e in form.eq)
-    return g, ineq, eq
-
-
-def _block_bounds(box: Box, part: VarPartition):
-    """(lower, upper) lists per block of a box."""
-    lo, hi = list(box.lower), list(box.upper)
-    n, m1 = part.n, part.m1
-    return (
-        (lo[:n], hi[:n]),
-        (lo[n : n + m1], hi[n : n + m1]),
-        (lo[n + m1 :], hi[n + m1 :]),
-    )
-
-
-def _merge_boxes(
-    b1: Box,
-    p1: VarPartition,
-    b2: Box,
-    p2: VarPartition,
-    aux_y: tuple[list, list],
-    aux_z: tuple[list, list],
-) -> Box:
-    """Shared-x intersection, concatenated y/z blocks, auxiliaries last."""
-    (x1l, x1u), (y1l, y1u), (z1l, z1u) = _block_bounds(b1, p1)
-    (x2l, x2u), (y2l, y2u), (z2l, z2u) = _block_bounds(b2, p2)
-    xl = [max(a, b) for a, b in zip(x1l, x2l)]
-    xu = [min(a, b) for a, b in zip(x1u, x2u)]
-    return Box.from_blocks(
-        (xl, xu),
-        (y1l + y2l + aux_y[0], y1u + y2u + aux_y[1]),
-        (z1l + z2l + aux_z[0], z1u + z2u + aux_z[1]),
-    )
-
-
-def _merged_window(f1, f2, aux_y, aux_z):
-    if f1.window is None and f2.window is None:
-        return None
-    w1 = f1.window if f1.window is not None else f1.box
-    w2 = f2.window if f2.window is not None else f2.box
-    return _merge_boxes(w1, f1.partition, w2, f2.partition, aux_y, aux_z)
-
-
-def _extend_box(box: Box, part: VarPartition, aux_y, aux_z) -> Box:
-    (xl, xu), (yl, yu), (zl, zu) = _block_bounds(box, part)
-    return Box.from_blocks(
-        (xl, xu), (yl + aux_y[0], yu + aux_y[1]), (zl + aux_z[0], zu + aux_z[1])
-    )
+def _check(forms, sign: str, op: str) -> None:
+    """Require joint convexity of g and the ``sign`` declaration of every
+    operand, then spot-check them: each sign first, then each convexity."""
+    for f in forms:
+        for decl in ("convex_joint_g", sign):
+            if decl not in f.declares:
+                raise HypothesisViolationError(
+                    f"{op} needs {f.name!r} declared {decl!r}; "
+                    f"present declarations: {sorted(f.declares)}"
+                )
+    for f in forms:
+        _spot_check_sign(f, sign, op)
+    for f in forms:
+        _spot_check_joint_convexity(f, op)
 
 
 INF = math.inf
+# an auxiliary's audit window is its box clipped to +-_AUX_WINDOW
+_AUX_WINDOW = 10.0
+
+
+class _Stack:
+    """The operands of an operation side by side over a shared x block, plus
+    the operation's auxiliary variables.
+
+    Layout: x, the operands' y blocks in order, the auxiliary y's, the
+    operands' z blocks in order, the auxiliary z's.  ``aux_y``/``aux_z`` hold
+    one (lower, upper) box bound per auxiliary.  After construction ``g``,
+    ``ineq`` and ``eq`` hold each operand's expressions relocated into the
+    stacked layout, and ``y``/``z`` the auxiliary variables.
+    """
+
+    def __init__(self, forms, aux_y=(), aux_z=()):
+        first = forms[0]
+        for f in forms[1:]:
+            if f.partition.n != first.partition.n:
+                raise FormError(
+                    f"x-dimension mismatch: {first.name} has n={first.partition.n}, "
+                    f"{f.name} has n={f.partition.n}"
+                )
+        n = first.partition.n
+        m1 = sum(f.partition.m1 for f in forms)
+        m2 = sum(f.partition.m2 for f in forms)
+        self.forms, self.aux_y, self.aux_z = forms, list(aux_y), list(aux_z)
+        self.partition = VarPartition(n, m1 + len(aux_y), m2 + len(aux_z))
+        z_base = n + self.partition.m1
+        self.y = [ex.var(n + m1 + j) for j in range(len(aux_y))]
+        self.z = [ex.var(z_base + m2 + k) for k in range(len(aux_z))]
+        self.g, self.ineq, self.eq = [], (), ()
+        y_off = z_off = 0
+        for f in forms:
+            p = f.partition
+            mapping = {p.n + j: n + y_off + j for j in range(p.m1)}
+            mapping.update({p.n + p.m1 + k: z_base + z_off + k for k in range(p.m2)})
+            self.g.append(f.g.remap(mapping))
+            self.ineq += tuple(e.remap(mapping) for e in f.ineq)
+            self.eq += tuple(e.remap(mapping) for e in f.eq)
+            y_off, z_off = y_off + p.m1, z_off + p.m2
+
+    def _box(self, boxes, clip: float) -> Box:
+        """Intersected x bounds, concatenated y/z blocks, auxiliaries last."""
+        n = self.partition.n
+        xl = [max(col) for col in zip(*(b.lower[:n] for b in boxes))]
+        xu = [min(col) for col in zip(*(b.upper[:n] for b in boxes))]
+        yl, yu, zl, zu = [], [], [], []
+        for b, f in zip(boxes, self.forms):
+            s = n + f.partition.m1
+            yl += b.lower[n:s]
+            yu += b.upper[n:s]
+            zl += b.lower[s:]
+            zu += b.upper[s:]
+        for lo, hi, bounds in ((yl, yu, self.aux_y), (zl, zu, self.aux_z)):
+            lo += [max(a, -clip) for a, _ in bounds]
+            hi += [min(b, clip) for _, b in bounds]
+        return Box.from_blocks((xl, xu), (yl, yu), (zl, zu))
+
+    def form(self, name, g, ineq, declares, reference, aux_witness=None) -> SaddleForm:
+        """The stacked form with objective ``g`` and the gadget's ``ineq``
+        ahead of the operands' constraints.  ``reference`` maps the operands'
+        reference values to the result's; ``aux_witness`` maps them to the
+        auxiliaries' witness values (y list, z list)."""
+        forms = self.forms
+        window = None
+        if any(f.window is not None for f in forms):
+            window = self._box([f.box if f.window is None else f.window for f in forms], _AUX_WINDOW)
+        witnesses = [f.witness for f in forms]
+        refs = [f.reference for f in forms]
+        has_refs = all(r is not None for r in refs)
+
+        witness = None
+        if all(w is not None for w in witnesses) and (aux_witness is None or has_refs):
+            def witness(x):
+                ys, zs = zip(*(w(x) for w in witnesses))
+                if aux_witness is None:
+                    return np.concatenate(ys), np.concatenate(zs)
+                ay, az = aux_witness([r(x) for r in refs])
+                return np.concatenate([*ys, ay]), np.concatenate([*zs, az])
+
+        return SaddleForm(
+            name=name,
+            partition=self.partition,
+            box=self._box([f.box for f in forms], INF),
+            g=g,
+            ineq=tuple(ineq) + self.ineq,
+            eq=self.eq,
+            witness=witness,
+            reference=(lambda x: reference([r(x) for r in refs])) if has_refs else None,
+            declares=declares,
+            window=window,
+        )
 
 
 def scaled_sum(f1: SaddleForm, f2: SaddleForm, a1: float, a2: float) -> SaddleForm:
     """Form for a1*f1 + a2*f2 with positive weights."""
     if a1 <= 0 or a2 <= 0:
         raise FormError("scaled_sum requires positive weights")
-    p1, p2 = f1.partition, f2.partition
-    if p1.n != p2.n:
-        raise FormError(
-            f"x-dimension mismatch: {f1.name} has n={p1.n}, {f2.name} has n={p2.n}"
-        )
-    part = VarPartition(p1.n, p1.m1 + p2.m1, p1.m2 + p2.m2)
-    g1, in1, eq1 = _relocated(f1, 0, 0, part.m1)
-    g2, in2, eq2 = _relocated(f2, p1.m1, p1.m2, part.m1)
-    g = ex.add(ex.scale(g1, a1), ex.scale(g2, a2))
-    box = _merge_boxes(f1.box, p1, f2.box, p2, ([], []), ([], []))
-    window = _merged_window(f1, f2, ([], []), ([], []))
-
-    witness = None
-    if f1.witness is not None and f2.witness is not None:
-        def witness(x, _w1=f1.witness, _w2=f2.witness):
-            y1, z1 = _w1(x)
-            y2, z2 = _w2(x)
-            return np.concatenate([y1, y2]), np.concatenate([z1, z2])
-
-    reference = None
-    if f1.reference is not None and f2.reference is not None:
-        reference = lambda x, _r1=f1.reference, _r2=f2.reference: (
-            a1 * _r1(x) + a2 * _r2(x)
-        )
-
-    return SaddleForm(
-        name=f"scaled_sum({f1.name},{f2.name})",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=in1 + in2,
-        eq=eq1 + eq2,
-        witness=witness,
-        reference=reference,
-        declares=f1.declares & f2.declares & {"convex_joint_g", "nonneg"},
-        window=window,
+    st = _Stack((f1, f2))
+    g1, g2 = st.g
+    return st.form(
+        f"scaled_sum({f1.name},{f2.name})",
+        ex.add(ex.scale(g1, a1), ex.scale(g2, a2)),
+        (),
+        f1.declares & f2.declares & {"convex_joint_g", "nonneg"},
+        lambda r: a1 * r[0] + a2 * r[1],
     )
 
 
 def product(f1: SaddleForm, f2: SaddleForm) -> SaddleForm:
     """Form for f1*f2; needs both lifted objectives jointly convex and both
     functions nonnegative."""
-    for f in (f1, f2):
-        _require(f, "convex_joint_g", "product")
-        _require(f, "nonneg", "product")
-        _spot_check_sign(f, "nonneg", "product")
-    p1, p2 = f1.partition, f2.partition
-    if p1.n != p2.n:
-        raise FormError(
-            f"x-dimension mismatch: {f1.name} has n={p1.n}, {f2.name} has n={p2.n}"
-        )
-    part = VarPartition(p1.n, p1.m1 + p2.m1 + 2, p1.m2 + p2.m2 + 1)
-    g1, in1, eq1 = _relocated(f1, 0, 0, part.m1)
-    g2, in2, eq2 = _relocated(f2, p1.m1, p1.m2, part.m1)
-    yh1 = ex.var(p1.n + p1.m1 + p2.m1)
-    yh2 = ex.var(p1.n + p1.m1 + p2.m1 + 1)
-    zh = ex.var(part.total - 1)
-    g = 0.5 * ex.square(yh1 + yh2) - 0.5 * zh
-    ineq = (
-        ex.square(yh1) + ex.square(yh2) - zh,
-        (g1 - yh1).with_tag(CONVEX),
-        (g2 - yh2).with_tag(CONVEX),
-    ) + in1 + in2
-    box = _merge_boxes(
-        f1.box, p1, f2.box, p2, ([-INF, -INF], [INF, INF]), ([-INF], [INF])
-    )
-    window = _merged_window(
-        f1, f2, ([-10.0, -10.0], [10.0, 10.0]), ([-10.0], [10.0])
-    )
-
-    witness = None
-    if all(f.witness is not None and f.reference is not None for f in (f1, f2)):
-        def witness(x):
-            y1, z1 = f1.witness(x)
-            y2, z2 = f2.witness(x)
-            v1, v2 = f1.reference(x), f2.reference(x)
-            y = np.concatenate([y1, y2, [v1, v2]])
-            z = np.concatenate([z1, z2, [v1**2 + v2**2]])
-            return y, z
-
-    reference = None
-    if f1.reference is not None and f2.reference is not None:
-        reference = lambda x: f1.reference(x) * f2.reference(x)
-
-    return SaddleForm(
-        name=f"product({f1.name},{f2.name})",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        eq=eq1 + eq2,
-        witness=witness,
-        reference=reference,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
-        window=window,
+    _check((f1, f2), "nonneg", "product")
+    st = _Stack((f1, f2), aux_y=[(-INF, INF)] * 2, aux_z=[(-INF, INF)])
+    (g1, g2), (yh1, yh2), (zh,) = st.g, st.y, st.z
+    return st.form(
+        f"product({f1.name},{f2.name})",
+        0.5 * ex.square(yh1 + yh2) - 0.5 * zh,
+        (
+            ex.square(yh1) + ex.square(yh2) - zh,
+            (g1 - yh1).with_tag(CONVEX),
+            (g2 - yh2).with_tag(CONVEX),
+        ),
+        frozenset({"convex_joint_g", "nonneg"}),
+        lambda r: r[0] * r[1],
+        lambda r: ([r[0], r[1]], [r[0] ** 2 + r[1] ** 2]),
     )
 
 
@@ -248,69 +219,36 @@ def reciprocal(f: SaddleForm, mode: str) -> SaddleForm:
     """
     if mode not in RECIPROCAL_MODES:
         raise FormError(f"mode must be one of {RECIPROCAL_MODES}")
-    sign_decl = mode
-    _require(f, "convex_joint_g", "reciprocal")
-    _require(f, sign_decl, "reciprocal")
-    _spot_check_sign(f, sign_decl, "reciprocal")
-    p = f.partition
-    part = VarPartition(p.n, p.m1 + 2, p.m2 + 1)
-    g0, in0, eq0 = _relocated(f, 0, 0, part.m1)
-    yb1 = ex.var(p.n + p.m1)
-    yb2 = ex.var(p.n + p.m1 + 1)
-    zb = ex.var(part.total - 1)
-    g = yb1 + ex.square(yb1 + yb2) - zb - 2.0 + ex.square(yb1) + ex.square(yb2) - zb
-    ineq = (
-        ex.square(yb1 + yb2) - zb - 2.0,
-        ex.square(yb1) + ex.square(yb2) - zb,
-        (g0 + yb2).with_tag(CONVEX),
-    ) + in0
-    box = _extend_box(f.box, p, ([-INF, -INF], [0.0, 0.0]), ([0.0], [INF]))
-    window = None
-    if f.window is not None:
-        window = _extend_box(f.window, p, ([-10.0, -10.0], [0.0, 0.0]), ([0.0], [10.0]))
+    _check((f,), mode, "reciprocal")
+    st = _Stack((f,), aux_y=[(-INF, 0.0)] * 2, aux_z=[(0.0, INF)])
+    (g0,), (yb1, yb2), (zb,) = st.g, st.y, st.z
     sgn = 1.0 if mode == "negative" else -1.0
 
-    witness = None
-    if f.witness is not None and f.reference is not None:
-        def witness(x):
-            y0, z0 = f.witness(x)
-            r = f.reference(x)
-            y2v = sgn * r
-            y1v = 1.0 / y2v
-            y = np.concatenate([y0, [y1v, y2v]])
-            z = np.concatenate([z0, [y1v**2 + y2v**2]])
-            return y, z
+    def aux_witness(r):
+        y2v = sgn * r[0]
+        y1v = 1.0 / y2v
+        return [y1v, y2v], [y1v**2 + y2v**2]
 
-    reference = None
-    if f.reference is not None:
-        reference = lambda x: 1.0 / (sgn * f.reference(x))
-
-    return SaddleForm(
-        name=f"reciprocal({f.name},{mode})",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        eq=eq0,
-        witness=witness,
-        reference=reference,
-        declares=frozenset({"convex_joint_g", "negative"}),
-        window=window,
+    return st.form(
+        f"reciprocal({f.name},{mode})",
+        yb1 + ex.square(yb1 + yb2) - zb - 2.0 + ex.square(yb1) + ex.square(yb2) - zb,
+        (
+            ex.square(yb1 + yb2) - zb - 2.0,
+            ex.square(yb1) + ex.square(yb2) - zb,
+            (g0 + yb2).with_tag(CONVEX),
+        ),
+        frozenset({"convex_joint_g", "negative"}),
+        lambda r: 1.0 / (sgn * r[0]),
+        aux_witness,
     )
 
 
-def compose_monotone_convex(
-    f: SaddleForm, phi: Expr, increasing: bool = True, convex: bool = True
-) -> SaddleForm:
+def compose_monotone_convex(f: SaddleForm, phi: Expr) -> SaddleForm:
     """Form for phi(f(x)) with phi a univariate monotone increasing convex map.
 
     ``phi`` references variable index 0 as its argument.  The lifted
     objective becomes phi(g); constraints, box, and witness are unchanged.
     """
-    if not (increasing and convex):
-        raise HypothesisViolationError(
-            "compose_monotone_convex requires phi declared increasing and convex"
-        )
     if phi.max_index() > 0:
         raise FormError("phi must be univariate over variable index 0")
     lo, hi = np.array([-10.0]), np.array([10.0])
@@ -351,50 +289,23 @@ def power(f: SaddleForm, a: float) -> SaddleForm:
         return f
     if a > 1.0:
         return product(f, power(f, a - 1.0))
-    _require(f, "convex_joint_g", "power")
-    _require(f, "nonneg", "power")
-    _spot_check_sign(f, "nonneg", "power")
-    _spot_check_joint_convexity(f, "power")
-    p = f.partition
-    part = VarPartition(p.n, p.m1 + 2, p.m2 + 1)
-    g0, in0, eq0 = _relocated(f, 0, 0, part.m1)
-    yb1 = ex.var(p.n + p.m1)
-    yb2 = ex.var(p.n + p.m1 + 1)
-    zb = ex.var(part.total - 1)
-    g = yb1 + ex.rpow(yb1, 2.0 / a) - zb + ex.square(yb2) - zb
-    ineq = (
-        ex.rpow(yb1, 2.0 / a) - zb,
-        ex.square(yb2) - zb,
-        (g0 - yb2).with_tag(CONVEX),
-    ) + in0
-    box = _extend_box(f.box, p, ([0.0, 0.0], [INF, INF]), ([0.0], [INF]))
-    window = None
-    if f.window is not None:
-        window = _extend_box(f.window, p, ([0.0, 0.0], [10.0, 10.0]), ([0.0], [10.0]))
+    _check((f,), "nonneg", "power")
+    st = _Stack((f,), aux_y=[(0.0, INF)] * 2, aux_z=[(0.0, INF)])
+    (g0,), (yb1, yb2), (zb,) = st.g, st.y, st.z
 
-    witness = None
-    if f.witness is not None and f.reference is not None:
-        def witness(x):
-            y0, z0 = f.witness(x)
-            r = f.reference(x)
-            y1v = r**a
-            y = np.concatenate([y0, [y1v, r]])
-            z = np.concatenate([z0, [max(y1v ** (2.0 / a), r**2)]])
-            return y, z
+    def aux_witness(r):
+        y1v = r[0] ** a
+        return [y1v, r[0]], [max(y1v ** (2.0 / a), r[0] ** 2)]
 
-    reference = None
-    if f.reference is not None:
-        reference = lambda x: f.reference(x) ** a
-
-    return SaddleForm(
-        name=f"power({f.name},{a})",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        eq=eq0,
-        witness=witness,
-        reference=reference,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
-        window=window,
+    return st.form(
+        f"power({f.name},{a})",
+        yb1 + ex.rpow(yb1, 2.0 / a) - zb + ex.square(yb2) - zb,
+        (
+            ex.rpow(yb1, 2.0 / a) - zb,
+            ex.square(yb2) - zb,
+            (g0 - yb2).with_tag(CONVEX),
+        ),
+        frozenset({"convex_joint_g", "nonneg"}),
+        lambda r: r[0] ** a,
+        aux_witness,
     )

@@ -213,16 +213,12 @@ def identity_audit(
     xs,
     grid: GridSpec | None = None,
     tol: float = 1e-2,
-    registry_path=None,
-    date: str = "undated",
 ) -> IdentityAuditReport:
     """Audit the witness identity and the grid minmax identity on samples.
 
     A form passes the minmax check when |oracle - reference| <= tol + h*L at
     every sample, h the largest grid step and L a sampled gradient bound
-    (grids cannot certify exact equality).  With ``registry_path`` given, a
-    non-verified classification is appended to that registry file unless the
-    form is already listed.
+    (grids cannot certify exact equality).
     """
     if form.reference is None:
         raise FormError("identity_audit needs a form with a reference evaluator")
@@ -276,15 +272,7 @@ def identity_audit(
             f"x={_fmt_vec(worst.x)} witness_gap={worst.witness_gap:.6g} "
             f"feasible={worst.witness_feasible}"
         )
-    report = IdentityAuditReport(form.name, tuple(rows), classification, counterexample)
-    if registry_path is not None and classification != CLASS_VERIFIED:
-        registry = load_registry(registry_path, missing_ok=True)
-        if form.name not in registry:
-            append_issue(
-                registry_path,
-                RegistryEntry(form.name, classification, counterexample, date),
-            )
-    return report
+    return IdentityAuditReport(form.name, tuple(rows), classification, counterexample)
 
 
 def _fmt_vec(v) -> str:
@@ -318,31 +306,21 @@ def parse_registry_line(line: str) -> RegistryEntry | None:
     return RegistryEntry(head, cls, counterexample, date)
 
 
-def load_registry(path=None, missing_ok: bool = False) -> dict[str, RegistryEntry]:
+def load_registry(path=None) -> dict[str, RegistryEntry]:
     """Registry entries by form name; defaults to the packaged file."""
     if path is None:
         from importlib.resources import files
 
         text = files("saddlelift").joinpath("known_issues.txt").read_text()
     else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except FileNotFoundError:
-            if missing_ok:
-                return {}
-            raise
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     entries = {}
     for line in text.splitlines():
         entry = parse_registry_line(line)
         if entry is not None:
             entries[entry.name] = entry
     return entries
-
-
-def append_issue(path, entry: RegistryEntry) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(entry.line() + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1204,36 +1204,35 @@ class CatalogEntry:
     name: str
     summary: str
     build: Callable[..., SaddleForm]
-    defaults: dict
     params_doc: str = ""
 
 
 CATALOG: dict[str, CatalogEntry] = {
     e.name: e
     for e in [
-        CatalogEntry("bilinear2_a", "2*x0*x1 with one maximizer per square", lambda **kw: _bilinear2("a", **kw), {}),
-        CatalogEntry("bilinear2_b", "2*x0*x1 with a single shared maximizer", lambda **kw: _bilinear2("b", **kw), {}),
-        CatalogEntry("abs_half_reg", "(x0+x1-1)^2 + lam*(sqrt|x0| + sqrt|x1|)", _abs_half_reg, {"lam": 1.0}, "lam > 0"),
-        CatalogEntry("l0_reg2", "(x0+x1-1)^2 + lam*count_nonzero(x)", _l0_reg2, {"lam": 1.0}, "lam > 0"),
-        CatalogEntry("sin_0_pi", "sin(x) on [0, pi]", _sin_0_pi, {}),
-        CatalogEntry("sin_0_2pi", "sin(x) on [0, 2*pi]", _sin_0_2pi, {}),
-        CatalogEntry("cos_0_2pi", "cos(x) on [0, 2*pi]", _cos_0_2pi, {}),
-        CatalogEntry("dc", "difference d(x) - c(x) of user convex parts", _dc, {}, "d, c: convex-tagged exprs; n"),
-        CatalogEntry("entropy", "-sum x_i ln x_i on (0, 1]^n", _entropy, {"n": 2}, "n >= 1"),
-        CatalogEntry("sigmoid", "2/(1+exp(-x)) - 1 (known-issues entry)", _sigmoid, {}),
-        CatalogEntry("pow_a", "x^a on x >= 0, 0 < a < 1", _pow_a, {"a": 0.5}, "0 < a < 1"),
-        CatalogEntry("pow_a_plus_1", "x^(a+1) on x >= 0, 0 < a < 1", _pow_a_plus_1, {"a": 0.5}, "0 < a < 1"),
-        CatalogEntry("pow_a_2n", "x^(a+2*n2) on x >= 0", _pow_a_2n, {"a": 0.5, "n2": 1}, "0 < a < 1, n2 >= 1"),
-        CatalogEntry("sgn3_a", "sign(x) in {-1,0,1}, inequality lift", lambda **kw: _sgn3("a", **kw), {}),
-        CatalogEntry("sgn3_b", "sign(x) in {-1,0,1}, equality lift", lambda **kw: _sgn3("b", **kw), {}),
-        CatalogEntry("sgn2_a", "step(x) in {0,1}, inequality lift", lambda **kw: _sgn2("a", **kw), {}),
-        CatalogEntry("sgn2_b", "step(x) in {0,1}, equality lift", lambda **kw: _sgn2("b", **kw), {}),
-        CatalogEntry("relu_a", "max(x, 0), inequality lift", lambda **kw: _relu("a", **kw), {}),
-        CatalogEntry("relu_b", "max(x, 0), equality lift", lambda **kw: _relu("b", **kw), {}),
-        CatalogEntry("relu_convex", "max(b(x), 0) for user convex b", _relu_convex, {}, "b: convex-tagged expr; n"),
-        CatalogEntry("abs_power", "sqrt(|x|) via quartic lift", _abs_power, {}),
-        CatalogEntry("l0_scalar_reg", "(x-1)^2 + lam*[x != 0]", _l0_scalar_reg, {"lam": 2.0}, "lam > 0"),
-        CatalogEntry("maxabs_minus_sum", "n*max|x_i| - sum|x_i|", _maxabs_minus_sum, {"n": 5}, "n >= 1"),
+        CatalogEntry("bilinear2_a", "2*x0*x1 with one maximizer per square", lambda **kw: _bilinear2("a", **kw)),
+        CatalogEntry("bilinear2_b", "2*x0*x1 with a single shared maximizer", lambda **kw: _bilinear2("b", **kw)),
+        CatalogEntry("abs_half_reg", "(x0+x1-1)^2 + lam*(sqrt|x0| + sqrt|x1|)", _abs_half_reg, "lam > 0"),
+        CatalogEntry("l0_reg2", "(x0+x1-1)^2 + lam*count_nonzero(x)", _l0_reg2, "lam > 0"),
+        CatalogEntry("sin_0_pi", "sin(x) on [0, pi]", _sin_0_pi),
+        CatalogEntry("sin_0_2pi", "sin(x) on [0, 2*pi]", _sin_0_2pi),
+        CatalogEntry("cos_0_2pi", "cos(x) on [0, 2*pi]", _cos_0_2pi),
+        CatalogEntry("dc", "difference d(x) - c(x) of user convex parts", _dc, "d, c: convex-tagged exprs; n"),
+        CatalogEntry("entropy", "-sum x_i ln x_i on (0, 1]^n", _entropy, "n >= 1"),
+        CatalogEntry("sigmoid", "2/(1+exp(-x)) - 1 (known-issues entry)", _sigmoid),
+        CatalogEntry("pow_a", "x^a on x >= 0, 0 < a < 1", _pow_a, "0 < a < 1"),
+        CatalogEntry("pow_a_plus_1", "x^(a+1) on x >= 0, 0 < a < 1", _pow_a_plus_1, "0 < a < 1"),
+        CatalogEntry("pow_a_2n", "x^(a+2*n2) on x >= 0", _pow_a_2n, "0 < a < 1, n2 >= 1"),
+        CatalogEntry("sgn3_a", "sign(x) in {-1,0,1}, inequality lift", lambda **kw: _sgn3("a", **kw)),
+        CatalogEntry("sgn3_b", "sign(x) in {-1,0,1}, equality lift", lambda **kw: _sgn3("b", **kw)),
+        CatalogEntry("sgn2_a", "step(x) in {0,1}, inequality lift", lambda **kw: _sgn2("a", **kw)),
+        CatalogEntry("sgn2_b", "step(x) in {0,1}, equality lift", lambda **kw: _sgn2("b", **kw)),
+        CatalogEntry("relu_a", "max(x, 0), inequality lift", lambda **kw: _relu("a", **kw)),
+        CatalogEntry("relu_b", "max(x, 0), equality lift", lambda **kw: _relu("b", **kw)),
+        CatalogEntry("relu_convex", "max(b(x), 0) for user convex b", _relu_convex, "b: convex-tagged expr; n"),
+        CatalogEntry("abs_power", "sqrt(|x|) via quartic lift", _abs_power),
+        CatalogEntry("l0_scalar_reg", "(x-1)^2 + lam*[x != 0]", _l0_scalar_reg, "lam > 0"),
+        CatalogEntry("maxabs_minus_sum", "n*max|x_i| - sum|x_i|", _maxabs_minus_sum, "n >= 1"),
     ]
 }
 
@@ -1249,10 +1248,7 @@ STRUCTURED: dict[str, Callable[..., SaddleForm]] = {
 def make_catalog_form(name: str, **params) -> SaddleForm:
     if name not in CATALOG:
         raise KeyError(f"unknown catalog id {name!r}; see list_catalog()")
-    entry = CATALOG[name]
-    kwargs = dict(entry.defaults)
-    kwargs.update(params)
-    return entry.build(**kwargs)
+    return CATALOG[name].build(**params)
 
 
 def make_structured(kind: str, data: dict) -> SaddleForm:

@@ -195,16 +195,24 @@ def load_problem_file(path: str):
         raise CliError(f"no such file: {path}")
     except json.JSONDecodeError as err:
         raise CliError(f"parse error in {path}: {err.msg} (line {err.lineno}, column {err.colno})")
+    if not isinstance(doc, dict):
+        raise CliError(f"{path} must hold a JSON object")
     try:
         form = load_form(doc)
     except ex.ParseError as err:
         raise CliError(f"parse error in {path}: {err}")
     except FormError as err:
         raise CliError(f"bad form in {path}: {err}")
+    except (KeyError, TypeError, ValueError) as err:
+        # a missing field, a wrong type or an unknown parameter in the file
+        raise CliError(f"bad form in {path}: {type(err).__name__}: {err}")
     params = load_solver_params(doc)
     start = doc.get("start")
     if start is not None:
-        start = np.asarray(start, dtype=float)
+        try:
+            start = np.asarray(start, dtype=float)
+        except (TypeError, ValueError):
+            raise CliError(f"start vector must be a list of numbers, got {start!r}")
         if start.shape != (form.partition.total,):
             raise CliError(
                 f"start vector must have length {form.partition.total}, got {start.size}"

@@ -372,7 +372,8 @@ class Sin(Expr):
 
 
 # ---------------------------------------------------------------------------
-# constructors with default curvature tags
+# constructors: every node carries its derived curvature tag; `.with_tag`
+# overrides it
 
 def _derived_tag(node: Expr) -> str:
     """Structural tag where one is forced; NONE elsewhere."""
@@ -400,8 +401,8 @@ def _derived_tag(node: Expr) -> str:
     return NONE
 
 
-def _finish(node: Expr, tag: str | None) -> Expr:
-    return replace(node, tag=tag if tag is not None else _derived_tag(node))
+def _finish(node: Expr) -> Expr:
+    return replace(node, tag=_derived_tag(node))
 
 
 def const(c: float) -> Expr:
@@ -418,40 +419,40 @@ def affine(terms, offset: float = 0.0) -> Expr:
     return Affine(tuple((int(i), float(c)) for i, c in terms), float(offset))
 
 
-def add(*parts: Expr, tag: str | None = None) -> Expr:
-    return _finish(Sum(tuple(parts)), tag)
+def add(*parts: Expr) -> Expr:
+    return _finish(Sum(tuple(parts)))
 
 
-def scale(child: Expr, c: float, tag: str | None = None) -> Expr:
-    return _finish(Scale(child, float(c)), tag)
+def scale(child: Expr, c: float) -> Expr:
+    return _finish(Scale(child, float(c)))
 
 
-def neg(child: Expr, tag: str | None = None) -> Expr:
-    return scale(child, -1.0, tag)
+def neg(child: Expr) -> Expr:
+    return scale(child, -1.0)
 
 
-def square(child: Expr, tag: str | None = None) -> Expr:
-    return _finish(Square(child), tag)
+def square(child: Expr) -> Expr:
+    return _finish(Square(child))
 
 
-def ipow(child: Expr, k: int, tag: str | None = None) -> Expr:
-    return _finish(IntPow(child, int(k)), tag)
+def ipow(child: Expr, k: int) -> Expr:
+    return _finish(IntPow(child, int(k)))
 
 
-def rpow(child: Expr, a: float, tag: str | None = None) -> Expr:
-    return _finish(RealPow(child, float(a)), tag)
+def rpow(child: Expr, a: float) -> Expr:
+    return _finish(RealPow(child, float(a)))
 
 
-def exp(child: Expr, tag: str | None = None) -> Expr:
-    return _finish(Exp(child), tag)
+def exp(child: Expr) -> Expr:
+    return _finish(Exp(child))
 
 
-def log(child: Expr, tag: str | None = None) -> Expr:
-    return _finish(Log(child), tag)
+def log(child: Expr) -> Expr:
+    return _finish(Log(child))
 
 
-def sin(child: Expr, tag: str | None = None) -> Expr:
-    return _finish(Sin(child), tag)
+def sin(child: Expr) -> Expr:
+    return _finish(Sin(child))
 
 
 # ---------------------------------------------------------------------------
@@ -550,24 +551,29 @@ def curvature_audit(
     u, v = draws[:, :dim].copy(), draws[:, :dim].copy()
     u[:, axes], v[:, axes] = np.split(draws[:, dim:], 2, axis=1)
     ts = (0.25, 0.5, 0.75)
-    pts = np.concatenate([u, v] + [t * u + (1.0 - t) * v for t in ts])
-    values = e.value_batch(pts.T).reshape(5, -1).T.tolist()
     checked = 0
-    for a, (fu, fv, *fms) in enumerate(values):
+    # the first ``samples`` attempts suffice unless some pair is skipped
+    for rows in (slice(0, samples), slice(samples, None)):
         if checked == samples:
             break
-        for t, fm in zip(ts, fms):
-            if math.isnan(fu) or math.isnan(fv) or math.isnan(fm):
+        ur, vr = u[rows], v[rows]
+        pts = np.concatenate([ur, vr] + [t * ur + (1.0 - t) * vr for t in ts])
+        values = e.value_batch(pts.T).reshape(5, -1).T.tolist()
+        for a, (fu, fv, *fms) in enumerate(values, rows.start):
+            if checked == samples:
                 break
-            blend = t * fu + (1.0 - t) * fv
-            if (
-                (tag == CONVEX and fm > blend + tol)
-                or (tag == CONCAVE and fm < blend - tol)
-                or (tag == AFFINE and abs(fm - blend) > tol)
-            ):
-                return CurvatureReport(tag, False, checked, (u[a], v[a], t))
-        else:
-            checked += 1
+            for t, fm in zip(ts, fms):
+                if math.isnan(fu) or math.isnan(fv) or math.isnan(fm):
+                    break
+                blend = t * fu + (1.0 - t) * fv
+                if (
+                    (tag == CONVEX and fm > blend + tol)
+                    or (tag == CONCAVE and fm < blend - tol)
+                    or (tag == AFFINE and abs(fm - blend) > tol)
+                ):
+                    return CurvatureReport(tag, False, checked, (u[a], v[a], t))
+            else:
+                checked += 1
     if checked == 0:
         raise DomainEvalError("no in-domain sample pairs found for audit", e)
     return CurvatureReport(tag, True, checked)
@@ -674,7 +680,7 @@ def parse_sexpr(text: str, resolve: Callable[[str], int]) -> Expr:
             parts = []
             while pos < len(tokens) and tokens[pos][0] != ")":
                 parts.append(expr())
-            node = _finish(Sum(tuple(parts)), None)
+            node = add(*parts)
         elif head == "*":
             c = number()
             node = scale(expr(), c)

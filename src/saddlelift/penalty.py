@@ -14,11 +14,16 @@ and the C^1 smoothed variants with exponent theta > 1:
 F_theta, G_theta and G2 are one sum at power theta or 2.  The gradient of
 v^theta at v = 0 is taken as exactly 0 (the one-sided limit), so they are
 differentiable everywhere.  A NaN g_i counts as violated in every penalty.
+Where a violation's power leaves the float range, the smoothed sum reads inf
+(so F_theta, G_theta and G2 read inf wherever g is finite) and the gradient
+reads NaN.
 Box bounds are not penalized; solvers keep iterates inside the box by
 projection.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -61,16 +66,22 @@ def _smoothed(
     else:
         gval, ivals, evals = form.values(p.vec)
     value = 0.0
-    for k, gv in enumerate(ivals, 1):
-        if not gv <= 0.0:
-            value += rho * gv**power
-            if grad:
-                out += rho * power * gv ** (power - 1.0) * jac(k)
-    for k, hv in enumerate(evals, 1 + len(ivals)):
-        if hv != 0.0:
-            value += rho * abs(hv) ** power
-            if grad:
-                out += rho * power * abs(hv) ** (power - 1.0) * np.sign(hv) * jac(k)
+    try:
+        for k, gv in enumerate(ivals, 1):
+            if not gv <= 0.0:
+                value += rho * gv**power
+                if grad:
+                    out += rho * power * gv ** (power - 1.0) * jac(k)
+        for k, hv in enumerate(evals, 1 + len(ivals)):
+            if hv != 0.0:
+                value += rho * abs(hv) ** power
+                if grad:
+                    out += rho * power * abs(hv) ** (power - 1.0) * np.sign(hv) * jac(k)
+    except OverflowError:
+        # a float power left the float range: the penalty is infinite there
+        value = math.inf
+        if grad:
+            out = np.full(p.vec.size, math.nan)
     return float(sign * gval + value), (sign * ggrad + out if grad else None)
 
 

@@ -44,12 +44,13 @@ STATUS_MAX_OUTER = "max_outer_reached"
 _INITIAL_STEP = 1.0
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
+# inner stop: iteration cap, projected-gradient norm tolerance
+_MAX_ITERS = 2000
+_GRAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class InnerParams:
-    max_iters: int = 2000
-    grad_tol: float = 1e-8
     restarts: int = 0
 
 
@@ -112,9 +113,9 @@ def inner_minimize(obj, lower, upper, start, params: InnerParams) -> InnerResult
     def joint_phase() -> str:
         step = _INITIAL_STEP
         prev_p = prev_g = None
-        while state["iters"] < params.max_iters:
+        while state["iters"] < _MAX_ITERS:
             p, f, g = state["p"], state["f"], state["g"]
-            if pg_norm() <= params.grad_tol:
+            if pg_norm() <= _GRAD_TOL:
                 return "converged"
             state["iters"] += 1
             if prev_p is not None:
@@ -149,7 +150,7 @@ def inner_minimize(obj, lower, upper, start, params: InnerParams) -> InnerResult
         warm = np.maximum(np.abs(state["p"]), 1.0)
         blocked = np.zeros(dim, dtype=bool)
         for _ in range(60):
-            if state["iters"] >= params.max_iters:
+            if state["iters"] >= _MAX_ITERS:
                 break
             state["iters"] += 1
             p, f, g = state["p"], state["f"], state["g"]

@@ -97,6 +97,21 @@ def test_product_detects_sign_violation():
         alg.product(lying, _sq_form())
 
 
+def test_every_operation_spot_checks_joint_convexity():
+    # 100 - x^2 is nonnegative on the window but its g is concave, not convex
+    liar = trivial_convex(
+        (ex.neg(ex.square(ex.var(0))) + 100.0).with_tag(ex.CONVEX), 1, "liar", nonneg=True, window=(-2.0, 2.0)
+    )
+    for build in (
+        lambda: alg.power(liar, 0.5),
+        lambda: alg.product(liar, _sq_form()),
+        lambda: alg.product(_sq_form(), liar),
+        lambda: alg.reciprocal(liar.declare("positive"), "positive"),
+    ):
+        with pytest.raises(HypothesisViolationError, match="jointly convex"):
+            build()
+
+
 def _neg_form():
     # carries the negative-valued function -(1 + x^2) as  g = -z, 1+x^2-z <= 0
     d = ex.const(0.0)
@@ -151,8 +166,6 @@ def test_compose_identity():
 def test_compose_rejects_decreasing_phi():
     with pytest.raises(HypothesisViolationError):
         alg.compose_monotone_convex(_sq_form(), ex.neg(ex.var(0)))
-    with pytest.raises(HypothesisViolationError):
-        alg.compose_monotone_convex(_sq_form(), ex.var(0), increasing=False)
 
 
 def test_power_half():
@@ -220,3 +233,84 @@ def test_algebra_over_catalog_entry():
     _witness_suite(s, samples=60, seed=8)
     pr = alg.product(base, base)
     _witness_suite(pr, samples=60, seed=9)
+
+
+# form_to_inline text of one composition per operation, recorded before the
+# operations shared one assembly path; it carries the box and the window
+N = None
+ASSEMBLED = {
+    "scaled_sum": {
+        "name": "scaled_sum(abs_sqrt[0],abs_sqrt[1])",
+        "partition": [2, 4, 2],
+        "lower": [N, N, 0.0, N, 0.0, N, 0.0, 0.0],
+        "upper": [N, N, N, N, N, N, N, N],
+        "g": "(+ (* 1.0 (+ (+ (+ (+ y0 (pow y0 4)) (neg z0)) (sq x0)) (neg z0))) "
+        "(* 2.0 (+ (+ (+ (+ y2 (pow y2 4)) (neg z1)) (sq x1)) (neg z1))))",
+        "ineq": [
+            "(+ (pow y0 4) (neg z0))",
+            "(+ (sq x0) (neg z0))",
+            "(+ (sq y1) (neg y0))",
+            "(+ (pow y2 4) (neg z1))",
+            "(+ (sq x1) (neg z1))",
+            "(+ (sq y3) (neg y2))",
+        ],
+        "eq": [],
+    },
+    "product": {
+        "name": "product(sq,abs_power)",
+        "partition": [1, 3, 2],
+        "lower": [N, 0.0, N, N, 0.0, N],
+        "upper": [N, N, N, N, N, N],
+        "g": "(+ (* 0.5 (sq (+ y1 y2))) (neg (* 0.5 z1)))",
+        "ineq": [
+            "(+ (+ (sq y1) (sq y2)) (neg z1))",
+            "(+ (sq x0) (neg y1))",
+            "(+ (+ (+ (+ (+ y0 (pow y0 4)) (neg z0)) (sq x0)) (neg z0)) (neg y2))",
+            "(+ (pow y0 4) (neg z0))",
+            "(+ (sq x0) (neg z0))",
+            "(neg y0)",
+        ],
+        "eq": [],
+        "window_lower": [-2.5, 0.0, -10.0, -10.0, 0.0, -10.0],
+        "window_upper": [2.5, N, 10.0, 10.0, N, 10.0],
+    },
+    "power": {
+        "name": "power(sq,0.5)",
+        "partition": [1, 2, 1],
+        "lower": [N, 0.0, 0.0, 0.0],
+        "upper": [N, N, N, N],
+        "g": "(+ (+ (+ (+ y0 (rpow y0 4.0)) (neg z0)) (sq y1)) (neg z0))",
+        "ineq": ["(+ (rpow y0 4.0) (neg z0))", "(+ (sq y1) (neg z0))", "(+ (sq x0) (neg y1))"],
+        "eq": [],
+        "window_lower": [-2.5, 0.0, 0.0, 0.0],
+        "window_upper": [2.5, 10.0, 10.0, 10.0],
+    },
+    "reciprocal": {
+        "name": "reciprocal(pos,positive)",
+        "partition": [1, 2, 1],
+        "lower": [N, N, N, 0.0],
+        "upper": [N, 0.0, 0.0, N],
+        "g": "(+ (+ (+ (+ (+ (+ y0 (sq (+ y0 y1))) (neg z0)) (neg 2.0)) (sq y0)) (sq y1)) (neg z0))",
+        "ineq": [
+            "(+ (+ (sq (+ y0 y1)) (neg z0)) (neg 2.0))",
+            "(+ (+ (sq y0) (sq y1)) (neg z0))",
+            "(+ (+ (sq x0) 1.0) y1)",
+        ],
+        "eq": [],
+    },
+}
+
+
+def test_assembled_forms_are_pinned():
+    from saddlelift.cli import form_to_inline
+
+    pos = trivial_convex(ex.square(ex.var(0)) + 1.0, 1, "pos").declare("positive")
+    built = {
+        "scaled_sum": alg.scaled_sum(abs_sqrt_term(2, 0), abs_sqrt_term(2, 1), 1.0, 2.0),
+        "product": alg.product(_sq_form(), make_catalog_form("abs_power")),
+        "power": alg.power(_sq_form(), 0.5),
+        "reciprocal": alg.reciprocal(pos, "positive"),
+    }
+    for op, form in built.items():
+        assert form_to_inline(form) == ASSEMBLED[op], op
+        assert (form.window is None) == ("window_lower" not in ASSEMBLED[op]), op

@@ -223,10 +223,12 @@ def test_curvature_audit_skips_nan_values():
 class _Counter:
     def __init__(self, monkeypatch, name):
         self.calls = 0
+        self.sizes = []  # last axis of the first argument: points per batch call
         method = getattr(ex.Expr, name)
 
         def counted(expr, *args, **kw):
             self.calls += 1
+            self.sizes.append(np.shape(args[0])[-1])
             return method(expr, *args, **kw)
 
         monkeypatch.setattr(ex.Expr, name, counted)
@@ -270,4 +272,26 @@ def test_curvature_audit_is_one_batch_call(monkeypatch):
             except ex.DomainEvalError:
                 pass
             assert batch.calls == before + 1
+            assert batch.sizes[-1] == 5 * 10
     assert scalar.calls == 0
+
+
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        ("log_half_window", [5 * 10, 5 * 190]),
+        ("log_outside", [5 * 10, 5 * 190]),
+        ("log_ring", [5 * 10]),  # a counterexample among the first attempts
+        ("sqrt_half_window", [5 * 10, 5 * 190]),
+    ],
+)
+def test_curvature_audit_evaluates_further_attempts_only_after_a_skip(name, sizes, monkeypatch):
+    # the first call holds the first `samples` attempts; a skipped pair there
+    # brings the other 19*samples in one more call
+    e, lo, hi = CURVATURE_CASES[name]
+    batch = _Counter(monkeypatch, "value_batch")
+    try:
+        ex.curvature_audit(e, lo, hi, tag=ex.CONCAVE, samples=10)
+    except ex.DomainEvalError:
+        pass
+    assert batch.sizes == sizes

@@ -32,7 +32,7 @@ def _dc_problem():
 def test_load_form_parses_expression_strings_of_catalog_and_structured_forms():
     doc = _dc_problem()
     assert cli.load_form(doc).g == make_catalog_form(
-        "dc", d=ex.scale(ex.square(ex.var(0)), 2.0, tag=ex.CONVEX), c=ex.square(ex.var(0)), n=1
+        "dc", d=ex.scale(ex.square(ex.var(0)), 2.0), c=ex.square(ex.var(0)), n=1
     ).g
     data = {"q": "(sq (aff x0 1 -1))", "lam": 2.0, "n": 1}
     form = cli.load_form({"problem": {"structured": "sparse_l0", "data": data}})
@@ -146,6 +146,30 @@ def test_bad_solver_parameters_exit_one(tmp_path, capsys, solver):
     path = _write(tmp_path, {**_dc_problem(), "solver": solver})
     assert cli.main(["solve", path]) == 1
     assert "error: bad solver parameters" in capsys.readouterr().err
+
+
+_INLINE = {"partition": [1, 0, 0], "g": "(sq x0)"}
+
+
+@pytest.mark.parametrize(
+    "doc, words",
+    [
+        ([1], "must hold a JSON object"),
+        ({"problem": {"inline": {"partition": [1, 0, 0]}}}, "bad form"),
+        ({"problem": {"inline": {**_INLINE, "lower": 5}}}, "bad form"),
+        ({"problem": {"catalog": "pow_a", "params": {"b": 1}}}, "bad form"),
+        ({"problem": {"catalog": "pow_a", "params": [1]}}, "bad form"),
+        ({"problem": {"catalog": "l0_scalar_reg", "params": {"lam": "x"}}}, "bad form"),
+        ({"problem": {"structured": "quadratic", "data": {"A": [[1]]}}}, "bad form"),
+        ({**_dc_problem(), "start": "abc"}, "start vector"),
+        ({**_dc_problem(), "start": [1, "x", 2]}, "start vector"),
+    ],
+)
+def test_malformed_problem_file_exits_one(tmp_path, capsys, doc, words):
+    path = _write(tmp_path, doc)
+    assert cli.main(["solve", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err
 
 
 def test_expression_parse_error_carries_position(tmp_path, capsys):

@@ -187,6 +187,23 @@ def test_smoothed_penalties_count_a_nan_constraint_as_violated():
     assert math.isnan(pe.penalty_f(form, p, 10.0))
 
 
+def test_smoothed_penalties_read_inf_where_the_power_overflows():
+    # at x0 = -1e306 a violation of sgn2_a is ~1e306: gv**theta leaves the
+    # float range, which Python's float power reports by raising
+    form = make_catalog_form("sgn2_a")
+    v = np.zeros(form.partition.total)
+    v[0] = -1e306
+    p = form.point(v)
+    assert pe.penalty_f_theta_value(form, p, 10.0, 1.01) == math.inf
+    assert pe.penalty_g_theta_value(form, p, 10.0, 1.01) == math.inf
+    for value, grad in (
+        pe.penalty_f_theta(form, p, 10.0, 1.01),
+        pe.penalty_g_theta(form, p, 10.0, 1.01),
+        pe.penalty_g2(form, p, 10.0),
+    ):
+        assert value == math.inf and np.isnan(grad).all()
+
+
 # -- reference: the separate smoothed sums F_theta/G_theta and G2 had before
 #    they shared one loop (a NaN g_i compared false there and was dropped)
 
@@ -289,6 +306,10 @@ def test_shared_smoothed_sum_matches_the_separate_sums(name):
                     assert _bytes(value_fn, *args) == _bytes(_ref_theta_value, form, p, sign, rho, theta)
                     assert _bytes(grad_fn, *args) == _bytes(_ref_theta, form, p, sign, rho, theta)
                 got, want = _arrays(pe.penalty_g2, form, p, rho), _arrays(_ref_g2, form, p, rho)
+                if want is OverflowError:  # where the separate sum raised, G2 now adds inf to -g
+                    np.testing.assert_equal(got[0], -form.values(p.vec)[0] + math.inf)
+                    assert np.isnan(got[1]).all()
+                    continue
                 if isinstance(want, type):
                     assert got is want
                     continue
