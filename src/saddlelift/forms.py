@@ -251,6 +251,20 @@ class SaddleForm:
         s = 1 + len(self.ineq)
         return vals[0], vals[1:s], vals[s:], grad
 
+    def smoothed_penalty(self, v: np.ndarray, sign: float, rho: float, power: float, grad: bool):
+        """sign*g + rho * sum max(g_i,0)^power + rho * sum |h_j|^power at the
+        point vector ``v``, and with ``grad`` the pair of it and its
+        full-space gradient: one call of the tape's penalty kernel, compiled
+        on first use and kept on the form.  Domain errors raise as in
+        :meth:`values`, a missing gradient of g or of an active constraint
+        as in :meth:`values_grads`."""
+        key = "_penalty_grad" if grad else "_penalty_value"
+        kernel = self.__dict__.get(key)
+        if kernel is None:
+            kernel = self.tape().penalty(len(self.ineq), grad)
+            object.__setattr__(self, key, kernel)
+        return kernel(v.tolist(), sign, rho, power)
+
     def point(self, vec) -> SaddlePoint:
         return SaddlePoint(self.partition, np.asarray(vec, dtype=float))
 

@@ -14,6 +14,22 @@ domain error; each temporary is deleted after its last reader, so peak
 memory stays near that of evaluating the tree node by node.  Only names,
 indices, ints and reprs of finite floats are written into the source;
 other constants and the nodes named by errors are passed in the namespace.
+
+A penalty kernel reads the outputs as a form's (g, g_1..g_s, h_1..h_r) and
+appends an epilogue to the value or gradient kernel: it returns the
+smoothed penalty sign*g + rho * sum max(g_i,0)^power + rho * sum
+|h_j|^power, with sign, rho and power passed per call, and in gradient
+mode also its full-space gradient.  The epilogue is the plain sum written
+out: terms added to 0.0 in constraint order, a NaN g_i counted as
+violated, the coefficient rho*power*v**(power-1.0) (times the sign of h_j)
+added into one accumulator per variable from 0.0, and sign*dg added last.
+So value and gradient are bit for bit those of that sum over the dense
+Jacobian: where a coefficient is not finite, the entries outside its
+constraint's gradient read its product with 0.0, a NaN, as there (which
+of two NaNs survives a sum is not fixed by CPython's float arithmetic
+anyway).  A float power that overflows makes the value inf and the
+gradient NaN, and a missing gradient raises only for g and the active
+constraints.
 """
 
 from __future__ import annotations
@@ -37,6 +53,7 @@ from .expr import (
     Square,
     Sum,
     Var,
+    kink_error,
 )
 
 
@@ -44,6 +61,22 @@ def _overflow_pow(v: float, e) -> float:
     """``v ** e`` where Python floats raise OverflowError: numpy gives inf."""
     with np.errstate(over="ignore"):
         return float(np.float64(v) ** e)
+
+
+def _overflowed(size: int, sign: float, cols, entries) -> np.ndarray:
+    """The gradient of a penalty whose power overflowed: sign*dg + NaN."""
+    dg = np.zeros(size)
+    dg[cols] = entries
+    return sign * dg + np.full(size, math.nan)
+
+
+def _times_zero(grad: np.ndarray, nonfinite, present) -> None:
+    """Add c*0.0 (a NaN) to the entries outside constraint k's gradient, for
+    each (k, c*0.0) in ``nonfinite``: the dense sum adds c times a zero there."""
+    for k, zero in nonfinite:
+        absent = np.ones(grad.size, dtype=bool)
+        absent[present[k]] = False
+        grad[absent] += zero
 
 
 def _postorder(outputs) -> list[Expr]:
@@ -87,6 +120,8 @@ class _Lowering:
             "_abs": np.abs,
             "_overflow_pow": _overflow_pow,
             "DomainEvalError": DomainEvalError,
+            "_kink_error": kink_error,
+            "_inf": math.inf,
         }
         self.value: dict[int, str] = {}  # node id -> operand
         # node id -> {variable index: entry}, an entry being a float known
@@ -120,6 +155,75 @@ class _Lowering:
     def node_name(self, k: int, node: Expr) -> str:
         self.namespace[f"_n{k}"] = node
         return f"_n{k}"
+
+    def kink(self, e: Expr) -> str | None:
+        """The expression naming the first kink met under ``e``, or None."""
+        names = [self.kinks[id(n)] for n in _postorder((e,)) if id(n) in self.kinks]
+        return " or ".join(names) or None
+
+    def penalty(self, outputs, ineq: int) -> list[str]:
+        """Lines returning the smoothed penalty of ``outputs`` read as
+        (g, g_1..g_ineq, h_1..), and in grad mode its gradient too."""
+        terms: list[str] = []
+        for k, e in enumerate(outputs[1:], 1):
+            t = self.value[id(e)]
+            v = t if k <= ineq else f"abs({t})"
+            terms += [  # a NaN g_i counts as violated
+                f"if not {t} <= 0.0:" if k <= ineq else f"if {t} != 0.0:",
+                f"    pen = pen + rho * {v} ** power",
+            ]
+            if not self.grad:
+                continue
+            sgn = "" if k <= ineq else f" * (-1.0 if {t} < 0.0 else 1.0)"
+            terms.append(f"    coef = rho * power * {v} ** pm1{sgn}")
+            kink = self.kink(e)
+            if kink:
+                terms += [f"    if {kink}:", f"        raise _kink_error({kink})"]
+            for i, entry in sorted(self.entries[id(e)].items()):
+                term = "coef" if entry == 1.0 else f"coef * {self.operand(entry)}"
+                terms.append(f"    a{i} = a{i} + {term}")
+            terms += ["    if coef - coef != 0.0:", f"        nonfinite.append(({k}, coef * 0.0))"]
+        g = self.value[id(outputs[0])]
+        lines = ["pen = 0.0"]
+        if self.grad:
+            kink = self.kink(outputs[0])
+            if kink:
+                lines += [f"if {kink}:", f"    raise _kink_error({kink})"]
+            acc = {i for e in outputs[1:] for i in self.entries[id(e)]}
+            lines += [f"a{i} = 0.0" for i in sorted(acc)] + ["pm1 = power - 1.0", "nonfinite = []"]
+        if terms:
+            lines += ["try:", *("    " + s for s in terms), "except OverflowError:"]
+        if not self.grad:
+            overflow = ["    pen = _inf"] if terms else []
+            return lines + overflow + [f"return sign * {g} + pen"]
+        dg = self.entries[id(outputs[0])]
+        if terms:
+            dg_entries = ", ".join(self.operand(dg[i]) for i in sorted(dg))
+            lines.append(
+                f"    return sign * {g} + _inf, _overflowed(len(p), sign, _dgcols, [{dg_entries}])"
+            )
+        cols = sorted(acc | set(dg))
+        # sign*0.0 + a_i is a_i bit for bit: a sum from 0.0 is never -0.0
+        finals = [
+            f"sign * {self.operand(dg[i])} + {f'a{i}' if i in acc else '0.0'}" if i in dg else f"a{i}"
+            for i in cols
+        ]
+        self.namespace.update(
+            _zeros=np.zeros,
+            _cols=np.array(cols, dtype=np.intp),
+            _dgcols=np.array(sorted(dg), dtype=np.intp),
+            _present=[np.array(sorted(self.entries[id(e)]), dtype=np.intp) for e in outputs],
+            _overflowed=_overflowed,
+            _times_zero=_times_zero,
+        )
+        lines.append("grad = _zeros(len(p))")
+        if finals:
+            lines.append(f"grad[_cols] = [{', '.join(finals)}]")
+        return lines + [
+            "if nonfinite:",
+            "    _times_zero(grad, nonfinite, _present)",
+            f"return sign * {g} + pen, grad",
+        ]
 
     def operand(self, entry) -> str:
         return self.const(entry) if isinstance(entry, float) else entry
@@ -296,7 +400,9 @@ class Tape:
     ``points.shape[1:]`` per output, NaN where the point is outside a
     node's domain.  ``dim`` is one more than the largest variable index
     referenced.  The value kernel is compiled when the tape is made, the
-    others on their first call.
+    others on their first call.  ``penalty(ineq, grad)`` compiles a penalty
+    kernel ``(p, sign, rho, power)`` of the outputs read as (g, g_1..g_ineq,
+    h_1..) (see the module docstring).
     """
 
     def __init__(self, outputs):
@@ -328,11 +434,18 @@ class Tape:
             out[...] = v  # a fresh array, also where v is a float or a row of p
         return outs
 
-    def _compile(self, mode: str):
+    def penalty(self, ineq: int, grad: bool):
+        return self._compile("grad" if grad else "value", ineq)
+
+    def _compile(self, mode: str, ineq: int | None = None):
         low = _Lowering(self.outputs, mode)
         outs = ", ".join(low.value[id(e)] for e in self.outputs)
         body = [f"p{i} = p[{i}]" for i in sorted(low.used)] + low.lines
-        if mode != "grad":
+        args = "p"
+        if ineq is not None:
+            args = "p, sign, rho, power"
+            body += low.penalty(self.outputs, ineq)
+        elif mode != "grad":
             body.append(f"return [{outs}]")
         else:
             rows, cols, entries = [], [], []
@@ -349,11 +462,8 @@ class Tape:
             body.append(f"jac = _zeros(({len(self.outputs)}, len(p)))")
             if entries:
                 body.append(f"jac[_rows, _cols] = [{', '.join(entries)}]")
-            kinks = []
-            for e in self.outputs:
-                names = [low.kinks[id(n)] for n in _postorder((e,)) if id(n) in low.kinks]
-                kinks.append(" or ".join(names) or "None")
-            body.append(f"return [{outs}], jac, ({', '.join(kinks)},)")
-        source = "def kernel(p):\n" + "".join(f"    {line}\n" for line in body)
+            kinks = ", ".join(low.kink(e) or "None" for e in self.outputs)
+            body.append(f"return [{outs}], jac, ({kinks},)")
+        source = f"def kernel({args}):\n" + "".join(f"    {line}\n" for line in body)
         exec(compile(source, "<saddlelift kernel>", "exec"), low.namespace)
         return low.namespace["kernel"]

@@ -11,7 +11,9 @@ and the C^1 smoothed variants with exponent theta > 1:
     F_theta = g + rho * sum max(g_i,0)^theta + rho * sum |h_j|^theta
     G_theta = -g + ...
 
-F_theta, G_theta and G2 are one sum at power theta or 2.  The gradient of
+F_theta, G_theta and G2 are one sum at power theta or 2, evaluated by one
+call of the form's penalty kernel (:meth:`SaddleForm.smoothed_penalty`),
+at a SaddlePoint or at its point vector.  The gradient of
 v^theta at v = 0 is taken as exactly 0 (the one-sided limit), so they are
 differentiable everywhere.  A NaN g_i counts as violated in every penalty.
 Where a violation's power leaves the float range, the smoothed sum reads inf
@@ -23,11 +25,9 @@ projection.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .forms import SaddleForm, SaddlePoint, membership
+from .forms import FormError, SaddleForm, SaddlePoint, membership
 
 
 def _exact(form: SaddleForm, p: SaddlePoint):
@@ -51,69 +51,45 @@ def penalty_g(form: SaddleForm, p: SaddlePoint, rho: float) -> float:
     return float(-gval + rho * viol)
 
 
-def _smoothed(
-    form: SaddleForm, p: SaddlePoint, sign: float, rho: float, power: float, grad: bool
-):
-    """sign*g + rho * sum max(g_i,0)^power + rho * sum |h_j|^power at ``p``,
-    and with ``grad`` its full-space gradient (else None).  A NaN g_i counts
-    as violated, as in :func:`_exact` and :func:`membership`."""
-    if power <= 1:
+def _penalty_at(form: SaddleForm, p, sign: float, rho: float, power: float, grad: bool):
+    """:meth:`SaddleForm.smoothed_penalty` at ``p``, a point or its vector."""
+    if not power > 1:
         raise ValueError("smoothing exponent theta must be > 1")
-    if grad:
-        gval, ivals, evals, jac = form.values_grads(p.vec)
-        ggrad = jac(0)
-        out = np.zeros(p.vec.size)
-    else:
-        gval, ivals, evals = form.values(p.vec)
-    value = 0.0
-    try:
-        for k, gv in enumerate(ivals, 1):
-            if not gv <= 0.0:
-                value += rho * gv**power
-                if grad:
-                    out += rho * power * gv ** (power - 1.0) * jac(k)
-        for k, hv in enumerate(evals, 1 + len(ivals)):
-            if hv != 0.0:
-                value += rho * abs(hv) ** power
-                if grad:
-                    out += rho * power * abs(hv) ** (power - 1.0) * np.sign(hv) * jac(k)
-    except OverflowError:
-        # a float power left the float range: the penalty is infinite there
-        value = math.inf
-        if grad:
-            out = np.full(p.vec.size, math.nan)
-    return float(sign * gval + value), (sign * ggrad + out if grad else None)
+    v = p.vec if isinstance(p, SaddlePoint) else np.asarray(p, dtype=float)
+    if v.shape != (form.partition.total,):
+        raise FormError(f"point has shape {v.shape}, partition needs ({form.partition.total},)")
+    return form.smoothed_penalty(v, sign, rho, power, grad)
 
 
-def penalty_f_theta_value(form: SaddleForm, p: SaddlePoint, rho: float, theta: float) -> float:
-    return _smoothed(form, p, 1.0, rho, theta, False)[0]
+def penalty_f_theta_value(form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float, theta: float) -> float:
+    return _penalty_at(form, p, 1.0, rho, theta, False)
 
 
-def penalty_g_theta_value(form: SaddleForm, p: SaddlePoint, rho: float, theta: float) -> float:
-    return _smoothed(form, p, -1.0, rho, theta, False)[0]
+def penalty_g_theta_value(form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float, theta: float) -> float:
+    return _penalty_at(form, p, -1.0, rho, theta, False)
 
 
 def penalty_f_theta(
-    form: SaddleForm, p: SaddlePoint, rho: float, theta: float
+    form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float, theta: float
 ) -> tuple[float, np.ndarray]:
     """Smoothed F with its full-space gradient."""
-    return _smoothed(form, p, 1.0, rho, theta, True)
+    return _penalty_at(form, p, 1.0, rho, theta, True)
 
 
 def penalty_g_theta(
-    form: SaddleForm, p: SaddlePoint, rho: float, theta: float
+    form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float, theta: float
 ) -> tuple[float, np.ndarray]:
     """Smoothed G with its full-space gradient."""
-    return _smoothed(form, p, -1.0, rho, theta, True)
+    return _penalty_at(form, p, -1.0, rho, theta, True)
 
 
-def penalty_g2(form: SaddleForm, p: SaddlePoint, rho: float) -> tuple[float, np.ndarray]:
+def penalty_g2(form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float) -> tuple[float, np.ndarray]:
     """Squared-violation penalty -g + rho*sum max(g_i,0)^2 + rho*sum h_j^2.
 
     C^1 everywhere, and convex in the z block whenever every g_i is convex
     and every h_j affine there.
     """
-    return _smoothed(form, p, -1.0, rho, 2.0, True)
+    return _penalty_at(form, p, -1.0, rho, 2.0, True)
 
 
 def eps_feasible(form: SaddleForm, p: SaddlePoint, eps: float) -> bool:
@@ -121,7 +97,7 @@ def eps_feasible(form: SaddleForm, p: SaddlePoint, eps: float) -> bool:
     :func:`~saddlelift.forms.membership` at tolerance eps, whose rule counts
     a NaN constraint value as violated.  Constraints are not evaluated
     outside the box."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be > 0")
     if form.box.excess(p.vec) > eps:
         return False

@@ -65,16 +65,19 @@ class SolverParams:
     inner: InnerParams = field(default_factory=InnerParams)
 
     def __post_init__(self):
-        if self.eps <= 0:
+        # each check written so that NaN fails it
+        if not self.eps > 0:
             raise ValueError("eps must be > 0")
-        if self.rho1 < 1:
+        if not self.rho1 >= 1:
             raise ValueError("rho1 must be >= 1")
-        if self.growth <= 1:
+        if not self.growth > 1:
             raise ValueError("growth factor must be > 1")
-        if self.theta <= 1:
+        if not self.theta > 1:
             raise ValueError("theta must be > 1")
-        if self.rho_cap < self.rho1:
+        if not self.rho_cap >= self.rho1:
             raise ValueError("rho_cap must be >= rho1")
+        if not isinstance(self.max_outer, int) or self.max_outer < 0:
+            raise ValueError("max_outer must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class InnerResult:
     converged: bool
 
 
-def inner_minimize(obj, lower, upper, start, params: InnerParams) -> InnerResult:
+def inner_minimize(obj, lower, upper, start) -> InnerResult:
     """Projected gradient descent over a box.
 
     ``obj(p, need_grad)`` returns (value, gradient-or-None).  Iterates stay
@@ -223,7 +226,7 @@ def inner_minimize_multistart(
     """
     from . import expr as ex
 
-    best = inner_minimize(obj, lower, upper, start, params)
+    best = inner_minimize(obj, lower, upper, start)
     if params.restarts > 0 and rng is not None:
         if window is None:
             wlo, whi = ex.sample_window(lower, upper)
@@ -231,7 +234,7 @@ def inner_minimize_multistart(
             wlo, whi = window
         for _ in range(params.restarts):
             s = rng.uniform(wlo, whi)
-            cand = inner_minimize(obj, lower, upper, s, params)
+            cand = inner_minimize(obj, lower, upper, s)
             if cand.value < best.value or (
                 cand.value == best.value and _lex_less(cand.point, best.point)
             ):
@@ -241,17 +244,16 @@ def inner_minimize_multistart(
 
 def _block_objective(form: SaddleForm, base, block, penalty, penalty_value, rho, theta):
     """``obj(sub, need_grad)`` for :func:`inner_minimize`: a smoothed penalty
-    over the coordinates ``block`` of ``base``, the others held fixed."""
-    part = form.partition
+    over the coordinates ``block`` of ``base``, the others held fixed.  Each
+    trial writes the block into one full vector and passes that vector."""
     full = np.array(base, dtype=float)
 
     def obj(sub, need_grad):
         full[block] = sub
-        sp = SaddlePoint(part, full)
         if need_grad:
-            v, grad = penalty(form, sp, rho, theta)
+            v, grad = penalty(form, full, rho, theta)
             return v, grad[block]
-        return penalty_value(form, sp, rho, theta), None
+        return penalty_value(form, full, rho, theta), None
 
     return obj
 

@@ -8,9 +8,12 @@ silently at zero; this test makes it fail instead.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from saddlelift import expr as ex
+from saddlelift.catalog import make_catalog_form
+from saddlelift.solver import SolverParams, alternating_penalty_solve
 
 _PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -40,3 +43,18 @@ def test_tracer_replaces_a_binding_of_every_target(tracing):
     # and the originals are back
     assert all(getattr(ex.Expr, name) is orig for _, name, orig in methods)
     assert all(vars(m)[name] is orig for m, name, orig in traced)
+
+
+def test_tracer_counts_every_penalty_trial(tracing):
+    # Counts recorded for this solve before the penalties were fused into
+    # the form's kernels, when every trial still went through the traced
+    # entry points.  A fast path that bypasses the names the tracer wraps
+    # would zero these counters in the benchmark; here it fails instead.
+    form = make_catalog_form("maxabs_minus_sum", n=2)
+    start = np.concatenate([np.arange(1.0, 6.0), -1000.0 * np.arange(1, 3)])
+    with tracing.Tracer() as tracer:
+        res = alternating_penalty_solve(form, SolverParams(max_outer=4), start=start)
+    assert res.converged and len(res.trace) == 3
+    assert tracer.calls["penalty.value"] == 13349
+    assert tracer.calls["penalty.grad"] == 3193
+    assert tracer.counts["solver.inner.iters"] == 3211

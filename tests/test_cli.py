@@ -148,6 +148,20 @@ def test_bad_solver_parameters_exit_one(tmp_path, capsys, solver):
     assert "error: bad solver parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "solver", [{"eps": float("nan"), "theta": float("nan")}, {"max_outer": float("nan")}]
+)
+def test_nan_solver_parameters_exit_one(tmp_path, capsys, solver):
+    # json reads NaN; the checks used to pass it, and the solve exited 0 or
+    # (for max_outer) ended in a TypeError traceback
+    path = _write(tmp_path, {**_dc_problem(), "solver": solver})
+    assert "NaN" in Path(path).read_text()
+    assert cli.main(["solve", path]) == 1
+    captured = capsys.readouterr()
+    assert "error: bad solver parameters" in captured.err
+    assert captured.out == ""
+
+
 _INLINE = {"partition": [1, 0, 0], "g": "(sq x0)"}
 
 

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import saddlelift.penalty as pe
 from saddlelift import expr as ex
-from saddlelift.catalog import make_catalog_form
+from saddlelift.catalog import make_catalog_form, trivial_convex
 from saddlelift.forms import (
     Box,
     FormError,
@@ -17,7 +18,7 @@ from saddlelift.forms import (
     membership,
     witness_eval,
 )
-from test_kernels import FORMS
+from test_kernels import FORMS, _kink_form
 
 
 @pytest.fixture(scope="module")
@@ -316,3 +317,139 @@ def test_shared_smoothed_sum_matches_the_separate_sums(name):
                 for g, w in zip(got, want):
                     scale = np.abs(w[np.isfinite(w)]).max(initial=0.0)
                     np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * scale)
+
+
+# -- reference: the smoothed sum as a plain loop over the dense Jacobian, the
+#    arithmetic the penalty kernels' epilogue writes out term for term
+
+
+def _plain_sum(form, v, sign, rho, power, grad):
+    if not power > 1:
+        raise ValueError("smoothing exponent theta must be > 1")
+    if grad:
+        gval, ivals, evals, jac = form.values_grads(v)
+        ggrad = jac(0)
+        out = np.zeros(v.size)
+    else:
+        gval, ivals, evals = form.values(v)
+    value = 0.0
+    try:
+        for k, gv in enumerate(ivals, 1):
+            if not gv <= 0.0:
+                value += rho * gv**power
+                if grad:
+                    out += rho * power * gv ** (power - 1.0) * jac(k)
+        for k, hv in enumerate(evals, 1 + len(ivals)):
+            if hv != 0.0:
+                value += rho * abs(hv) ** power
+                if grad:
+                    out += rho * power * abs(hv) ** (power - 1.0) * np.sign(hv) * jac(k)
+    except OverflowError:
+        value = math.inf
+        if grad:
+            out = np.full(v.size, math.nan)
+    if grad:
+        return float(sign * gval + value), sign * ggrad + out
+    return float(sign * gval + value)
+
+
+def _bits(fn, *args):
+    """As :func:`_bytes`, with every NaN made one NaN: which NaN operand a
+    CPython float operation returns changes once the interpreter has
+    specialised the operation, so NaN sign and payload are not reproducible
+    even between two calls of one function."""
+    out = _arrays(fn, *args)
+    return out if isinstance(out, type) else [np.where(np.isnan(o), math.nan, o).tobytes() for o in out]
+
+
+def _fused_matches_plain(form, v, sign, rho, power):
+    with np.errstate(all="ignore"):
+        for grad in (False, True):
+            args = (v, sign, rho, power, grad)
+            assert _bits(form.smoothed_penalty, *args) == _bits(_plain_sum, form, *args)
+
+
+EQUIV_FORMS = {
+    **FORMS,
+    **{f"maxabs_n{n}": make_catalog_form("maxabs_minus_sum", n=n) for n in (2, 5, 10)},
+    "bowl": trivial_convex(ex.square(ex.var(0) - 2.0) + ex.square(ex.var(1)), 2, "bowl"),
+}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(EQUIV_FORMS)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1.0, 1e3, 1e160]),
+    at_witness=st.booleans(),
+    sign=st.sampled_from([1.0, -1.0]),
+    rho=st.sampled_from([10.0, 1e6, 1e12]),
+    power=st.sampled_from([1.01, 1.5, 2.0]),
+)
+def test_fused_penalty_kernels_match_the_plain_sum_bit_for_bit(
+    name, seed, scale, at_witness, sign, rho, power
+):
+    # values and gradients by their bytes, exceptions by their type; witness
+    # points put constraints exactly at 0, where the kinks and branches are
+    form = EQUIV_FORMS[name]
+    rng = np.random.default_rng(seed)
+    lo, hi = form.effective_window()
+    v = rng.uniform(lo, hi) * scale
+    if at_witness and form.witness is not None:
+        try:
+            with np.errstate(all="ignore"):
+                v = witness_eval(form, form.sample_x(rng, 1)[0] * scale, check=False).vec
+        except (ex.ExprError, FormError, ArithmeticError):
+            pass  # some witness maps overflow in Python floats at large x
+    _fused_matches_plain(form, v, sign, rho, power)
+
+
+def test_fused_penalty_named_cases():
+    # a NaN constraint: value NaN and every gradient entry NaN
+    form = _nan_form()
+    v = np.array([1e200])
+    _fused_matches_plain(form, v, 1.0, 10.0, 1.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = form.smoothed_penalty(v, 1.0, 10.0, 1.01, True)
+    assert math.isnan(value) and np.isnan(grad).all()
+    # an overflowing violation: value inf, gradient NaN
+    form = make_catalog_form("sgn2_a")
+    v = np.zeros(form.partition.total)
+    v[0] = -1e306
+    for sign in (1.0, -1.0):
+        _fused_matches_plain(form, v, sign, 10.0, 1.01)
+        value, grad = form.smoothed_penalty(v, sign, 10.0, 1.01, True)
+        assert value == math.inf and np.isnan(grad).all()
+    # a RealPow kink raises in an active constraint only
+    active, inactive = _kink_form(1.0), _kink_form(-1.0)
+    origin = np.zeros(1)
+    _fused_matches_plain(active, origin, 1.0, 10.0, 1.5)
+    with pytest.raises(ex.NondifferentiableError):
+        active.smoothed_penalty(origin, 1.0, 10.0, 1.5, True)
+    assert active.smoothed_penalty(origin, 1.0, 10.0, 1.5, False) == 10.0
+    _fused_matches_plain(inactive, origin, 1.0, 10.0, 1.5)
+    assert inactive.smoothed_penalty(origin, 1.0, 10.0, 1.5, True)[0] == 0.0
+
+
+def test_penalty_entries_take_a_point_or_its_vector(f41):
+    p = _pt(f41, [1.0, 0.5, 0.25])
+    for fn, args in (
+        (pe.penalty_f_theta_value, (10.0, 1.01)),
+        (pe.penalty_g_theta_value, (10.0, 1.01)),
+        (pe.penalty_f_theta, (10.0, 1.01)),
+        (pe.penalty_g_theta, (10.0, 1.01)),
+        (pe.penalty_g2, (10.0,)),
+    ):
+        assert _bytes(fn, f41, p.vec.copy(), *args) == _bytes(fn, f41, p, *args)
+        with pytest.raises(FormError):
+            fn(f41, np.zeros(2), *args)
+        with pytest.raises(FormError):
+            fn(f41, np.zeros((3, 1)), *args)
+
+
+def test_smoothed_entries_reject_a_nan_theta(f41):
+    # NaN passed the old guard `theta <= 1` and F_theta read 23.0 here
+    p = _pt(f41, [1, 1, 0])
+    for fn in (pe.penalty_f_theta_value, pe.penalty_g_theta_value, pe.penalty_f_theta, pe.penalty_g_theta):
+        with pytest.raises(ValueError):
+            fn(f41, p, 10.0, math.nan)

@@ -30,13 +30,13 @@ def _quad_obj(center):
 
 
 def test_inner_unconstrained_quadratic():
-    res = inner_minimize(_quad_obj(np.array([3.0])), [0.0], [10.0], [0.0], InnerParams())
+    res = inner_minimize(_quad_obj(np.array([3.0])), [0.0], [10.0], [0.0])
     assert res.converged
     assert res.point[0] == pytest.approx(3.0, abs=1e-6)
 
 
 def test_inner_boundary_quadratic():
-    res = inner_minimize(_quad_obj(np.array([3.0])), [0.0], [2.0], [0.0], InnerParams())
+    res = inner_minimize(_quad_obj(np.array([3.0])), [0.0], [2.0], [0.0])
     assert res.point[0] == pytest.approx(2.0, abs=1e-8)
 
 
@@ -45,7 +45,7 @@ def test_inner_nonfinite_start_rejected():
         return float("nan"), np.zeros(1)
 
     with pytest.raises(ValueError):
-        inner_minimize(obj, [0.0], [1.0], [0.5], InnerParams())
+        inner_minimize(obj, [0.0], [1.0], [0.5])
 
 
 def test_inner_descent_is_monotone_and_in_box():
@@ -65,7 +65,7 @@ def test_inner_descent_is_monotone_and_in_box():
             return v, grad[:2]
         return penalty_f_theta_value(form, sp, 10.0, 1.01), None
 
-    res = inner_minimize(obj, lo[:2], hi[:2], np.array([1.0, 1.0]), InnerParams())
+    res = inner_minimize(obj, lo[:2], hi[:2], np.array([1.0, 1.0]))
     values = [v for _, v in accepted]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     assert len(values) > 2
@@ -273,6 +273,12 @@ def test_multistart_tie_break_is_lexicographic():
     assert res.point[0] == min(candidates)
 
 
+@pytest.mark.parametrize("field", ["eps", "rho1", "growth", "theta", "rho_cap", "max_outer"])
+def test_solver_params_reject_nan(field):
+    with pytest.raises(ValueError):
+        SolverParams(**{field: float("nan")})
+
+
 def test_solver_params_validated():
     with pytest.raises(ValueError):
         SolverParams(eps=0.0)
@@ -322,3 +328,57 @@ def test_golden_trajectory_maxabs_n5():
     assert res.diagnostic == (
         "inner xy: pg=4.975e-01 its=8; inner z: pg=5.530e-01 its=10"
     )
+
+
+# Recorded before the smoothed penalties were fused into the form's kernels:
+# the n=5 max-abs solve from the z<0 acceptance start, whose first xy solve
+# runs 366 inner iterations through coordinate refinement.
+GOLDEN_N5_ZNEG_TRACE = (
+    "k,rho,F,G,P,step_norm,f_ref\n"
+    "1,10,-0.0112183771,0.0112183771,0,22.3872591,1.14857565e-09\n"
+    "2,1000,-0.0111840118,0.0111840118,0,1.62540164e-05,1.06304841e-08\n"
+    "3,100000,-0.0111840118,0.0111840118,0,1.40305997e-09,9.22742417e-09\n"
+)
+GOLDEN_N5_ZNEG_POINT = (
+    "a4386d03acc012bea4c1c0d00a1422beae00aacc082930beaa1831447999153e"
+    "446eeadcad87173ed2d493a80737a83fd1d493a80737a83fd1d493a80737a83f"
+    "b9d493a80737a83fb9d493a80737a83fd2d493a80737a83f9f10331fea52623f"
+    "9e10331fea52623f9e10331fea52623f7910331fea52623f7910331fea52623f"
+)
+
+
+def test_golden_trajectory_maxabs_n5_negative_z_start():
+    n = 5
+    form = make_catalog_form("maxabs_minus_sum", n=n)
+    params = SolverParams(eps=1e-6, rho1=10.0, growth=100.0, theta=1.01, max_outer=20)
+    res = alternating_penalty_solve(form, params, start=_p51_start(n, -1.0), seed=0)
+    assert trace_to_csv(res.trace) == GOLDEN_N5_ZNEG_TRACE
+    assert res.point.vec.tobytes().hex() == GOLDEN_N5_ZNEG_POINT
+    assert res.diagnostic == (
+        "inner xy: pg=2.025e+00 its=366; inner z: pg=5.002e-03 its=2"
+    )
+
+
+# Recorded with the trajectories above: exactness_probe reaches the block
+# objective by its own path, with multistart windows around the point.
+GOLDEN_PROBE_ROWS = (
+    # rho, F at candidate, F at point, G at candidate, G at point (float.hex)
+    ("0x0.0p+0", "-0x1.0000000000000p+1", "-0x1.7f00000000000p+0",
+     "-0x1.0200000000000p-1", "0x1.7f00000000000p+0"),
+    ("0x1.8000000000000p+1", "-0x1.0000000000000p+1", "-0x1.7f00000000000p+0",
+     "-0x1.fffffffffff80p-9", "0x1.7f00000000000p+0"),
+    ("0x1.f400000000000p+9", "-0x1.0000000000000p+1", "-0x1.7f00000000000p+0",
+     "-0x1.0000000000000p-8", "0x1.7f00000000000p+0"),
+)
+
+
+def test_golden_exactness_probe_rows():
+    form = make_catalog_form("abs_power")
+    p = SaddlePoint(form.partition, np.array([0.5, 0.25, 1.0]))
+    rows = exactness_probe(form, p, [0.0, 3.0, 1000.0], restarts=4, seed=2)
+    got = tuple(
+        tuple(float(v).hex() for v in (r.rho, r.f_at_candidate, r.f_at_point, r.g_at_candidate, r.g_at_point))
+        for r in rows
+    )
+    assert got == GOLDEN_PROBE_ROWS
+    assert all(r.f_improved and r.g_improved for r in rows)
