@@ -24,6 +24,7 @@ from .forms import (
     VarPartition,
     WitnessAbsentError,
     WitnessInfeasibleError,
+    WitnessOverflowError,
     membership,
     validate_form,
     witness_eval,
@@ -66,6 +67,7 @@ __all__ = [
     "VarPartition",
     "WitnessAbsentError",
     "WitnessInfeasibleError",
+    "WitnessOverflowError",
     "algebra",
     "alternating_penalty_solve",
     "audit",

@@ -24,7 +24,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expr import ExprError
-from .forms import FormError, SaddleForm, witness_eval, witness_report
+from .forms import (
+    FormError,
+    SaddleForm,
+    WitnessOverflowError,
+    reference_value,
+    witness_eval,
+    witness_report,
+)
 
 _CHUNK = 200_000
 
@@ -71,7 +78,14 @@ def _default_bounds(form: SaddleForm, x: np.ndarray) -> list[tuple[float, float]
 def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     """(value, achieving point) of min over grid-y of max over grid-z of g
     restricted to grid points feasible at grid.feas_tol; (+inf, None) when no
-    grid point is feasible."""
+    grid point is feasible.
+
+    The grid is evaluated open, per chunk of whole y slices: each x
+    coordinate as a (1, 1) array, the chunk's y points as (rows, 1) arrays
+    built from the chunk's own indices, and the z mesh as (1, nz) arrays
+    built once per scan, so memory stays bounded by _CHUNK, a subexpression
+    of x alone is computed once per chunk and one of x and y once per
+    slice.  Only the achieving point is built as a vector."""
     part = form.partition
     if part.m1 + part.m2 > 4:
         raise FormError(
@@ -88,16 +102,16 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
             f"grid needs {part.m1 + part.m2} axis bounds, got {len(bounds)}"
         )
     axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in bounds]
-    shape = (grid.resolution,) * len(axes)
+
     ny, nz = grid.resolution**part.m1, grid.resolution**part.m2
 
-    def points(flat):
-        """The grid points at flat indices, y-major, as (total, len(flat))."""
-        pts = np.empty((part.total, flat.size))
-        pts[: part.n] = x[:, None]
-        for k, i in enumerate(np.unravel_index(flat, shape) if axes else ()):
-            pts[part.n + k] = axes[k][i]
-        return pts
+    def ys(flat):
+        """The y coordinates of the slices at flat indices, one per y axis."""
+        idx = np.unravel_index(flat, (grid.resolution,) * part.m1) if part.m1 else ()
+        return [axes[j][i] for j, i in enumerate(idx)]
+
+    xs = list(x.reshape(-1, 1, 1))
+    zs = [m.reshape(1, -1) for m in np.meshgrid(*axes[part.m1 :], indexing="ij")]
 
     # per y slice: max of g over its feasible z (-inf when there is none) and
     # the first z achieving it; chunks hold whole slices
@@ -107,8 +121,8 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     checks = [(gi, False) for gi in form.ineq] + [(hj, True) for hj in form.eq]
     for s in range(0, ny, rows):
         e = min(s + rows, ny)
-        pts = points(np.arange(s * nz, e * nz))
-        feas = np.ones(pts.shape[1], dtype=bool)
+        pts = xs + [y[:, None] for y in ys(np.arange(s, e))] + zs
+        feas = np.ones((e - s, nz), dtype=bool)
         # per constraint, so a chunk stops at the first one leaving no point feasible
         for c, is_eq in checks:
             vals = c.value_batch(pts)
@@ -118,7 +132,6 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
         else:
             g = form.g.value_batch(pts)
             g[np.isnan(g) | ~feas] = -math.inf
-            g = g.reshape(e - s, nz)
             slice_arg[s:e] = g.argmax(axis=1)
             slice_max[s:e] = g[np.arange(e - s), slice_arg[s:e]]
     # a slice whose max is -inf has no feasible z; one whose max is +inf never wins
@@ -126,7 +139,8 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     k = int(np.argmin(slice_max))
     if slice_max[k] == math.inf:
         return math.inf, None
-    return float(slice_max[k]), points(np.array([k * nz + slice_arg[k]]))[:, 0]
+    point = [*x, *ys(k), *(z[0, slice_arg[k]] for z in zs)]
+    return float(slice_max[k]), np.array(point)
 
 
 def grid_minmax(form: SaddleForm, x, grid: GridSpec | None = None) -> float:
@@ -226,7 +240,10 @@ def identity_audit(
     rows = []
     for x in xs:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        ref = form.reference(x)
+        try:
+            ref = reference_value(form, x)
+        except WitnessOverflowError:
+            ref = math.nan  # out of the float range: no gap can pass
         wval, wfeas, wgap = _witness_row(form, x)
         gx = grid
         if grid.bounds is None:

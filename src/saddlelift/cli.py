@@ -39,8 +39,6 @@ from .forms import (
     SaddleForm,
     SaddlePoint,
     VarPartition,
-    WitnessAbsentError,
-    WitnessInfeasibleError,
     witness_report,
 )
 from .solver import (
@@ -322,7 +320,7 @@ def cmd_witness(args) -> int:
     x = _parse_vector(args.x, form.partition.n, "--x")
     try:
         report = witness_report(form, x, check=True)
-    except (WitnessAbsentError, WitnessInfeasibleError) as err:
+    except FormError as err:  # no witness, or one that breaks the identity or overflows
         _emit({"form": form.name, "error": str(err)})
         return 2
     p = report.point

@@ -75,7 +75,9 @@ class Expr:
         return float(tape.value(p.tolist())[0])
 
     def value_batch(self, points: np.ndarray) -> np.ndarray:
-        """Lenient vectorized value over ``points`` of shape (dim, N).
+        """Lenient vectorized value over ``points``, a sequence of ``dim``
+        per-variable arrays that broadcast against each other (the rows of a
+        (dim, N) array, or an open grid), at their broadcast shape.
 
         Out-of-domain entries become NaN instead of raising; callers treat
         NaN as infeasible.

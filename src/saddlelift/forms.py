@@ -39,6 +39,10 @@ class WitnessInfeasibleError(FormError):
     """The stored witness breaks feasibility or the value identity."""
 
 
+class WitnessOverflowError(FormError):
+    """The witness map or the reference left the float range."""
+
+
 @dataclass(frozen=True)
 class VarPartition:
     """Dimensions of the x, y, z blocks."""
@@ -345,8 +349,23 @@ def witness_eval(form: SaddleForm, x, check: bool = True) -> SaddlePoint:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.shape != (form.partition.n,):
         raise FormError(f"x has shape {xv.shape}, expected ({form.partition.n},)")
-    y, z = form.witness(xv)
+    try:
+        y, z = form.witness(xv)
+    except OverflowError as err:
+        raise WitnessOverflowError(
+            f"witness map of {form.name!r} overflows at x={xv.tolist()}: {err}"
+        ) from err
     return SaddlePoint.from_blocks(form.partition, xv, y, z)
+
+
+def reference_value(form: SaddleForm, x) -> float:
+    """The form's reference f(x); an overflow raises :class:`WitnessOverflowError`."""
+    try:
+        return form.reference(x)
+    except OverflowError as err:
+        raise WitnessOverflowError(
+            f"reference of {form.name!r} overflows at x={np.asarray(x).tolist()}: {err}"
+        ) from err
 
 
 @dataclass(frozen=True)
@@ -377,7 +396,8 @@ def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
     """Evaluate the witness at ``x`` and measure the witness identity there.
 
     Evaluation errors (:class:`~saddlelift.expr.ExprError`, and
-    :class:`FormError` for a missing or malformed witness) propagate.  With
+    :class:`FormError` for a missing or malformed witness or one whose map
+    or reference overflows) propagate.  With
     ``check``, a point infeasible at 1e-9 or a gap above 1e-9 raises
     :class:`WitnessInfeasibleError`.
     """
@@ -386,7 +406,7 @@ def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
         p,
         membership(form, p, D2_TOL),
         form.values(p.vec)[0],
-        None if form.reference is None else form.reference(p.x),
+        None if form.reference is None else reference_value(form, p.x),
     )
     if check and not report.membership.feasible:
         raise WitnessInfeasibleError(

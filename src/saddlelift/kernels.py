@@ -8,10 +8,12 @@ evaluates it (a square's gradient is (2.0*v)*g_i, sums add left to right
 from 0.0 with explicit '+'), so every value and gradient is bitwise
 reproducible.  The gradient kernel is sparse forward mode: a node carries
 only the gradient entries of the variables below it.  The batch kernel
-writes the value kernel's statements over rows of a (dim, N) array of
-points, with numpy's exp/log/sin and NaN where the value kernel raises a
-domain error; each temporary is deleted after its last reader, so peak
-memory stays near that of evaluating the tree node by node.  Only names,
+writes the value kernel's statements over numpy arrays, one per variable:
+the rows of a (dim, N) array of points or the axes of an open grid that
+broadcast against each other, with numpy's exp/log/sin and NaN where the
+value kernel raises a domain error.  Each temporary is deleted after its
+last reader, so peak memory stays near that of evaluating the tree node by
+node.  Every kernel is compiled on its first call.  Only names,
 indices, ints and reprs of finite floats are written into the source;
 other constants and the nodes named by errors are passed in the namespace.
 
@@ -35,6 +37,7 @@ constraints.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -396,40 +399,48 @@ class Tape:
     evaluation order) where the gradient does not exist, or None; a
     gradient is only valid where that entry is None.  Domain errors raise
     :class:`DomainEvalError` from either kernel.  ``value_batch(points)``
-    evaluates every column of a (dim, N) array, giving one array of shape
-    ``points.shape[1:]`` per output, NaN where the point is outside a
-    node's domain.  ``dim`` is one more than the largest variable index
-    referenced.  The value kernel is compiled when the tape is made, the
-    others on their first call.  ``penalty(ineq, grad)`` compiles a penalty
-    kernel ``(p, sign, rho, power)`` of the outputs read as (g, g_1..g_ineq,
-    h_1..) (see the module docstring).
+    evaluates many points at once, NaN where a point is outside a node's
+    domain: ``points`` is a sequence of per-variable arrays that broadcast
+    against each other, giving one array of their broadcast shape per
+    output.  The rows of a (dim, N) array are one such sequence, giving
+    shape (N,); an open grid is another.  On an open grid a subexpression
+    is evaluated at its operands' shape, so one reading only x is computed
+    once, not once per point; every operation is elementwise, so each point
+    gets the same IEEE operations as on the dense grid.  ``dim`` is one more
+    than the largest variable index referenced.  Every kernel is compiled
+    on its first call.  ``penalty(ineq, grad)`` compiles a penalty kernel
+    ``(p, sign, rho, power)`` of the outputs read as (g, g_1..g_ineq, h_1..)
+    (see the module docstring).
     """
 
     def __init__(self, outputs):
         self.outputs = tuple(outputs)
         leaves = (n for n in _postorder(self.outputs) if isinstance(n, (Var, Affine)))
         self.dim = 1 + max((n.max_index() for n in leaves), default=-1)
-        self.value = self._compile("value")
-        self._value_grad = None
-        self._value_batch = None
 
-    def value_grad(self, p: list) -> tuple[list, np.ndarray, tuple]:
-        if self._value_grad is None:
-            self._value_grad = self._compile("grad")
-        return self._value_grad(p)
+    @cached_property
+    def value(self):
+        return self._compile("value")
+
+    @cached_property
+    def value_grad(self):
+        return self._compile("grad")
+
+    @cached_property
+    def _batch(self):
+        return self._compile("batch")
 
     def value_batch(self, points) -> list[np.ndarray]:
-        if self._value_batch is None:
-            self._value_batch = self._compile("batch")
-        p = np.asarray(points, dtype=float)
-        if p.shape[0] < self.dim:
+        p = [np.asarray(row, dtype=float) for row in points]
+        shape = np.broadcast_shapes(*(row.shape for row in p))
+        if len(p) < self.dim:
             raise DimensionError(
                 f"expressions reference index {self.dim - 1} "
-                f"but points have dimension {p.shape[0]}"
+                f"but points have dimension {len(p)}"
             )
         with np.errstate(all="ignore"):
-            values = self._value_batch(p)
-        outs = [np.empty(p.shape[1:]) for _ in values]
+            values = self._batch(p)
+        outs = [np.empty(shape) for _ in values]
         for out, v in zip(outs, values):
             out[...] = v  # a fresh array, also where v is a float or a row of p
         return outs

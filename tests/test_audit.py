@@ -10,6 +10,7 @@ from saddlelift.audit import (
     CLASS_FAILED,
     GridSpec,
     RegistryEntry,
+    _default_bounds,
     grid_minmax,
     identity_audit,
     load_registry,
@@ -23,6 +24,7 @@ from saddlelift.forms import (
     SaddleForm,
     VarPartition,
     WitnessInfeasibleError,
+    WitnessOverflowError,
     validate_form,
     witness_report,
 )
@@ -116,6 +118,37 @@ def test_nan_objective_at_the_witness_fails_the_identity():
         witness_report(form, [1e200], check=True)
     assert "witness identity" in [it.label for it in validate_form(form, samples=5).failures()]
     assert registry_sweep([form])["nan_objective"].classification == CLASS_FAILED
+
+
+def test_overflowing_witness_or_reference_fails_the_audit():
+    # (x + y - 1.0) ** 2 in Python floats overflows in the witness map at 1e160
+    form = make_catalog_form("l0_scalar_reg")
+    x = np.array([1e160])
+    with pytest.raises(WitnessOverflowError):
+        witness_report(form, x)
+    # the window alone bounds the grid
+    assert np.isfinite(_default_bounds(form, x)).all()
+    with np.errstate(over="ignore"):  # the reference overflows to inf in numpy
+        rep = identity_audit(form, [x], GridSpec(resolution=11))
+    assert rep.classification == CLASS_FAILED
+    assert math.isinf(rep.rows[0].witness_gap)
+
+    def reference(x):
+        return math.exp(x[0])  # OverflowError above ~709.8
+
+    big = SaddleForm(
+        name="exp_reference",
+        partition=VarPartition(1, 0, 1),
+        box=Box.whole(2),
+        g=ex.var(0),
+        witness=lambda x: (np.empty(0), np.zeros(1)),
+        reference=reference,
+    )
+    with pytest.raises(WitnessOverflowError):
+        witness_report(big, [1000.0])
+    rep = identity_audit(big, [np.array([1000.0])], GridSpec(resolution=11))
+    assert rep.classification == CLASS_FAILED
+    assert math.isnan(rep.rows[0].reference) and math.isnan(rep.rows[0].oracle_gap)
 
 
 def test_refinement_shrinks_with_resolution():

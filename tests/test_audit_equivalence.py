@@ -223,12 +223,12 @@ def test_curvature_audit_skips_nan_values():
 class _Counter:
     def __init__(self, monkeypatch, name):
         self.calls = 0
-        self.sizes = []  # last axis of the first argument: points per batch call
+        self.sizes = []  # points per batch call: the size of the rows' broadcast shape
         method = getattr(ex.Expr, name)
 
         def counted(expr, *args, **kw):
             self.calls += 1
-            self.sizes.append(np.shape(args[0])[-1])
+            self.sizes.append(math.prod(np.broadcast_shapes(*map(np.shape, args[0]))))
             return method(expr, *args, **kw)
 
         monkeypatch.setattr(ex.Expr, name, counted)
@@ -258,6 +258,29 @@ def test_grid_scan_without_early_exit_makes_every_call(chunk, calls, monkeypatch
     batch = _Counter(monkeypatch, "value_batch")
     _grid_scan(form, [0.5], GridSpec(resolution=res))
     assert batch.calls == calls
+
+
+def _root(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_grid_scan_arrays_stay_within_a_chunk(monkeypatch):
+    # m1 = 3, m2 = 1 at resolution 11: 1331 y slices of 11 points.  Every
+    # array a batch call sees, and the array it views, holds at most a
+    # chunk's points, never one per y slice of the whole grid
+    monkeypatch.setattr(audit, "_CHUNK", 40)
+    part = VarPartition(1, 3, 1)
+    y = [ex.var(i) for i in range(1, 5)]
+    form = _form("wide_y", part, y[0] + y[1] + y[2] - ex.square(y[3]))
+    batch = []
+    method = ex.Expr.value_batch
+    monkeypatch.setattr(ex.Expr, "value_batch", lambda e, pts: batch.append(pts) or method(e, pts))
+    value, point = _grid_scan(form, [0.5], GridSpec(resolution=11))
+    assert len(batch) == -(-11**3 // 3)
+    assert max(_root(np.asarray(a)).size for pts in batch for a in pts) <= 40
+    assert _bits(value, point) == _bits(*_ref_grid_scan(form, np.array([0.5]), GridSpec(resolution=11)))
 
 
 def test_curvature_audit_is_one_batch_call(monkeypatch):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from saddlelift import expr as ex
+from saddlelift.audit import CLASS_D2_ONLY, GridSpec, identity_audit
 from saddlelift.catalog import make_catalog_form
 from saddlelift.solver import SolverParams, alternating_penalty_solve
 
@@ -58,3 +59,18 @@ def test_tracer_counts_every_penalty_trial(tracing):
     assert tracer.calls["penalty.value"] == 13349
     assert tracer.calls["penalty.grad"] == 3193
     assert tracer.counts["solver.inner.iters"] == 3211
+
+
+def test_tracer_counts_every_grid_evaluation(tracing):
+    # Counts recorded for this audit while the grid scan still evaluated a
+    # dense (dim, N) point array.  On the open grid each batch output keeps
+    # the full broadcast shape, so calls and points read the same.
+    form = make_catalog_form("pow_a_2n")
+    xs = form.sample_x(np.random.default_rng(0), 3)  # no grid point is feasible at the first
+    with tracing.Tracer() as tracer:
+        report = identity_audit(form, xs, GridSpec(resolution=13))
+    assert report.classification == CLASS_D2_ONLY
+    assert tracer.calls["audit.grid_scan"] == 3
+    assert tracer.calls["expr.value_batch"] == 14
+    assert tracer.counts["expr.value_batch.points"] == 399854
+    assert tracer.counts["audit.grid_points"] == 85683

@@ -112,6 +112,14 @@ def test_witness_failure_exit_code(tmp_path, capsys):
     assert code == 2 and "error" in out
 
 
+def test_witness_overflow_is_an_error_line(tmp_path, capsys):
+    # the l0 witness map squares x in Python floats: OverflowError at 1e160
+    path = _write(tmp_path, {"problem": {"catalog": "l0_scalar_reg"}})
+    code = cli.main(["witness", path, "--x", "1e160"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and "overflows" in out["error"]
+
+
 def test_catalog_list_and_describe(capsys):
     assert cli.main(["catalog", "list"]) == 0
     text = capsys.readouterr().out

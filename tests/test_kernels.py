@@ -158,6 +158,51 @@ def test_batch_outputs_are_fresh_arrays():
     np.testing.assert_array_equal(points, before)
 
 
+_LEAVES = st.one_of(
+    st.integers(0, 2).map(ex.var),
+    st.sampled_from([0.0, -1.5, 2.0, 1e200]).map(ex.const),
+    # sin takes an affine argument only
+    st.tuples(st.integers(0, 2), st.sampled_from([1.0, -2.5]), st.sampled_from([0.0, 0.3])).map(
+        lambda a: ex.sin(ex.affine([(a[0], a[1])], a[2]))
+    ),
+)
+
+
+def _grow(children):
+    unary = st.one_of(
+        children.map(ex.log),
+        children.map(ex.exp),
+        children.map(ex.square),
+        st.tuples(children, st.integers(2, 5)).map(lambda a: ex.ipow(*a)),
+        st.tuples(children, st.sampled_from([0.3, 0.5, 1.5, 2.7])).map(lambda a: ex.rpow(*a)),
+        st.tuples(children, st.sampled_from([-0.7, 3.0])).map(lambda a: ex.scale(*a)),
+    )
+    return st.one_of(unary, st.lists(children, min_size=1, max_size=3).map(lambda ps: ex.add(*ps)))
+
+
+# zeros, negatives and huge values reach domain NaNs and overflow
+_AXIS = st.lists(st.sampled_from([0.0, -2.0, -0.5, 0.25, 1.0, 3.0, 700.0, 1e160]), min_size=1, max_size=4)
+
+
+def _same_bits(a, b) -> bool:
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(e=st.recursive(_LEAVES, _grow, max_leaves=8), axes=st.tuples(_AXIS, _AXIS, _AXIS))
+def test_open_grid_matches_dense_grid(e, axes):
+    a0, a1, a2 = (np.array(a) for a in axes)
+    dense = e.value_batch(np.stack(np.meshgrid(a0, a1, a2, indexing="ij")))
+    open_grid = e.value_batch([a0[:, None, None], a1[None, :, None], a2[None, None, :]])
+    assert open_grid.shape == dense.shape
+    assert _same_bits(open_grid, dense)
+    # as the grid oracle passes them: x as (1, 1), y as (rows, 1), z as (1, nz)
+    for k, x in enumerate(a0):
+        block = e.value_batch([np.full((1, 1), x), a1[:, None], a2[None, :]])
+        assert _same_bits(block, dense[k])
+
+
 def test_wide_affine_and_sum_compile():
     n = 1000
     rng = np.random.default_rng(0)
@@ -276,6 +321,8 @@ def test_value_and_value_grad_share_the_point_check():
             fn(np.zeros(2))
     with pytest.raises(ex.DimensionError):
         ex.square(ex.var(3)).value_batch(np.zeros((2, 4)))
+    with pytest.raises(ex.DimensionError):  # an open grid one row short
+        ex.square(ex.var(2)).value_batch([np.zeros((1, 1)), np.zeros((3, 1))])
     with pytest.raises(ex.DimensionError):
         ex.curvature_audit(ex.square(ex.var(3)), np.zeros(2), np.ones(2))
 
