@@ -39,7 +39,6 @@ from .penalty import (
     total_violation,
 )
 from .solver import (
-    InnerParams,
     KktReport,
     SolverParams,
     SolveResult,
@@ -58,7 +57,6 @@ __all__ = [
     "GridSpec",
     "HypothesisViolationError",
     "IdentityAuditReport",
-    "InnerParams",
     "KktReport",
     "SaddleForm",
     "SaddlePoint",

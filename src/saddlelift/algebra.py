@@ -28,12 +28,11 @@ class HypothesisViolationError(FormError):
     """A declared semantic hypothesis is absent or contradicted by sampling."""
 
 
-def _spot_check_sign(form: SaddleForm, decl: str, op: str, samples: int = 25, seed: int = 7):
+def _spot_check_sign(form: SaddleForm, decl: str, op: str):
     """Sample the reference over the x window and verify a declared sign."""
     if form.reference is None:
         return
-    rng = np.random.default_rng(seed)
-    for x in form.sample_x(rng, samples):
+    for x in form.sample_x(np.random.default_rng(7), 25):
         r = form.reference(x)
         bad = (
             (decl == "nonneg" and r < -1e-9)
@@ -47,9 +46,9 @@ def _spot_check_sign(form: SaddleForm, decl: str, op: str, samples: int = 25, se
             )
 
 
-def _spot_check_joint_convexity(form: SaddleForm, op: str, samples: int = 25, seed: int = 11):
+def _spot_check_joint_convexity(form: SaddleForm, op: str):
     lo, hi = form.effective_window()
-    rep = ex.curvature_audit(form.g, lo, hi, tag=CONVEX, samples=samples, seed=seed)
+    rep = ex.curvature_audit(form.g, lo, hi, tag=CONVEX, samples=25, seed=11)
     if not rep.passed:
         raise HypothesisViolationError(
             f"{op}: lifted objective of {form.name!r} is declared jointly convex "
@@ -74,8 +73,6 @@ def _check(forms, sign: str, op: str) -> None:
 
 
 INF = math.inf
-# an auxiliary's audit window is its box clipped to +-_AUX_WINDOW
-_AUX_WINDOW = 10.0
 
 
 class _Stack:
@@ -141,7 +138,10 @@ class _Stack:
         forms = self.forms
         window = None
         if any(f.window is not None for f in forms):
-            window = self._box([f.box if f.window is None else f.window for f in forms], _AUX_WINDOW)
+            # an auxiliary's audit window is its box clipped to +-WINDOW_CLIP
+            window = self._box(
+                [f.box if f.window is None else f.window for f in forms], ex.WINDOW_CLIP
+            )
         witnesses = [f.witness for f in forms]
         refs = [f.reference for f in forms]
         has_refs = all(r is not None for r in refs)

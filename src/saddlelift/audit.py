@@ -25,6 +25,7 @@ import numpy as np
 
 from .expr import ExprError
 from .forms import (
+    D2_TOL,
     FormError,
     SaddleForm,
     WitnessOverflowError,
@@ -46,7 +47,6 @@ class GridSpec:
 
     resolution: int = 201
     bounds: tuple[tuple[float, float], ...] | None = None
-    feas_tol: float = 1e-9
 
     def __post_init__(self):
         if self.resolution < 2:
@@ -77,7 +77,7 @@ def _default_bounds(form: SaddleForm, x: np.ndarray) -> list[tuple[float, float]
 
 def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     """(value, achieving point) of min over grid-y of max over grid-z of g
-    restricted to grid points feasible at grid.feas_tol; (+inf, None) when no
+    restricted to grid points feasible at D2_TOL; (+inf, None) when no
     grid point is feasible.
 
     The grid is evaluated open, per chunk of whole y slices: each x
@@ -92,7 +92,7 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
             f"grid oracle supports m1 + m2 <= 4, form has {part.m1 + part.m2}"
         )
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if form.box.slice(range(part.n)).excess(x) > grid.feas_tol:
+    if form.box.slice(range(part.n)).excess(x) > D2_TOL:
         return math.inf, None
     bounds = (
         list(grid.bounds) if grid.bounds is not None else _default_bounds(form, x)
@@ -126,7 +126,7 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
         # per constraint, so a chunk stops at the first one leaving no point feasible
         for c, is_eq in checks:
             vals = c.value_batch(pts)
-            feas &= (np.abs(vals) if is_eq else vals) <= grid.feas_tol  # NaN fails
+            feas &= (np.abs(vals) if is_eq else vals) <= D2_TOL  # NaN fails
             if not feas.any():
                 break
         else:
@@ -269,6 +269,8 @@ def identity_audit(
                 minmax_point=opoint,
             )
         )
+    if not rows:
+        raise ValueError("identity_audit needs at least one sample")
     d2_ok = all(r.witness_feasible and r.witness_gap <= 1e-9 for r in rows)
     d3_ok = all(r.oracle_gap <= tol + r.allowance for r in rows)
     if d2_ok and d3_ok:

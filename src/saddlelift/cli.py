@@ -8,14 +8,14 @@ A problem file is a JSON document:
                | {"inline": {"name": ..., "partition": [n, m1, m2],
                              "lower": [...], "upper": [...],
                              "g": "<expr>", "ineq": [...], "eq": [...]}},
-      "solver": { ... optional solver parameters ... },
+      "solver": { ... optional SolverParams fields ... },
       "start":  [ ... optional full start vector ... ]
     }
 
 Expressions use the text grammar, e.g. "(+ (sq (aff x0 1 0)) (neg z0))".
 Box bounds use null for an unbounded end.  Every float printed by the CLI
-carries 9 significant digits, and a fixed seed makes solve output and trace
-files byte-identical across runs.
+carries 9 significant digits, and solve output and trace files are
+byte-identical across runs: a solve draws no random numbers.
 
 Exit codes: 0 success, 1 usage or parse errors, 2 infeasible / failed
 results.
@@ -42,7 +42,6 @@ from .forms import (
     witness_report,
 )
 from .solver import (
-    InnerParams,
     SolverParams,
     alternating_penalty_solve,
     kkt_residual,
@@ -176,15 +175,6 @@ def form_to_inline(form: SaddleForm) -> dict:
     return doc
 
 
-def load_solver_params(doc: dict) -> SolverParams:
-    try:
-        raw = dict(doc.get("solver", {}))
-        inner = InnerParams(**raw.pop("inner", {}))
-        return SolverParams(inner=inner, **raw)
-    except (TypeError, ValueError) as err:
-        raise CliError(f"bad solver parameters: {err}")
-
-
 def load_problem_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -204,7 +194,10 @@ def load_problem_file(path: str):
     except (KeyError, TypeError, ValueError) as err:
         # a missing field, a wrong type or an unknown parameter in the file
         raise CliError(f"bad form in {path}: {type(err).__name__}: {err}")
-    params = load_solver_params(doc)
+    try:
+        params = SolverParams(**doc.get("solver", {}))
+    except (TypeError, ValueError) as err:
+        raise CliError(f"bad solver parameters: {err}")
     start = doc.get("start")
     if start is not None:
         try:
@@ -257,12 +250,19 @@ def cmd_solve(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.grid < 2:
+        raise CliError(f"--grid must be >= 2, got {args.grid}")
+    if args.samples < 1:
+        raise CliError(f"--samples must be >= 1, got {args.samples}")
     form, _, _ = load_problem_file(args.file)
     if form.reference is None:
         raise CliError("audit needs a problem with a reference evaluator", 2)
     rng = np.random.default_rng(args.seed)
     xs = form.sample_x(rng, args.samples)
-    report = identity_audit(form, xs, GridSpec(resolution=args.grid), tol=args.tol)
+    try:
+        report = identity_audit(form, xs, GridSpec(resolution=args.grid), tol=args.tol)
+    except FormError as err:  # a form the grid oracle cannot reach
+        raise CliError(f"cannot audit {form.name}: {err}", 2)
     registry = load_registry()
     listed = registry.get(form.name)
     _emit(
@@ -374,14 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the alternating penalty solver")
     p.add_argument("file")
     p.add_argument("--trace", help="write the iteration trace CSV here")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="accepted and ignored: a solve draws no random numbers"
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("audit", help="grid-oracle audit of the form identities")
     p.add_argument("file")
-    p.add_argument("--grid", type=int, default=201, help="grid resolution per axis")
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=int, default=201, help="grid resolution per axis (>= 2)")
+    p.add_argument("--samples", type=int, default=5, help="sampled x points (>= 1)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled x points")
     p.add_argument("--tol", type=float, default=1e-2)
     p.set_defaults(func=cmd_audit)
 

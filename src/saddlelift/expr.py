@@ -502,21 +502,27 @@ class CurvatureReport:
     counterexample: tuple[np.ndarray, np.ndarray, float] | None = None
 
 
-def sample_window(lower, upper, clip: float = 10.0):
+# unbounded ends of a sampling window are clipped to +-WINDOW_CLIP
+WINDOW_CLIP = 10.0
+# a blend inequality of the curvature audit may fail by this much
+_BLEND_TOL = 1e-9
+
+
+def sample_window(lower, upper):
     """Bounded per-axis sampling ranges for a possibly unbounded box.
 
-    Unbounded ends are clipped to +-``clip``.  A half-line lying entirely
-    outside the default window keeps a band of width 2*clip anchored at its
-    finite end.
+    Unbounded ends are clipped to +-WINDOW_CLIP.  A half-line lying entirely
+    outside the default window keeps a band of width 2*WINDOW_CLIP anchored
+    at its finite end.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    lo = np.where(np.isfinite(lower), lower, -clip)
-    hi = np.where(np.isfinite(upper), upper, clip)
+    lo = np.where(np.isfinite(lower), lower, -WINDOW_CLIP)
+    hi = np.where(np.isfinite(upper), upper, WINDOW_CLIP)
     fix_lo = (lo > hi) & np.isfinite(lower)
-    hi = np.where(fix_lo, lo + 2 * clip, hi)
+    hi = np.where(fix_lo, lo + 2 * WINDOW_CLIP, hi)
     fix_hi = (lo > hi) & np.isfinite(upper)
-    lo = np.where(fix_hi, hi - 2 * clip, lo)
+    lo = np.where(fix_hi, hi - 2 * WINDOW_CLIP, lo)
     return lo, hi
 
 
@@ -528,8 +534,6 @@ def curvature_audit(
     samples: int = 100,
     seed: int = 0,
     axes=None,
-    tol: float = 1e-9,
-    clip: float = 10.0,
 ) -> CurvatureReport:
     """Empirical midpoint check of a declared curvature tag.
 
@@ -543,7 +547,7 @@ def curvature_audit(
     upper = np.asarray(upper, dtype=float)
     if tag == NONE:
         return CurvatureReport(tag, True, 0)
-    lo, hi = sample_window(lower, upper, clip)
+    lo, hi = sample_window(lower, upper)
     dim = lo.size
     axes = list(range(dim)) if axes is None else list(axes)
     # one row per attempt: the base point, u's axes, v's axes, in the order
@@ -569,9 +573,9 @@ def curvature_audit(
                     break
                 blend = t * fu + (1.0 - t) * fv
                 if (
-                    (tag == CONVEX and fm > blend + tol)
-                    or (tag == CONCAVE and fm < blend - tol)
-                    or (tag == AFFINE and abs(fm - blend) > tol)
+                    (tag == CONVEX and fm > blend + _BLEND_TOL)
+                    or (tag == CONCAVE and fm < blend - _BLEND_TOL)
+                    or (tag == AFFINE and abs(fm - blend) > _BLEND_TOL)
                 ):
                     return CurvatureReport(tag, False, checked, (u[a], v[a], t))
             else:

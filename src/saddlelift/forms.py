@@ -272,10 +272,10 @@ class SaddleForm:
     def point(self, vec) -> SaddlePoint:
         return SaddlePoint(self.partition, np.asarray(vec, dtype=float))
 
-    def effective_window(self, clip: float = 10.0):
+    def effective_window(self):
         """Bounded sampling window (lower, upper arrays) over all axes."""
         src = self.window if self.window is not None else self.box
-        return ex.sample_window(src.lower_array(), src.upper_array(), clip)
+        return ex.sample_window(src.lower_array(), src.upper_array())
 
     def sample_x(self, rng: np.random.Generator, count: int) -> np.ndarray:
         lo, hi = self.effective_window()

@@ -313,7 +313,10 @@ class _Lowering:
         elif isinstance(node, RealPow):
             self._real_pow(k, t, d, a, node)
         elif isinstance(node, Exp):
-            self.emit(f"{t} = exp({a})")
+            if self.batch:
+                self.emit(f"{t} = exp({a})")
+            else:  # math.exp raises where numpy's exp gives inf
+                self.emit(*_guarded([f"{t} = exp({a})"], [f"{t} = _inf"]))
             factor = t
         elif isinstance(node, Log) and self.batch:
             nan = self.const(math.nan)
@@ -381,7 +384,8 @@ class _Lowering:
 
 
 def _guarded(body: list[str], fallback: list[str]) -> list[str]:
-    """Lines running ``body``, or ``fallback`` where a float power overflows."""
+    """Lines running ``body``, or ``fallback`` where a float power or exp
+    overflows."""
     return [
         "try:",
         *("    " + s for s in body),

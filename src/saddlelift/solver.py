@@ -19,7 +19,7 @@ constraint right-hand-side perturbations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -47,11 +47,8 @@ _ARMIJO = 1e-4
 # inner stop: iteration cap, projected-gradient norm tolerance
 _MAX_ITERS = 2000
 _GRAD_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class InnerParams:
-    restarts: int = 0
+# kkt_residual: an inequality with g_i >= -_ACT_TOL counts as active
+_ACT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,6 @@ class SolverParams:
     theta: float = 1.01
     max_outer: int = 30
     rho_cap: float = 1e12
-    inner: InnerParams = field(default_factory=InnerParams)
 
     def __post_init__(self):
         # each check written so that NaN fails it
@@ -211,34 +207,22 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def inner_minimize_multistart(
-    obj,
-    lower,
-    upper,
-    start,
-    params: InnerParams,
-    rng: np.random.Generator | None = None,
-    window=None,
+    obj, lower, upper, start, restarts: int, rng: np.random.Generator, window
 ) -> InnerResult:
-    """Best of a warm start plus ``params.restarts`` seeded random starts.
+    """Best of a warm start plus ``restarts`` starts drawn uniformly from
+    ``window`` (a (lower, upper) pair) with ``rng``.
 
     Lowest objective wins; exact ties go to the lexicographically smallest
     point, so the multistart result is order-independent and reproducible.
     """
-    from . import expr as ex
-
     best = inner_minimize(obj, lower, upper, start)
-    if params.restarts > 0 and rng is not None:
-        if window is None:
-            wlo, whi = ex.sample_window(lower, upper)
-        else:
-            wlo, whi = window
-        for _ in range(params.restarts):
-            s = rng.uniform(wlo, whi)
-            cand = inner_minimize(obj, lower, upper, s)
-            if cand.value < best.value or (
-                cand.value == best.value and _lex_less(cand.point, best.point)
-            ):
-                best = cand
+    wlo, whi = window
+    for _ in range(restarts):
+        cand = inner_minimize(obj, lower, upper, rng.uniform(wlo, whi))
+        if cand.value < best.value or (
+            cand.value == best.value and _lex_less(cand.point, best.point)
+        ):
+            best = cand
     return best
 
 
@@ -278,7 +262,6 @@ class SolveResult:
     point: SaddlePoint
     status: str
     trace: tuple[TraceRow, ...]
-    multipliers: "KktReport | None" = None
     diagnostic: str = ""
 
     @property
@@ -304,13 +287,13 @@ def alternating_penalty_solve(
     params: SolverParams | None = None,
     start=None,
     seed: int = 0,
-    with_multipliers: bool = False,
 ) -> SolveResult:
     """Run the alternating penalty loop on a form.
 
     ``start`` may be a SaddlePoint or a raw vector; points outside the box
-    are projected in.  With a fixed seed and fixed parameters the trace is
-    bit-for-bit reproducible.
+    are projected in.  A solve draws no random numbers: ``seed`` is accepted
+    and ignored, and fixed parameters and start give a bit-for-bit
+    reproducible trace.
     """
     params = params or SolverParams()
     part = form.partition
@@ -322,7 +305,6 @@ def alternating_penalty_solve(
     p = np.clip(vec.astype(float), lo, hi)
     xy = np.arange(part.n + part.m1)
     zz = np.arange(part.n + part.m1, part.total)
-    rng = np.random.default_rng(seed)
     trace: list[TraceRow] = []
     status = STATUS_MAX_OUTER
     diagnostic = ""
@@ -334,9 +316,7 @@ def alternating_penalty_solve(
         obj_xy = _block_objective(
             form, p, xy, penalty_f_theta, penalty_f_theta_value, rho, theta
         )
-        res_xy = inner_minimize_multistart(
-            obj_xy, lo[xy], hi[xy], p[xy], params.inner, rng
-        )
+        res_xy = inner_minimize(obj_xy, lo[xy], hi[xy], p[xy])
         p2 = p.copy()
         p2[xy] = res_xy.point
 
@@ -344,9 +324,7 @@ def alternating_penalty_solve(
             obj_z = _block_objective(
                 form, p2, zz, penalty_g_theta, penalty_g_theta_value, rho, theta
             )
-            res_z = inner_minimize_multistart(
-                obj_z, lo[zz], hi[zz], p2[zz], params.inner, rng
-            )
+            res_z = inner_minimize(obj_z, lo[zz], hi[zz], p2[zz])
             p2[zz] = res_z.point
             diagnostic = (
                 f"inner xy: pg={res_xy.pg_norm:.3e} its={res_xy.iterations}; "
@@ -377,14 +355,7 @@ def alternating_penalty_solve(
             status = STATUS_RHO_CAP
             break
 
-    point = SaddlePoint(part, p)
-    multipliers = None
-    if with_multipliers and status == STATUS_CONVERGED:
-        try:
-            multipliers = kkt_residual(form, point, feas_tol=10 * params.eps)
-        except (FormError, ValueError):
-            multipliers = None
-    return SolveResult(point, status, tuple(trace), multipliers, diagnostic)
+    return SolveResult(SaddlePoint(part, p), status, tuple(trace), diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +408,6 @@ def kkt_residual(
     alpha=None,
     beta=None,
     feas_tol: float = 1e-6,
-    act_tol: float = 1e-6,
 ) -> KktReport:
     """Stationarity residuals of the two first-order systems at ``p``.
 
@@ -461,7 +431,7 @@ def kkt_residual(
     gi_vals = np.array(ivals)
     grads = [grad(k) for k in range(1, 1 + s + r)]
     is_ineq = [True] * s + [False] * r
-    active = [gi_vals[i] >= -act_tol for i in range(s)] + [True] * r
+    active = [gi_vals[i] >= -_ACT_TOL for i in range(s)] + [True] * r
 
     target_xy = ggrad[xy]  # residual form: grad_xy g + sum w grad_xy c = 0
     cols_xy = [c[xy] for c in grads]
@@ -516,7 +486,6 @@ def exactness_probe(
     rho_list,
     restarts: int = 8,
     seed: int = 0,
-    theta: float = 1.01,
 ) -> tuple[ExactnessRow, ...]:
     """Multistart search for points beating the exact penalties at ``p_star``.
 
@@ -524,9 +493,10 @@ def exactness_probe(
     z fixed at p_star (and the ascent penalty over z with (x, y) fixed),
     starting from p_star and ``restarts`` random points within 2 of it.
     Candidates are compared with the exact (nonsmooth) penalties; an
-    improvement by more than 1e-6 is evidence against exactness.
+    improvement by more than 1e-6 is evidence against exactness.  The
+    smoothed penalties use the solver's default theta.
     """
-    inner = InnerParams(restarts=restarts)
+    theta = SolverParams.theta
     part = form.partition
     lo = form.box.lower_array()
     hi = form.box.upper_array()
@@ -550,7 +520,7 @@ def exactness_probe(
                     np.minimum(hi[block], p_star.vec[block] + 2.0),
                 )
                 res = inner_minimize_multistart(
-                    obj, lo[block], hi[block], p_star.vec[block], inner, rng, window=window
+                    obj, lo[block], hi[block], p_star.vec[block], restarts, rng, window
                 )
                 cand[block] = res.point
             at_cand.append(exact(form, SaddlePoint(part, cand), rho))
@@ -612,7 +582,6 @@ def stability_probe(
     perturbations,
     rho: float,
     params: SolverParams | None = None,
-    seed: int = 0,
 ) -> StabilityReport:
     """Solve right-hand-side-perturbed problems and test the value bound
     |g(p*) - g(perturbed optimum)| <= rho * (sum max(eta,0) + sum |tau|)."""
@@ -625,7 +594,7 @@ def stability_probe(
         tau = np.asarray(tau, dtype=float)
         size = float(np.maximum(eta, 0.0).sum() + np.abs(tau).sum())
         pert = shifted_constraints(form, eta, tau)
-        res = alternating_penalty_solve(pert, params, start=p_star, seed=seed)
+        res = alternating_penalty_solve(pert, params, start=p_star)
         val = form.g.value(res.point.vec)
         diff = abs(base - val)
         bound = rho * size

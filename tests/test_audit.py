@@ -1,5 +1,6 @@
 """Grid oracle and identity audits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -82,6 +83,17 @@ def test_identity_audit_failed_classification():
     rep = identity_audit(form, [np.array([0.5])], GridSpec(resolution=41), tol=1e-2)
     assert rep.classification == "failed"
     assert "witness_gap" in rep.counterexample
+
+
+def test_identity_audit_needs_a_sample():
+    # zero rows used to classify as d2-and-d3-verified
+    with pytest.raises(ValueError):
+        identity_audit(make_catalog_form("dc"), [], GridSpec(resolution=41))
+
+
+def test_grid_spec_settings():
+    # the feasibility tolerance is forms.D2_TOL, not a setting
+    assert [f.name for f in dataclasses.fields(GridSpec)] == ["resolution", "bounds"]
 
 
 def test_witness_outside_a_constraint_domain_fails_the_audit():

@@ -14,7 +14,7 @@ from saddlelift import audit
 from saddlelift import expr as ex
 from saddlelift.audit import GridSpec, _default_bounds, _grid_scan
 from saddlelift.catalog import make_catalog_form, trivial_convex
-from saddlelift.forms import Box, SaddleForm, VarPartition
+from saddlelift.forms import D2_TOL, Box, SaddleForm, VarPartition
 from test_kernels import FORMS
 
 
@@ -25,7 +25,7 @@ def _ref_grid_scan(form, x, grid):
     """One y slice at a time, its z mesh in chunks of audit._CHUNK points."""
     part = form.partition
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if form.box.slice(range(part.n)).excess(x) > grid.feas_tol:
+    if form.box.slice(range(part.n)).excess(x) > D2_TOL:
         return math.inf, None
     bounds = list(grid.bounds) if grid.bounds is not None else _default_bounds(form, x)
     axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in bounds]
@@ -49,10 +49,10 @@ def _ref_grid_scan(form, x, grid):
             feas = np.ones(width, dtype=bool)
             for gi in form.ineq:
                 vals = gi.value_batch(pts)
-                feas &= ~np.isnan(vals) & (vals <= grid.feas_tol)
+                feas &= ~np.isnan(vals) & (vals <= D2_TOL)
             for hj in form.eq:  # no early exit: it changes no result
                 vals = hj.value_batch(pts)
-                feas &= ~np.isnan(vals) & (np.abs(vals) <= grid.feas_tol)
+                feas &= ~np.isnan(vals) & (np.abs(vals) <= D2_TOL)
             if not feas.any():
                 continue
             gvals = form.g.value_batch(pts)
@@ -69,7 +69,7 @@ def _ref_grid_scan(form, x, grid):
 
 def _ref_curvature_audit(e, lower, upper, tag, samples, seed, axes=None, tol=1e-9):
     """Five scalar evaluations per attempt; a domain error skips the pair."""
-    lo, hi = ex.sample_window(np.asarray(lower, float), np.asarray(upper, float), 10.0)
+    lo, hi = ex.sample_window(np.asarray(lower, float), np.asarray(upper, float))
     rng = np.random.default_rng(seed)
     axes = list(range(lo.size)) if axes is None else list(axes)
     checked = attempts = 0

@@ -149,7 +149,29 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("solver", [{"z_trust": 1e4}, {"inner": {"armijo": 1e-4}}, {"inner": [1]}])
+@pytest.mark.parametrize(
+    "problem, args, code",
+    [
+        (None, ["--grid", "1"], 1),
+        (None, ["--samples", "0"], 1),
+        (None, ["--samples", "-3"], 1),
+        ("p51_n5.json", ["--grid", "11", "--samples", "1"], 2),
+    ],
+)
+def test_audit_rejects_what_it_cannot_audit(tmp_path, capsys, problem, args, code):
+    # a degenerate grid or sample count, and a form with m1 + m2 > 4, used to
+    # end in a traceback (or, for --samples 0, in a verdict from no rows)
+    path = str(PROBLEMS / problem) if problem else _write(tmp_path, _dc_problem())
+    assert cli.main(["audit", path, *args]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [{"z_trust": 1e4}, {"inner": {"armijo": 1e-4}}, {"inner": [1]}, {"inner": {"restarts": 2}}],
+)
 def test_bad_solver_parameters_exit_one(tmp_path, capsys, solver):
     path = _write(tmp_path, {**_dc_problem(), "solver": solver})
     assert cli.main(["solve", path]) == 1

@@ -261,9 +261,22 @@ def test_power_overflow_gives_inf():
         assert root.value([1e200]) == math.inf
         v, g = root.value_grad([1e250])
         assert v == math.inf and g[0] == math.inf
-    # exp overflow is an error, as with math.exp
-    with pytest.raises(OverflowError):
-        ex.exp(ex.var(0)).value([1000.0])
+        # exp reads inf too, as numpy's exp does, where math.exp raises
+        growth = ex.exp(ex.var(0))
+        assert growth.value([1000.0]) == math.inf
+        v, g = growth.value_grad([1000.0])
+        assert v == math.inf and g[0] == math.inf
+        # so the smoothed penalty of g1 = exp(x0) - 1 reads inf there
+        form = SaddleForm(
+            "exp_constraint",
+            VarPartition(1, 0, 0),
+            Box.whole(1),
+            ex.var(0),
+            ineq=(ex.add(growth, ex.const(-1.0)),),
+        )
+        at = np.array([1000.0])
+        assert penalty_f_theta_value(form, at, 10.0, 1.01) == math.inf
+        assert penalty_f_theta(form, at, 10.0, 1.01)[0] == math.inf
 
 
 def test_domain_error_names_the_offending_node():
