@@ -30,6 +30,7 @@ from .forms import (
     SaddleForm,
     WitnessOverflowError,
     reference_value,
+    witness_check,
     witness_eval,
     witness_report,
 )
@@ -199,27 +200,19 @@ def _gradient_bound(form: SaddleForm, x, probe=None) -> np.ndarray:
     discretization error matters: the oracle's achieved minmax point when
     available, else the witness, else the window midpoint."""
     n = form.partition.n
-    axes = form.partition.m1 + form.partition.m2
-    probes = []
-    if probe is not None:
-        probes.append(np.asarray(probe, dtype=float))
-    elif form.witness is not None:
+    if probe is None and form.witness is not None:
         try:
-            probes.append(witness_eval(form, x, check=False).vec)
+            probe = witness_eval(form, x, check=False).vec
         except (ExprError, FormError):
             pass
-    if not probes:
+    if probe is None:
         lo, hi = form.effective_window()
-        mid = np.concatenate([np.atleast_1d(x), (lo[n:] + hi[n:]) / 2.0])
-        probes.append(mid)
-    bound = np.full(axes, 0.5)
-    for p in probes:
-        try:
-            _, grad = form.g.value_grad(p)
-        except ExprError:
-            continue
-        bound = np.maximum(bound, np.abs(grad[n:]))
-    return bound
+        probe = np.concatenate([np.atleast_1d(x), (lo[n:] + hi[n:]) / 2.0])
+    try:
+        _, grad = form.g.value_grad(np.asarray(probe, dtype=float))
+    except ExprError:
+        return np.full(form.partition.m1 + form.partition.m2, 0.5)
+    return np.maximum(0.5, np.abs(grad[n:]))
 
 
 def identity_audit(
@@ -271,7 +264,7 @@ def identity_audit(
         )
     if not rows:
         raise ValueError("identity_audit needs at least one sample")
-    d2_ok = all(r.witness_feasible and r.witness_gap <= 1e-9 for r in rows)
+    d2_ok = all(r.witness_gap <= D2_TOL for r in rows)
     d3_ok = all(r.oracle_gap <= tol + r.allowance for r in rows)
     if d2_ok and d3_ok:
         classification = CLASS_VERIFIED
@@ -383,19 +376,12 @@ def registry_sweep(forms, seed: int = 0) -> dict[str, RegistryEntry]:
                     form.name, report.classification, report.counterexample, SWEEP_DATE
                 )
         else:
-            worst_gap = 0.0
-            worst_x = None
-            for x in xs:
-                _, feas, gap = _witness_row(form, x)
-                bad = gap if feas else math.inf
-                if bad > worst_gap:
-                    worst_gap = bad
-                    worst_x = x
-            if worst_gap > 1e-9:
+            worst, worst_x = witness_check(form, xs)
+            if worst > D2_TOL:
                 entries[form.name] = RegistryEntry(
                     form.name,
                     CLASS_FAILED,
-                    f"x={_fmt_vec(worst_x)} witness_gap={worst_gap:.6g}",
+                    f"x={_fmt_vec(worst_x)} witness_gap={worst:.6g}",
                     SWEEP_DATE,
                 )
     return entries

@@ -15,7 +15,7 @@ empirically by sampling, never inferred symbolically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -241,14 +241,6 @@ class Affine(Expr):
         return Sum(tuple(parts))
 
 
-def _unary_remap(node, mapping):
-    return replace(node, child=node.child.remap(mapping))
-
-
-def _unary_subst(node, index, sub):
-    return replace(node, child=node.child.subst(index, sub))
-
-
 @dataclass(frozen=True)
 class Sum(Expr):
     parts: tuple[Expr, ...]
@@ -268,109 +260,70 @@ class Sum(Expr):
 
 
 @dataclass(frozen=True)
-class Scale(Expr):
+class _Unary(Expr):
+    """A node of one child; ``tag`` is keyword-only, so a subclass's own
+    fields follow ``child`` positionally."""
+
     child: Expr
-    c: float
-    tag: str = NONE
+    tag: str = field(default=NONE, kw_only=True)
 
     def children(self):
         return (self.child,)
+
+    def remap(self, mapping):
+        return replace(self, child=self.child.remap(mapping))
+
+    def subst(self, index, sub):
+        return replace(self, child=self.child.subst(index, sub))
+
+
+@dataclass(frozen=True)
+class Scale(_Unary):
+    c: float
 
     def is_affine(self):
         return self.child.is_affine()
 
-    remap = _unary_remap
-    subst = _unary_subst
+
+class Square(_Unary):
+    pass
 
 
 @dataclass(frozen=True)
-class Square(Expr):
-    child: Expr
-    tag: str = NONE
-
-    def children(self):
-        return (self.child,)
-
-    remap = _unary_remap
-    subst = _unary_subst
-
-
-@dataclass(frozen=True)
-class IntPow(Expr):
-    child: Expr
+class IntPow(_Unary):
     k: int
-    tag: str = NONE
 
     def __post_init__(self):
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError("integer power requires k >= 1")
 
-    def children(self):
-        return (self.child,)
-
-    remap = _unary_remap
-    subst = _unary_subst
-
 
 @dataclass(frozen=True)
-class RealPow(Expr):
+class RealPow(_Unary):
     """child ** a for real a > 0, defined on child >= 0 only."""
 
-    child: Expr
     a: float
-    tag: str = NONE
 
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError("real power requires exponent a > 0")
 
-    def children(self):
-        return (self.child,)
 
-    remap = _unary_remap
-    subst = _unary_subst
+class Exp(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    child: Expr
-    tag: str = NONE
-
-    def children(self):
-        return (self.child,)
-
-    remap = _unary_remap
-    subst = _unary_subst
+class Log(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Log(Expr):
-    child: Expr
-    tag: str = NONE
-
-    def children(self):
-        return (self.child,)
-
-    remap = _unary_remap
-    subst = _unary_subst
-
-
-@dataclass(frozen=True)
-class Sin(Expr):
+@dataclass(frozen=True)  # a dataclass, so that __init__ runs the check
+class Sin(_Unary):
     """sin of an affine argument (the only trigonometric node needed)."""
-
-    child: Expr
-    tag: str = NONE
 
     def __post_init__(self):
         if not self.child.is_affine():
             raise ValueError("sin node requires an affine argument")
-
-    def children(self):
-        return (self.child,)
-
-    remap = _unary_remap
-    subst = _unary_subst
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +541,10 @@ def curvature_audit(
 # ---------------------------------------------------------------------------
 # text grammar:  (+ (sq (aff x0 1 0)) (neg z0))
 
+# the one-child nodes written (word <child>), for the parser and the printer
+_WORDS = {"sq": Square, "exp": Exp, "log": Log, "sin": Sin}
+
+
 def _tokenize(text: str):
     tokens = []
     line, col = 1, 0
@@ -692,20 +649,14 @@ def parse_sexpr(text: str, resolve: Callable[[str], int]) -> Expr:
             node = scale(expr(), c)
         elif head == "neg":
             node = neg(expr())
-        elif head == "sq":
-            node = square(expr())
+        elif head in _WORDS:
+            node = _finish(_WORDS[head](expr()))
         elif head == "pow":
             child = expr()
             node = ipow(child, int(number()))
         elif head == "rpow":
             child = expr()
             node = rpow(child, number())
-        elif head == "exp":
-            node = exp(expr())
-        elif head == "log":
-            node = log(expr())
-        elif head == "sin":
-            node = sin(expr())
         elif head == "tag":
             tok, tat = need()
             if tok not in _TAGS:
@@ -747,18 +698,13 @@ def to_sexpr(e: Expr, name_of: Callable[[int], str]) -> str:
             if node.c == -1.0:
                 return f"(neg {emit(node.child)})"
             return f"(* {_num(node.c)} {emit(node.child)})"
-        if isinstance(node, Square):
-            return f"(sq {emit(node.child)})"
         if isinstance(node, IntPow):
             return f"(pow {emit(node.child)} {node.k})"
         if isinstance(node, RealPow):
             return f"(rpow {emit(node.child)} {_num(node.a)})"
-        if isinstance(node, Exp):
-            return f"(exp {emit(node.child)})"
-        if isinstance(node, Log):
-            return f"(log {emit(node.child)})"
-        if isinstance(node, Sin):
-            return f"(sin {emit(node.child)})"
+        for word, kind in _WORDS.items():
+            if isinstance(node, kind):
+                return f"({word} {emit(node.child)})"
         raise TypeError(f"unknown node {type(node).__name__}")
 
     def emit(node: Expr) -> str:

@@ -330,9 +330,13 @@ class _Lowering:
             )
             factor = None  # entries divide by the argument
         elif isinstance(node, Sin):
-            self.emit(f"{t} = sin({a})")
-            if self.grad:
-                self.emit(f"{d} = cos({a})")
+            body = [f"{t} = sin({a})"] + ([f"{d} = cos({a})"] if self.grad else [])
+            if self.batch:
+                self.emit(*body)
+            else:  # math.sin raises at an infinite argument where numpy's sin gives NaN
+                nan = self.const(math.nan)
+                fallback = [f"{t} = {nan}"] + ([f"{d} = {nan}"] if self.grad else [])
+                self.emit(*_guarded(body, fallback, "ValueError"))
         else:
             raise TypeError(f"cannot compile node {type(node).__name__}")
         if not self.grad:
@@ -383,13 +387,13 @@ class _Lowering:
         )
 
 
-def _guarded(body: list[str], fallback: list[str]) -> list[str]:
-    """Lines running ``body``, or ``fallback`` where a float power or exp
-    overflows."""
+def _guarded(body: list[str], fallback: list[str], error: str = "OverflowError") -> list[str]:
+    """Lines running ``body``, or ``fallback`` where it raises ``error``: an
+    overflowing float power or exp, or a sine of an infinite argument."""
     return [
         "try:",
         *("    " + s for s in body),
-        "except OverflowError:",
+        f"except {error}:",
         *("    " + s for s in fallback),
     ]
 

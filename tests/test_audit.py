@@ -27,6 +27,7 @@ from saddlelift.forms import (
     WitnessInfeasibleError,
     WitnessOverflowError,
     validate_form,
+    witness_check,
     witness_report,
 )
 
@@ -111,6 +112,59 @@ def test_witness_outside_a_constraint_domain_fails_the_audit():
     assert rep.classification == "failed"
     assert math.isinf(rep.rows[0].witness_gap)
     assert [it.label for it in validate_form(form, samples=5).failures()] == ["witness identity"]
+
+
+def _z0_form(m2, witness):
+    """f = x0 on [-1, 1] lifted with g = x0 and g1 = z0 - 1 <= 0, so a
+    witness z0 = 2 + x0^2 breaks feasibility by 1 + x0^2 and keeps the gap 0."""
+    return SaddleForm(
+        name="z0_form",
+        partition=VarPartition(1, 0, m2),
+        box=Box((-1.0,) + (-math.inf,) * m2, (1.0,) + (math.inf,) * m2),
+        g=ex.var(0),
+        ineq=(ex.affine([(1, 1.0)], -1.0),),
+        witness=witness,
+        reference=lambda x: float(x[0]),
+    )
+
+
+def _too_big_z0(m2):
+    return lambda x: (np.empty(0), np.array([2.0 + x[0] ** 2] + [0.0] * (m2 - 1)))
+
+
+def test_witness_check_reports_the_violation():
+    form = _z0_form(5, _too_big_z0(5))
+    xs = [np.array([0.5]), np.array([-0.75]), np.array([0.75])]
+    worst, at = witness_check(form, xs)
+    assert worst == 1.5625 and at is xs[1]  # the first x reaching it, not inf
+    assert witness_check(_z0_form(5, lambda x: (np.empty(0), np.zeros(5))), xs) == (0.0, None)
+
+
+def test_witness_check_stops_at_the_first_raising_x():
+    def witness(x):
+        if x[0] > 0.0:
+            raise OverflowError("witness leaves the float range")
+        return _too_big_z0(5)(x)
+
+    xs = [np.array([-0.5]), np.array([0.25]), np.array([0.75])]
+    assert witness_check(_z0_form(5, witness), xs) == (math.inf, xs[1])
+
+
+def test_one_witness_rule_for_every_audit():
+    # the grid cannot reach m2 = 5, so the sweep checks the witness alone
+    form = _z0_form(5, _too_big_z0(5))
+    worst, at = witness_check(form, form.sample_x(np.random.default_rng(0), 6))
+    entry = registry_sweep([form])["z0_form"]
+    assert entry.classification == CLASS_FAILED
+    assert entry.counterexample == f"x=[{at[0]:.6g}] witness_gap={worst:.6g}"
+    assert math.isfinite(worst) and worst > 1.0
+    [item] = validate_form(form, samples=5).failures()
+    assert item.label == "witness identity" and item.detail.startswith("worst error 1.")
+    # the grid reaches m2 = 1, where the identity audit's rows read the same error
+    small = _z0_form(1, _too_big_z0(1))
+    rep = identity_audit(small, [np.array([0.5])], GridSpec(resolution=41))
+    assert rep.classification == CLASS_FAILED and rep.rows[0].witness_gap == 1.25
+    assert rep.counterexample == "x=[0.5] witness_gap=1.25 feasible=False"
 
 
 def test_nan_objective_at_the_witness_fails_the_identity():

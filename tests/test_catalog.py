@@ -1,10 +1,13 @@
 """Catalog entries: shapes, reference values, witness identities, and the
 known-issues registry contract."""
 
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from saddlelift import algebra
 from saddlelift import expr as ex
 from saddlelift.audit import load_registry, registry_sweep
 from saddlelift.catalog import (
@@ -13,7 +16,9 @@ from saddlelift.catalog import (
     list_catalog,
     make_catalog_form,
     make_structured,
+    trivial_convex,
 )
+from saddlelift.cli import form_to_inline
 from saddlelift.forms import (
     FormError,
     WitnessInfeasibleError,
@@ -176,13 +181,25 @@ def test_structural_validation_over_suite():
 
 
 def test_registry_matches_sweep():
-    # the shipped registry is exactly the audit sweep outcome; updating one
-    # without the other is a test failure by design
-    shipped = load_registry()
-    swept = registry_sweep(default_suite())
-    assert set(shipped) == set(swept)
-    for name, entry in swept.items():
-        assert shipped[name].classification == entry.classification, name
+    # the shipped registry is exactly the audit sweep outcome, names, classes,
+    # counterexamples and dates alike; updating one without the other is a
+    # test failure by design
+    assert registry_sweep(default_suite()) == load_registry()
+
+
+# sha256 of the inline JSON of the 28 suite forms and the README's three
+# algebra compositions, one form a line; any change to a form's nodes, tags
+# or the text grammar changes it
+_STRUCTURE_SHA256 = "77f52b5c2e66772a75d46653d0b7e47a642c14fca02fb63fb197bcfb5891e8d1"
+
+
+def test_form_structure_is_pinned():
+    sq = trivial_convex(ex.square(ex.var(0)), 1, "sq", nonneg=True)
+    root = algebra.power(sq, 0.5)
+    forms = [*default_suite(), root, algebra.product(root, sq), algebra.scaled_sum(root, sq, 1.0, 2.0)]
+    text = "\n".join(json.dumps(form_to_inline(f), sort_keys=True) for f in forms)
+    assert (len(forms), len(text)) == (31, 14138)
+    assert hashlib.sha256(text.encode()).hexdigest() == _STRUCTURE_SHA256
 
 
 def test_describe_and_list():

@@ -1,6 +1,7 @@
 """Expression engine: evaluation, gradients vs finite differences, curvature
 audits, and the text grammar."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +156,30 @@ def test_remap_and_subst():
     assert comp.value(np.array([0.0, 2.0])) == pytest.approx(math.exp(4.0))
 
 
+def test_one_child_nodes():
+    x0 = ex.var(0)
+    # extra fields follow the child positionally; the tag is keyword-only
+    assert ex.Scale(x0, 2.0) == ex.Scale(child=x0, c=2.0, tag=ex.NONE)
+    assert (ex.IntPow(x0, 3).k, ex.RealPow(x0, 2.5).a) == (3, 2.5)
+    assert ex.Square(x0, tag=ex.CONVEX).tag == ex.CONVEX
+    with pytest.raises(TypeError):
+        ex.Square(x0, ex.CONVEX)
+    for bad in (lambda: ex.IntPow(x0, 0), lambda: ex.RealPow(x0, 0.0), lambda: ex.Sin(ex.square(x0))):
+        with pytest.raises(ValueError):
+            bad()
+    # remap and subst rebuild the node around the new child and keep its other fields
+    aff = ex.affine([(0, 0.7), (1, -0.3)], 0.2)
+    swap, sub = {0: 1, 1: 0}, ex.affine([(0, 2.0)], 1.0)
+    for node in (
+        ex.Scale(aff, 2.0), ex.Square(aff), ex.IntPow(aff, 3), ex.RealPow(aff, 1.5),
+        ex.Exp(aff), ex.Log(aff), ex.Sin(aff),
+    ):
+        node = node.with_tag(ex.CONVEX)
+        assert node.children() == (aff,)
+        assert node.remap(swap) == dataclasses.replace(node, child=aff.remap(swap))
+        assert node.subst(1, sub) == dataclasses.replace(node, child=aff.subst(1, sub))
+
+
 def _names(i):
     return ["x0", "x1", "y0", "z0"][i]
 
@@ -170,6 +195,7 @@ def test_grammar_round_trip():
         (ex.neg(ex.sin(ex.affine([(0, 0.5)]))) + ex.var(3)).with_tag(ex.CONVEX),
         ex.scale(ex.log(ex.affine([(1, 1.0)], 2.0)), -3.0),
         ex.ipow(ex.var(2), 4),
+        *_node_zoo(),  # every node type
     ]
     for e in exprs:
         text = ex.to_sexpr(e, _names)

@@ -279,6 +279,21 @@ def test_power_overflow_gives_inf():
         assert penalty_f_theta(form, at, 10.0, 1.01)[0] == math.inf
 
 
+def test_sine_of_an_infinite_argument_reads_nan():
+    # 1e300 * 1e10 is inf, where math.sin raises and numpy's sin gives NaN
+    wave = ex.sin(ex.affine([(0, 1e300)], 0.0))
+    at = np.array([1e10])
+    assert math.isnan(wave.value(at))
+    v, g = wave.value_grad(at)
+    assert math.isnan(v) and math.isnan(g[0])
+    assert math.isnan(wave.value_batch(at.reshape(1, 1))[0])
+    # so the smoothed penalty of g1 = that sine reads NaN, in value and gradient modes
+    form = SaddleForm("sin_constraint", VarPartition(1, 0, 0), Box.whole(1), ex.var(0), ineq=(wave,))
+    assert math.isnan(penalty_f_theta_value(form, at, 10.0, 1.01))
+    v, g = penalty_f_theta(form, at, 10.0, 1.01)
+    assert math.isnan(v) and np.isnan(g).all()
+
+
 def test_domain_error_names_the_offending_node():
     bad = ex.log(ex.var(1))
     e = ex.add(ex.square(ex.var(0)), bad)
