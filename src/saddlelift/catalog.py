@@ -5,6 +5,15 @@ direct reference evaluator of the represented function.  A few entries are
 known to break the witness identity (their lifted structure cannot reproduce
 the target value on part of the domain); those stay transcribed as-is and are
 tracked in the known-issues registry instead of being silently repaired.
+
+An entry states only its bounds and its gadgets.  :class:`_Lift` takes one
+(lower, upper) bound per variable of the x, y and z blocks, hands out the
+variables and derives the partition and the box from the bounds.  The
+gadgets the entries share are written once: the l0 indicator pair
+(:func:`_l0_pair`, and the count :func:`_l0_terms` built on it), the product
+pair (:func:`_pair`), the quartic root pair (:func:`_quartic_pair`), the step
+constraints (:func:`_step_ineq`), the equality ReLU lift (:func:`_relu_lift`),
+and the step and ReLU witness maps.
 """
 
 from __future__ import annotations
@@ -20,17 +29,34 @@ from .expr import CONVEX, Expr
 from .forms import Box, FormError, SaddleForm, VarPartition
 
 INF = math.inf
+_FREE = (-INF, INF)
+_NONNEG = (0.0, INF)
+_UNIT = (0.0, 1.0)
+_JOINT = frozenset({"convex_joint_g"})
+_JOINT_NONNEG = frozenset({"convex_joint_g", "nonneg"})
 
 
-def _v(i: int) -> Expr:
-    return ex.var(i)
+class _Lift:
+    """The variable layout of one form: a (lower, upper) bound per variable
+    of the x, y and z blocks, in that order.  ``x``, ``y`` and ``z`` are the
+    variables; the partition and the box follow from the bounds."""
 
+    def __init__(self, x, y=(), z=()):
+        bounds = [*x, *y, *z]
+        self.partition = VarPartition(len(x), len(y), len(z))
+        self.box = Box(tuple(float(b[0]) for b in bounds), tuple(float(b[1]) for b in bounds))
+        v = [ex.var(i) for i in range(len(bounds))]
+        self.x, self.y, self.z = v[: len(x)], v[len(x) : len(x) + len(y)], v[len(x) + len(y) :]
 
-def _aff(terms, offset=0.0) -> Expr:
-    return ex.affine(terms, offset)
+    def form(self, name: str, g: Expr, ineq=(), eq=(), **fields) -> SaddleForm:
+        return SaddleForm(
+            name=name, partition=self.partition, box=self.box, g=g, ineq=ineq, eq=eq, **fields
+        )
 
 
 def _require_convex_tag(e: Expr, label: str) -> None:
+    if not isinstance(e, Expr):
+        raise FormError(f"{label} must be an expression, not {type(e).__name__}")
     if e.tag not in (ex.CONVEX, ex.AFFINE):
         raise FormError(
             f"{label} must carry a convex (or affine) curvature declaration; "
@@ -41,6 +67,84 @@ def _require_convex_tag(e: Expr, label: str) -> None:
 def _x_only(e: Expr, n: int, label: str) -> None:
     if e.max_index() >= n:
         raise FormError(f"{label} may reference only the first {n} coordinates")
+
+
+# ---------------------------------------------------------------------------
+# gadgets shared by several entries
+
+
+def _l0_pair(x: Expr, y: Expr, z: Expr) -> tuple[Expr, Expr]:
+    """The l0 indicator pair (x + y - 1)^2 - z and x^2 + (y - 1)^2 - z; with
+    y in {0, 1} and z binding, y tracks x != 0 (see :func:`_l0_pair_witness`)."""
+    return ex.square(x + y - 1.0) - z, ex.square(x) + ex.square(y - 1.0) - z
+
+
+def _l0_pair_witness(xi: float) -> tuple[float, float]:
+    """Indicator gadget: y in {0,1} tracking xi != 0 and its binding z."""
+    yi = 0.0 if xi == 0.0 else 1.0
+    zi = max((xi + yi - 1.0) ** 2, xi**2 + (yi - 1.0) ** 2)
+    return yi, zi
+
+
+def _l0_witness(x):
+    """The l0 pairs' witness over every coordinate of x."""
+    pairs = [_l0_pair_witness(float(t)) for t in x]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def _l0_terms(lam: float, xs, ys, zs) -> tuple[list[Expr], list[Expr]]:
+    """lam * count_nonzero(xs) as g terms lam * (y^2 + pair), and the
+    constraints: every first pair member, every second, then y^2 - y."""
+    pairs = [_l0_pair(x, y, z) for x, y, z in zip(xs, ys, zs)]
+    terms = [lam * (ex.square(y) + a + b) for y, (a, b) in zip(ys, pairs)]
+    ineq = [a for a, _ in pairs] + [b for _, b in pairs] + [ex.square(y) - y for y in ys]
+    return terms, ineq
+
+
+def _pair(a: Expr, b: Expr, z: Expr) -> tuple[Expr, Expr]:
+    """The product pair (a + b)^2 - z and a^2 + b^2 - z; the two differ by 2ab."""
+    return ex.square(a + b) - z, ex.square(a) + ex.square(b) - z
+
+
+def _quartic_pair(x: Expr, y: Expr, z: Expr) -> tuple[Expr, Expr]:
+    """The quartic root pair y^4 - z and x^2 - z; the lift of |x|^(1/2)
+    meets the identity at y^4 = x^2 = z."""
+    return ex.ipow(y, 4) - z, ex.square(x) - z
+
+
+def _step_ineq(x0: Expr, y, z) -> tuple[Expr, ...]:
+    """The step lift's six constraints: the l0 pair makes y0 an indicator,
+    the product pair of y2 and y0 ties them, and y1^2 - x0 and y2^2 share z2."""
+    return (
+        *_l0_pair(y[1], y[0], z[0]),
+        *_pair(y[2], y[0], z[1]),
+        ex.square(y[1]) - x0 - z[2],
+        ex.square(y[2]) - z[2],
+    )
+
+
+def _step_y(t: float) -> np.ndarray:
+    if t >= 0:
+        return np.array([1.0, math.sqrt(t), 0.0])
+    return np.array([0.0, 0.0, math.sqrt(-t)])
+
+
+def _relu_y(t: float) -> np.ndarray:
+    if t >= 0:
+        return np.array([math.sqrt(t), 0.0])
+    return np.array([0.0, math.sqrt(-t)])
+
+
+def _relu_lift(t: Expr, y, z) -> tuple[Expr, tuple[Expr, ...], tuple[Expr, ...]]:
+    """g, inequalities and equalities of max(t, 0) by the equality lift: z
+    bounds y0^2, y1^2 and (y1 + y0)^2, and the equalities force y0*y1 = 0
+    and y0^2 - y1^2 = t."""
+    ineq = (ex.square(y[0]) - z[0], ex.square(y[1]) - z[1], ex.square(y[1] + y[0]) - z[2])
+    return ex.add(ex.square(y[0]), *ineq), ineq, (z[0] + z[1] - z[2], z[0] - t - z[1])
+
+
+def _sin_half() -> Expr:
+    return ex.sin(ex.affine([(0, 0.5)]))
 
 
 # ---------------------------------------------------------------------------
@@ -62,18 +166,15 @@ def trivial_convex(
     """
     _require_convex_tag(q, "q")
     _x_only(q, n, "q")
-    declares = {"convex_joint_g"} | ({"nonneg"} if nonneg else set())
     win = None
     if window is not None:
         win = Box((float(window[0]),) * n, (float(window[1]),) * n)
-    return SaddleForm(
-        name=name,
-        partition=VarPartition(n, 0, 0),
-        box=Box.whole(n),
-        g=q,
+    return _Lift([_FREE] * n).form(
+        name,
+        q,
         witness=lambda x: (np.empty(0), np.empty(0)),
         reference=lambda x: q.value(np.asarray(x, dtype=float)),
-        declares=frozenset(declares),
+        declares=_JOINT_NONNEG if nonneg else _JOINT,
         window=win,
     )
 
@@ -86,34 +187,20 @@ def abs_sqrt_term(n: int, coord: int) -> SaddleForm:
     """
     if not 0 <= coord < n:
         raise FormError("coord outside x block")
-    part = VarPartition(n, 2, 1)
-    y0, y1, z0 = _v(n), _v(n + 1), _v(n + 2)
-    xc = _v(coord)
-    g = y0 + ex.ipow(y0, 4) - z0 + ex.square(xc) - z0
-    ineq = (
-        ex.ipow(y0, 4) - z0,
-        ex.square(xc) - z0,
-        ex.square(y1) - y0,
-    )
-    box = Box.from_blocks(
-        ([-INF] * n, [INF] * n),
-        ([0.0, -INF], [INF, INF]),
-        ([0.0], [INF]),
-    )
+    lift = _Lift([_FREE] * n, [_NONNEG, _FREE], [_NONNEG])
+    xc, (y0, y1), (z0,) = lift.x[coord], lift.y, lift.z
 
     def witness(x):
         r = math.sqrt(abs(x[coord]))
         return np.array([r, math.sqrt(r)]), np.array([x[coord] ** 2])
 
-    return SaddleForm(
-        name=f"abs_sqrt[{coord}]",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
+    return lift.form(
+        f"abs_sqrt[{coord}]",
+        y0 + ex.ipow(y0, 4) - z0 + ex.square(xc) - z0,
+        ineq=(*_quartic_pair(xc, y0, z0), ex.square(y1) - y0),
         witness=witness,
         reference=lambda x: math.sqrt(abs(x[coord])),
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
 
 
@@ -121,34 +208,31 @@ def abs_sqrt_term(n: int, coord: int) -> SaddleForm:
 # catalog entries
 
 
-def _bilinear2(variant: str = "a") -> SaddleForm:
+def _bilinear2_a() -> SaddleForm:
     # f(x0, x1) = 2*x0*x1
-    ref = lambda x: 2.0 * x[0] * x[1]
-    if variant == "a":
-        part = VarPartition(2, 0, 2)
-        z0, z1 = _v(2), _v(3)
-        g = ex.square(_aff([(0, 1.0), (1, 1.0)])) - z0 - z1
-        ineq = (ex.square(_v(0)) - z0, ex.square(_v(1)) - z1)
-        witness = lambda x: (np.empty(0), np.array([x[0] ** 2, x[1] ** 2]))
-        box = Box.whole(4)
-    elif variant == "b":
-        part = VarPartition(2, 0, 1)
-        z0 = _v(2)
-        g = ex.square(_aff([(0, 1.0), (1, 1.0)])) - z0
-        ineq = (ex.square(_v(0)) + ex.square(_v(1)) - z0,)
-        witness = lambda x: (np.empty(0), np.array([x[0] ** 2 + x[1] ** 2]))
-        box = Box.whole(3)
-    else:
-        raise FormError(f"bilinear2 has variants 'a' and 'b', not {variant!r}")
-    return SaddleForm(
-        name=f"bilinear2_{variant}",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        witness=witness,
-        reference=ref,
-        declares=frozenset({"convex_joint_g"}),
+    lift = _Lift([_FREE] * 2, z=[_FREE] * 2)
+    (x0, x1), (z0, z1) = lift.x, lift.z
+    return lift.form(
+        "bilinear2_a",
+        ex.square(ex.affine([(0, 1.0), (1, 1.0)])) - z0 - z1,
+        ineq=(ex.square(x0) - z0, ex.square(x1) - z1),
+        witness=lambda x: (np.empty(0), np.array([x[0] ** 2, x[1] ** 2])),
+        reference=lambda x: 2.0 * x[0] * x[1],
+        declares=_JOINT,
+    )
+
+
+def _bilinear2_b() -> SaddleForm:
+    # f(x0, x1) = 2*x0*x1
+    lift = _Lift([_FREE] * 2, z=[_FREE])
+    (x0, x1), (z0,) = lift.x, lift.z
+    return lift.form(
+        "bilinear2_b",
+        ex.square(ex.affine([(0, 1.0), (1, 1.0)])) - z0,
+        ineq=(ex.square(x0) + ex.square(x1) - z0,),
+        witness=lambda x: (np.empty(0), np.array([x[0] ** 2 + x[1] ** 2])),
+        reference=lambda x: 2.0 * x[0] * x[1],
+        declares=_JOINT,
     )
 
 
@@ -156,28 +240,20 @@ def _abs_half_reg(lam: float = 1.0) -> SaddleForm:
     # f(x0, x1) = (x0 + x1 - 1)^2 + lam * (|x0|^(1/2) + |x1|^(1/2))
     if lam <= 0:
         raise FormError("lam must be > 0")
-    part = VarPartition(2, 4, 2)
-    y = [_v(2 + j) for j in range(4)]
-    z = [_v(6), _v(7)]
-    smooth = ex.square(_aff([(0, 1.0), (1, 1.0)], -1.0))
+    lift = _Lift([_FREE] * 2, [_NONNEG, _FREE] * 2, [_NONNEG] * 2)
+    x, y, z = lift.x, lift.y, lift.z
+    smooth = ex.square(ex.affine([(0, 1.0), (1, 1.0)], -1.0))
     g = (
         smooth
         + lam * (y[0] + y[2])
-        + ex.ipow(y[0], 4) + ex.square(_v(0)) - 2.0 * z[0]
-        + ex.ipow(y[2], 4) + ex.square(_v(1)) - 2.0 * z[1]
+        + ex.ipow(y[0], 4) + ex.square(x[0]) - 2.0 * z[0]
+        + ex.ipow(y[2], 4) + ex.square(x[1]) - 2.0 * z[1]
     )
     ineq = (
-        ex.ipow(y[0], 4) - z[0],
-        ex.square(_v(0)) - z[0],
+        *_quartic_pair(x[0], y[0], z[0]),
         ex.square(y[1]) - y[0],
-        ex.ipow(y[2], 4) - z[1],
-        ex.square(_v(1)) - z[1],
+        *_quartic_pair(x[1], y[2], z[1]),
         ex.square(y[3]) - y[2],
-    )
-    box = Box.from_blocks(
-        ([-INF, -INF], [INF, INF]),
-        ([0.0, -INF, 0.0, -INF], [INF, INF, INF, INF]),
-        ([0.0, 0.0], [INF, INF]),
     )
 
     def witness(x):
@@ -191,120 +267,74 @@ def _abs_half_reg(lam: float = 1.0) -> SaddleForm:
             + lam * (math.sqrt(abs(x[0])) + math.sqrt(abs(x[1])))
         )
 
-    return SaddleForm(
-        name="abs_half_reg",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        witness=witness,
-        reference=reference,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+    return lift.form(
+        "abs_half_reg", g, ineq, witness=witness, reference=reference, declares=_JOINT_NONNEG
     )
-
-
-def _l0_pair_witness(xi: float) -> tuple[float, float]:
-    """Indicator gadget: y in {0,1} tracking xi != 0 and its binding z."""
-    yi = 0.0 if xi == 0.0 else 1.0
-    zi = max((xi + yi - 1.0) ** 2, xi**2 + (yi - 1.0) ** 2)
-    return yi, zi
 
 
 def _l0_reg2(lam: float = 1.0) -> SaddleForm:
     # f(x0, x1) = (x0 + x1 - 1)^2 + lam * count_nonzero(x)
     if lam <= 0:
         raise FormError("lam must be > 0")
-    part = VarPartition(2, 2, 2)
-    parts = [ex.square(_aff([(0, 1.0), (1, 1.0)], -1.0)), lam * (_v(2) + _v(3))]
+    lift = _Lift([_FREE] * 2, [_UNIT] * 2, [_NONNEG] * 2)
+    parts = [ex.square(ex.affine([(0, 1.0), (1, 1.0)], -1.0)), lam * (lift.y[0] + lift.y[1])]
     ineq = []
-    for i in range(2):
-        xi, yi, zi = _v(i), _v(2 + i), _v(4 + i)
-        a = ex.square(xi + yi - 1.0) - zi
-        b = ex.square(xi) + ex.square(yi - 1.0) - zi
+    for xi, yi, zi in zip(lift.x, lift.y, lift.z):
+        a, b = _l0_pair(xi, yi, zi)
         parts.extend([a, b])
         ineq.extend([a, b, ex.square(yi) - yi])
-    box = Box.from_blocks(
-        ([-INF, -INF], [INF, INF]),
-        ([0.0, 0.0], [1.0, 1.0]),
-        ([0.0, 0.0], [INF, INF]),
-    )
-
-    def witness(x):
-        pairs = [_l0_pair_witness(x[0]), _l0_pair_witness(x[1])]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
     def reference(x):
         return float((x[0] + x[1] - 1.0) ** 2 + lam * np.count_nonzero(x))
 
-    return SaddleForm(
-        name="l0_reg2",
-        partition=part,
-        box=box,
-        g=ex.add(*parts),
-        ineq=tuple(ineq),
-        witness=witness,
+    return lift.form(
+        "l0_reg2",
+        ex.add(*parts),
+        ineq,
+        witness=_l0_witness,
         reference=reference,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
 
 
 def _sin_0_pi() -> SaddleForm:
     # f(x) = sin(x) on [0, pi]; g = z0 with -sin(x) + z0 <= 0
-    part = VarPartition(1, 0, 1)
-    g = _aff([(1, 1.0)])
-    ineq = ((ex.neg(ex.sin(_v(0))) + _v(1)).with_tag(CONVEX),)
-    box = Box.from_blocks(([0.0], [math.pi]), ([], []), ([0.0], [1.0]))
-    return SaddleForm(
-        name="sin_0_pi",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
+    lift = _Lift([(0.0, math.pi)], z=[_UNIT])
+    (x0,), (z0,) = lift.x, lift.z
+    return lift.form(
+        "sin_0_pi",
+        ex.affine([(z0.index, 1.0)]),
+        ineq=((ex.neg(ex.sin(x0)) + z0).with_tag(CONVEX),),
         witness=lambda x: (np.empty(0), np.array([math.sin(x[0])])),
         reference=lambda x: math.sin(x[0]),
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
-
-
-def _sin_half(index: int = 0) -> Expr:
-    return ex.sin(_aff([(index, 0.5)]))
 
 
 def _sin_0_2pi() -> SaddleForm:
     # f(x) = sin(x) on [0, 2*pi]
-    part = VarPartition(1, 1, 2)
-    y0, z0, z1 = _v(1), _v(2), _v(3)
+    lift = _Lift([(0.0, 2.0 * math.pi)], [(-1.0, 1.0)], [(-1.0, 1.0)] * 2)
+    (y0,), (z0, z1) = lift.y, lift.z
     g = y0 - _sin_half() + z0 - ex.square(z0) - ex.square(z1) + 1.0
     ineq = (
         ex.square(z0 + z1) - 1.0 - y0,
         (ex.neg(_sin_half()) + z0).with_tag(CONVEX),
         ex.square(z0) + ex.square(z1) - 1.0,
     )
-    box = Box.from_blocks(
-        ([0.0], [2.0 * math.pi]),
-        ([-1.0], [1.0]),
-        ([-1.0, -1.0], [1.0, 1.0]),
-    )
 
     def witness(x):
         h = 0.5 * x[0]
         return np.array([math.sin(x[0])]), np.array([math.sin(h), math.cos(h)])
 
-    return SaddleForm(
-        name="sin_0_2pi",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        witness=witness,
-        reference=lambda x: math.sin(x[0]),
+    return lift.form(
+        "sin_0_2pi", g, ineq, witness=witness, reference=lambda x: math.sin(x[0])
     )
 
 
 def _cos_0_2pi() -> SaddleForm:
     # f(x) = cos(x) on [0, 2*pi]
-    part = VarPartition(1, 0, 4)
-    z = [_v(1 + k) for k in range(4)]
+    lift = _Lift([(0.0, 2.0 * math.pi)], z=[(-1.0, 1.0)] * 4)
+    z = lift.z
     g = (
         z[2]
         - ex.square(z[0] + z[1])
@@ -325,11 +355,6 @@ def _cos_0_2pi() -> SaddleForm:
         ex.square(z[0]) + ex.square(z[1]) - 1.0,
         ex.square(z[2]) + ex.square(z[3]) - 1.0,
     )
-    box = Box.from_blocks(
-        ([0.0], [2.0 * math.pi]),
-        ([], []),
-        ([-1.0] * 4, [1.0] * 4),
-    )
 
     def witness(x):
         h = 0.5 * x[0]
@@ -337,30 +362,23 @@ def _cos_0_2pi() -> SaddleForm:
             [math.sin(h), math.cos(h), math.cos(x[0]), math.sin(x[0])]
         )
 
-    return SaddleForm(
-        name="cos_0_2pi",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        witness=witness,
-        reference=lambda x: math.cos(x[0]),
+    return lift.form(
+        "cos_0_2pi", g, ineq, witness=witness, reference=lambda x: math.cos(x[0])
     )
 
 
 def _dc(d: Expr | None = None, c: Expr | None = None, n: int = 1) -> SaddleForm:
     # f(x) = d(x) - c(x) for user-supplied convex d, c; g = d - z, c - z <= 0
     if d is None:
-        d = (2.0 * ex.square(_v(0))).with_tag(CONVEX)
+        d = (2.0 * ex.square(ex.var(0))).with_tag(CONVEX)
     if c is None:
-        c = ex.square(_v(0))
+        c = ex.square(ex.var(0))
     _require_convex_tag(d, "d")
     _require_convex_tag(c, "c")
     _x_only(d, n, "d")
     _x_only(c, n, "c")
-    part = VarPartition(n, 0, 1)
-    z0 = _v(n)
-    box = Box.whole(n + 1)
+    lift = _Lift([_FREE] * n, z=[_FREE])
+    (z0,) = lift.z
 
     def witness(x):
         return np.empty(0), np.array([c.value(np.asarray(x, dtype=float))])
@@ -369,34 +387,20 @@ def _dc(d: Expr | None = None, c: Expr | None = None, n: int = 1) -> SaddleForm:
         xv = np.asarray(x, dtype=float)
         return d.value(xv) - c.value(xv)
 
-    return SaddleForm(
-        name="dc",
-        partition=part,
-        box=box,
-        g=d - z0,
-        ineq=(c - z0,),
-        witness=witness,
-        reference=reference,
-    )
+    return lift.form("dc", d - z0, (c - z0,), witness=witness, reference=reference)
 
 
 def _entropy(n: int = 2) -> SaddleForm:
     # f(x) = -sum x_i * ln(x_i) on 0 < x_i <= 1
     if n < 1:
         raise FormError("n must be >= 1")
-    part = VarPartition(n, n, n)
+    lift = _Lift([_UNIT] * n, [_NONNEG] * n, [_NONNEG] * n)
     parts = []
     ineq = []
-    for i in range(n):
-        xi, yi, zi = _v(i), _v(n + i), _v(2 * n + i)
+    for xi, yi, zi in zip(lift.x, lift.y, lift.z):
         parts.append(0.5 * ex.square(xi + yi) - 0.5 * zi)
         ineq.append(ex.neg(ex.log(xi)) - yi)
         ineq.append(ex.square(xi) + ex.square(yi) - zi)
-    box = Box.from_blocks(
-        ([0.0] * n, [1.0] * n),
-        ([0.0] * n, [INF] * n),
-        ([0.0] * n, [INF] * n),
-    )
     window = Box.from_blocks(
         ([0.01] * n, [1.0] * n),
         ([0.0] * n, [5.0] * n),
@@ -410,15 +414,13 @@ def _entropy(n: int = 2) -> SaddleForm:
     def reference(x):
         return float(-(x * np.log(x)).sum())
 
-    return SaddleForm(
-        name="entropy",
-        partition=part,
-        box=box,
-        g=ex.add(*parts),
-        ineq=tuple(ineq),
+    return lift.form(
+        "entropy",
+        ex.add(*parts),
+        ineq,
         witness=witness,
         reference=reference,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
         window=window,
     )
 
@@ -427,30 +429,27 @@ def _sigmoid() -> SaddleForm:
     # f(x) = 2 / (1 + exp(-x)) - 1; transcribed as-is.  The witness identity
     # is off by a constant and the y-box excludes the natural witness; see the
     # known-issues registry.
-    part = VarPartition(1, 2, 1)
-    y0, y1, z0 = _v(1), _v(2), _v(3)
+    lift = _Lift([_FREE], [(1.0, INF)] * 2, [_NONNEG])
+    (x0,), (y0, y1), (z0,) = lift.x, lift.y, lift.z
     g = 2.0 * y0 - 1.0 + ex.square(y0 + y1) - z0 - 1.0 + ex.square(y0) + ex.square(y1) - z0
     ineq = (
         ex.square(y0 + y1) - z0 - 1.0,
         ex.square(y0) + ex.square(y1) - z0,
-        ex.exp(ex.neg(_v(0))) + 1.0 - y1,
+        ex.exp(ex.neg(x0)) + 1.0 - y1,
     )
-    box = Box.from_blocks(([-INF], [INF]), ([1.0, 1.0], [INF, INF]), ([0.0], [INF]))
 
     def witness(x):
         b = 1.0 + math.exp(-x[0])
         y = np.array([1.0 / b, b])
         return y, np.array([(y[0] + y[1]) ** 2 - 1.0])
 
-    return SaddleForm(
-        name="sigmoid",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
+    return lift.form(
+        "sigmoid",
+        g,
+        ineq,
         witness=witness,
         reference=lambda x: 2.0 / (1.0 + math.exp(-x[0])) - 1.0,
-        declares=frozenset({"convex_joint_g"}),
+        declares=_JOINT,
     )
 
 
@@ -458,20 +457,15 @@ def _pow_a(a: float = 0.5) -> SaddleForm:
     # f(x) = x**a on x >= 0, 0 < a < 1
     if not 0.0 < a < 1.0:
         raise FormError("pow_a requires 0 < a < 1")
-    part = VarPartition(1, 1, 1)
-    y0, z0 = _v(1), _v(2)
-    g = y0 + ex.rpow(y0, 2.0 / a) - z0 + ex.square(_v(0)) - z0
-    ineq = (ex.rpow(y0, 2.0 / a) - z0, ex.square(_v(0)) - z0)
-    box = Box.from_blocks(([0.0], [INF]), ([0.0], [INF]), ([0.0], [INF]))
-    return SaddleForm(
-        name="pow_a",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
+    lift = _Lift([_NONNEG], [_NONNEG], [_NONNEG])
+    (x0,), (y0,), (z0,) = lift.x, lift.y, lift.z
+    return lift.form(
+        "pow_a",
+        y0 + ex.rpow(y0, 2.0 / a) - z0 + ex.square(x0) - z0,
+        ineq=(ex.rpow(y0, 2.0 / a) - z0, ex.square(x0) - z0),
         witness=lambda x: (np.array([x[0] ** a]), np.array([x[0] ** 2])),
         reference=lambda x: float(x[0] ** a),
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
 
 
@@ -479,24 +473,15 @@ def _pow_a_plus_1(a: float = 0.5) -> SaddleForm:
     # f(x) = x**(a+1) on x >= 0, 0 < a < 1
     if not 0.0 < a < 1.0:
         raise FormError("pow_a_plus_1 requires 0 < a < 1")
-    part = VarPartition(1, 1, 2)
-    y0, z0, z1 = _v(1), _v(2), _v(3)
-    g = 0.5 * ex.square(y0 + _v(0)) - 0.5 * z0 - 0.5 * z1
-    ineq = (
-        ex.rpow(y0, 2.0 / a) - z0,
-        ex.square(_v(0)) - z0,
-        ex.square(y0) - z1,
-    )
-    box = Box.from_blocks(([0.0], [INF]), ([0.0], [INF]), ([0.0, 0.0], [INF, INF]))
-    return SaddleForm(
-        name="pow_a_plus_1",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
+    lift = _Lift([_NONNEG], [_NONNEG], [_NONNEG] * 2)
+    (x0,), (y0,), (z0, z1) = lift.x, lift.y, lift.z
+    return lift.form(
+        "pow_a_plus_1",
+        0.5 * ex.square(y0 + x0) - 0.5 * z0 - 0.5 * z1,
+        ineq=(ex.rpow(y0, 2.0 / a) - z0, ex.square(x0) - z0, ex.square(y0) - z1),
         witness=lambda x: (np.array([x[0] ** a]), np.array([x[0] ** 2, x[0] ** (2 * a)])),
         reference=lambda x: float(x[0] ** (a + 1.0)),
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
 
 
@@ -506,17 +491,14 @@ def _pow_a_2n(a: float = 0.5, n2: int = 1) -> SaddleForm:
         raise FormError("pow_a_2n requires 0 < a < 1")
     if n2 < 1:
         raise FormError("pow_a_2n requires n2 >= 1")
-    part = VarPartition(1, 2, 2)
-    y0, y1, z0, z1 = _v(1), _v(2), _v(3), _v(4)
-    g = 0.5 * ex.square(y0 + y1) - 0.5 * z0 + ex.rpow(y0, 2.0 / a) - z1 + ex.square(_v(0)) - z1
+    lift = _Lift([_NONNEG], [_NONNEG] * 2, [_NONNEG] * 2)
+    (x0,), (y0, y1), (z0, z1) = lift.x, lift.y, lift.z
+    g = 0.5 * ex.square(y0 + y1) - 0.5 * z0 + ex.rpow(y0, 2.0 / a) - z1 + ex.square(x0) - z1
     ineq = (
         ex.rpow(y0, 2.0 / a) - z1,
-        ex.square(_v(0)) - z1,
-        ex.ipow(_v(0), 2 * n2) - y1,
+        ex.square(x0) - z1,
+        ex.ipow(x0, 2 * n2) - y1,
         ex.square(y0) + ex.square(y1) - z0,
-    )
-    box = Box.from_blocks(
-        ([0.0], [INF]), ([0.0, 0.0], [INF, INF]), ([0.0, 0.0], [INF, INF])
     )
 
     def witness(x):
@@ -524,293 +506,214 @@ def _pow_a_2n(a: float = 0.5, n2: int = 1) -> SaddleForm:
         y = np.array([t**a, t ** (2 * n2)])
         return y, np.array([y[0] ** 2 + y[1] ** 2, t**2])
 
-    return SaddleForm(
-        name="pow_a_2n",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
+    return lift.form(
+        "pow_a_2n",
+        g,
+        ineq,
         witness=witness,
         reference=lambda x: float(x[0] ** (a + 2 * n2)),
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
 
 
-def _sgn3(variant: str = "a") -> SaddleForm:
+def _sgn3_a() -> SaddleForm:
     # f(x) = sign(x) in {-1, 0, 1}
-    ref = lambda x: float(np.sign(x[0]))
-    if variant == "a":
-        part = VarPartition(1, 4, 5)
-        y = [_v(1 + j) for j in range(4)]
-        z = [_v(5 + k) for k in range(5)]
-        ineq = (
-            ex.square(y[1] + y[0] - 1.0) - z[0],
-            ex.square(y[1]) + ex.square(y[0] - 1.0) - z[0],
-            ex.square(y[2] + y[0]) - z[1],
-            ex.square(y[2]) + ex.square(y[0]) - z[1],
-            ex.square(y[1]) - _v(0) - z[2],
-            ex.square(y[2]) - z[2],
-            ex.square(y[3] + y[0]) - z[3],
-            ex.square(y[3]) + ex.square(y[0]) - z[3],
-            ex.square(y[0]) - z[4],
-        )
-        g = ex.add(y[0], ex.square(y[0]), ex.const(-1.0), y[3], *ineq)
-        eq = (z[4] - 1.0 + y[3],)
-        box = Box.from_blocks(
-            ([-INF], [INF]), ([-INF] * 4, [INF] * 4), ([0.0] * 5, [INF] * 5)
-        )
+    lift = _Lift([_FREE], [_FREE] * 4, [_NONNEG] * 5)
+    (x0,), y, z = lift.x, lift.y, lift.z
+    ineq = (*_step_ineq(x0, y, z), *_pair(y[3], y[0], z[3]), ex.square(y[0]) - z[4])
 
-        def witness(x):
-            t = float(x[0])
-            if t > 0:
-                return np.array([1.0, math.sqrt(t), 0.0, 0.0]), np.array(
-                    [t, 1.0, 0.0, 1.0, 1.0]
-                )
-            if t == 0:
-                return np.array([0.0, 0.0, 0.0, 1.0]), np.array(
-                    [1.0, 0.0, 0.0, 1.0, 0.0]
-                )
-            return np.array([0.0, 0.0, math.sqrt(-t), 1.0]), np.array(
-                [1.0, -t + 0.5, -t, 1.0, 0.0]
+    def witness(x):
+        t = float(x[0])
+        if t > 0:
+            return np.array([1.0, math.sqrt(t), 0.0, 0.0]), np.array(
+                [t, 1.0, 0.0, 1.0, 1.0]
             )
-
-    elif variant == "b":
-        part = VarPartition(1, 4, 7)
-        y = [_v(1 + j) for j in range(4)]
-        z = [_v(5 + k) for k in range(7)]
-        ineq = (
-            ex.square(y[0]) - z[0],
-            ex.square(y[1]) - z[1],
-            ex.square(y[2]) - z[2],
-            ex.square(y[3]) - z[3],
-            ex.square(y[1] + y[0] - 1.0) - z[4],
-            ex.square(y[2] + y[0] + 1.0) - z[5],
-            ex.square(y[3] + y[0]) - z[6],
-        )
-        g = ex.add(y[0], ex.square(y[0]), ex.const(-1.0), y[3], *ineq)
-        eq = (
-            z[1] + z[0] - 2.0 * y[0] + 1.0 - z[4],
-            z[2] + z[0] + 2.0 * y[0] + 1.0 - z[5],
-            z[1] - _v(0) - z[2],
-            z[3] + z[0] - z[6],
-            z[0] - 1.0 + y[3],
-        )
-        box = Box.from_blocks(
-            ([-INF], [INF]), ([-INF] * 4, [INF] * 4), ([0.0] * 7, [INF] * 7)
-        )
-
-        def witness(x):
-            t = float(x[0])
-            if t > 0:
-                yv = np.array([1.0, math.sqrt(t), 0.0, 0.0])
-            elif t == 0:
-                yv = np.array([0.0, 0.0, 0.0, 1.0])
-            else:
-                yv = np.array([-1.0, 0.0, math.sqrt(-t), 0.0])
-            zv = np.array(
-                [
-                    yv[0] ** 2,
-                    yv[1] ** 2,
-                    yv[2] ** 2,
-                    yv[3] ** 2,
-                    (yv[1] + yv[0] - 1.0) ** 2,
-                    (yv[2] + yv[0] + 1.0) ** 2,
-                    (yv[3] + yv[0]) ** 2,
-                ]
+        if t == 0:
+            return np.array([0.0, 0.0, 0.0, 1.0]), np.array(
+                [1.0, 0.0, 0.0, 1.0, 0.0]
             )
-            return yv, zv
+        return np.array([0.0, 0.0, math.sqrt(-t), 1.0]), np.array(
+            [1.0, -t + 0.5, -t, 1.0, 0.0]
+        )
 
-    else:
-        raise FormError(f"sgn3 has variants 'a' and 'b', not {variant!r}")
-    return SaddleForm(
-        name=f"sgn3_{variant}",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        eq=eq,
+    return lift.form(
+        "sgn3_a",
+        ex.add(y[0], ex.square(y[0]), ex.const(-1.0), y[3], *ineq),
+        ineq,
+        (z[4] - 1.0 + y[3],),
         witness=witness,
-        reference=ref,
-        declares=frozenset({"convex_joint_g"}),
+        reference=lambda x: float(np.sign(x[0])),
+        declares=_JOINT,
     )
 
 
-def _sgn2(variant: str = "a") -> SaddleForm:
+def _sgn3_b() -> SaddleForm:
+    # f(x) = sign(x) in {-1, 0, 1}
+    lift = _Lift([_FREE], [_FREE] * 4, [_NONNEG] * 7)
+    (x0,), y, z = lift.x, lift.y, lift.z
+    ineq = (
+        *(ex.square(y[k]) - z[k] for k in range(4)),
+        ex.square(y[1] + y[0] - 1.0) - z[4],
+        ex.square(y[2] + y[0] + 1.0) - z[5],
+        ex.square(y[3] + y[0]) - z[6],
+    )
+    eq = (
+        z[1] + z[0] - 2.0 * y[0] + 1.0 - z[4],
+        z[2] + z[0] + 2.0 * y[0] + 1.0 - z[5],
+        z[1] - x0 - z[2],
+        z[3] + z[0] - z[6],
+        z[0] - 1.0 + y[3],
+    )
+
+    def witness(x):
+        t = float(x[0])
+        if t > 0:
+            yv = np.array([1.0, math.sqrt(t), 0.0, 0.0])
+        elif t == 0:
+            yv = np.array([0.0, 0.0, 0.0, 1.0])
+        else:
+            yv = np.array([-1.0, 0.0, math.sqrt(-t), 0.0])
+        zv = np.array(
+            [
+                yv[0] ** 2,
+                yv[1] ** 2,
+                yv[2] ** 2,
+                yv[3] ** 2,
+                (yv[1] + yv[0] - 1.0) ** 2,
+                (yv[2] + yv[0] + 1.0) ** 2,
+                (yv[3] + yv[0]) ** 2,
+            ]
+        )
+        return yv, zv
+
+    return lift.form(
+        "sgn3_b",
+        ex.add(y[0], ex.square(y[0]), ex.const(-1.0), y[3], *ineq),
+        ineq,
+        eq,
+        witness=witness,
+        reference=lambda x: float(np.sign(x[0])),
+        declares=_JOINT,
+    )
+
+
+def _sgn2_a() -> SaddleForm:
     # f(x) = 1 if x >= 0 else 0
-    ref = lambda x: 1.0 if x[0] >= 0 else 0.0
+    lift = _Lift([_FREE], [_UNIT, _FREE, _FREE], [_NONNEG] * 3)
+    (x0,), y, z = lift.x, lift.y, lift.z
+    ineq = _step_ineq(x0, y, z)
 
-    def witness_y(t: float) -> np.ndarray:
-        if t >= 0:
-            return np.array([1.0, math.sqrt(t), 0.0])
-        return np.array([0.0, 0.0, math.sqrt(-t)])
-
-    if variant == "a":
-        part = VarPartition(1, 3, 3)
-        y = [_v(1 + j) for j in range(3)]
-        z = [_v(4 + k) for k in range(3)]
-        ineq = (
-            ex.square(y[1] + y[0] - 1.0) - z[0],
-            ex.square(y[1]) + ex.square(y[0] - 1.0) - z[0],
-            ex.square(y[2] + y[0]) - z[1],
-            ex.square(y[2]) + ex.square(y[0]) - z[1],
-            ex.square(y[1]) - _v(0) - z[2],
-            ex.square(y[2]) - z[2],
+    def witness(x):
+        t = float(x[0])
+        yv = _step_y(t)
+        zv = np.array(
+            [
+                max((yv[1] + yv[0] - 1.0) ** 2, yv[1] ** 2 + (yv[0] - 1.0) ** 2),
+                max((yv[2] + yv[0]) ** 2, yv[2] ** 2 + yv[0] ** 2),
+                max(yv[1] ** 2 - t, yv[2] ** 2),
+            ]
         )
-        g = ex.add(y[0], *ineq)
-        eq = ()
-        box = Box.from_blocks(
-            ([-INF], [INF]),
-            ([0.0, -INF, -INF], [1.0, INF, INF]),
-            ([0.0] * 3, [INF] * 3),
-        )
+        return yv, zv
 
-        def witness(x):
-            t = float(x[0])
-            yv = witness_y(t)
-            zv = np.array(
-                [
-                    max((yv[1] + yv[0] - 1.0) ** 2, yv[1] ** 2 + (yv[0] - 1.0) ** 2),
-                    max((yv[2] + yv[0]) ** 2, yv[2] ** 2 + yv[0] ** 2),
-                    max(yv[1] ** 2 - t, yv[2] ** 2),
-                ]
-            )
-            return yv, zv
-
-    elif variant == "b":
-        part = VarPartition(1, 3, 5)
-        y = [_v(1 + j) for j in range(3)]
-        z = [_v(4 + k) for k in range(5)]
-        ineq = (
-            ex.square(y[0]) - z[0],
-            ex.square(y[1]) - z[1],
-            ex.square(y[2]) - z[2],
-            ex.square(y[1] + y[0] - 1.0) - z[3],
-            ex.square(y[2] + y[0]) - z[4],
-        )
-        g = ex.add(y[0], *ineq)
-        eq = (
-            z[1] + z[0] - 2.0 * y[0] + 1.0 - z[3],
-            z[2] + z[0] - z[4],
-            z[1] - _v(0) - z[2],
-        )
-        box = Box.from_blocks(
-            ([-INF], [INF]),
-            ([0.0, -INF, -INF], [1.0, INF, INF]),
-            ([0.0] * 5, [INF] * 5),
-        )
-
-        def witness(x):
-            yv = witness_y(float(x[0]))
-            zv = np.array(
-                [
-                    yv[0] ** 2,
-                    yv[1] ** 2,
-                    yv[2] ** 2,
-                    (yv[1] + yv[0] - 1.0) ** 2,
-                    (yv[2] + yv[0]) ** 2,
-                ]
-            )
-            return yv, zv
-
-    else:
-        raise FormError(f"sgn2 has variants 'a' and 'b', not {variant!r}")
-    return SaddleForm(
-        name=f"sgn2_{variant}",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        eq=eq,
+    return lift.form(
+        "sgn2_a",
+        ex.add(y[0], *ineq),
+        ineq,
         witness=witness,
-        reference=ref,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        reference=lambda x: 1.0 if x[0] >= 0 else 0.0,
+        declares=_JOINT_NONNEG,
     )
 
 
-def _relu(variant: str = "a") -> SaddleForm:
-    # f(x) = max(x, 0)
-    ref = lambda x: max(float(x[0]), 0.0)
+def _sgn2_b() -> SaddleForm:
+    # f(x) = 1 if x >= 0 else 0
+    lift = _Lift([_FREE], [_UNIT, _FREE, _FREE], [_NONNEG] * 5)
+    (x0,), y, z = lift.x, lift.y, lift.z
+    ineq = (
+        *(ex.square(y[k]) - z[k] for k in range(3)),
+        ex.square(y[1] + y[0] - 1.0) - z[3],
+        ex.square(y[2] + y[0]) - z[4],
+    )
+    eq = (z[1] + z[0] - 2.0 * y[0] + 1.0 - z[3], z[2] + z[0] - z[4], z[1] - x0 - z[2])
 
-    def witness_y(t: float) -> np.ndarray:
-        if t >= 0:
-            return np.array([math.sqrt(t), 0.0])
-        return np.array([0.0, math.sqrt(-t)])
-
-    if variant == "a":
-        part = VarPartition(1, 2, 2)
-        y = [_v(1), _v(2)]
-        z = [_v(3), _v(4)]
-        ineq = (
-            ex.square(y[1] + y[0]) - z[0],
-            ex.square(y[1]) + ex.square(y[0]) - z[0],
-            ex.square(y[0]) - _v(0) - z[1],
-            ex.square(y[1]) - z[1],
+    def witness(x):
+        yv = _step_y(float(x[0]))
+        zv = np.array(
+            [
+                yv[0] ** 2,
+                yv[1] ** 2,
+                yv[2] ** 2,
+                (yv[1] + yv[0] - 1.0) ** 2,
+                (yv[2] + yv[0]) ** 2,
+            ]
         )
-        g = ex.add(ex.square(y[0]), *ineq)
-        eq = ()
-        box = Box.from_blocks(([-INF], [INF]), ([-INF] * 2, [INF] * 2), ([0.0] * 2, [INF] * 2))
+        return yv, zv
 
-        def witness(x):
-            t = float(x[0])
-            yv = witness_y(t)
-            zv = np.array(
-                [yv[0] ** 2 + yv[1] ** 2, max(yv[0] ** 2 - t, yv[1] ** 2)]
-            )
-            return yv, zv
-
-    elif variant == "b":
-        part = VarPartition(1, 2, 3)
-        y = [_v(1), _v(2)]
-        z = [_v(3), _v(4), _v(5)]
-        ineq = (
-            ex.square(y[0]) - z[0],
-            ex.square(y[1]) - z[1],
-            ex.square(y[1] + y[0]) - z[2],
-        )
-        g = ex.add(ex.square(y[0]), *ineq)
-        eq = (z[0] + z[1] - z[2], z[0] - _v(0) - z[1])
-        box = Box.from_blocks(([-INF], [INF]), ([-INF] * 2, [INF] * 2), ([0.0] * 3, [INF] * 3))
-
-        def witness(x):
-            yv = witness_y(float(x[0]))
-            zv = np.array([yv[0] ** 2, yv[1] ** 2, (yv[1] + yv[0]) ** 2])
-            return yv, zv
-
-    else:
-        raise FormError(f"relu has variants 'a' and 'b', not {variant!r}")
-    return SaddleForm(
-        name=f"relu_{variant}",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        eq=eq,
+    return lift.form(
+        "sgn2_b",
+        ex.add(y[0], *ineq),
+        ineq,
+        eq,
         witness=witness,
-        reference=ref,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        reference=lambda x: 1.0 if x[0] >= 0 else 0.0,
+        declares=_JOINT_NONNEG,
+    )
+
+
+def _relu_a() -> SaddleForm:
+    # f(x) = max(x, 0)
+    lift = _Lift([_FREE], [_FREE] * 2, [_NONNEG] * 2)
+    (x0,), y, z = lift.x, lift.y, lift.z
+    ineq = (*_pair(y[1], y[0], z[0]), ex.square(y[0]) - x0 - z[1], ex.square(y[1]) - z[1])
+
+    def witness(x):
+        t = float(x[0])
+        yv = _relu_y(t)
+        zv = np.array(
+            [yv[0] ** 2 + yv[1] ** 2, max(yv[0] ** 2 - t, yv[1] ** 2)]
+        )
+        return yv, zv
+
+    return lift.form(
+        "relu_a",
+        ex.add(ex.square(y[0]), *ineq),
+        ineq,
+        witness=witness,
+        reference=lambda x: max(float(x[0]), 0.0),
+        declares=_JOINT_NONNEG,
+    )
+
+
+def _relu_b() -> SaddleForm:
+    # f(x) = max(x, 0)
+    lift = _Lift([_FREE], [_FREE] * 2, [_NONNEG] * 3)
+    g, ineq, eq = _relu_lift(lift.x[0], lift.y, lift.z)
+
+    def witness(x):
+        yv = _relu_y(float(x[0]))
+        zv = np.array([yv[0] ** 2, yv[1] ** 2, (yv[1] + yv[0]) ** 2])
+        return yv, zv
+
+    return lift.form(
+        "relu_b",
+        g,
+        ineq,
+        eq,
+        witness=witness,
+        reference=lambda x: max(float(x[0]), 0.0),
+        declares=_JOINT_NONNEG,
     )
 
 
 def _relu_convex(b: Expr | None = None, n: int = 1) -> SaddleForm:
     # f(x) = max(b(x), 0) for user-supplied convex b
     if b is None:
-        b = (ex.square(_v(0)) - 1.0).with_tag(CONVEX)
+        b = (ex.square(ex.var(0)) - 1.0).with_tag(CONVEX)
     _require_convex_tag(b, "b")
     _x_only(b, n, "b")
-    part = VarPartition(n, 2, 4)
-    y = [_v(n), _v(n + 1)]
-    z = [_v(n + 2 + k) for k in range(4)]
-    ineq_in_g = (
-        ex.square(y[0]) - z[0],
-        ex.square(y[1]) - z[1],
-        ex.square(y[1] + y[0]) - z[2],
-    )
-    g = ex.add(ex.square(y[0]), *ineq_in_g)
-    ineq = ineq_in_g + (b - z[3],)
-    eq = (z[0] + z[1] - z[2], z[0] - z[3] - z[1])
-    box = Box.from_blocks(
-        ([-INF] * n, [INF] * n), ([-INF] * 2, [INF] * 2), ([0.0] * 4, [INF] * 4)
-    )
+    lift = _Lift([_FREE] * n, [_FREE] * 2, [_NONNEG] * 4)
+    z = lift.z
+    g, ineq, eq = _relu_lift(z[3], lift.y, z)
 
     def witness(x):
         t = b.value(np.asarray(x, dtype=float))
@@ -821,39 +724,28 @@ def _relu_convex(b: Expr | None = None, n: int = 1) -> SaddleForm:
     def reference(x):
         return max(b.value(np.asarray(x, dtype=float)), 0.0)
 
-    return SaddleForm(
-        name="relu_convex",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        eq=eq,
+    return lift.form(
+        "relu_convex",
+        g,
+        ineq + (b - z[3],),
+        eq,
         witness=witness,
         reference=reference,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
 
 
 def _abs_power() -> SaddleForm:
     # f(x) = |x|^(1/2); g = y + y^4 - z + x^2 - z
-    part = VarPartition(1, 1, 1)
-    y0, z0 = _v(1), _v(2)
-    g = y0 + ex.ipow(y0, 4) - z0 + ex.square(_v(0)) - z0
-    ineq = (
-        ex.ipow(y0, 4) - z0,
-        ex.square(_v(0)) - z0,
-        ex.neg(y0),
-    )
-    box = Box.from_blocks(([-INF], [INF]), ([0.0], [INF]), ([0.0], [INF]))
-    return SaddleForm(
-        name="abs_power",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
+    lift = _Lift([_FREE], [_NONNEG], [_NONNEG])
+    (x0,), (y0,), (z0,) = lift.x, lift.y, lift.z
+    return lift.form(
+        "abs_power",
+        y0 + ex.ipow(y0, 4) - z0 + ex.square(x0) - z0,
+        ineq=(*_quartic_pair(x0, y0, z0), ex.neg(y0)),
         witness=lambda x: (np.array([math.sqrt(abs(x[0]))]), np.array([x[0] ** 2])),
         reference=lambda x: math.sqrt(abs(x[0])),
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
 
 
@@ -861,30 +753,19 @@ def _l0_scalar_reg(lam: float = 2.0) -> SaddleForm:
     # f(x) = (x - 1)^2 + lam * (1 if x != 0 else 0)
     if lam <= 0:
         raise FormError("lam must be > 0")
-    part = VarPartition(1, 1, 1)
-    x0, y0, z0 = _v(0), _v(1), _v(2)
-    a = ex.square(x0 + y0 - 1.0) - z0
-    b = ex.square(x0) + ex.square(y0 - 1.0) - z0
-    g = ex.square(x0 - 1.0) + lam * (ex.square(y0) + a + b)
-    ineq = (a, b, ex.square(y0) - y0)
-    box = Box.from_blocks(([-INF], [INF]), ([0.0], [1.0]), ([0.0], [INF]))
-
-    def witness(x):
-        yi, zi = _l0_pair_witness(float(x[0]))
-        return np.array([yi]), np.array([zi])
+    lift = _Lift([_FREE], [_UNIT], [_NONNEG])
+    (term,), ineq = _l0_terms(lam, lift.x, lift.y, lift.z)
 
     def reference(x):
         return float((x[0] - 1.0) ** 2 + (lam if x[0] != 0 else 0.0))
 
-    return SaddleForm(
-        name="l0_scalar_reg",
-        partition=part,
-        box=box,
-        g=g,
-        ineq=ineq,
-        witness=witness,
+    return lift.form(
+        "l0_scalar_reg",
+        ex.square(lift.x[0] - 1.0) + term,
+        ineq,
+        witness=_l0_witness,
         reference=reference,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
 
 
@@ -892,23 +773,14 @@ def _maxabs_minus_sum(n: int = 5) -> SaddleForm:
     # f(x) = n * max_i |x_i| - sum_i |x_i|
     if n < 1:
         raise FormError("n must be >= 1")
-    part = VarPartition(n, n + 1, n)
-    ytop = _v(2 * n)  # y_{n+1}, the shared majorant
+    lift = _Lift([_FREE] * n, [_NONNEG] * (n + 1), [_NONNEG] * n)
+    x, y, z = lift.x, lift.y, lift.z
+    ytop = y[n]  # y_{n+1}, the shared majorant
     parts = [ex.scale(ytop, float(n))]
-    ineq = []
-    for i in range(n):
-        xi, yi, zi = _v(i), _v(n + i), _v(2 * n + 1 + i)
-        parts.append(ex.neg(yi) + ex.square(yi) - 2.0 * zi + ex.square(xi))
-        ineq.append(ex.square(yi) - zi)
-    for i in range(n):
-        ineq.append(ex.square(_v(i)) - _v(2 * n + 1 + i))
-    for i in range(n):
-        ineq.append(_v(n + i) - ytop)
-    box = Box.from_blocks(
-        ([-INF] * n, [INF] * n),
-        ([0.0] * (n + 1), [INF] * (n + 1)),
-        ([0.0] * n, [INF] * n),
-    )
+    parts += [ex.neg(yi) + ex.square(yi) - 2.0 * zi + ex.square(xi) for xi, yi, zi in zip(x, y, z)]
+    ineq = [ex.square(yi) - zi for yi, zi in zip(y, z)]
+    ineq += [ex.square(xi) - zi for xi, zi in zip(x, z)]
+    ineq += [yi - ytop for yi in y[:n]]
 
     def witness(x):
         ax = np.abs(x)
@@ -918,15 +790,13 @@ def _maxabs_minus_sum(n: int = 5) -> SaddleForm:
         ax = np.abs(np.asarray(x, dtype=float))
         return float(n * ax.max() - ax.sum())
 
-    return SaddleForm(
-        name="maxabs_minus_sum",
-        partition=part,
-        box=box,
-        g=ex.add(*parts),
-        ineq=tuple(ineq),
+    return lift.form(
+        "maxabs_minus_sum",
+        ex.add(*parts),
+        ineq,
         witness=witness,
         reference=reference,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
 
 
@@ -948,29 +818,22 @@ def _geometric_poly(a, alpha) -> SaddleForm:
     if np.any(a == 0):
         raise FormError("coefficients a_i must be nonzero")
     m, n = alpha.shape
-    part = VarPartition(n, m, m + n)
+    lift = _Lift([_NONNEG] * n, [_NONNEG] * m, [_FREE] * (m + n))
+    y, zy, zx = lift.y, lift.z[:m], lift.z[m:]
     parts = []
     ineq = []
-    eq = []
-    for i in range(m):
-        yi, zi = _v(n + i), _v(n + m + i)
+    for yi, zi, ai in zip(y, zy, a):
         gi = ex.neg(ex.log(yi)) - zi
-        parts.append(ex.scale(yi, a[i]))
-        parts.append(gi)
+        parts += [ex.scale(yi, ai), gi]
         ineq.append(gi)
-    for j in range(n):
-        zj = _v(n + m + m + j)
-        gj = ex.neg(ex.log(_v(j))) - zj
+    for xj, zj in zip(lift.x, zx):
+        gj = ex.neg(ex.log(xj)) - zj
         parts.append(gj)
         ineq.append(gj)
-    for i in range(m):
-        terms = [(n + i, 1.0)] + [(n + m + m + j, -alpha[i, j]) for j in range(n)]
-        eq.append(_aff(terms))
-    box = Box.from_blocks(
-        ([0.0] * n, [INF] * n),
-        ([0.0] * m, [INF] * m),
-        ([-INF] * (m + n), [INF] * (m + n)),
-    )
+    eq = [
+        ex.affine([(yi.index, 1.0)] + [(zj.index, -aij) for zj, aij in zip(zx, row)])
+        for yi, row in zip(y, alpha)
+    ]
     window = Box.from_blocks(
         ([0.5] * n, [2.0] * n),
         ([0.05] * m, [20.0] * m),
@@ -987,16 +850,14 @@ def _geometric_poly(a, alpha) -> SaddleForm:
         xv = np.asarray(x, dtype=float)
         return float(sum(a[i] * np.prod(xv ** alpha[i]) for i in range(m)))
 
-    return SaddleForm(
-        name="geometric_poly",
-        partition=part,
-        box=box,
-        g=ex.add(*parts),
-        ineq=tuple(ineq),
-        eq=tuple(eq),
+    return lift.form(
+        "geometric_poly",
+        ex.add(*parts),
+        ineq,
+        eq,
         witness=witness,
         reference=reference,
-        declares=frozenset({"convex_joint_g"}),
+        declares=_JOINT,
         window=window,
     )
 
@@ -1015,33 +876,15 @@ def _l01_svm(A, d, C: float = 1.0) -> SaddleForm:
     if C <= 0:
         raise FormError("C must be > 0")
     m, n = A.shape
-    part = VarPartition(n + 1, 3 * m, m)
-    yj = lambda j: _v(n + 1 + j)
-    ymj = lambda j: _v(n + 1 + m + j)
-    y2mj = lambda j: _v(n + 1 + 2 * m + j)
-    zj = lambda j: _v(n + 1 + 3 * m + j)
-    parts = [0.5 * ex.square(_v(i)) for i in range(n)]
-    ineq = []
-    for j in range(m):
-        pair_a = ex.square(yj(j) + ymj(j) - 1.0) - zj(j)
-        pair_b = ex.square(yj(j)) + ex.square(ymj(j) - 1.0) - zj(j)
-        parts.append(C * (ex.square(ymj(j)) + pair_a + pair_b))
-        ineq.append(pair_a)
-    for j in range(m):
-        ineq.append(ex.square(yj(j)) + ex.square(ymj(j) - 1.0) - zj(j))
-    for j in range(m):
-        ineq.append(ex.square(ymj(j)) - ymj(j))
-    for j in range(m):
-        ineq.append(ex.square(y2mj(j)) - yj(j))
-    eq = tuple(
-        _aff([(i, A[j, i]) for i in range(n)] + [(n, d[j]), (n + 1 + j, 1.0)], -1.0)
+    lift = _Lift([_FREE] * (n + 1), [_NONNEG] * m + [_UNIT] * m + [_FREE] * m, [_NONNEG] * m)
+    x, u, ind, root = lift.x, lift.y[:m], lift.y[m : 2 * m], lift.y[2 * m :]
+    terms, ineq = _l0_terms(C, u, ind, lift.z)
+    parts = [0.5 * ex.square(xi) for xi in x[:n]] + terms
+    ineq += [ex.square(rj) - uj for rj, uj in zip(root, u)]
+    eq = [
+        ex.affine([*enumerate(A[j]), (n, d[j]), (u[j].index, 1.0)], -1.0)
         for j in range(m)
-    )
-    box = Box.from_blocks(
-        ([-INF] * (n + 1), [INF] * (n + 1)),
-        ([0.0] * m + [0.0] * m + [-INF] * m, [INF] * m + [1.0] * m + [INF] * m),
-        ([0.0] * m, [INF] * m),
-    )
+    ]
 
     def witness(x):
         xv = np.asarray(x, dtype=float)
@@ -1056,16 +899,14 @@ def _l01_svm(A, d, C: float = 1.0) -> SaddleForm:
         u = 1.0 - A @ xv[:n] - d * xv[n]
         return float(0.5 * (xv[:n] ** 2).sum() + C * np.count_nonzero(u > 0))
 
-    return SaddleForm(
-        name="l01_svm",
-        partition=part,
-        box=box,
-        g=ex.add(*parts),
-        ineq=tuple(ineq),
-        eq=eq,
+    return lift.form(
+        "l01_svm",
+        ex.add(*parts),
+        ineq,
+        eq,
         witness=witness,
         reference=reference,
-        declares=frozenset({"convex_joint_g", "nonneg"}),
+        declares=_JOINT_NONNEG,
     )
 
 
@@ -1075,86 +916,62 @@ def _sparse_l0(q: Expr, lam: float, n: int) -> SaddleForm:
     _x_only(q, n, "q")
     if lam <= 0:
         raise FormError("lam must be > 0")
-    part = VarPartition(n, n, n)
-    parts = [q]
-    ineq = []
-    for i in range(n):
-        xi, yi, zi = _v(i), _v(n + i), _v(2 * n + i)
-        pa = ex.square(xi + yi - 1.0) - zi
-        pb = ex.square(xi) + ex.square(yi - 1.0) - zi
-        parts.append(lam * (ex.square(yi) + pa + pb))
-        ineq.append(pa)
-    for i in range(n):
-        xi, yi, zi = _v(i), _v(n + i), _v(2 * n + i)
-        ineq.append(ex.square(xi) + ex.square(yi - 1.0) - zi)
-    for i in range(n):
-        yi = _v(n + i)
-        ineq.append(ex.square(yi) - yi)
-    box = Box.from_blocks(
-        ([-INF] * n, [INF] * n), ([0.0] * n, [1.0] * n), ([0.0] * n, [INF] * n)
-    )
-
-    def witness(x):
-        pairs = [_l0_pair_witness(float(t)) for t in x]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    lift = _Lift([_FREE] * n, [_UNIT] * n, [_NONNEG] * n)
+    terms, ineq = _l0_terms(lam, lift.x, lift.y, lift.z)
 
     def reference(x):
         xv = np.asarray(x, dtype=float)
         return float(q.value(xv) + lam * np.count_nonzero(xv))
 
-    return SaddleForm(
-        name="sparse_l0",
-        partition=part,
-        box=box,
-        g=ex.add(*parts),
-        ineq=tuple(ineq),
-        witness=witness,
+    return lift.form(
+        "sparse_l0",
+        ex.add(q, *terms),
+        ineq,
+        witness=_l0_witness,
         reference=reference,
-        declares=frozenset({"convex_joint_g"}),
+        declares=_JOINT,
     )
 
 
-def _sign_split_terms(coef: float, i: int, j: int, zi: int, zj: int) -> Expr:
+def _sign_split_terms(coef: float, xi: Expr, xj: Expr, zi: Expr, zj: Expr) -> Expr:
     """(|a|/2) * ((x_i + sgn(a) x_j)^2 - z_i - z_j), the bilinear splitting."""
     s = 1.0 if coef > 0 else -1.0
-    quad = ex.square(_aff([(i, 1.0), (j, s)]))
-    return (abs(coef) / 2.0) * (quad - _v(zi) - _v(zj))
+    quad = ex.square(ex.affine([(xi.index, 1.0), (xj.index, s)]))
+    return (abs(coef) / 2.0) * (quad - zi - zj)
 
 
 def _quadratic(A, c) -> SaddleForm:
     # f(x) = x^T A x + c^T x
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or c.shape != (n,):
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or c.shape != A.shape[:1]:
         raise FormError("need square A and matching c")
-    part = VarPartition(n, 0, n)
-    parts = []
+    n = A.shape[0]
+    lift = _Lift([_FREE] * n, z=[_NONNEG] * n)
+    x, z = lift.x, lift.z
+    parts = [
+        _sign_split_terms(A[i, j], x[i], x[j], z[i], z[j])
+        for i in range(n)
+        for j in range(n)
+        if i != j and A[i, j] != 0.0
+    ]
     for i in range(n):
-        for j in range(n):
-            if i != j and A[i, j] != 0.0:
-                parts.append(_sign_split_terms(A[i, j], i, j, n + i, n + j))
-    for i in range(n):
-        parts.append(ex.scale(_v(n + i), A[i, i]))
-        parts.append(ex.square(_v(i)) - _v(n + i))
+        parts.append(ex.scale(z[i], A[i, i]))
+        parts.append(ex.square(x[i]) - z[i])
         if c[i] != 0.0:
-            parts.append(ex.scale(_v(i), c[i]))
-    ineq = tuple(ex.square(_v(i)) - _v(n + i) for i in range(n))
-    box = Box.from_blocks(([-INF] * n, [INF] * n), ([], []), ([0.0] * n, [INF] * n))
+            parts.append(ex.scale(x[i], c[i]))
 
     def reference(x):
         xv = np.asarray(x, dtype=float)
         return float(xv @ A @ xv + c @ xv)
 
-    return SaddleForm(
-        name="quadratic",
-        partition=part,
-        box=box,
-        g=ex.add(*parts),
-        ineq=ineq,
+    return lift.form(
+        "quadratic",
+        ex.add(*parts),
+        [ex.square(xi) - zi for xi, zi in zip(x, z)],
         witness=lambda x: (np.empty(0), np.asarray(x, dtype=float) ** 2),
         reference=reference,
-        declares=frozenset({"convex_joint_g"}),
+        declares=_JOINT,
     )
 
 
@@ -1166,32 +983,28 @@ def _bilinear_xy(A, c1, c2) -> SaddleForm:
     n, m = A.shape
     if c1.shape != (n,) or c2.shape != (m,):
         raise FormError("need A of shape (n, m), c1 of shape (n,), c2 of shape (m,)")
-    dim = n + m
-    part = VarPartition(dim, 0, dim)
-    c = np.concatenate([c1, c2])
-    parts = [ex.scale(_v(i), c[i]) for i in range(dim) if c[i] != 0.0]
+    lift = _Lift([_FREE] * (n + m), z=[_NONNEG] * (n + m))
+    x, z = lift.x, lift.z
+    (x1, x2), (z1, z2) = (x[:n], x[n:]), (z[:n], z[n:])
+    parts = [ex.scale(xi, ci) for xi, ci in zip(x, np.concatenate([c1, c2])) if ci != 0.0]
     for i in range(n):
         for j in range(m):
             if A[i, j] != 0.0:
-                parts.append(_sign_split_terms(A[i, j], i, n + j, dim + i, dim + n + j))
-    ineq = tuple(ex.square(_v(i)) - _v(dim + i) for i in range(dim))
+                parts.append(_sign_split_terms(A[i, j], x1[i], x2[j], z1[i], z2[j]))
     if not parts:
         parts = [ex.const(0.0)]
-    box = Box.from_blocks(([-INF] * dim, [INF] * dim), ([], []), ([0.0] * dim, [INF] * dim))
 
     def reference(x):
         xv = np.asarray(x, dtype=float)
         return float(c1 @ xv[:n] + xv[:n] @ A @ xv[n:] + c2 @ xv[n:])
 
-    return SaddleForm(
-        name="bilinear_xy",
-        partition=part,
-        box=box,
-        g=ex.add(*parts),
-        ineq=ineq,
+    return lift.form(
+        "bilinear_xy",
+        ex.add(*parts),
+        [ex.square(xi) - zi for xi, zi in zip(x, z)],
         witness=lambda x: (np.empty(0), np.asarray(x, dtype=float) ** 2),
         reference=reference,
-        declares=frozenset({"convex_joint_g"}),
+        declares=_JOINT,
     )
 
 
@@ -1210,26 +1023,33 @@ class CatalogEntry:
 CATALOG: dict[str, CatalogEntry] = {
     e.name: e
     for e in [
-        CatalogEntry("bilinear2_a", "2*x0*x1 with one maximizer per square", lambda **kw: _bilinear2("a", **kw)),
-        CatalogEntry("bilinear2_b", "2*x0*x1 with a single shared maximizer", lambda **kw: _bilinear2("b", **kw)),
-        CatalogEntry("abs_half_reg", "(x0+x1-1)^2 + lam*(sqrt|x0| + sqrt|x1|)", _abs_half_reg, "lam > 0"),
+        CatalogEntry("bilinear2_a", "2*x0*x1 with one maximizer per square", _bilinear2_a),
+        CatalogEntry("bilinear2_b", "2*x0*x1 with a single shared maximizer", _bilinear2_b),
+        CatalogEntry(
+            "abs_half_reg", "(x0+x1-1)^2 + lam*(sqrt|x0| + sqrt|x1|)", _abs_half_reg, "lam > 0"
+        ),
         CatalogEntry("l0_reg2", "(x0+x1-1)^2 + lam*count_nonzero(x)", _l0_reg2, "lam > 0"),
         CatalogEntry("sin_0_pi", "sin(x) on [0, pi]", _sin_0_pi),
         CatalogEntry("sin_0_2pi", "sin(x) on [0, 2*pi]", _sin_0_2pi),
         CatalogEntry("cos_0_2pi", "cos(x) on [0, 2*pi]", _cos_0_2pi),
-        CatalogEntry("dc", "difference d(x) - c(x) of user convex parts", _dc, "d, c: convex-tagged exprs; n"),
+        CatalogEntry(
+            "dc", "difference d(x) - c(x) of user convex parts", _dc, "d, c: convex-tagged exprs; n"
+        ),
         CatalogEntry("entropy", "-sum x_i ln x_i on (0, 1]^n", _entropy, "n >= 1"),
         CatalogEntry("sigmoid", "2/(1+exp(-x)) - 1 (known-issues entry)", _sigmoid),
         CatalogEntry("pow_a", "x^a on x >= 0, 0 < a < 1", _pow_a, "0 < a < 1"),
         CatalogEntry("pow_a_plus_1", "x^(a+1) on x >= 0, 0 < a < 1", _pow_a_plus_1, "0 < a < 1"),
         CatalogEntry("pow_a_2n", "x^(a+2*n2) on x >= 0", _pow_a_2n, "0 < a < 1, n2 >= 1"),
-        CatalogEntry("sgn3_a", "sign(x) in {-1,0,1}, inequality lift", lambda **kw: _sgn3("a", **kw)),
-        CatalogEntry("sgn3_b", "sign(x) in {-1,0,1}, equality lift", lambda **kw: _sgn3("b", **kw)),
-        CatalogEntry("sgn2_a", "step(x) in {0,1}, inequality lift", lambda **kw: _sgn2("a", **kw)),
-        CatalogEntry("sgn2_b", "step(x) in {0,1}, equality lift", lambda **kw: _sgn2("b", **kw)),
-        CatalogEntry("relu_a", "max(x, 0), inequality lift", lambda **kw: _relu("a", **kw)),
-        CatalogEntry("relu_b", "max(x, 0), equality lift", lambda **kw: _relu("b", **kw)),
-        CatalogEntry("relu_convex", "max(b(x), 0) for user convex b", _relu_convex, "b: convex-tagged expr; n"),
+        CatalogEntry("sgn3_a", "sign(x) in {-1,0,1}, inequality lift", _sgn3_a),
+        CatalogEntry("sgn3_b", "sign(x) in {-1,0,1}, equality lift", _sgn3_b),
+        CatalogEntry("sgn2_a", "step(x) in {0,1}, inequality lift", _sgn2_a),
+        CatalogEntry("sgn2_b", "step(x) in {0,1}, equality lift", _sgn2_b),
+        CatalogEntry("relu_a", "max(x, 0), inequality lift", _relu_a),
+        CatalogEntry("relu_b", "max(x, 0), equality lift", _relu_b),
+        CatalogEntry(
+            "relu_convex", "max(b(x), 0) for user convex b", _relu_convex,
+            "b: convex-tagged expr; n",
+        ),
         CatalogEntry("abs_power", "sqrt(|x|) via quartic lift", _abs_power),
         CatalogEntry("l0_scalar_reg", "(x-1)^2 + lam*[x != 0]", _l0_scalar_reg, "lam > 0"),
         CatalogEntry("maxabs_minus_sum", "n*max|x_i| - sum|x_i|", _maxabs_minus_sum, "n >= 1"),
@@ -1301,7 +1121,7 @@ def default_suite() -> list[SaddleForm]:
     forms.append(
         make_structured(
             "sparse_l0",
-            {"q": ex.square(_v(0) - 1.0), "lam": 2.0, "n": 1},
+            {"q": ex.square(ex.var(0) - 1.0), "lam": 2.0, "n": 1},
         )
     )
     forms.append(make_structured("quadratic", {"A": [[0.0, 1.0], [1.0, 0.0]], "c": [0.0, 0.0]}))

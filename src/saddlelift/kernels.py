@@ -66,13 +66,6 @@ def _overflow_pow(v: float, e) -> float:
         return float(np.float64(v) ** e)
 
 
-def _overflowed(size: int, sign: float, cols, entries) -> np.ndarray:
-    """The gradient of a penalty whose power overflowed: sign*dg + NaN."""
-    dg = np.zeros(size)
-    dg[cols] = entries
-    return sign * dg + np.full(size, math.nan)
-
-
 def _times_zero(grad: np.ndarray, nonfinite, present) -> None:
     """Add c*0.0 (a NaN) to the entries outside constraint k's gradient, for
     each (k, c*0.0) in ``nonfinite``: the dense sum adds c times a zero there."""
@@ -201,10 +194,8 @@ class _Lowering:
             return lines + overflow + [f"return sign * {g} + pen"]
         dg = self.entries[id(outputs[0])]
         if terms:
-            dg_entries = ", ".join(self.operand(dg[i]) for i in sorted(dg))
-            lines.append(
-                f"    return sign * {g} + _inf, _overflowed(len(p), sign, _dgcols, [{dg_entries}])"
-            )
+            # the gradient of a penalty whose power overflowed is NaN throughout
+            lines.append(f"    return sign * {g} + _inf, _full(len(p), _nan)")
         cols = sorted(acc | set(dg))
         # sign*0.0 + a_i is a_i bit for bit: a sum from 0.0 is never -0.0
         finals = [
@@ -214,9 +205,9 @@ class _Lowering:
         self.namespace.update(
             _zeros=np.zeros,
             _cols=np.array(cols, dtype=np.intp),
-            _dgcols=np.array(sorted(dg), dtype=np.intp),
             _present=[np.array(sorted(self.entries[id(e)]), dtype=np.intp) for e in outputs],
-            _overflowed=_overflowed,
+            _full=np.full,
+            _nan=math.nan,
             _times_zero=_times_zero,
         )
         lines.append("grad = _zeros(len(p))")

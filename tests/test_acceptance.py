@@ -18,7 +18,7 @@ from saddlelift import expr as ex
 from saddlelift import penalty as pe
 from saddlelift.audit import GridSpec, identity_audit, load_registry
 from saddlelift.catalog import default_suite, make_catalog_form
-from saddlelift.forms import SaddlePoint, membership, witness_eval
+from saddlelift.forms import D2_TOL, SaddlePoint, witness_check
 from saddlelift.solver import SolverParams, alternating_penalty_solve
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -63,19 +63,8 @@ def test_criterion_01_witness_identity_suite():
     t0 = time.time()
     offenders = []
     for form in default_suite():
-        ok = True
-        for x in form.sample_x(rng, 100):
-            try:
-                p = witness_eval(form, x, check=False)
-                rep = membership(form, p, 1e-9)
-                gap = abs(form.g.value(p.vec) - form.reference(x))
-                if not rep.feasible or gap > 1e-9:
-                    ok = False
-            except Exception:
-                ok = False
-            if not ok:
-                break
-        if not ok and (form.name not in registry or not registry[form.name].counterexample):
+        error, _ = witness_check(form, form.sample_x(rng, 100))
+        if error > D2_TOL and (form.name not in registry or not registry[form.name].counterexample):
             offenders.append(form.name)
     elapsed = time.time() - t0
     _report(
@@ -256,16 +245,10 @@ def test_criterion_09_algebra_closure():
         if not rep.passed:
             ok = False
             notes.append(f"{name} validate_form failed")
-        rng = np.random.default_rng(10)
-        for x in form.sample_x(rng, 100):
-            p = witness_eval(form, x, check=False)
-            if (
-                not membership(form, p, 1e-9).feasible
-                or abs(form.g.value(p.vec) - form.reference(x)) > 1e-9
-            ):
-                ok = False
-                notes.append(f"{name} witness identity failed at x={x}")
-                break
+        error, x = witness_check(form, form.sample_x(np.random.default_rng(10), 100))
+        if error > D2_TOL:
+            ok = False
+            notes.append(f"{name} witness identity failed at x={x}")
     _report(9, f"algebra closure and witness preservation ({notes or 'all good'})", ok)
 
 

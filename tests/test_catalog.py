@@ -3,6 +3,7 @@ known-issues registry contract."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from saddlelift import algebra
 from saddlelift import expr as ex
 from saddlelift.audit import load_registry, registry_sweep
 from saddlelift.catalog import (
+    abs_sqrt_term,
     default_suite,
     describe,
     list_catalog,
@@ -18,16 +20,18 @@ from saddlelift.catalog import (
     make_structured,
     trivial_convex,
 )
-from saddlelift.cli import form_to_inline
+from saddlelift.cli import form_to_inline, load_form
 from saddlelift.forms import (
+    D2_TOL,
     FormError,
     WitnessInfeasibleError,
-    membership,
     validate_form,
+    witness_check,
     witness_eval,
 )
 
 BROKEN = {"sigmoid", "geometric_poly", "l01_svm"}
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_abs_power_shape():
@@ -148,18 +152,8 @@ def test_witness_identity_holds_or_form_is_registered():
     registry = load_registry()
     rng = np.random.default_rng(12)
     for form in default_suite():
-        ok = True
-        try:
-            for x in form.sample_x(rng, 100):
-                p = witness_eval(form, x, check=False)
-                rep = membership(form, p, 1e-9)
-                gap = abs(form.g.value(p.vec) - form.reference(x))
-                if not rep.feasible or gap > 1e-9:
-                    ok = False
-                    break
-        except Exception:
-            ok = False
-        if not ok:
+        error, _ = witness_check(form, form.sample_x(rng, 100))
+        if error > D2_TOL:
             assert form.name in registry, f"{form.name} diverges but is not registered"
             assert registry[form.name].counterexample
 
@@ -200,6 +194,68 @@ def test_form_structure_is_pinned():
     text = "\n".join(json.dumps(form_to_inline(f), sort_keys=True) for f in forms)
     assert (len(forms), len(text)) == (31, 14138)
     assert hashlib.sha256(text.encode()).hexdigest() == _STRUCTURE_SHA256
+
+
+def _pinned_forms():
+    x0, x1, x2 = ex.var(0), ex.var(1), ex.var(2)
+    sq2 = ex.add(ex.square(x0), ex.square(x1)).with_tag(ex.CONVEX)
+    forms = [make_catalog_form("maxabs_minus_sum", n=n) for n in (1, 2, 10, 20)]
+    forms += [
+        make_catalog_form("l0_reg2", lam=0.5),
+        make_catalog_form("l0_scalar_reg", lam=3),
+        make_catalog_form("abs_half_reg", lam=0.25),
+        make_catalog_form("entropy", n=3),
+        make_catalog_form("pow_a", a=0.25),
+        make_catalog_form("pow_a_plus_1", a=0.75),
+        make_catalog_form("pow_a_2n", a=0.25, n2=2),
+        make_catalog_form("dc", d=(2.0 * sq2).with_tag(ex.CONVEX), c=ex.square(x0 - x1), n=2),
+        make_catalog_form("relu_convex", b=(sq2 - 1.0).with_tag(ex.CONVEX), n=2),
+    ]
+    q3 = ex.add(ex.square(x0 - 1.0), ex.square(x1), ex.square(x2 + 2.0)).with_tag(ex.CONVEX)
+    forms += [
+        make_structured("sparse_l0", {"q": q3, "lam": 1.5, "n": 3}),
+        make_structured(
+            "l01_svm",
+            {
+                "A": [[1.0, 0.0, -1.0], [0.5, 2.0, 0.0], [0.0, -1.0, 1.0], [1.0, 1.0, 1.0]],
+                "d": [1.0, -1.0, 0.5, -0.5],
+                "C": 0.5,
+            },
+        ),
+        make_structured(
+            "geometric_poly",
+            {"a": [1.0, -0.5, 2.0], "alpha": [[1.0, 2.0], [0.5, -1.0], [0.0, 3.0]]},
+        ),
+        make_structured(
+            "quadratic",
+            {"A": [[1.0, -2.0, 0.0], [0.5, 0.0, 3.0], [0.0, -1.0, 2.0]], "c": [0.5, 0.0, -1.0]},
+        ),
+        make_structured(
+            "bilinear_xy",
+            {"A": [[1.0, 0.0, -2.0], [0.0, 3.0, 0.5]], "c1": [1.0, 0.0], "c2": [0.0, -1.0, 2.0]},
+        ),
+        abs_sqrt_term(3, 1),
+        trivial_convex(sq2, 2, "bowl", nonneg=True, window=(-2.0, 3.0)),
+    ]
+    for path in sorted(PROBLEMS.glob("*.json")):
+        forms.append(load_form(json.loads(path.read_text())))
+    return forms + default_suite()
+
+
+# sha256 of the inline JSON and declarations of 53 forms: parameterised
+# catalog entries, structured instances of several shapes, the two small
+# builders, the problem files and the default suite
+_PARAMETERISED_SHA256 = "68a33299f26353c87c45743c36f396e475d61f3bdff87f80b9573faba672729a"
+
+
+def test_parameterised_forms_are_pinned():
+    forms = _pinned_forms()
+    text = "\n".join(
+        json.dumps({**form_to_inline(f), "declares": sorted(f.declares)}, sort_keys=True)
+        for f in forms
+    )
+    assert (len(forms), len(text)) == (53, 33015)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PARAMETERISED_SHA256
 
 
 def test_describe_and_list():

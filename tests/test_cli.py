@@ -207,6 +207,12 @@ _INLINE = {"partition": [1, 0, 0], "g": "(sq x0)"}
         ({"problem": {"structured": "quadratic", "data": {"A": [[1]]}}}, "bad form"),
         ({**_dc_problem(), "start": "abc"}, "start vector"),
         ({**_dc_problem(), "start": [1, "x", 2]}, "start vector"),
+        ({"problem": {"structured": "quadratic", "data": {"A": 1.0, "c": [0.0]}}}, "bad form"),
+        ({"problem": {"catalog": "dc", "params": {"d": 1}}}, "bad form"),
+        (
+            {"problem": {"structured": "sparse_l0", "data": {"q": [1], "lam": 1.0, "n": 1}}},
+            "bad form",
+        ),
     ],
 )
 def test_malformed_problem_file_exits_one(tmp_path, capsys, doc, words):
