@@ -489,8 +489,8 @@ def _pow_a_2n(a: float = 0.5, n2: int = 1) -> SaddleForm:
     # f(x) = x**(a + 2*n2) on x >= 0, 0 < a < 1, n2 >= 1
     if not 0.0 < a < 1.0:
         raise FormError("pow_a_2n requires 0 < a < 1")
-    if n2 < 1:
-        raise FormError("pow_a_2n requires n2 >= 1")
+    if not (n2 >= 1 and float(n2).is_integer()):
+        raise FormError("pow_a_2n requires an integer n2 >= 1")
     lift = _Lift([_NONNEG], [_NONNEG] * 2, [_NONNEG] * 2)
     (x0,), (y0, y1), (z0, z1) = lift.x, lift.y, lift.z
     g = 0.5 * ex.square(y0 + y1) - 0.5 * z0 + ex.rpow(y0, 2.0 / a) - z1 + ex.square(x0) - z1

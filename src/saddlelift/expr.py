@@ -391,6 +391,9 @@ def square(child: Expr) -> Expr:
 
 
 def ipow(child: Expr, k: int) -> Expr:
+    """child ** k; an integral float k is stored as its int."""
+    if not float(k).is_integer():
+        raise ValueError(f"integer power requires an integral exponent, got {k!r}")
     return _finish(IntPow(child, int(k)))
 
 
@@ -653,7 +656,11 @@ def parse_sexpr(text: str, resolve: Callable[[str], int]) -> Expr:
             node = _finish(_WORDS[head](expr()))
         elif head == "pow":
             child = expr()
-            node = ipow(child, int(number()))
+            k = number()
+            if not k.is_integer():
+                tok, kat = tokens[pos - 1]
+                fail(f"expected an integer exponent, found {tok!r}", kat)
+            node = ipow(child, k)
         elif head == "rpow":
             child = expr()
             node = rpow(child, number())

@@ -1,8 +1,12 @@
 """Kernels: expressions lowered to straight-line Python.
 
-A tape lowers a tuple of expressions, sharing subexpressions by node
-identity, into the source of one Python function per kernel: one statement
-per node or sum term, no nested parentheses, so a 1000-term sum compiles.
+A tape lowers a tuple of expressions into the source of one Python
+function per kernel: one statement per node or sum term, no nested
+parentheses, so a 1000-term sum compiles.  Subexpressions are shared by
+structure: a node with the type, fields and children of one lowered
+before it (tags ignored), however it was built, reads that node's locals,
+so each distinct subexpression is evaluated once per call and an error
+names the first copy in evaluation order.
 Each node's arithmetic is written in the order the exact chain rule
 evaluates it (a square's gradient is (2.0*v)*g_i, sums add left to right
 from 0.0 with explicit '+'), so every value and gradient is bitwise
@@ -37,6 +41,8 @@ constraints.
 from __future__ import annotations
 
 import math
+import struct
+from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
@@ -94,6 +100,26 @@ def _postorder(outputs) -> list[Expr]:
     return order
 
 
+def _first_copies(order) -> dict[int, int]:
+    """Node id -> id of the first node of ``order`` with the same arithmetic:
+    the same type, fields and children (by their first copies), tags
+    ignored.  Floats compare by their bits, so 0.0 and -0.0 stay apart."""
+    first: dict[int, int] = {}
+    seen: dict[tuple, int] = {}
+
+    def key(v):
+        if isinstance(v, Expr):
+            return first[id(v)]
+        if isinstance(v, tuple):
+            return tuple(key(u) for u in v)
+        return struct.pack("d", v) if isinstance(v, float) else v
+
+    for node in order:
+        k = (type(node), *(key(getattr(node, f.name)) for f in fields(node) if f.name != "tag"))
+        first[id(node)] = seen.setdefault(k, id(node))
+    return first
+
+
 class _Lowering:
     """Writes the body of one kernel of ``outputs``.
 
@@ -126,16 +152,30 @@ class _Lowering:
         self.kinks: dict[int, str] = {}  # node id -> local naming its kink
         self.used: set[int] = set()
         order = _postorder(outputs)
-        last_reader = {id(c): k for k, node in enumerate(order) for c in node.children()}
-        keep = {id(e) for e in outputs}
+        first = _first_copies(order)
+        last_reader = {
+            first[id(c)]: k
+            for k, node in enumerate(order)
+            if first[id(node)] == id(node)
+            for c in node.children()
+        }
+        keep = {first[id(e)] for e in outputs}
         for k, node in enumerate(order):
+            orig = first[id(node)]
+            if orig != id(node):  # a copy reads the locals of the first one
+                for table in (self.value, self.entries, self.kinks):
+                    if orig in table:
+                        table[id(node)] = table[orig]
+                continue
             self._lower(k, node)
             if self.batch:
                 # Var rows are views of the points, and shared by index
                 dead = {
                     self.value[id(c)]
                     for c in node.children()
-                    if last_reader[id(c)] == k and id(c) not in keep and not isinstance(c, Var)
+                    if last_reader[first[id(c)]] == k
+                    and first[id(c)] not in keep
+                    and not isinstance(c, Var)
                 }
                 if dead:
                     self.emit(f"del {', '.join(sorted(dead))}")
@@ -155,7 +195,7 @@ class _Lowering:
     def kink(self, e: Expr) -> str | None:
         """The expression naming the first kink met under ``e``, or None."""
         names = [self.kinks[id(n)] for n in _postorder((e,)) if id(n) in self.kinks]
-        return " or ".join(names) or None
+        return " or ".join(dict.fromkeys(names)) or None
 
     def penalty(self, outputs, ineq: int) -> list[str]:
         """Lines returning the smoothed penalty of ``outputs`` read as

@@ -97,17 +97,24 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
     backtracking moves cannot pay cross-coordinate ridge costs, so smooth
     coordinates keep descending.  The phases alternate until the gradient
     tolerance, the iteration cap, or no phase makes progress.
+
+    Each trial costs one ``obj`` call and a few whole-array numpy
+    operations.  The coordinate phase does its scalar arithmetic on Python
+    floats (the IEEE operations of numpy scalars, without their dispatch
+    cost or overflow warnings) and writes only the trial coordinate into the
+    vector ``obj`` reads.
     """
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
-    p = np.clip(np.asarray(start, dtype=float), lo, hi)
+    p = np.minimum(np.maximum(np.asarray(start, dtype=float), lo), hi)
     f, g = obj(p, True)
     if not math.isfinite(f):
         raise ValueError(f"objective is not finite at the start point ({f})")
     state = {"p": p, "f": f, "g": g, "iters": 0}
 
     def pg_norm() -> float:
-        return float(np.linalg.norm(state["p"] - np.clip(state["p"] - state["g"], lo, hi)))
+        r = state["p"] - np.minimum(np.maximum(state["p"] - state["g"], lo), hi)
+        return math.sqrt(r @ r)  # np.linalg.norm of a float vector
 
     def joint_phase() -> str:
         step = _INITIAL_STEP
@@ -127,9 +134,9 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
             accepted = False
             fq, q = f, p
             for _ in range(80):
-                q = np.clip(p - alpha * g, lo, hi)
+                q = np.minimum(np.maximum(p - alpha * g, lo), hi)
                 d = q - p
-                if not d.any():
+                if not np.count_nonzero(d):
                     break
                 fq = obj(q, False)[0]
                 if math.isfinite(fq) and fq <= f + _ARMIJO * float(g @ d):
@@ -145,39 +152,35 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
 
     def coordinate_phase() -> bool:
         improved_any = False
-        dim = state["p"].size
-        warm = np.maximum(np.abs(state["p"]), 1.0)
-        blocked = np.zeros(dim, dtype=bool)
+        lows, highs = lo.tolist(), hi.tolist()
+        warm = [max(abs(v), 1.0) for v in state["p"].tolist()]
+        blocked = [False] * len(warm)
         for _ in range(60):
             if state["iters"] >= _MAX_ITERS:
                 break
             state["iters"] += 1
-            p, f, g = state["p"], state["f"], state["g"]
+            f = state["f"]
+            q = state["p"].copy()
             moved = False
-            q = p.copy()
-            for i in range(dim):
-                gi = g[i]
+            for i, (gi, old) in enumerate(zip(state["g"].tolist(), q.tolist())):
                 if gi == 0.0 or blocked[i]:
                     continue
                 alpha = warm[i]
-                accepted = False
                 for _ in range(30):
-                    ti = min(max(q[i] - alpha * gi, lo[i]), hi[i])
-                    if ti == q[i]:
+                    ti = min(max(old - alpha * gi, lows[i]), highs[i])
+                    if ti == old:
                         alpha *= _BACKTRACK
                         continue
-                    old = q[i]
                     q[i] = ti
                     fq = obj(q, False)[0]
                     if math.isfinite(fq) and fq <= f - _ARMIJO * abs(gi * (ti - old)):
                         f = fq
                         warm[i] = 2.0 * alpha
-                        accepted = True
                         moved = True
                         break
-                    q[i] = old
                     alpha *= _BACKTRACK
-                if not accepted:
+                else:
+                    q[i] = old
                     blocked[i] = True
             if not moved:
                 break
@@ -303,8 +306,8 @@ def alternating_penalty_solve(
         start = np.zeros(part.total)
     vec = start.vec if isinstance(start, SaddlePoint) else np.asarray(start, dtype=float)
     p = np.clip(vec.astype(float), lo, hi)
-    xy = np.arange(part.n + part.m1)
-    zz = np.arange(part.n + part.m1, part.total)
+    xy = slice(0, part.n + part.m1)
+    zz = slice(part.n + part.m1, part.total)
     trace: list[TraceRow] = []
     status = STATUS_MAX_OUTER
     diagnostic = ""
@@ -422,8 +425,8 @@ def kkt_residual(
             f"kkt_residual needs a feasible point; max violation {rep.max_violation:.3e}"
         )
     part = form.partition
-    xy = np.arange(part.n + part.m1)
-    zz = np.arange(part.n + part.m1, part.total)
+    xy = slice(0, part.n + part.m1)
+    zz = slice(part.n + part.m1, part.total)
     s, r = len(form.ineq), len(form.eq)
 
     _, ivals, _, grad = form.values_grads(p.vec)
@@ -500,8 +503,8 @@ def exactness_probe(
     part = form.partition
     lo = form.box.lower_array()
     hi = form.box.upper_array()
-    xy = np.arange(part.n + part.m1)
-    zz = np.arange(part.n + part.m1, part.total)
+    xy = slice(0, part.n + part.m1)
+    zz = slice(part.n + part.m1, part.total)
     rows = []
     for i, rho in enumerate(rho_list):
         rng = np.random.default_rng(seed + i)
@@ -511,7 +514,7 @@ def exactness_probe(
             (zz, penalty_g_theta, penalty_g_theta_value, penalty_g),
         ):
             cand = p_star.vec.copy()
-            if block.size:
+            if block.stop > block.start:
                 obj = _block_objective(
                     form, p_star.vec, block, penalty, penalty_value, rho, theta
                 )

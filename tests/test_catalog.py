@@ -3,6 +3,7 @@ known-issues registry contract."""
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,9 @@ def test_invalid_params_rejected():
         make_catalog_form("l0_scalar_reg", lam=-1.0)
     with pytest.raises(FormError):
         make_catalog_form("maxabs_minus_sum", n=0)
+    for n2 in (1.25, math.nan, 0):  # 1.25 used to build x^2 against a witness of x^2.5
+        with pytest.raises(FormError, match="integer n2"):
+            make_catalog_form("pow_a_2n", n2=n2)
     with pytest.raises(KeyError):
         make_catalog_form("nope")
     with pytest.raises(FormError):

@@ -213,6 +213,9 @@ _INLINE = {"partition": [1, 0, 0], "g": "(sq x0)"}
             {"problem": {"structured": "sparse_l0", "data": {"q": [1], "lam": 1.0, "n": 1}}},
             "bad form",
         ),
+        ({"problem": {"inline": {**_INLINE, "g": "(pow x0 2.5)"}}}, "integer exponent, found '2.5'"),
+        ({"problem": {"inline": {**_INLINE, "g": "(pow x0 inf)"}}}, "integer exponent, found 'inf'"),
+        ({"problem": {"catalog": "pow_a_2n", "params": {"n2": 1.25}}}, "integer n2"),
     ],
 )
 def test_malformed_problem_file_exits_one(tmp_path, capsys, doc, words):

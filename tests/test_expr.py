@@ -217,3 +217,18 @@ def test_parse_errors_carry_position():
     for word in ("max0", "abs"):
         with pytest.raises(ex.ParseError, match=f"unknown operator '{word}'"):
             ex.parse_sexpr(f"({word} x0)", _resolve)
+
+
+def test_integer_powers_reject_fractional_exponents():
+    # the exponent used to go through int(), so x0 ** 2.5 became x0 ** 2
+    for k in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="integral exponent"):
+            ex.ipow(ex.var(0), k)
+    # an integral float is kept as an int, so the node equals the int-built one
+    assert ex.ipow(ex.var(0), 2.0) == ex.ipow(ex.var(0), 2)
+    assert type(ex.ipow(ex.var(0), 2.0).k) is int
+    for k in ("2.5", "nan", "inf"):
+        with pytest.raises(ex.ParseError, match=f"integer exponent, found '{k}'") as err:
+            ex.parse_sexpr(f"(pow x0 {k})", _resolve)
+        assert (err.value.line, err.value.column) == (1, 9)
+    assert ex.parse_sexpr("(pow x0 2.0)", _resolve) == ex.ipow(ex.var(0), 2)

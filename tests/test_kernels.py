@@ -32,7 +32,8 @@ def _power(v, a):
 
 def _reference(e, p):
     """Value of ``e`` at the point ``p`` by recursion over the tree, with the
-    math module's semantics and NaN where ``e`` is undefined."""
+    math module's semantics, NaN where ``e`` is undefined and inf where a
+    power or exp overflows."""
     if isinstance(e, ex.Const):
         return e.c
     if isinstance(e, ex.Var):
@@ -57,11 +58,14 @@ def _reference(e, p):
     if isinstance(e, ex.RealPow):
         return math.nan if v < 0.0 else _power(v, e.a)
     if isinstance(e, ex.Exp):
-        return math.exp(v)
+        try:
+            return math.exp(v)
+        except OverflowError:
+            return math.inf
     if isinstance(e, ex.Log):
         return math.log(v) if v > 0.0 else math.nan
     if isinstance(e, ex.Sin):
-        return math.sin(v)
+        return math.sin(v) if math.isfinite(v) else math.nan
     raise TypeError(f"no reference for {type(e).__name__}")
 
 
@@ -391,3 +395,117 @@ def test_evaluated_expressions_pickle():
     back = pickle.loads(pickle.dumps(e))
     assert back == e
     assert back.value_grad([1.0])[0] == e.value([1.0])
+
+
+def _rebuilt(e):
+    """``e`` built again node by node with every tag changed: the same
+    arithmetic, no node object in common."""
+    changes = {"tag": ex.CONVEX if e.tag == ex.NONE else ex.NONE}
+    if isinstance(e, ex.Sum):
+        changes["parts"] = tuple(_rebuilt(c) for c in e.parts)
+    elif e.children():
+        changes["child"] = _rebuilt(e.child)
+    return dataclasses.replace(e, **changes)
+
+
+def _in_order(e, seen=None):
+    """The nodes of ``e`` in evaluation order: children first, each object once."""
+    seen = set() if seen is None else seen
+    for c in e.children():
+        yield from _in_order(c, seen)
+    if id(e) not in seen:
+        seen.add(id(e))
+        yield e
+
+
+def _first_error(e, p, grad):
+    """The error ``e.value`` (or ``e.value_grad``) raises at ``p`` and the
+    node it names, or None: the first domain error in evaluation order, else
+    in grad mode the first kink."""
+    nodes = list(_in_order(e))
+    for n in nodes:
+        if isinstance(n, (ex.Log, ex.RealPow)):
+            v = _reference(n.child, p)
+            if v < 0.0 or (v == 0.0 and isinstance(n, ex.Log)):
+                return ex.DomainEvalError, n
+    for n in nodes if grad else ():
+        if isinstance(n, ex.RealPow) and n.a < 1.0 and _reference(n.child, p) == 0.0:
+            return ex.NondifferentiableError, n
+    return None
+
+
+def _outcome(fn, *args):
+    """The bytes of what ``fn(*args)`` returns, or the type of the error it
+    raises and the node that error names."""
+    try:
+        out = fn(*args)
+    except (ex.DomainEvalError, ex.NondifferentiableError) as err:
+        return type(err), err.node
+    return [np.asarray(v).tobytes() for v in (out if isinstance(out, tuple) else (out,))]
+
+
+def _kernels(tape):
+    return tape.value.__code__.co_code, tape.value_grad.__code__.co_code, tape._batch.__code__.co_code
+
+
+_COORD = st.sampled_from([0.0, -0.0, -2.0, -0.5, 0.25, 1.0, 3.0, 700.0, 1e160])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(e=st.recursive(_LEAVES, _grow, max_leaves=8), at=st.lists(_COORD, min_size=3, max_size=3))
+def test_structural_copies_are_evaluated_once_and_exactly(e, at):
+    copy = _rebuilt(e)
+    both = ex.add(e, copy)
+    # the copy is lowered as e itself: the kernels of e + copy are those of e + e
+    assert _kernels(both.tape()) == _kernels(ex.add(e, e).tape())
+    want = _reference(both, at)
+    for grad, fn in ((False, both.value), (True, both.value_grad)):
+        error = _first_error(e, at, grad)
+        if error is not None:  # named at its first copy, the one inside e
+            assert _outcome(fn, at) == error
+        elif grad:
+            ge = e.value_grad(at)[1]
+            assert _outcome(fn, at) == _outcome(lambda: (want, (0.0 + ge) + ge))
+        else:
+            assert _outcome(fn, at) == _outcome(lambda: want)
+    batch = both.value_batch(np.array(at)[:, None])
+    own = e.value_batch(np.array(at)[:, None])
+    assert _same_bits(batch, (0.0 + own) + own)
+    if not _numpy_may_differ(e):
+        assert _same_bits(batch, np.array([want]))
+
+    # g = e and g_1 = copy - 1 share all of e: the penalty kernels are those
+    # of the form whose g_1 is e - 1, and the value is the plain sum's
+    def form(g1):
+        ineq = (ex.add(g1, ex.const(-1.0)),)
+        return SaddleForm("shared", VarPartition(1, 1, 1), Box.whole(3), e, ineq=ineq)
+
+    shared, same = form(copy), form(e)
+    assert _kernels(shared.tape()) == _kernels(same.tape())
+    error = _first_error(e, at, False)
+    g, g1 = _reference(e, at), _reference(shared.ineq[0], at)
+    for grad in (False, True):
+        for sign, power in ((1.0, 1.01), (-1.0, 2.0)):
+            got = _outcome(shared.smoothed_penalty, np.array(at), sign, 10.0, power, grad)
+            assert got == _outcome(same.smoothed_penalty, np.array(at), sign, 10.0, power, grad)
+            if error is not None:
+                assert got == error
+            elif not grad:
+                try:  # a NaN g_1 counts as violated
+                    pen = 0.0 if g1 <= 0.0 else 0.0 + 10.0 * g1**power
+                except OverflowError:
+                    pen = math.inf
+                assert got == _outcome(lambda: sign * g + pen)
+
+
+def test_structural_sharing_keeps_different_nodes_apart():
+    # 0.0 == -0.0 in Python, but a constant or factor of either sign is its own node
+    outs = (ex.const(0.0), ex.const(-0.0), ex.scale(ex.var(0), 0.0), ex.scale(ex.var(0), -0.0))
+    tape = Tape(outs)
+    for vals in (tape.value([1.0]), [v[0] for v in tape.value_batch(np.ones((1, 1)))]):
+        assert [math.copysign(1.0, v) for v in vals] == [1.0, -1.0, 1.0, -1.0]
+    # one-child nodes of different types have the same fields
+    x = ex.var(0)
+    outs = (ex.square(x), ex.exp(x), ex.log(x), ex.sin(x), ex.ipow(x, 2), ex.rpow(x, 2.0))
+    want = [4.0, math.exp(2.0), math.log(2.0), math.sin(2.0), 4.0, 4.0]
+    assert Tape(outs).value([2.0]) == want
