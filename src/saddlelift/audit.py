@@ -81,12 +81,15 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     restricted to grid points feasible at D2_TOL; (+inf, None) when no
     grid point is feasible.
 
-    The grid is evaluated open, per chunk of whole y slices: each x
-    coordinate as a (1, 1) array, the chunk's y points as (rows, 1) arrays
-    built from the chunk's own indices, and the z mesh as (1, nz) arrays
-    built once per scan, so memory stays bounded by _CHUNK, a subexpression
-    of x alone is computed once per chunk and one of x and y once per
-    slice.  Only the achieving point is built as a vector."""
+    The grid is evaluated open, per chunk of whole y slices, with one
+    broadcast dimension for the chunk's y rows and one per z axis: each x
+    coordinate as a (1, 1, ..., 1) array, the chunk's y points as
+    (rows, 1, ..., 1) arrays built from the chunk's own indices, and z axis
+    j as its linspace of length resolution at position 1 + j.  So memory
+    stays bounded by _CHUNK, and a subexpression is computed on the axes it
+    reads: one of x alone once per chunk, one of x and y once per slice, one
+    of a z axis once per point of that axis.  Only the achieving point is
+    built as a vector."""
     part = form.partition
     if part.m1 + part.m2 > 4:
         raise FormError(
@@ -103,27 +106,29 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
             f"grid needs {part.m1 + part.m2} axis bounds, got {len(bounds)}"
         )
     axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in bounds]
+    r, m1, m2 = grid.resolution, part.m1, part.m2
+    ny, nz = r**m1, r**m2
 
-    ny, nz = grid.resolution**part.m1, grid.resolution**part.m2
+    def coords(flat, ax):
+        """The coordinates on axes ``ax`` of the C-order flat indices ``flat``."""
+        idx = np.unravel_index(flat, (r,) * len(ax)) if ax else ()
+        return [a[i] for a, i in zip(ax, idx)]
 
-    def ys(flat):
-        """The y coordinates of the slices at flat indices, one per y axis."""
-        idx = np.unravel_index(flat, (grid.resolution,) * part.m1) if part.m1 else ()
-        return [axes[j][i] for j, i in enumerate(idx)]
-
-    xs = list(x.reshape(-1, 1, 1))
-    zs = [m.reshape(1, -1) for m in np.meshgrid(*axes[part.m1 :], indexing="ij")]
+    # dimension 0 holds the chunk's y rows, dimension 1 + j z axis j
+    col = (1,) * m2
+    xs = list(x.reshape((-1, 1) + col))
+    zs = [a.reshape((1,) + col[:j] + (r,) + col[j + 1 :]) for j, a in enumerate(axes[m1:])]
 
     # per y slice: max of g over its feasible z (-inf when there is none) and
-    # the first z achieving it; chunks hold whole slices
+    # the first z achieving it, in C order; chunks hold whole slices
     slice_max = np.full(ny, -math.inf)
     slice_arg = np.zeros(ny, dtype=np.intp)
     rows = max(1, _CHUNK // nz)
     checks = [(gi, False) for gi in form.ineq] + [(hj, True) for hj in form.eq]
     for s in range(0, ny, rows):
         e = min(s + rows, ny)
-        pts = xs + [y[:, None] for y in ys(np.arange(s, e))] + zs
-        feas = np.ones((e - s, nz), dtype=bool)
+        pts = xs + [y.reshape((-1,) + col) for y in coords(np.arange(s, e), axes[:m1])] + zs
+        feas = np.ones((e - s,) + (r,) * m2, dtype=bool)
         # per constraint, so a chunk stops at the first one leaving no point feasible
         for c, is_eq in checks:
             vals = c.value_batch(pts)
@@ -131,8 +136,8 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
             if not feas.any():
                 break
         else:
-            g = form.g.value_batch(pts)
-            g[np.isnan(g) | ~feas] = -math.inf
+            g = form.g.value_batch(pts).reshape(e - s, nz)
+            g[np.isnan(g) | ~feas.reshape(e - s, nz)] = -math.inf
             slice_arg[s:e] = g.argmax(axis=1)
             slice_max[s:e] = g[np.arange(e - s), slice_arg[s:e]]
     # a slice whose max is -inf has no feasible z; one whose max is +inf never wins
@@ -140,7 +145,7 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     k = int(np.argmin(slice_max))
     if slice_max[k] == math.inf:
         return math.inf, None
-    point = [*x, *ys(k), *(z[0, slice_arg[k]] for z in zs)]
+    point = [*x, *coords(k, axes[:m1]), *coords(slice_arg[k], axes[m1:])]
     return float(slice_max[k]), np.array(point)
 
 

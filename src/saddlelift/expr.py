@@ -14,7 +14,6 @@ empirically by sampling, never inferred symbolically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
@@ -509,33 +508,43 @@ def curvature_audit(
     # one row per attempt: the base point, u's axes, v's axes, in the order
     # one attempt at a time would draw them
     lows, highs = (np.concatenate([b, b[axes], b[axes]]) for b in (lo, hi))
-    draws = np.random.default_rng(seed).uniform(lows, highs, (samples * 20, lows.size))
-    u, v = draws[:, :dim].copy(), draws[:, :dim].copy()
-    u[:, axes], v[:, axes] = np.split(draws[:, dim:], 2, axis=1)
+    rng = np.random.default_rng(seed)
     ts = (0.25, 0.5, 0.75)
+    tcol = np.array(ts)[:, None]
     checked = 0
-    # the first ``samples`` attempts suffice unless some pair is skipped
-    for rows in (slice(0, samples), slice(samples, None)):
+    # the first ``samples`` attempts suffice unless some pair is skipped;
+    # the other 19 * samples are drawn from the same stream only then
+    for attempts in (samples, 19 * samples):
         if checked == samples:
             break
-        ur, vr = u[rows], v[rows]
+        draws = rng.uniform(lows, highs, (attempts, lows.size))
+        ur, vr = draws[:, :dim].copy(), draws[:, :dim].copy()
+        ur[:, axes], vr[:, axes] = np.split(draws[:, dim:], 2, axis=1)
         pts = np.concatenate([ur, vr] + [t * ur + (1.0 - t) * vr for t in ts])
-        values = e.value_batch(pts.T).reshape(5, -1).T.tolist()
-        for a, (fu, fv, *fms) in enumerate(values, rows.start):
-            if checked == samples:
-                break
-            for t, fm in zip(ts, fms):
-                if math.isnan(fu) or math.isnan(fv) or math.isnan(fm):
-                    break
-                blend = t * fu + (1.0 - t) * fv
-                if (
-                    (tag == CONVEX and fm > blend + _BLEND_TOL)
-                    or (tag == CONCAVE and fm < blend - _BLEND_TOL)
-                    or (tag == AFFINE and abs(fm - blend) > _BLEND_TOL)
-                ):
-                    return CurvatureReport(tag, False, checked, (u[a], v[a], t))
+        values = e.value_batch(pts.T).reshape(5, -1)
+        fu, fv, fm = values[0], values[1], values[2:]  # fm: (t, attempt)
+        with np.errstate(all="ignore"):
+            blend = tcol * fu + (1.0 - tcol) * fv
+            if tag == CONVEX:
+                bad = fm > blend + _BLEND_TOL
+            elif tag == CONCAVE:
+                bad = fm < blend - _BLEND_TOL
             else:
-                checked += 1
+                bad = np.abs(fm - blend) > _BLEND_TOL
+        # per attempt, the t values in order until the first NaN (a skip)
+        # or the first violation; an attempt counts while fewer than
+        # ``samples`` pairs are checked before it
+        nan = np.isnan(fu) | np.isnan(fv) | np.isnan(fm)
+        event = nan | bad
+        first = event.argmax(axis=0)  # the t that ends an attempt's test, if any
+        ok = ~event.any(axis=0)
+        violated = ~ok & ~nan[first, np.arange(first.size)]
+        before = checked + np.cumsum(ok) - ok
+        hits = np.flatnonzero(violated & (before < samples))
+        if hits.size:
+            a = hits[0]
+            return CurvatureReport(tag, False, int(before[a]), (ur[a], vr[a], ts[first[a]]))
+        checked = min(samples, checked + int(ok.sum()))
     if checked == 0:
         raise DomainEvalError("no in-domain sample pairs found for audit", e)
     return CurvatureReport(tag, True, checked)

@@ -311,17 +311,25 @@ class MembershipReport:
         return math.inf if any(map(math.isnan, parts)) else max(parts)
 
 
-def membership(form: SaddleForm, p: SaddlePoint, tol: float = D2_TOL) -> MembershipReport:
+def _member_values(form: SaddleForm, p: SaddlePoint):
+    """``form.values`` at ``p``, a domain error naming the membership check."""
+    try:
+        return form.values(p.vec)
+    except ex.DomainEvalError as err:
+        raise ex.DomainEvalError(f"{err} (while checking membership of {form.name})", err.node)
+
+
+def membership(
+    form: SaddleForm, p: SaddlePoint, tol: float = D2_TOL, *, values=None
+) -> MembershipReport:
     """Per-constraint violation report at ``p``.
 
     A constraint value that is NaN counts as a violation.  The form is
-    evaluated as a whole, so a domain error in g raises here too.
+    evaluated as a whole, so a domain error in g raises here too; a caller
+    that already holds ``form.values`` at ``p`` passes them as ``values``.
     """
     v = p.vec
-    try:
-        _, ivals, evals = form.values(v)
-    except ex.DomainEvalError as err:
-        raise ex.DomainEvalError(f"{err} (while checking membership of {form.name})", err.node)
+    _, ivals, evals = _member_values(form, p) if values is None else values
     iv = np.array([max(gv, 0.0) for gv in ivals])
     ev = np.array([abs(hv) for hv in evals])
     bx = form.box.excess(v)
@@ -402,10 +410,11 @@ def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
     :class:`WitnessInfeasibleError`.
     """
     p = witness_eval(form, x, check=False)
+    values = _member_values(form, p)
     report = WitnessReport(
         p,
-        membership(form, p, D2_TOL),
-        form.values(p.vec)[0],
+        membership(form, p, D2_TOL, values=values),
+        values[0],
         None if form.reference is None else reference_value(form, p.x),
     )
     if check and not report.membership.feasible:

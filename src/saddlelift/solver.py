@@ -337,7 +337,8 @@ def alternating_penalty_solve(
             diagnostic = f"inner xy: pg={res_xy.pg_norm:.3e} its={res_xy.iterations}"
 
         sp2 = SaddlePoint(part, p2)
-        step_norm = float(np.linalg.norm(p2 - p))
+        with np.errstate(over="ignore"):  # a step between huge iterates reads inf
+            step_norm = float(np.linalg.norm(p2 - p))
         f_ref = form.reference(sp2.x) if form.reference is not None else math.nan
         trace.append(
             TraceRow(

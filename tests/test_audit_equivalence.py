@@ -1,14 +1,20 @@
-"""The grid oracle and the curvature audit evaluate in bulk: one batch call
-per component per chunk of whole y slices, and one batch call per curvature
-audit.  Both must give, bit for bit, what the earlier loops gave: the grid
-scan one y slice at a time, the curvature audit five scalar evaluations per
-sample pair.  Test-local copies of those loops are the reference."""
+"""The grid oracle and the curvature audit evaluate in bulk.  The grid scan
+makes one batch call per component per chunk of whole y slices, on an open
+grid: the chunk's y rows are one broadcast dimension and each z axis is one
+more, holding only that axis's points, so no z mesh is built.  The curvature
+audit draws and evaluates its first ``samples`` attempts in one batch call
+(the others in one more, only after a skip) and tests their blends with
+numpy.  Both must give, bit for bit, what the earlier loops gave: the grid
+scan one y slice at a time over a dense z mesh, the curvature audit five
+scalar evaluations and a blend test per sample pair.  Test-local copies of
+those loops are the reference."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saddlelift import audit
 from saddlelift import expr as ex
@@ -124,6 +130,8 @@ def _form(name, part, g, ineq=(), eq=(), lo=-2.0, hi=2.0):
 
 def _grid_cases():
     y, z = ex.var(1), ex.var(2)
+    z3 = [ex.var(i) for i in (1, 2, 3)]  # the z axes of an m1 = 0 form
+    zy3 = [ex.var(i) for i in (2, 3, 4)]  # and of an m1 = 1 form
     p11 = VarPartition(1, 1, 1)
     cases = [
         # suite forms of every shape: m1 = 0 (dc, bilinear2_a, cos_0_2pi) and up to 4 axes
@@ -140,6 +148,30 @@ def _grid_cases():
         (_form("nan_z", p11, ex.square(y) + ex.log(z)), None, 9),
         # x^2 = 25 needs z >= 25: no feasible grid point
         (make_catalog_form("abs_power"), ((0.0, 1.0), (0.0, 1.0)), 11),
+        # three z axes, each subexpression on one or two of them: m1 = 0 with
+        # an equality (feasible on the z0 = z1 diagonal) and NaN g at z2 <= 0,
+        # and m1 = 1 with a constraint coupling y and z0
+        (
+            _form(
+                "z3_eq",
+                VarPartition(1, 0, 3),
+                ex.sin(z3[1]) + ex.log(z3[2]) - ex.square(z3[0] - ex.var(0)),
+                ineq=(ex.square(z3[1]) + ex.square(z3[2]) - 2.0,),
+                eq=(z3[0] - z3[1],),
+            ),
+            None,
+            9,
+        ),
+        (
+            _form(
+                "y1_z3",
+                VarPartition(1, 1, 3),
+                ex.square(y - ex.var(0)) - ex.square(zy3[0]) + zy3[1] - ex.exp(zy3[2]),
+                ineq=(y + zy3[0] - 1.0, ex.square(zy3[2]) - 1.0),
+            ),
+            None,
+            7,
+        ),
     ]
     return {form.name + ("/bounded" if b else ""): (form, b, res) for form, b, res in cases}
 
@@ -283,6 +315,27 @@ def test_grid_scan_arrays_stay_within_a_chunk(monkeypatch):
     assert _bits(value, point) == _bits(*_ref_grid_scan(form, np.array([0.5]), GridSpec(resolution=11)))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 40, audit._CHUNK])
+@pytest.mark.parametrize("name", ["z3_eq", "y1_z3", "relu_a", "cos_0_2pi", "eq"])
+def test_grid_scan_z_axes_are_open(name, chunk, monkeypatch):
+    # every z array a batch call sees holds one axis's `resolution` points,
+    # and so does the array it views: no z mesh is built
+    monkeypatch.setattr(audit, "_CHUNK", chunk)
+    form, bounds, res = GRID_CASES[name]
+    part = form.partition
+    batch = []
+    method = ex.Expr.value_batch
+    monkeypatch.setattr(ex.Expr, "value_batch", lambda e, pts: batch.append(pts) or method(e, pts))
+    for x in form.sample_x(np.random.default_rng(3), 3):
+        _grid_scan(form, x, GridSpec(resolution=res, bounds=bounds))
+    assert batch
+    for pts in batch:
+        zs = pts[part.n + part.m1 :]
+        assert len(zs) == part.m2
+        for j, a in enumerate(zs):
+            assert np.shape(a)[1 + j] == np.size(a) == _root(np.asarray(a)).size == res
+
+
 def test_curvature_audit_is_one_batch_call(monkeypatch):
     batch = _Counter(monkeypatch, "value_batch")
     scalar = _Counter(monkeypatch, "value")
@@ -318,3 +371,48 @@ def test_curvature_audit_evaluates_further_attempts_only_after_a_skip(name, size
     except ex.DomainEvalError:
         pass
     assert batch.sizes == sizes
+
+
+# sin(x0) + log(x1), varied along x0 alone: a pair is skipped where the
+# shared x1 is <= 0 and breaks convexity where sin is concave
+_WAVE = (ex.sin(ex.var(0)) + ex.log(ex.var(1)), [0.0, -1.0], [2 * math.pi, 3.0])
+
+
+@pytest.mark.parametrize(
+    "seed, report",
+    [
+        # a skip among the first 3 attempts, an ok pair in the second call
+        # makes 3 checked, and the violation right after it comes too late
+        (117, (True, 3)),
+        # two skips among the first 3, an ok pair, then a violation with 2
+        # pairs checked: the last attempt that still counts
+        (10, (False, 2)),
+    ],
+)
+def test_curvature_audit_counts_attempts_until_samples_pairs(seed, report, monkeypatch):
+    e, lo, hi = _WAVE
+    kw = dict(tag=ex.CONVEX, samples=3, seed=seed, axes=[0])
+    batch = _Counter(monkeypatch, "value_batch")
+    got = ex.curvature_audit(e, lo, hi, **kw)
+    assert batch.sizes == [5 * 3, 5 * 57]  # the skip brings the other attempts
+    assert (got.passed, got.pairs_checked) == report
+    assert _curvature_outcome(ex.curvature_audit, e, lo, hi, **kw) == _curvature_outcome(
+        _ref_curvature_audit, e, lo, hi, **kw
+    )
+    if got.passed:  # one more sample reaches the violation
+        more = ex.curvature_audit(e, lo, hi, **{**kw, "samples": 4})
+        assert (more.passed, more.pairs_checked) == (False, 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(_domain_cases()) + ["wave"]),
+    tag=st.sampled_from([ex.CONVEX, ex.CONCAVE, ex.AFFINE]),
+    samples=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curvature_audit_matches_pairwise_loop_property(name, tag, samples, seed):
+    e, lo, hi = _WAVE if name == "wave" else CURVATURE_CASES[name]
+    kw = dict(tag=tag, samples=samples, seed=seed, axes=[0] if name == "wave" else None)
+    got = _curvature_outcome(ex.curvature_audit, e, lo, hi, **kw)
+    assert got == _curvature_outcome(_ref_curvature_audit, e, lo, hi, **kw)

@@ -6,6 +6,7 @@ silently at zero; this test makes it fail instead.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,3 +75,29 @@ def test_tracer_counts_every_grid_evaluation(tracing):
     assert tracer.calls["expr.value_batch"] == 14
     assert tracer.counts["expr.value_batch.points"] == 399854
     assert tracer.counts["audit.grid_points"] == 85683
+
+
+def test_tracer_counts_the_open_z_grid_in_full(tracing, monkeypatch):
+    # cos_0_2pi has four z axes, each its own broadcast dimension of the open
+    # grid.  A batch output still has the shape of the whole (y, z) grid, so
+    # the counted points are the broadcast sizes and the grid points are
+    # resolution**4 per sample; the counts are those of the dense z mesh.
+    form = make_catalog_form("cos_0_2pi")
+    assert (form.partition.m1, form.partition.m2) == (0, 4)
+    xs = form.sample_x(np.random.default_rng(0), 3)
+    sizes = []
+    method = ex.Expr.value_batch
+
+    def sized(e, pts):
+        sizes.append(math.prod(np.broadcast_shapes(*map(np.shape, pts))))
+        return method(e, pts)
+
+    monkeypatch.setattr(ex.Expr, "value_batch", sized)
+    with tracing.Tracer() as tracer:
+        report = identity_audit(form, xs, GridSpec(resolution=5))
+    assert report.classification == CLASS_D2_ONLY
+    assert tracer.calls["audit.grid_scan"] == 3
+    assert tracer.counts["audit.grid_points"] == 3 * 5**4
+    assert tracer.calls["expr.value_batch"] == len(sizes) == 15
+    assert sizes == [5**4] * 15
+    assert tracer.counts["expr.value_batch.points"] == sum(sizes) == 9375

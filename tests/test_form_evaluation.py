@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from saddlelift import expr as ex
+from saddlelift import forms as fm
 from saddlelift.forms import (
     D2_TOL,
     Box,
@@ -167,6 +168,36 @@ def test_membership_domain_error_names_the_form_and_node():
     with pytest.raises(ex.DomainEvalError) as err:
         membership(form, form.point([-1.0]))
     assert "logobj" in str(err.value) and err.value.node is bad
+
+
+def test_witness_report_evaluates_the_form_once(monkeypatch):
+    # membership reads the same evaluation that gives g at the witness
+    calls = {"values": 0, "membership": 0}
+    values, member = SaddleForm.values, fm.membership
+
+    def counted_values(form, v):
+        calls["values"] += 1
+        return values(form, v)
+
+    def counted_membership(*args, **kw):
+        calls["membership"] += 1
+        return member(*args, **kw)
+
+    monkeypatch.setattr(SaddleForm, "values", counted_values)
+    monkeypatch.setattr(fm, "membership", counted_membership)
+    reports = 0
+    for form in FORMS.values():
+        if form.witness is None:
+            continue
+        for x in form.sample_x(np.random.default_rng(5), 2):
+            witness_report(form, x)
+            reports += 1
+    assert reports and calls == {"values": reports, "membership": reports}
+    # a domain error still names the membership check
+    bad = ex.log(ex.var(0))
+    form = SaddleForm("logwit", VarPartition(1, 0, 0), Box.whole(1), bad, witness=lambda x: ((), ()))
+    with pytest.raises(ex.DomainEvalError, match="membership of logwit"):
+        witness_report(form, [-1.0])
 
 
 def test_nan_violation_reads_inf_and_fails_the_witness_identity():

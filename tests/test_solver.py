@@ -1,6 +1,7 @@
 """Inner minimizer, alternating penalty loop, first-order residuals, probes."""
 
 import hashlib
+import math
 import warnings
 from dataclasses import fields
 
@@ -403,6 +404,17 @@ def test_overflowing_solves_do_not_warn_in_the_inner_loops():
             res = alternating_penalty_solve(make_catalog_form(name))
         assert np.abs(res.point.vec).max() == np.finfo(float).max
         assert [str(w.message) for w in caught if w.filename == solver.__file__] == []
+
+
+def test_overflowing_solves_emit_no_runtime_warning():
+    # the outer loop's step norm between iterates near the largest float
+    # overflows in numpy's own norm; it reads inf without a warning from any file
+    for name in ("sgn2_a", "sgn3_a"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = alternating_penalty_solve(make_catalog_form(name))
+        assert math.inf in [row.step_norm for row in res.trace]
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 # Recorded before the inner solver moved its scalar work to Python floats:
