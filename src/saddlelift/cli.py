@@ -298,7 +298,7 @@ def cmd_kkt(args) -> int:
     beta = _parse_vector(args.beta, s + r, "--beta") if args.beta else None
     try:
         report = kkt_residual(form, p, alpha=alpha, beta=beta, feas_tol=args.feas_tol)
-    except FormError as err:
+    except (ex.ExprError, FormError) as err:  # infeasible, outside the domain, or at a kink
         _emit({"form": form.name, "error": str(err)})
         return 2
     _emit(
@@ -320,7 +320,8 @@ def cmd_witness(args) -> int:
     x = _parse_vector(args.x, form.partition.n, "--x")
     try:
         report = witness_report(form, x, check=True)
-    except FormError as err:  # no witness, or one that breaks the identity or overflows
+    except (ex.ExprError, FormError) as err:
+        # no witness, one that breaks the identity or overflows, or g outside its domain
         _emit({"form": form.name, "error": str(err)})
         return 2
     p = report.point

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -128,12 +129,17 @@ class Box:
     def upper_array(self) -> np.ndarray:
         return np.array(self.upper, dtype=float)
 
+    @cached_property
+    def _bound_arrays(self):
+        """The lower and upper arrays with their isfinite masks, made once."""
+        lo, hi = self.lower_array(), self.upper_array()
+        return lo, np.isfinite(lo), hi, np.isfinite(hi)
+
     def excess(self, p: np.ndarray) -> float:
         """Largest coordinatewise violation of the bounds (0 if inside)."""
-        lo = self.lower_array()
-        hi = self.upper_array()
-        below = np.where(np.isfinite(lo), lo - p, -math.inf)
-        above = np.where(np.isfinite(hi), p - hi, -math.inf)
+        lo, lo_finite, hi, hi_finite = self._bound_arrays
+        below = np.where(lo_finite, lo - p, -math.inf)
+        above = np.where(hi_finite, p - hi, -math.inf)
         return float(max(0.0, below.max(initial=-math.inf), above.max(initial=-math.inf)))
 
     def slice(self, indices) -> "Box":
@@ -152,7 +158,11 @@ class SaddlePoint:
     vec: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vec, dtype=float)
+        v = self.vec
+        # a read-only float array that owns its data is as frozen as a copy
+        owned = isinstance(v, np.ndarray) and v.base is None and not v.flags.writeable
+        if not (owned and v.dtype == float):
+            v = np.array(v, dtype=float)
         if v.shape != (self.partition.total,):
             raise FormError(
                 f"point has shape {v.shape}, partition needs ({self.partition.total},)"
@@ -165,6 +175,7 @@ class SaddlePoint:
         v = np.concatenate(
             [np.atleast_1d(np.asarray(b, dtype=float)) if np.size(b) else np.empty(0) for b in (x, y, z)]
         )
+        v.setflags(write=False)  # the point owns the concatenation, uncopied
         return cls(partition, v)
 
     @property

@@ -1,12 +1,13 @@
 """Kernels: expressions lowered to straight-line Python.
 
 A tape lowers a tuple of expressions into the source of one Python
-function per kernel: one statement per node or sum term, no nested
-parentheses, so a 1000-term sum compiles.  Subexpressions are shared by
-structure: a node with the type, fields and children of one lowered
-before it (tags ignored), however it was built, reads that node's locals,
-so each distinct subexpression is evaluated once per call and an error
-names the first copy in evaluation order.
+function per kernel: one statement per node, no nested parentheses, and a
+sum written as one chain ``t = 0.0 + a + b + ...`` of at most ``_CHAIN``
+terms a statement, so a sum of thousands of terms compiles.
+Subexpressions are shared by structure: a node with the type, fields and
+children of one lowered before it (tags ignored), however it was built,
+reads that node's locals, so each distinct subexpression is evaluated once
+per call and an error names the first copy in evaluation order.
 Each node's arithmetic is written in the order the exact chain rule
 evaluates it (a square's gradient is (2.0*v)*g_i, sums add left to right
 from 0.0 with explicit '+'), so every value and gradient is bitwise
@@ -64,6 +65,19 @@ from .expr import (
     Var,
     kink_error,
 )
+
+
+# terms added per statement of a sum: CPython's compiler cannot take one
+# chain of about 3,000, and a chain adds left to right like single steps
+_CHAIN = 64
+
+
+def _chain(target: str, start: str, terms: list[str]) -> list[str]:
+    """Statements adding ``terms`` to ``start`` left to right into ``target``."""
+    return [
+        f"{target} = {' + '.join([start if n == 0 else target, *terms[n : n + _CHAIN]])}"
+        for n in range(0, len(terms), _CHAIN)
+    ] or [f"{target} = {start}"]
 
 
 def _overflow_pow(v: float, e) -> float:
@@ -285,23 +299,18 @@ class _Lowering:
             self._unary(k, t, node)
 
     def _affine(self, t: str, node: Affine) -> None:
-        line = f"{t} = {self.const(node.offset)}"
+        terms = []
         grad: dict[int, float] = {}
-        for n, (i, c) in enumerate(node.terms):
+        for i, c in node.terms:
             i = int(i)
             self.used.add(i)
-            term = f"{self.const(c)} * p{i}"
-            self.emit(f"{line} + {term}" if n == 0 else f"{t} = {t} + {term}")
+            terms.append(f"{self.const(c)} * p{i}")
             grad[i] = grad.get(i, 0.0) + float(c)
-        if not node.terms:
-            self.emit(line)
+        self.emit(*_chain(t, self.const(node.offset), terms))
         self.entries[id(node)] = grad
 
     def _sum(self, k: int, t: str, node: Sum) -> None:
-        for n, c in enumerate(node.parts):
-            self.emit(f"{t} = {'0.0' if n == 0 else t} + {self.value[id(c)]}")
-        if not node.parts:
-            self.emit(f"{t} = 0.0")
+        self.emit(*_chain(t, "0.0", [self.value[id(c)] for c in node.parts]))
         if not self.grad:
             return
         columns: dict[int, list] = {}
@@ -316,10 +325,8 @@ class _Lowering:
                     acc += e
                 grad[i] = acc
                 continue
-            g = f"g{k}_{i}"
-            for n, e in enumerate(col):
-                self.emit(f"{g} = {'0.0' if n == 0 else g} + {self.operand(e)}")
-            grad[i] = g
+            grad[i] = f"g{k}_{i}"
+            self.emit(*_chain(grad[i], "0.0", [self.operand(e) for e in col]))
         self.entries[id(node)] = grad
 
     def _unary(self, k: int, t: str, node: Expr) -> None:
@@ -441,8 +448,9 @@ class Tape:
     evaluates many points at once, NaN where a point is outside a node's
     domain: ``points`` is a sequence of per-variable arrays that broadcast
     against each other, giving one array of their broadcast shape per
-    output.  The rows of a (dim, N) array are one such sequence, giving
-    shape (N,); an open grid is another.  On an open grid a subexpression
+    output, writable and sharing memory with no row and no other output.
+    The rows of a (dim, N) array are one such sequence, giving shape (N,);
+    an open grid is another.  On an open grid a subexpression
     is evaluated at its operands' shape, so one reading only x is computed
     once, not once per point; every operation is elementwise, so each point
     gets the same IEEE operations as on the dense grid.  ``dim`` is one more
@@ -479,9 +487,16 @@ class Tape:
             )
         with np.errstate(all="ignore"):
             values = self._batch(p)
-        outs = [np.empty(shape) for _ in values]
-        for out, v in zip(outs, values):
-            out[...] = v  # a fresh array, also where v is a float or a row of p
+        outs: list[np.ndarray] = []
+        for v in values:
+            # a fresh float array of the full shape is returned as it is; a
+            # float, a row of p, a view, a smaller shape or a repeat is copied
+            fresh = isinstance(v, np.ndarray) and v.dtype == np.float64 and v.base is None
+            if not (fresh and v.shape == shape and all(v is not a for a in (*p, *outs))):
+                out = np.empty(shape)
+                out[...] = v
+                v = out
+            outs.append(v)
         return outs
 
     def penalty(self, ineq: int, grad: bool):

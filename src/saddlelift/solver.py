@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .forms import FormError, SaddleForm, SaddlePoint, membership
 from .penalty import (
@@ -385,7 +384,10 @@ def _stationarity(target, cols, weights):
 
 def _estimate(target, cols, is_ineq, active):
     """Least squares for  sum w_i col_i = -target  with w >= 0 on active
-    inequality columns and w = 0 forced on inactive ones."""
+    inequality columns and w = 0 forced on inactive ones.  scipy is
+    imported here, its one use, so importing saddlelift does not load it."""
+    from scipy.optimize import lsq_linear
+
     free_cols = []
     free_idx = []
     lb = []

@@ -120,6 +120,26 @@ def test_witness_overflow_is_an_error_line(tmp_path, capsys):
     assert code == 2 and "overflows" in out["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kkt", "--point", "0,0,0,0,0,0"],
+        # the witness map's own np.log(0) warns before g raises
+        pytest.param(
+            ["witness", "--x", "0,0"],
+            marks=pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning"),
+        ),
+    ],
+)
+def test_point_outside_the_domain_is_an_error_line(tmp_path, capsys, argv):
+    # entropy's g takes logs of x: at x = 0 it raises DomainEvalError
+    path = _write(tmp_path, {"problem": {"catalog": "entropy"}})
+    code = cli.main([argv[0], path, *argv[1:]])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["form"] == "entropy" and "log of non-positive value" in out["error"]
+
+
 def test_catalog_list_and_describe(capsys):
     assert cli.main(["catalog", "list"]) == 0
     text = capsys.readouterr().out

@@ -136,6 +136,12 @@ def test_box_and_window():
     assert box.excess(np.array([1.5, 0.0])) == 0.5
     lo, hi = ex.sample_window(box.lower_array(), box.upper_array())
     assert lo[1] == -10.0 and hi[1] == 10.0
+    # the bound arrays are kept on the box; lower_array/upper_array stay fresh
+    box.lower_array()[0] = 5.0
+    box.upper_array()[0] = -5.0
+    assert box.excess(np.array([1.5, 0.0])) == 0.5
+    assert box.excess(np.array([-0.25, -1e300])) == 0.25
+    assert box.excess(np.array([0.5, 1e300])) == 0.0
 
 
 def test_saddle_point_blocks():
@@ -144,8 +150,17 @@ def test_saddle_point_blocks():
     np.testing.assert_array_equal(p.x, [1.0, 2.0])
     np.testing.assert_array_equal(p.y, [3.0])
     np.testing.assert_array_equal(p.z, [4.0])
+    assert not p.vec.flags.writeable
     with pytest.raises(FormError):
         SaddlePoint(part, np.zeros(3))
+    with pytest.raises(FormError):
+        SaddlePoint.from_blocks(part, [1.0, 2.0], [3.0, 3.5], [4.0])
+    # a caller's array is copied, a point's own vector is shared
+    vec = np.arange(4.0)
+    q = SaddlePoint(part, vec)
+    vec[0] = 9.0
+    assert q.vec[0] == 0.0 and vec.flags.writeable
+    assert SaddlePoint(part, q.vec).vec is q.vec
 
 
 def test_partition_names():

@@ -162,6 +162,32 @@ def test_batch_outputs_are_fresh_arrays():
     np.testing.assert_array_equal(points, before)
 
 
+def test_batch_outputs_never_alias_inputs_or_each_other():
+    # fresh rows are passed through as they are, so a Var output is the
+    # input row itself; a repeated subexpression is one local of the
+    # kernel; on an open grid an output reading only x is smaller than
+    # the broadcast shape
+    x, y = np.arange(3.0), np.arange(4.0)[::-1].copy()
+    sq = ex.square(ex.var(0))
+    cases = [
+        ([x, x + 1.0], (ex.var(0), ex.var(1), sq, ex.square(ex.var(0)), ex.add(sq, ex.var(1)))),
+        ([x[:, None], y[None, :]], (sq, ex.var(1), ex.add(ex.var(0), ex.var(1)), ex.add(ex.var(0), ex.var(1)))),
+    ]
+    for rows, outputs in cases:
+        before = [r.copy() for r in rows]
+        outs = Tape(outputs).value_batch(rows)
+        shape = np.broadcast_shapes(*(r.shape for r in rows))
+        for k, (out, e) in enumerate(zip(outs, outputs)):
+            assert out.shape == shape and out.dtype == float and out.flags.writeable
+            assert not any(np.shares_memory(out, r) for r in rows)
+            assert not any(np.shares_memory(out, o) for o in outs[:k])
+            np.testing.assert_array_equal(out, e.value_batch(np.broadcast_arrays(*before)))
+        for out in outs:
+            out[...] = -7.0
+        for r, b in zip(rows, before):
+            np.testing.assert_array_equal(r, b)
+
+
 _LEAVES = st.one_of(
     st.integers(0, 2).map(ex.var),
     st.sampled_from([0.0, -1.5, 2.0, 1e200]).map(ex.const),
@@ -208,7 +234,7 @@ def test_open_grid_matches_dense_grid(e, axes):
 
 
 def test_wide_affine_and_sum_compile():
-    n = 1000
+    n = 5000
     rng = np.random.default_rng(0)
     coef = rng.normal(size=n)
     p = rng.normal(size=n)
