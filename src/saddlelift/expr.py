@@ -15,7 +15,7 @@ empirically by sampling, never inferred symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -120,22 +120,53 @@ class Expr:
 
     def max_index(self) -> int:
         """Largest variable index referenced, or -1 for constants."""
-        m = -1
-        for c in self.children():
-            m = max(m, c.max_index())
-        return m
+        return max_index_of((self,))
 
     def is_affine(self) -> bool:
-        """Structural affinity (decidable without sampling)."""
-        return False
+        """Structural affinity (decidable without sampling): every node is
+        a constant, variable, affine map, sum or scaling."""
+        # a sum built with `+` holds its newest part last: the walk starts
+        # there and stops at the first other node
+        return isinstance(self, _AFFINE_NODES) and all(
+            isinstance(n, _AFFINE_NODES) for n in postorder(reversed(self.children()))
+        )
 
     def remap(self, mapping: dict[int, int]) -> "Expr":
         """New expression with every variable index sent through ``mapping``."""
-        raise NotImplementedError
+
+        def leaf(node):
+            if isinstance(node, Var):
+                return replace(node, index=mapping.get(node.index, node.index))
+            return replace(node, terms=tuple((mapping.get(i, i), c) for i, c in node.terms))
+
+        return self._rebuild(leaf)
 
     def subst(self, index: int, sub: "Expr") -> "Expr":
         """Replace references to variable ``index`` with expression ``sub``."""
-        raise NotImplementedError
+
+        def leaf(node):
+            if isinstance(node, Var):
+                return sub if node.index == index else node
+            if all(i != index for i, _ in node.terms):
+                return node
+            kept = Affine(tuple((i, c) for i, c in node.terms if i != index), node.offset)
+            return Sum((kept, *(Scale(sub, c) for i, c in node.terms if i == index)))
+
+        return self._rebuild(leaf)
+
+    def _rebuild(self, leaf: Callable[["Expr"], "Expr"]) -> "Expr":
+        """This tree rebuilt children first, each variable and affine map
+        replaced by ``leaf`` of it; a shared node is rebuilt once and stays
+        shared."""
+        new: dict[int, Expr] = {}
+        for node in postorder((self,)):
+            if isinstance(node, Sum):
+                new[id(node)] = replace(node, parts=tuple(new[id(c)] for c in node.parts))
+            elif isinstance(node, _Unary):
+                new[id(node)] = replace(node, child=new[id(node.child)])
+            else:
+                new[id(node)] = node if isinstance(node, Const) else leaf(node)
+        return new[id(self)]
 
     def with_tag(self, tag: str) -> "Expr":
         if tag not in _TAGS:
@@ -181,32 +212,11 @@ class Const(Expr):
     c: float
     tag: str = AFFINE
 
-    def is_affine(self):
-        return True
-
-    def remap(self, mapping):
-        return self
-
-    def subst(self, index, sub):
-        return self
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     index: int
     tag: str = AFFINE
-
-    def max_index(self):
-        return self.index
-
-    def is_affine(self):
-        return True
-
-    def remap(self, mapping):
-        return replace(self, index=mapping.get(self.index, self.index))
-
-    def subst(self, index, sub):
-        return sub if index == self.index else self
 
 
 @dataclass(frozen=True)
@@ -217,28 +227,6 @@ class Affine(Expr):
     offset: float = 0.0
     tag: str = AFFINE
 
-    def max_index(self):
-        return max((i for i, _ in self.terms), default=-1)
-
-    def is_affine(self):
-        return True
-
-    def remap(self, mapping):
-        return replace(
-            self,
-            terms=tuple((mapping.get(i, i), c) for i, c in self.terms),
-        )
-
-    def subst(self, index, sub):
-        if all(i != index for i, _ in self.terms):
-            return self
-        kept = tuple((i, c) for i, c in self.terms if i != index)
-        parts: list[Expr] = [Affine(kept, self.offset)]
-        for i, c in self.terms:
-            if i == index:
-                parts.append(Scale(sub, c))
-        return Sum(tuple(parts))
-
 
 @dataclass(frozen=True)
 class Sum(Expr):
@@ -247,15 +235,6 @@ class Sum(Expr):
 
     def children(self):
         return self.parts
-
-    def is_affine(self):
-        return all(c.is_affine() for c in self.parts)
-
-    def remap(self, mapping):
-        return replace(self, parts=tuple(c.remap(mapping) for c in self.parts))
-
-    def subst(self, index, sub):
-        return replace(self, parts=tuple(c.subst(index, sub) for c in self.parts))
 
 
 @dataclass(frozen=True)
@@ -269,19 +248,10 @@ class _Unary(Expr):
     def children(self):
         return (self.child,)
 
-    def remap(self, mapping):
-        return replace(self, child=self.child.remap(mapping))
-
-    def subst(self, index, sub):
-        return replace(self, child=self.child.subst(index, sub))
-
 
 @dataclass(frozen=True)
 class Scale(_Unary):
     c: float
-
-    def is_affine(self):
-        return self.child.is_affine()
 
 
 class Square(_Unary):
@@ -323,6 +293,45 @@ class Sin(_Unary):
     def __post_init__(self):
         if not self.child.is_affine():
             raise ValueError("sin node requires an affine argument")
+
+
+# ---------------------------------------------------------------------------
+# the walk: every structural question and every kernel reads it, so a tree
+# of any depth is walked without recursion and a shared node once
+
+# the nodes an affine expression is made of
+_AFFINE_NODES = (Const, Var, Affine, Sum, Scale)
+
+
+def postorder(roots) -> Iterator[Expr]:
+    """Every node under ``roots`` once, children before parents, left to right."""
+    seen: set[int] = set()
+    for root in roots:
+        if id(root) in seen:
+            continue
+        seen.add(id(root))
+        stack = [(root, iter(root.children()))]  # each node with its unwalked children
+        while stack:
+            node, kids = stack[-1]
+            for c in kids:
+                if id(c) not in seen:
+                    seen.add(id(c))
+                    stack.append((c, iter(c.children())))
+                    break
+            else:
+                stack.pop()
+                yield node
+
+
+def max_index_of(roots) -> int:
+    """Largest variable index under ``roots``, or -1 where there is none."""
+    indices = [-1]
+    for node in postorder(roots):
+        if isinstance(node, Var):
+            indices.append(node.index)
+        elif isinstance(node, Affine):
+            indices.extend(i for i, _ in node.terms)
+    return max(indices)
 
 
 # ---------------------------------------------------------------------------

@@ -131,13 +131,18 @@ class Box:
 
     @cached_property
     def _bound_arrays(self):
-        """The lower and upper arrays with their isfinite masks, made once."""
+        """The lower and upper arrays with their isfinite masks, made once;
+        an infinite bound reads 0.0, so no inf - inf is ever computed."""
         lo, hi = self.lower_array(), self.upper_array()
-        return lo, np.isfinite(lo), hi, np.isfinite(hi)
+        lo_finite, hi_finite = np.isfinite(lo), np.isfinite(hi)
+        return np.where(lo_finite, lo, 0.0), lo_finite, np.where(hi_finite, hi, 0.0), hi_finite
 
     def excess(self, p: np.ndarray) -> float:
-        """Largest coordinatewise violation of the bounds (0 if inside)."""
+        """Largest coordinatewise violation of the bounds (0 if inside, inf
+        at a NaN coordinate)."""
         lo, lo_finite, hi, hi_finite = self._bound_arrays
+        if np.isnan(p).any():
+            return math.inf
         below = np.where(lo_finite, lo - p, -math.inf)
         above = np.where(hi_finite, p - hi, -math.inf)
         return float(max(0.0, below.max(initial=-math.inf), above.max(initial=-math.inf)))
@@ -243,20 +248,28 @@ class SaddleForm:
         first use and kept on the form."""
         return ex.cached_tape(self, (self.g, *self.ineq, *self.eq))
 
-    def values(self, v: np.ndarray) -> tuple[float, list, list]:
-        """g, then the lists of g_i and h_j values at the point vector ``v``,
-        from one call of the value kernel.  Domain errors raise
-        :class:`~saddlelift.expr.DomainEvalError`."""
-        vals = self.tape().value(v.tolist())
+    def _vector(self, p) -> np.ndarray:
+        """The vector of ``p``, a SaddlePoint or a vector of the partition's
+        size; anything else raises :class:`FormError`."""
+        v = p.vec if isinstance(p, SaddlePoint) else np.asarray(p, dtype=float)
+        if v.shape != (self.partition.total,):
+            raise FormError(f"point has shape {v.shape}, partition needs ({self.partition.total},)")
+        return v
+
+    def values(self, v) -> tuple[float, list, list]:
+        """g, then the lists of g_i and h_j values at the point ``v`` (a
+        SaddlePoint or its vector), from one call of the value kernel.
+        Domain errors raise :class:`~saddlelift.expr.DomainEvalError`."""
+        vals = self.tape().value(self._vector(v).tolist())
         s = 1 + len(self.ineq)
         return vals[0], vals[1:s], vals[s:]
 
-    def values_grads(self, v: np.ndarray):
+    def values_grads(self, v):
         """As :meth:`values`, plus ``grad(k)``: the gradient of component k
         (0 is g, then the g_i, then the h_j), raising
         :class:`~saddlelift.expr.NondifferentiableError` where it does not
         exist.  One call of the value+gradient kernel."""
-        vals, jac, kinks = self.tape().value_grad(v.tolist())
+        vals, jac, kinks = self.tape().value_grad(self._vector(v).tolist())
 
         def grad(k: int) -> np.ndarray:
             if kinks[k] is not None:
@@ -266,19 +279,21 @@ class SaddleForm:
         s = 1 + len(self.ineq)
         return vals[0], vals[1:s], vals[s:], grad
 
-    def smoothed_penalty(self, v: np.ndarray, sign: float, rho: float, power: float, grad: bool):
+    def smoothed_penalty(self, v, sign: float, rho: float, power: float, grad: bool):
         """sign*g + rho * sum max(g_i,0)^power + rho * sum |h_j|^power at the
-        point vector ``v``, and with ``grad`` the pair of it and its
-        full-space gradient: one call of the tape's penalty kernel, compiled
-        on first use and kept on the form.  Domain errors raise as in
-        :meth:`values`, a missing gradient of g or of an active constraint
-        as in :meth:`values_grads`."""
+        point ``v`` (as in :meth:`values`), for a power > 1, and with
+        ``grad`` the pair of it and its full-space gradient: one call of the
+        tape's penalty kernel, compiled on first use and kept on the form.
+        Domain errors raise as in :meth:`values`, a missing gradient of g or
+        of an active constraint as in :meth:`values_grads`."""
+        if not power > 1:
+            raise ValueError(f"smoothing power must be > 1, got {power}")
         key = "_penalty_grad" if grad else "_penalty_value"
         kernel = self.__dict__.get(key)
         if kernel is None:
             kernel = self.tape().penalty(len(self.ineq), grad)
             object.__setattr__(self, key, kernel)
-        return kernel(v.tolist(), sign, rho, power)
+        return kernel(self._vector(v).tolist(), sign, rho, power)
 
     def point(self, vec) -> SaddlePoint:
         return SaddlePoint(self.partition, np.asarray(vec, dtype=float))
@@ -369,7 +384,8 @@ def witness_eval(form: SaddleForm, x, check: bool = True) -> SaddlePoint:
     if xv.shape != (form.partition.n,):
         raise FormError(f"x has shape {xv.shape}, expected ({form.partition.n},)")
     try:
-        y, z = form.witness(xv)
+        with np.errstate(all="ignore"):  # an inf or NaN is judged by the report
+            y, z = form.witness(xv)
     except OverflowError as err:
         raise WitnessOverflowError(
             f"witness map of {form.name!r} overflows at x={xv.tolist()}: {err}"
@@ -380,7 +396,8 @@ def witness_eval(form: SaddleForm, x, check: bool = True) -> SaddlePoint:
 def reference_value(form: SaddleForm, x) -> float:
     """The form's reference f(x); an overflow raises :class:`WitnessOverflowError`."""
     try:
-        return form.reference(x)
+        with np.errstate(all="ignore"):  # as in witness_eval
+            return form.reference(x)
     except OverflowError as err:
         raise WitnessOverflowError(
             f"reference of {form.name!r} overflows at x={np.asarray(x).tolist()}: {err}"
@@ -416,8 +433,8 @@ def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
 
     Evaluation errors (:class:`~saddlelift.expr.ExprError`, and
     :class:`FormError` for a missing or malformed witness or one whose map
-    or reference overflows) propagate.  With
-    ``check``, a point infeasible at 1e-9 or a gap above 1e-9 raises
+    or reference overflows) propagate.  With ``check``, an
+    :attr:`WitnessReport.error` above D2_TOL raises
     :class:`WitnessInfeasibleError`.
     """
     p = witness_eval(form, x, check=False)
@@ -428,15 +445,11 @@ def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
         values[0],
         None if form.reference is None else reference_value(form, p.x),
     )
-    if check and not report.membership.feasible:
-        raise WitnessInfeasibleError(
-            f"witness of {form.name!r} infeasible at x={p.x.tolist()}: "
-            f"max violation {report.membership.max_violation:.3e}"
-        )
-    if check and report.gap is not None and report.gap > D2_TOL:
+    if check and report.error > D2_TOL:
+        gap = "no reference" if report.gap is None else f"{report.gap:.3e}"
         raise WitnessInfeasibleError(
             f"witness identity of {form.name!r} fails at x={p.x.tolist()}: "
-            f"|g - f| = {report.gap:.3e}"
+            f"max violation {report.membership.max_violation:.3e}, |g - f| = {gap}"
         )
     return report
 

@@ -64,6 +64,8 @@ from .expr import (
     Sum,
     Var,
     kink_error,
+    max_index_of,
+    postorder,
 )
 
 
@@ -93,25 +95,6 @@ def _times_zero(grad: np.ndarray, nonfinite, present) -> None:
         absent = np.ones(grad.size, dtype=bool)
         absent[present[k]] = False
         grad[absent] += zero
-
-
-def _postorder(outputs) -> list[Expr]:
-    """Every node under ``outputs`` once, children before parents."""
-    order: list[Expr] = []
-    seen: set[int] = set()
-    for root in outputs:
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if id(node) in seen:
-                continue
-            if expanded:
-                seen.add(id(node))
-                order.append(node)
-            else:
-                stack.append((node, True))
-                stack.extend((c, False) for c in reversed(node.children()))
-    return order
 
 
 def _first_copies(order) -> dict[int, int]:
@@ -165,15 +148,17 @@ class _Lowering:
         self.entries: dict[int, dict[int, float | str]] = {}
         self.kinks: dict[int, str] = {}  # node id -> local naming its kink
         self.used: set[int] = set()
-        order = _postorder(outputs)
-        first = _first_copies(order)
-        last_reader = {
+        order = list(postorder(outputs))
+        first = self.first = _first_copies(order)
+        # first copy -> index of the node that reads it last; an output is
+        # read after every node
+        self.last_reader = {
             first[id(c)]: k
             for k, node in enumerate(order)
             if first[id(node)] == id(node)
             for c in node.children()
         }
-        keep = {first[id(e)] for e in outputs}
+        self.last_reader.update((first[id(e)], len(order)) for e in outputs)
         for k, node in enumerate(order):
             orig = first[id(node)]
             if orig != id(node):  # a copy reads the locals of the first one
@@ -187,9 +172,7 @@ class _Lowering:
                 dead = {
                     self.value[id(c)]
                     for c in node.children()
-                    if last_reader[first[id(c)]] == k
-                    and first[id(c)] not in keep
-                    and not isinstance(c, Var)
+                    if self.last_reader[first[id(c)]] == k and not isinstance(c, Var)
                 }
                 if dead:
                     self.emit(f"del {', '.join(sorted(dead))}")
@@ -208,7 +191,7 @@ class _Lowering:
 
     def kink(self, e: Expr) -> str | None:
         """The expression naming the first kink met under ``e``, or None."""
-        names = [self.kinks[id(n)] for n in _postorder((e,)) if id(n) in self.kinks]
+        names = [self.kinks[id(n)] for n in postorder((e,)) if id(n) in self.kinks]
         return " or ".join(dict.fromkeys(names)) or None
 
     def penalty(self, outputs, ineq: int) -> list[str]:
@@ -313,12 +296,19 @@ class _Lowering:
         self.emit(*_chain(t, "0.0", [self.value[id(c)] for c in node.parts]))
         if not self.grad:
             return
+        # a first part that is a sum no later node reads hands over its entries:
+        # a sum from 0.0 is never -0.0, so 0.0 + e is e (a `+` chain: a line a term)
+        parts = node.parts
+        grad: dict[int, float | str] = {}
+        if parts and isinstance(parts[0], Sum) and self.last_reader[self.first[id(parts[0])]] == k:
+            grad, parts = self.entries[id(parts[0])], parts[1:]
         columns: dict[int, list] = {}
-        for c in node.parts:
+        for c in parts:
             for i, e in self.entries[id(c)].items():
                 columns.setdefault(i, []).append(e)
-        grad: dict[int, float | str] = {}
         for i, col in columns.items():
+            if i in grad:  # an entry handed over
+                col.insert(0, grad[i])
             if all(isinstance(e, float) for e in col):
                 acc = 0.0
                 for e in col:
@@ -462,8 +452,7 @@ class Tape:
 
     def __init__(self, outputs):
         self.outputs = tuple(outputs)
-        leaves = (n for n in _postorder(self.outputs) if isinstance(n, (Var, Affine)))
-        self.dim = 1 + max((n.max_index() for n in leaves), default=-1)
+        self.dim = 1 + max_index_of(self.outputs)
 
     @cached_property
     def value(self):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import FormError, SaddleForm, SaddlePoint, membership
+from .forms import SaddleForm, SaddlePoint, membership
 
 
 def _exact(form: SaddleForm, p: SaddlePoint):
@@ -51,36 +51,26 @@ def penalty_g(form: SaddleForm, p: SaddlePoint, rho: float) -> float:
     return float(-gval + rho * viol)
 
 
-def _penalty_at(form: SaddleForm, p, sign: float, rho: float, power: float, grad: bool):
-    """:meth:`SaddleForm.smoothed_penalty` at ``p``, a point or its vector."""
-    if not power > 1:
-        raise ValueError("smoothing exponent theta must be > 1")
-    v = p.vec if isinstance(p, SaddlePoint) else np.asarray(p, dtype=float)
-    if v.shape != (form.partition.total,):
-        raise FormError(f"point has shape {v.shape}, partition needs ({form.partition.total},)")
-    return form.smoothed_penalty(v, sign, rho, power, grad)
-
-
 def penalty_f_theta_value(form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float, theta: float) -> float:
-    return _penalty_at(form, p, 1.0, rho, theta, False)
+    return form.smoothed_penalty(p, 1.0, rho, theta, False)
 
 
 def penalty_g_theta_value(form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float, theta: float) -> float:
-    return _penalty_at(form, p, -1.0, rho, theta, False)
+    return form.smoothed_penalty(p, -1.0, rho, theta, False)
 
 
 def penalty_f_theta(
     form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float, theta: float
 ) -> tuple[float, np.ndarray]:
     """Smoothed F with its full-space gradient."""
-    return _penalty_at(form, p, 1.0, rho, theta, True)
+    return form.smoothed_penalty(p, 1.0, rho, theta, True)
 
 
 def penalty_g_theta(
     form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float, theta: float
 ) -> tuple[float, np.ndarray]:
     """Smoothed G with its full-space gradient."""
-    return _penalty_at(form, p, -1.0, rho, theta, True)
+    return form.smoothed_penalty(p, -1.0, rho, theta, True)
 
 
 def penalty_g2(form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float) -> tuple[float, np.ndarray]:
@@ -89,7 +79,7 @@ def penalty_g2(form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float) -> tup
     C^1 everywhere, and convex in the z block whenever every g_i is convex
     and every h_j affine there.
     """
-    return _penalty_at(form, p, -1.0, rho, 2.0, True)
+    return form.smoothed_penalty(p, -1.0, rho, 2.0, True)
 
 
 def eps_feasible(form: SaddleForm, p: SaddlePoint, eps: float) -> bool:

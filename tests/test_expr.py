@@ -156,6 +156,69 @@ def test_remap_and_subst():
     assert comp.value(np.array([0.0, 2.0])) == pytest.approx(math.exp(4.0))
 
 
+def test_a_long_sum_builds_and_answers():
+    # builtin sum() nests 5,000 sums deep; the per-node methods recursed and
+    # raised RecursionError from about 330 terms on
+    from saddlelift.algebra import scaled_sum
+    from saddlelift.catalog import trivial_convex
+
+    n = 5000
+    terms = [ex.square(ex.var(i) - 0.5) for i in range(n)]
+    e = sum(terms)
+    flat = ex.add(*terms)
+    p = np.linspace(-1.0, 1.0, n)
+    assert not e.is_affine() and e.max_index() == n - 1
+    v, g = e.value_grad(p)
+    assert v == e.value(p) == flat.value(p)
+    assert g.tobytes() == (2.0 * (p + -0.5)).tobytes()  # 0.0 + 2.0*(x_i - 0.5)
+    assert e.value_batch(np.stack([p, -p], axis=1)).tolist() == [v, e.value(-p)]
+    form = trivial_convex(e, n, "long")
+    both = scaled_sum(form, form, 1.0, 2.0)  # relocates g through remap
+    assert both.g.value(p) == 0.0 + 1.0 * v + 2.0 * v
+    put = e.subst(0, ex.var(1))
+    q = p.copy()
+    q[0] = q[1]  # x1 in place of x0 changes the value only where they differ
+    assert put.value(q) == e.value(q) and put.value(p) != v
+
+
+def test_a_shared_tree_is_walked_once_per_node(monkeypatch):
+    # thirty levels of e = e + e: 32 distinct nodes, 2**30 paths to the leaf
+    e = ex.square(ex.var(0))
+    for _ in range(30):
+        e = e + e
+    calls = 0
+
+    def counted(children):
+        def wrapper(self):
+            nonlocal calls
+            calls += 1
+            assert calls <= 1000, "a shared node is walked again"
+            return children(self)
+
+        return wrapper
+
+    for cls in (ex.Expr, ex.Sum, ex._Unary):
+        monkeypatch.setattr(cls, "children", counted(cls.__dict__["children"]))
+
+    def walked(question):
+        nonlocal calls
+        calls = 0
+        return question(), calls
+
+    assert walked(e.max_index) == (0, 32)
+    answer, n = walked(e.is_affine)
+    assert answer is False and n <= 32  # it may stop at the square
+    a = ex.var(0)
+    for _ in range(30):
+        a = a + a  # each + asks is_affine of the whole tree
+    assert walked(a.is_affine) == (True, 31)
+    moved, n = walked(lambda: e.remap({0: 1}))
+    assert n == 32 and moved.parts[0] is moved.parts[1] and moved.max_index() == 1
+    put, n = walked(lambda: a.subst(0, ex.var(2)))
+    assert n == 31 and put.parts[0] is put.parts[1] and put.max_index() == 2
+    assert e.value(np.array([3.0])) == 9.0 * 2.0**30
+
+
 def test_one_child_nodes():
     x0 = ex.var(0)
     # extra fields follow the child positionally; the tag is keyword-only

@@ -1,11 +1,13 @@
 """Form data model: membership, witness evaluation, structural validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import saddlelift as sl
 from saddlelift import expr as ex
-from saddlelift.catalog import make_catalog_form, make_structured, trivial_convex
+from saddlelift.catalog import default_suite, make_catalog_form, make_structured, trivial_convex
 from saddlelift.forms import (
     Box,
     FormError,
@@ -15,6 +17,7 @@ from saddlelift.forms import (
     membership,
     validate_form,
     witness_eval,
+    witness_report,
 )
 
 
@@ -40,6 +43,10 @@ def test_membership_box_excess(f41):
     rep = membership(f41, f41.point([0.0, -0.5, 0.0]))
     assert not rep.feasible
     assert rep.box_excess == 0.5
+    # a NaN coordinate is outside every box, as a NaN constraint value is violated
+    free = trivial_convex(ex.square(ex.var(0)), 1, "sq")
+    rep = membership(free, free.point([np.nan]))
+    assert not rep.feasible and rep.max_violation == np.inf
 
 
 def test_membership_monotone_in_tol(f41):
@@ -142,6 +149,24 @@ def test_box_and_window():
     assert box.excess(np.array([1.5, 0.0])) == 0.5
     assert box.excess(np.array([-0.25, -1e300])) == 0.25
     assert box.excess(np.array([0.5, 1e300])) == 0.0
+    # nothing is subtracted at an infinite bound, so this does not warn
+    assert box.excess(np.array([-0.25, -np.inf])) == 0.25
+    assert box.excess(np.array([0.5, np.nan])) == np.inf
+
+
+def test_witness_reports_do_not_warn():
+    # x = 0 sits on the log forms' boundary; at 1e200 maps and references overflow
+    for form in default_suite():
+        n = form.partition.n
+        lo, hi = (np.array(b[:n]) for b in (form.box.lower, form.box.upper))
+        edges = [np.where(np.isfinite(b), b, 0.0) for b in (lo, hi)]
+        for x in (np.zeros(n), *edges, np.full(n, 1e200)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    witness_report(form, x)
+                except (ex.ExprError, FormError):
+                    pass
 
 
 def test_saddle_point_blocks():

@@ -439,17 +439,33 @@ def test_penalty_entries_take_a_point_or_its_vector(f41):
         (pe.penalty_f_theta, (10.0, 1.01)),
         (pe.penalty_g_theta, (10.0, 1.01)),
         (pe.penalty_g2, (10.0,)),
+        # the form's own scalar readers make the same check
+        (SaddleForm.values, ()),
+        (_values_and_g_grad, ()),
+        (SaddleForm.smoothed_penalty, (1.0, 10.0, 1.01, True)),
     ):
         assert _bytes(fn, f41, p.vec.copy(), *args) == _bytes(fn, f41, p, *args)
-        with pytest.raises(FormError):
-            fn(f41, np.zeros(2), *args)
-        with pytest.raises(FormError):
-            fn(f41, np.zeros((3, 1)), *args)
+        for bad in (np.zeros(2), np.zeros(5), np.zeros((3, 1))):
+            with pytest.raises(FormError):
+                fn(f41, bad, *args)
+
+
+def _values_and_g_grad(form, v):
+    g, ivals, evals, grad = form.values_grads(v)
+    return g, ivals, evals, grad(0)
 
 
 def test_smoothed_entries_reject_a_nan_theta(f41):
     # NaN passed the old guard `theta <= 1` and F_theta read 23.0 here
     p = _pt(f41, [1, 1, 0])
-    for fn in (pe.penalty_f_theta_value, pe.penalty_g_theta_value, pe.penalty_f_theta, pe.penalty_g_theta):
-        with pytest.raises(ValueError):
-            fn(f41, p, 10.0, math.nan)
+    for fn in (
+        pe.penalty_f_theta_value,
+        pe.penalty_g_theta_value,
+        pe.penalty_f_theta,
+        pe.penalty_g_theta,
+        lambda form, p, rho, power: form.smoothed_penalty(p, 1.0, rho, power, False),
+        lambda form, p, rho, power: form.smoothed_penalty(p, -1.0, rho, power, True),
+    ):
+        for power in (math.nan, 0.5):
+            with pytest.raises(ValueError):
+                fn(f41, p, 10.0, power)
