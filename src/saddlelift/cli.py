@@ -227,7 +227,11 @@ def _parse_vector(text: str, expected: int, what: str) -> np.ndarray:
 
 def cmd_solve(args) -> int:
     form, params, start = load_problem_file(args.file)
-    result = alternating_penalty_solve(form, params, start=start, seed=args.seed)
+    try:
+        result = alternating_penalty_solve(form, params, start=start, seed=args.seed)
+    except ex.ExprError as err:  # an iterate outside the domain, or at a kink
+        _emit({"form": form.name, "error": str(err)})
+        return 2
     p = result.point
     summary = {
         "form": form.name,

@@ -124,12 +124,27 @@ class Expr:
 
     def is_affine(self) -> bool:
         """Structural affinity (decidable without sampling): every node is
-        a constant, variable, affine map, sum or scaling."""
-        # a sum built with `+` holds its newest part last: the walk starts
-        # there and stops at the first other node
-        return isinstance(self, _AFFINE_NODES) and all(
-            isinstance(n, _AFFINE_NODES) for n in postorder(reversed(self.children()))
-        )
+        a constant, variable, affine map, sum or scaling.  Each node keeps
+        its answer once known, and the walk enters no subtree whose answer
+        is kept, so a node built on answered children (as every
+        constructor's tag asks) costs one step."""
+        stack = [(self, None)]  # each node with its children, once read
+        while stack:
+            node, kids = stack.pop()
+            if "_affine" in node.__dict__:
+                continue
+            answer = isinstance(node, _AFFINE_NODES)
+            if answer:
+                kids = node.children() if kids is None else kids
+                known = [c.__dict__.get("_affine") for c in kids]
+                if None in known and False not in known:
+                    # a sum built with `+` holds its newest part last: walked first
+                    stack.append((node, kids))
+                    stack.extend((c, None) for c, k in zip(kids, known) if k is None)
+                    continue
+                answer = False not in known
+            object.__setattr__(node, "_affine", answer)
+        return self.__dict__["_affine"]
 
     def remap(self, mapping: dict[int, int]) -> "Expr":
         """New expression with every variable index sent through ``mapping``."""

@@ -286,6 +286,12 @@ class SaddleForm:
         tape's penalty kernel, compiled on first use and kept on the form.
         Domain errors raise as in :meth:`values`, a missing gradient of g or
         of an active constraint as in :meth:`values_grads`."""
+        return self._penalty_kernel(power, grad)(self._vector(v).tolist(), sign, rho, power)
+
+    def _penalty_kernel(self, power: float, grad: bool):
+        """The tape's penalty kernel ``(p, sign, rho, power)`` over a list of
+        Python floats, for a power > 1: compiled on first use and kept on
+        the form, returned unevaluated."""
         if not power > 1:
             raise ValueError(f"smoothing power must be > 1, got {power}")
         key = "_penalty_grad" if grad else "_penalty_value"
@@ -293,7 +299,7 @@ class SaddleForm:
         if kernel is None:
             kernel = self.tape().penalty(len(self.ineq), grad)
             object.__setattr__(self, key, kernel)
-        return kernel(self._vector(v).tolist(), sign, rho, power)
+        return kernel
 
     def point(self, vec) -> SaddlePoint:
         return SaddlePoint(self.partition, np.asarray(vec, dtype=float))

@@ -97,11 +97,12 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
     coordinates keep descending.  The phases alternate until the gradient
     tolerance, the iteration cap, or no phase makes progress.
 
-    Each trial costs one ``obj`` call and a few whole-array numpy
-    operations.  The coordinate phase does its scalar arithmetic on Python
-    floats (the IEEE operations of numpy scalars, without their dispatch
-    cost or overflow warnings) and writes only the trial coordinate into the
-    vector ``obj`` reads.
+    ``obj`` receives float arrays of the block's size.  Each trial costs
+    one ``obj`` call (for the solver's :func:`_block_objective`, one call of
+    the form's penalty kernel) and a few whole-array numpy operations.  The
+    coordinate phase does its scalar arithmetic on Python floats (the IEEE
+    operations of numpy scalars, without their dispatch cost or overflow
+    warnings) and changes only the trial coordinate of the array it passes.
     """
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
@@ -228,18 +229,37 @@ def inner_minimize_multistart(
     return best
 
 
+class _Block:
+    """A block objective's point as a list of Python floats, its block slice
+    and the form's penalty kernels at power ``theta``.  It stands in for the
+    form in the penalty functions, which read only ``smoothed_penalty``, so
+    a trial reaches the kernel with nothing converted or checked again."""
+
+    __slots__ = ("point", "block", "kernels")
+
+    def __init__(self, form: SaddleForm, base, block: slice, theta: float):
+        self.point = form._vector(base).tolist()
+        self.block = block
+        self.kernels = (form._penalty_kernel(theta, False), form._penalty_kernel(theta, True))
+
+    def smoothed_penalty(self, p, sign, rho, power, grad):
+        return self.kernels[grad](p, sign, rho, power)
+
+
 def _block_objective(form: SaddleForm, base, block, penalty, penalty_value, rho, theta):
     """``obj(sub, need_grad)`` for :func:`inner_minimize`: a smoothed penalty
     over the coordinates ``block`` of ``base``, the others held fixed.  Each
-    trial writes the block into one full vector and passes that vector."""
-    full = np.array(base, dtype=float)
+    trial writes ``sub`` into a :class:`_Block`'s point and passes the block
+    to ``penalty`` or ``penalty_value`` in the form's place: one kernel call."""
+    blk = _Block(form, base, block, theta)
+    full, block = blk.point, blk.block
 
     def obj(sub, need_grad):
-        full[block] = sub
+        full[block] = sub.tolist()
         if need_grad:
-            v, grad = penalty(form, full, rho, theta)
+            v, grad = penalty(blk, full, rho, theta)
             return v, grad[block]
-        return penalty_value(form, full, rho, theta), None
+        return penalty_value(blk, full, rho, theta), None
 
     return obj
 

@@ -129,6 +129,7 @@ def test_witness_overflow_is_an_error_line(tmp_path, capsys):
             ["witness", "--x", "0,0"],
             marks=pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning"),
         ),
+        ["solve"],  # from the default start, the origin
     ],
 )
 def test_point_outside_the_domain_is_an_error_line(tmp_path, capsys, argv):

@@ -208,15 +208,42 @@ def test_a_shared_tree_is_walked_once_per_node(monkeypatch):
     assert walked(e.max_index) == (0, 32)
     answer, n = walked(e.is_affine)
     assert answer is False and n <= 32  # it may stop at the square
+    raw = ex.var(0)
+    for _ in range(30):
+        raw = ex.Sum((raw, raw))  # built without a constructor: no answer kept yet
+    assert walked(raw.is_affine) == (True, 31)
+    assert walked(raw.is_affine) == (True, 0)
     a = ex.var(0)
     for _ in range(30):
-        a = a + a  # each + asks is_affine of the whole tree
-    assert walked(a.is_affine) == (True, 31)
+        a = a + a  # each + asks is_affine of its new node, whose parts are answered
+    assert walked(a.is_affine) == (True, 1)
     moved, n = walked(lambda: e.remap({0: 1}))
     assert n == 32 and moved.parts[0] is moved.parts[1] and moved.max_index() == 1
     put, n = walked(lambda: a.subst(0, ex.var(2)))
     assert n == 31 and put.parts[0] is put.parts[1] and put.max_index() == 2
     assert e.value(np.array([3.0])) == 9.0 * 2.0**30
+
+
+def test_an_affine_chain_builds_in_linear_steps(monkeypatch):
+    # each + asks the tag of its new node; is_affine walked the whole affine
+    # chain below it, so building N terms read O(N**2) children
+    reads: dict[int, int] = {}
+    read = []  # keeps every node read alive, so no id is reused
+    method = ex.Sum.__dict__["children"]
+
+    def counted(self):
+        reads[id(self)] = reads.get(id(self), 0) + 1
+        read.append(self)
+        return method(self)
+
+    monkeypatch.setattr(ex.Sum, "children", counted)
+    n = 2000
+    e = ex.var(0)
+    for i in range(1, n):
+        e = e + ex.var(i)
+    assert e.tag == ex.AFFINE and e.is_affine()
+    assert max(reads.values()) <= 2 and sum(reads.values()) <= 2 * n
+    assert e.value(np.ones(n)) == n
 
 
 def test_one_child_nodes():

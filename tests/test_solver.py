@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import warnings
 from dataclasses import fields
 
@@ -13,7 +14,12 @@ from saddlelift import solver
 from saddlelift.expr import DomainEvalError
 from saddlelift.catalog import default_suite, make_catalog_form, trivial_convex
 from saddlelift.forms import FormError, SaddlePoint, membership
-from saddlelift.penalty import penalty_f_theta, penalty_f_theta_value
+from saddlelift.penalty import (
+    penalty_f_theta,
+    penalty_f_theta_value,
+    penalty_g_theta,
+    penalty_g_theta_value,
+)
 from saddlelift.solver import (
     SolverParams,
     alternating_penalty_solve,
@@ -444,3 +450,112 @@ def test_solves_are_pinned():
         digest.update(row.encode())
     assert len(cases) == 26
     assert digest.hexdigest() == _SOLVES_SHA256
+
+
+# -- the block objective: a trial goes to the form's penalty kernel
+
+def _blocks(form):
+    """Each nonempty block with the solver's penalties for it: F_theta over
+    (x, y), G_theta over z."""
+    part = form.partition
+    cut = part.n + part.m1
+    for block, penalty, penalty_value in (
+        (slice(0, cut), penalty_f_theta, penalty_f_theta_value),
+        (slice(cut, part.total), penalty_g_theta, penalty_g_theta_value),
+    ):
+        if block.stop > block.start:
+            yield block, penalty, penalty_value
+
+
+def _outcome(fn):
+    """The values of ``fn()`` as float bits, every NaN made one NaN (CPython
+    does not keep a NaN's sign and payload), or the type and node of the
+    expression error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn()
+    except ex.ExprError as err:
+        return type(err), err.node
+    return [np.where(np.isnan(a), math.nan, a).tobytes() for a in map(np.asarray, out)]
+
+
+def _block_matches_form(form, v, rho=1e4, theta=1.01):
+    """Checks trials of the block objective at ``v`` and at ``v`` with its
+    block halved, in both modes, against the form's penalty at those
+    points, per block; returns the outcomes."""
+    outcomes = []
+    for block, penalty, penalty_value in _blocks(form):
+        base = v.copy()
+        base[block] = math.nan  # a trial that failed to write its block reads NaN
+        obj = solver._block_objective(form, base, block, penalty, penalty_value, rho, theta)
+        half = v.copy()
+        half[block] *= 0.5
+        # each trial moves the block and switches the mode: none reads another's point
+        for point, need_grad in ((v, True), (half, False), (half, True), (v, False)):
+
+            def want():
+                if need_grad:
+                    f, g = penalty(form, point, rho, theta)
+                    return f, g[block]
+                return (penalty_value(form, point, rho, theta),)
+
+            got = _outcome(lambda: obj(point[block].copy(), need_grad)[: 1 + need_grad])
+            assert got == _outcome(want), (form.name, block, need_grad)
+            outcomes.append(got)
+    return outcomes
+
+
+@pytest.mark.parametrize("form", default_suite(), ids=lambda f: f.name)
+def test_block_objective_equals_the_form_penalty_bit_for_bit(form):
+    rng = np.random.default_rng(0)
+    lo, hi = form.effective_window()
+    for rho in (10.0, 1e12):
+        for _ in range(4):
+            _block_matches_form(form, rng.uniform(lo, hi), rho)
+
+
+def test_block_objective_raises_and_overflows_as_the_form_does():
+    from test_kernels import _kink_form
+
+    # outside a log domain: entropy at the origin
+    entropy = make_catalog_form("entropy")
+    outcomes = _block_matches_form(entropy, np.zeros(entropy.partition.total))
+    assert all(o[0] is DomainEvalError for o in outcomes)
+    # at a RealPow kink of an active constraint: the gradient raises
+    grad, value, _, _ = _block_matches_form(_kink_form(1.0), np.zeros(1), rho=10.0, theta=1.5)
+    assert grad[0] is ex.NondifferentiableError and isinstance(value, list)
+    # a violation whose power overflows: value inf, gradient NaN
+    sgn2 = make_catalog_form("sgn2_a")
+    v = np.zeros(sgn2.partition.total)
+    v[0] = -1e306
+    for block, penalty, _ in _blocks(sgn2):
+        value, grad = penalty(sgn2, v, 10.0, 1.01)
+        assert value == math.inf and np.isnan(grad).all()
+    _block_matches_form(sgn2, v, rho=10.0)
+
+
+def test_a_trial_stays_lean():
+    # one trial is one call of the solver-bound penalty name (which the
+    # tracer wraps) on the block, which calls the form's kernel
+    form = make_catalog_form("maxabs_minus_sum", n=5)
+    rng = np.random.default_rng(0)
+    lo, hi = form.effective_window()
+    p = rng.uniform(lo, hi)
+    for block, penalty, penalty_value in _blocks(form):
+        obj = solver._block_objective(form, p, block, penalty, penalty_value, 1e4, 1.01)
+        q = p[block].copy()
+        for need_grad, entry in ((False, penalty_value), (True, penalty)):
+            obj(q, need_grad)  # kernels compile on first use, not per trial
+            codes = []
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    codes.append(frame.f_code)
+
+            sys.setprofile(profile)
+            try:
+                obj(q, need_grad)
+            finally:
+                sys.setprofile(None)
+            assert len(codes) <= 4, [c.co_name for c in codes]
+            assert codes.count(entry.__code__) == 1
