@@ -29,6 +29,8 @@ NONE = "none"
 
 _TAGS = (CONVEX, CONCAVE, AFFINE, NONE)
 
+_REPR_CHARS = 200  # an expression's repr shows this much of its text
+
 
 class ExprError(Exception):
     """Base class for expression failures."""
@@ -62,9 +64,33 @@ class ParseError(ExprError):
 
 
 class Expr:
-    """Immutable expression node.  Subclasses are frozen dataclasses."""
+    """Immutable expression node.  Subclasses are frozen dataclasses.  A
+    node fixes its largest variable index and its affinity when it is made,
+    from its children's, so asking either reads a field."""
 
     tag: str
+
+    def __post_init__(self):
+        kids = self.children()
+        if isinstance(self, Var):
+            indices = [self.index]
+        elif isinstance(self, Affine):
+            indices = [i for i, _ in self.terms]
+        else:
+            indices = [c._max_index for c in kids]
+        object.__setattr__(self, "_max_index", max([-1, *indices]))
+        affine = isinstance(self, _AFFINE_NODES) and all(c._affine for c in kids)
+        object.__setattr__(self, "_affine", affine)
+
+    def __repr__(self) -> str:
+        # the grammar text with variables v0, v1, ..., cut short: a shared
+        # node is written once per path, so the whole text can be huge
+        text = ""
+        for piece in _pieces(self, "v{}".format):
+            text += piece
+            if len(text) > _REPR_CHARS:
+                return f"{type(self).__name__}<{text[:_REPR_CHARS]}...>"
+        return f"{type(self).__name__}<{text}>"
 
     # -- evaluation ---------------------------------------------------------
 
@@ -120,31 +146,12 @@ class Expr:
 
     def max_index(self) -> int:
         """Largest variable index referenced, or -1 for constants."""
-        return max_index_of((self,))
+        return self._max_index
 
     def is_affine(self) -> bool:
         """Structural affinity (decidable without sampling): every node is
-        a constant, variable, affine map, sum or scaling.  Each node keeps
-        its answer once known, and the walk enters no subtree whose answer
-        is kept, so a node built on answered children (as every
-        constructor's tag asks) costs one step."""
-        stack = [(self, None)]  # each node with its children, once read
-        while stack:
-            node, kids = stack.pop()
-            if "_affine" in node.__dict__:
-                continue
-            answer = isinstance(node, _AFFINE_NODES)
-            if answer:
-                kids = node.children() if kids is None else kids
-                known = [c.__dict__.get("_affine") for c in kids]
-                if None in known and False not in known:
-                    # a sum built with `+` holds its newest part last: walked first
-                    stack.append((node, kids))
-                    stack.extend((c, None) for c, k in zip(kids, known) if k is None)
-                    continue
-                answer = False not in known
-            object.__setattr__(node, "_affine", answer)
-        return self.__dict__["_affine"]
+        a constant, variable, affine map, sum or scaling."""
+        return self._affine
 
     def remap(self, mapping: dict[int, int]) -> "Expr":
         """New expression with every variable index sent through ``mapping``."""
@@ -222,19 +229,19 @@ class Expr:
 # node types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Const(Expr):
     c: float
     tag: str = AFFINE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Var(Expr):
     index: int
     tag: str = AFFINE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Affine(Expr):
     """Sparse affine combination  sum_i coeff_i * v_i + offset."""
 
@@ -243,7 +250,7 @@ class Affine(Expr):
     tag: str = AFFINE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Sum(Expr):
     parts: tuple[Expr, ...]
     tag: str = NONE
@@ -252,7 +259,7 @@ class Sum(Expr):
         return self.parts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class _Unary(Expr):
     """A node of one child; ``tag`` is keyword-only, so a subclass's own
     fields follow ``child`` positionally."""
@@ -264,7 +271,7 @@ class _Unary(Expr):
         return (self.child,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Scale(_Unary):
     c: float
 
@@ -273,16 +280,17 @@ class Square(_Unary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class IntPow(_Unary):
     k: int
 
     def __post_init__(self):
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError("integer power requires k >= 1")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RealPow(_Unary):
     """child ** a for real a > 0, defined on child >= 0 only."""
 
@@ -291,6 +299,7 @@ class RealPow(_Unary):
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError("real power requires exponent a > 0")
+        super().__post_init__()
 
 
 class Exp(_Unary):
@@ -301,21 +310,22 @@ class Log(_Unary):
     pass
 
 
-@dataclass(frozen=True)  # a dataclass, so that __init__ runs the check
 class Sin(_Unary):
     """sin of an affine argument (the only trigonometric node needed)."""
 
     def __post_init__(self):
         if not self.child.is_affine():
             raise ValueError("sin node requires an affine argument")
+        super().__post_init__()
 
-
-# ---------------------------------------------------------------------------
-# the walk: every structural question and every kernel reads it, so a tree
-# of any depth is walked without recursion and a shared node once
 
 # the nodes an affine expression is made of
 _AFFINE_NODES = (Const, Var, Affine, Sum, Scale)
+
+
+# ---------------------------------------------------------------------------
+# the walk: the kernels, remap and subst read it, so a tree of any depth is
+# walked without recursion and a shared node once
 
 
 def postorder(roots) -> Iterator[Expr]:
@@ -336,17 +346,6 @@ def postorder(roots) -> Iterator[Expr]:
             else:
                 stack.pop()
                 yield node
-
-
-def max_index_of(roots) -> int:
-    """Largest variable index under ``roots``, or -1 where there is none."""
-    indices = [-1]
-    for node in postorder(roots):
-        if isinstance(node, Var):
-            indices.append(node.index)
-        elif isinstance(node, Affine):
-            indices.extend(i for i, _ in node.terms)
-    return max(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +371,15 @@ def _derived_tag(node: Expr) -> str:
         if all(t in (CONCAVE, AFFINE) for t in tags):
             return CONCAVE
     if isinstance(node, Scale):
-        if node.c >= 0:
-            return node.child.tag
-        flip = {CONVEX: CONCAVE, CONCAVE: CONVEX, AFFINE: AFFINE, NONE: NONE}
-        return flip[node.child.tag]
+        flip = {} if node.c >= 0 else {CONVEX: CONCAVE, CONCAVE: CONVEX}
+        return flip.get(node.child.tag, node.child.tag)
     return NONE
 
 
 def _finish(node: Expr) -> Expr:
-    return replace(node, tag=_derived_tag(node))
+    """``node``, just made, with its derived tag written in place."""
+    object.__setattr__(node, "tag", _derived_tag(node))
+    return node
 
 
 def const(c: float) -> Expr:
@@ -717,40 +716,44 @@ def _num(v: float) -> str:
     return repr(float(v))
 
 
+def _spelling(node: Expr, name_of) -> list:
+    """The text of ``node`` as pieces of text and child nodes, in reading order."""
+    if isinstance(node, Const):
+        return [_num(node.c)]
+    if isinstance(node, Var):
+        return [name_of(node.index)]
+    if isinstance(node, Affine):
+        bits = [b for i, c in node.terms for b in (name_of(i), _num(c))]
+        return ["(aff " + " ".join([*bits, _num(node.offset)]) + ")"]
+    if isinstance(node, Sum):  # the parts one space apart
+        return ["(+ ", *[b for c in node.parts for b in (" ", c)][1:], ")"]
+    if isinstance(node, Scale):
+        return ["(neg " if node.c == -1.0 else f"(* {_num(node.c)} ", node.child, ")"]
+    if isinstance(node, IntPow):
+        return ["(pow ", node.child, f" {node.k})"]
+    if isinstance(node, RealPow):
+        return ["(rpow ", node.child, f" {_num(node.a)})"]
+    for word, kind in _WORDS.items():
+        if isinstance(node, kind):
+            return [f"({word} ", node.child, ")"]
+    raise TypeError(f"unknown node {type(node).__name__}")
+
+
+def _pieces(e: Expr, name_of) -> Iterator[str]:
+    """The grammar text of ``e`` piece by piece, in reading order, from a
+    stack of the pieces and nodes still to write (no recursion)."""
+    todo: list[Expr | str] = [e]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            yield item
+            continue
+        items = _spelling(item, name_of)
+        if item.tag != _derived_tag(item):
+            items = [f"(tag {item.tag} ", *items, ")"]
+        todo.extend(reversed(items))
+
+
 def to_sexpr(e: Expr, name_of: Callable[[int], str]) -> str:
     """Serialize to the text grammar; inverse of :func:`parse_sexpr`."""
-
-    def basic(node: Expr) -> str:
-        if isinstance(node, Const):
-            return _num(node.c)
-        if isinstance(node, Var):
-            return name_of(node.index)
-        if isinstance(node, Affine):
-            bits = []
-            for i, c in node.terms:
-                bits.append(name_of(i))
-                bits.append(_num(c))
-            bits.append(_num(node.offset))
-            return "(aff " + " ".join(bits) + ")"
-        if isinstance(node, Sum):
-            return "(+ " + " ".join(emit(c) for c in node.parts) + ")"
-        if isinstance(node, Scale):
-            if node.c == -1.0:
-                return f"(neg {emit(node.child)})"
-            return f"(* {_num(node.c)} {emit(node.child)})"
-        if isinstance(node, IntPow):
-            return f"(pow {emit(node.child)} {node.k})"
-        if isinstance(node, RealPow):
-            return f"(rpow {emit(node.child)} {_num(node.a)})"
-        for word, kind in _WORDS.items():
-            if isinstance(node, kind):
-                return f"({word} {emit(node.child)})"
-        raise TypeError(f"unknown node {type(node).__name__}")
-
-    def emit(node: Expr) -> str:
-        body = basic(node)
-        if node.tag != _derived_tag(node):
-            return f"(tag {node.tag} {body})"
-        return body
-
-    return emit(e)
+    return "".join(_pieces(e, name_of))

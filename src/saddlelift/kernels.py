@@ -64,7 +64,6 @@ from .expr import (
     Sum,
     Var,
     kink_error,
-    max_index_of,
     postorder,
 )
 
@@ -452,7 +451,7 @@ class Tape:
 
     def __init__(self, outputs):
         self.outputs = tuple(outputs)
-        self.dim = 1 + max_index_of(self.outputs)
+        self.dim = 1 + max((e.max_index() for e in self.outputs), default=-1)
 
     @cached_property
     def value(self):

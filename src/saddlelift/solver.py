@@ -229,6 +229,11 @@ def inner_minimize_multistart(
     return best
 
 
+def _blocks(part) -> tuple[slice, slice]:
+    """The (x, y) block and the z block of a point of the partition ``part``."""
+    return slice(0, part.n + part.m1), slice(part.n + part.m1, part.total)
+
+
 class _Block:
     """A block objective's point as a list of Python floats, its block slice
     and the form's penalty kernels at power ``theta``.  It stands in for the
@@ -325,8 +330,7 @@ def alternating_penalty_solve(
         start = np.zeros(part.total)
     vec = start.vec if isinstance(start, SaddlePoint) else np.asarray(start, dtype=float)
     p = np.clip(vec.astype(float), lo, hi)
-    xy = slice(0, part.n + part.m1)
-    zz = slice(part.n + part.m1, part.total)
+    xy, zz = _blocks(part)
     trace: list[TraceRow] = []
     status = STATUS_MAX_OUTER
     diagnostic = ""
@@ -447,9 +451,7 @@ def kkt_residual(
         raise FormError(
             f"kkt_residual needs a feasible point; max violation {rep.max_violation:.3e}"
         )
-    part = form.partition
-    xy = slice(0, part.n + part.m1)
-    zz = slice(part.n + part.m1, part.total)
+    xy, zz = _blocks(form.partition)
     s, r = len(form.ineq), len(form.eq)
 
     _, ivals, _, grad = form.values_grads(p.vec)
@@ -459,25 +461,20 @@ def kkt_residual(
     is_ineq = [True] * s + [False] * r
     active = [gi_vals[i] >= -_ACT_TOL for i in range(s)] + [True] * r
 
-    target_xy = ggrad[xy]  # residual form: grad_xy g + sum w grad_xy c = 0
-    cols_xy = [c[xy] for c in grads]
-    target_z = -ggrad[zz]  # residual form: -grad_z g + sum w grad_z c = 0
-    cols_z = [c[zz] for c in grads]
-
-    if alpha is None:
-        alpha, res_xy = _estimate(target_xy, cols_xy, is_ineq, active)
-    else:
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.shape != (s + r,):
-            raise ValueError(f"alpha must have length {s + r}")
-        res_xy = _stationarity(target_xy, cols_xy, alpha)
-    if beta is None:
-        beta, res_z = _estimate(target_z, cols_z, is_ineq, active)
-    else:
-        beta = np.asarray(beta, dtype=float)
-        if beta.shape != (s + r,):
-            raise ValueError(f"beta must have length {s + r}")
-        res_z = _stationarity(target_z, cols_z, beta)
+    # residual forms: grad_xy g + sum w grad_xy c = 0 and -grad_z g + sum w grad_z c = 0
+    found = []
+    for given, name, target, cols in (
+        (alpha, "alpha", ggrad[xy], [c[xy] for c in grads]),
+        (beta, "beta", -ggrad[zz], [c[zz] for c in grads]),
+    ):
+        if given is None:
+            found.append(_estimate(target, cols, is_ineq, active))
+            continue
+        weights = np.asarray(given, dtype=float)
+        if weights.shape != (s + r,):
+            raise ValueError(f"{name} must have length {s + r}")
+        found.append((weights, _stationarity(target, cols, weights)))
+    (alpha, res_xy), (beta, res_z) = found
 
     comp = 0.0
     sign = 0.0
@@ -526,8 +523,7 @@ def exactness_probe(
     part = form.partition
     lo = form.box.lower_array()
     hi = form.box.upper_array()
-    xy = slice(0, part.n + part.m1)
-    zz = slice(part.n + part.m1, part.total)
+    xy, zz = _blocks(part)
     rows = []
     for i, rho in enumerate(rho_list):
         rng = np.random.default_rng(seed + i)

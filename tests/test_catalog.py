@@ -25,7 +25,9 @@ from saddlelift.cli import form_to_inline, load_form
 from saddlelift.forms import (
     D2_TOL,
     FormError,
+    SaddlePoint,
     WitnessInfeasibleError,
+    membership,
     validate_form,
     witness_check,
     witness_eval,
@@ -48,6 +50,25 @@ def test_maxabs_shape_and_flat_reference():
     assert len(f.ineq) == 15
     for c in (-3.0, 0.0, 7.5):
         assert f.reference(np.full(5, c)) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 5, 10])
+def test_the_flagship_lift_misses_its_minmax_identity(n):
+    # x = 0, every y_i = y_top = t and z_i = t**2 is feasible, and there
+    # g = n*t + sum(-t + t**2 - 2*t**2) = -n*t**2 falls in every z_i, so the
+    # min over y of the max over z is below f(0) = 0 (and unbounded as t
+    # grows): the lift does not keep its minmax identity
+    form = make_catalog_form("maxabs_minus_sum", n=n)
+    assert form.reference(np.zeros(n)) == 0.0
+    for t in (0.5, 1.0, 10.0):
+        vec = np.concatenate([np.zeros(n), np.full(n + 1, t), np.full(n, t * t)])
+        assert membership(form, SaddlePoint(form.partition, vec)).feasible
+        g = form.g.value(vec)
+        assert g == pytest.approx(-n * t * t, rel=1e-12)
+        for i in range(2 * n + 1, 3 * n + 1):  # each z_i
+            up = vec.copy()
+            up[i] += 0.5
+            assert form.g.value(up) < g
 
 
 def test_bilinear2_a():

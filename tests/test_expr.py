@@ -3,9 +3,12 @@ audits, and the text grammar."""
 
 import dataclasses
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saddlelift import expr as ex
 
@@ -181,6 +184,59 @@ def test_a_long_sum_builds_and_answers():
     assert put.value(q) == e.value(q) and put.value(p) != v
 
 
+def _depth() -> int:
+    """The number of Python frames below the caller's."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_long_sum_needs_no_frame_per_node():
+    # with about 60 frames to spare, any path that recursed once per level of
+    # the 5,000-deep sum() would raise RecursionError
+    from saddlelift.catalog import trivial_convex
+    from saddlelift.cli import form_to_inline
+
+    n = 5000
+    e = sum(ex.square(ex.var(i) - 0.5) for i in range(n))
+    p = np.linspace(-1.0, 1.0, n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 60)
+    try:
+        facts = e.max_index(), e.is_affine()
+        moved, put = e.remap({0: 1}), e.subst(0, ex.var(1))
+        text, shown = ex.to_sexpr(e, lambda i: f"x{i}"), repr(e)
+        v, (vg, g) = e.value(p), e.value_grad(p)
+        batch = e.value_batch(np.stack([p, -p], axis=1))
+        doc = form_to_inline(trivial_convex(e, n, "long"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert facts == (n - 1, False)
+    assert moved.max_index() == put.max_index() == n - 1
+    assert text.count("(sq ") == n and doc["g"] == text
+    assert shown.startswith("Sum<(+ (+ (+ ") and len(shown) < 300
+    assert v == vg and g.tobytes() == (2.0 * (p + -0.5)).tobytes()
+    assert batch[0] == v
+
+
+def test_repr_is_the_grammar_text_cut_short():
+    x0, x1 = ex.var(0), ex.var(1)
+    e = ex.square(x0) + ex.log(ex.affine([(1, 2.0)], 1.0))
+    assert repr(e) == "Sum<(+ (sq v0) (log (aff v1 2.0 1.0)))>"
+    assert repr(ex.Scale(x1, 2.0)) == "Scale<(tag none (* 2.0 v1))>"
+    assert repr(ex.const(3)) == "Const<3.0>"
+    # e = e + e thirty times: 31 nodes but 2**30 leaves of text, which the
+    # generated dataclass repr wrote out in full
+    a = x0
+    for _ in range(30):
+        a = a + a
+    start = time.perf_counter()
+    shown = repr(a)
+    assert time.perf_counter() - start < 0.5
+    assert shown.startswith("Sum<(+ (+ ") and shown.endswith("...>") and len(shown) < 300
+
+
 def test_a_shared_tree_is_walked_once_per_node(monkeypatch):
     # thirty levels of e = e + e: 32 distinct nodes, 2**30 paths to the leaf
     e = ex.square(ex.var(0))
@@ -205,22 +261,23 @@ def test_a_shared_tree_is_walked_once_per_node(monkeypatch):
         calls = 0
         return question(), calls
 
-    assert walked(e.max_index) == (0, 32)
-    answer, n = walked(e.is_affine)
-    assert answer is False and n <= 32  # it may stop at the square
+    # every node fixes its answers when it is made: asking reads no child
+    assert walked(e.max_index) == (0, 0)
+    assert walked(e.is_affine) == (False, 0)
     raw = ex.var(0)
     for _ in range(30):
-        raw = ex.Sum((raw, raw))  # built without a constructor: no answer kept yet
-    assert walked(raw.is_affine) == (True, 31)
+        raw = ex.Sum((raw, raw))  # built without a constructor
     assert walked(raw.is_affine) == (True, 0)
     a = ex.var(0)
     for _ in range(30):
-        a = a + a  # each + asks is_affine of its new node, whose parts are answered
-    assert walked(a.is_affine) == (True, 1)
+        a = a + a
+    assert walked(a.is_affine) == (True, 0)
+    # a rebuild reads each distinct node twice: once walking it, once
+    # making its copy (the new leaf included)
     moved, n = walked(lambda: e.remap({0: 1}))
-    assert n == 32 and moved.parts[0] is moved.parts[1] and moved.max_index() == 1
+    assert n == 64 and moved.parts[0] is moved.parts[1] and moved.max_index() == 1
     put, n = walked(lambda: a.subst(0, ex.var(2)))
-    assert n == 31 and put.parts[0] is put.parts[1] and put.max_index() == 2
+    assert n == 62 and put.parts[0] is put.parts[1] and put.max_index() == 2
     assert e.value(np.array([3.0])) == 9.0 * 2.0**30
 
 
@@ -244,6 +301,173 @@ def test_an_affine_chain_builds_in_linear_steps(monkeypatch):
     assert e.tag == ex.AFFINE and e.is_affine()
     assert max(reads.values()) <= 2 and sum(reads.values()) <= 2 * n
     assert e.value(np.ones(n)) == n
+
+
+# -- node facts against a reference walk ------------------------------------
+
+_AFFINE_KINDS = (ex.Const, ex.Var, ex.Affine, ex.Sum, ex.Scale)
+_ALL_TAGS = (ex.CONVEX, ex.CONCAVE, ex.AFFINE, ex.NONE)
+
+
+def _under(node, seen=None):
+    """Every distinct node under ``node``, by a plain recursive walk."""
+    seen = set() if seen is None else seen
+    if id(node) not in seen:
+        seen.add(id(node))
+        yield node
+        for c in node.children():
+            yield from _under(c, seen)
+
+
+def _reference_facts(node):
+    """(largest variable index, affinity) of ``node``, read off its whole tree."""
+    nodes = list(_under(node))
+    indices = [n.index for n in nodes if isinstance(n, ex.Var)]
+    indices += [i for n in nodes if isinstance(n, ex.Affine) for i, _ in n.terms]
+    return max([-1, *indices]), all(isinstance(n, _AFFINE_KINDS) for n in nodes)
+
+
+def _reference_tag(node):
+    """The curvature tag a constructor gives ``node``."""
+
+    def affine(n):
+        return _reference_facts(n)[1]
+
+    if affine(node):
+        return ex.AFFINE
+    if isinstance(node, (ex.Square, ex.Exp)) and affine(node.child):
+        return ex.CONVEX
+    if isinstance(node, ex.Log) and affine(node.child):
+        return ex.CONCAVE
+    if isinstance(node, ex.IntPow) and affine(node.child) and node.k % 2 == 0:
+        return ex.CONVEX
+    if isinstance(node, ex.RealPow) and affine(node.child) and node.a >= 1.0:
+        return ex.CONVEX
+    if isinstance(node, ex.Sum):
+        tags = {c.tag for c in node.parts}
+        if tags <= {ex.CONVEX, ex.AFFINE}:
+            return ex.CONVEX
+        if tags <= {ex.CONCAVE, ex.AFFINE}:
+            return ex.CONCAVE
+    if isinstance(node, ex.Scale):
+        if node.c >= 0:
+            return node.child.tag
+        return {ex.CONVEX: ex.CONCAVE, ex.CONCAVE: ex.CONVEX}.get(node.child.tag, node.child.tag)
+    return ex.NONE
+
+
+def _recursive_sexpr(e, name_of):
+    """The recursive printer that the iterative ``to_sexpr`` replaced."""
+
+    def num(v):
+        return repr(float(v))
+
+    def basic(node):
+        if isinstance(node, ex.Const):
+            return num(node.c)
+        if isinstance(node, ex.Var):
+            return name_of(node.index)
+        if isinstance(node, ex.Affine):
+            bits = [b for i, c in node.terms for b in (name_of(i), num(c))]
+            return "(aff " + " ".join(bits + [num(node.offset)]) + ")"
+        if isinstance(node, ex.Sum):
+            return "(+ " + " ".join(emit(c) for c in node.parts) + ")"
+        if isinstance(node, ex.Scale):
+            if node.c == -1.0:
+                return f"(neg {emit(node.child)})"
+            return f"(* {num(node.c)} {emit(node.child)})"
+        if isinstance(node, ex.IntPow):
+            return f"(pow {emit(node.child)} {node.k})"
+        if isinstance(node, ex.RealPow):
+            return f"(rpow {emit(node.child)} {num(node.a)})"
+        word = {ex.Square: "sq", ex.Exp: "exp", ex.Log: "log", ex.Sin: "sin"}[type(node)]
+        return f"({word} {emit(node.child)})"
+
+    def emit(node):
+        body = basic(node)
+        return body if node.tag == _reference_tag(node) else f"(tag {node.tag} {body})"
+
+    return emit(e)
+
+
+def _paths(node, memo) -> int:
+    """The number of nodes in ``node``'s text, a shared one once per path."""
+    if id(node) not in memo:
+        memo[id(node)] = 1 + sum(_paths(c, memo) for c in node.children())
+    return memo[id(node)]
+
+
+def _grow(draw, pool):
+    """A new node over the nodes of ``pool``, a list of (node, the tag it
+    must carry), and the tag that it must carry."""
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    kind = draw(st.sampled_from(
+        ["leaf", "add", "raw sum", "unary", "raw unary", "with_tag", "remap", "subst"]
+    ))
+    if kind == "leaf":
+        i = draw(st.integers(0, 4))
+        leaves = [ex.var(i), ex.Var(i), ex.const(i / 2), ex.affine([(i, 1.5), (i + 1, -1.0)], 0.5)]
+        return draw(st.sampled_from(leaves + [ex.Affine(())])), ex.AFFINE
+    if kind in ("add", "raw sum"):
+        parts = [pick()[0] for _ in range(draw(st.integers(0, 3)))]
+        if kind == "raw sum":
+            return ex.Sum(tuple(parts)), ex.NONE
+        node = ex.add(*parts)
+        return node, _reference_tag(node)
+    if kind in ("unary", "raw unary"):
+        child = pick()[0]
+        word = draw(st.sampled_from(["scale", "sq", "pow", "rpow", "exp", "log", "sin"]))
+        if word == "sin" and not _reference_facts(child)[1]:
+            word = "exp"  # sin takes an affine argument only
+        c = draw(st.sampled_from([-1.0, -0.5, 0.0, 2.0]))
+        k = draw(st.integers(1, 4))
+        a = draw(st.sampled_from([0.5, 1.0, 1.5]))
+        made, raw, *extra = {
+            "scale": (ex.scale, ex.Scale, c), "pow": (ex.ipow, ex.IntPow, k),
+            "rpow": (ex.rpow, ex.RealPow, a), "sq": (ex.square, ex.Square),
+            "exp": (ex.exp, ex.Exp), "log": (ex.log, ex.Log), "sin": (ex.sin, ex.Sin),
+        }[word]
+        if kind == "raw unary":
+            return raw(child, *extra), ex.NONE
+        node = made(child, *extra)
+        return node, _reference_tag(node)
+    src, src_tag = pick()
+    if kind == "with_tag":
+        tag = draw(st.sampled_from(_ALL_TAGS))
+        return src.with_tag(tag), tag
+    if kind == "remap":
+        mapping = draw(st.dictionaries(st.integers(0, 5), st.integers(0, 5), max_size=3))
+        return src.remap(mapping), src_tag  # a rebuilt node keeps its tag
+    sub, sub_tag = pick()
+    i = draw(st.integers(0, 5))
+    if isinstance(src, ex.Var) and src.index == i:
+        return src.subst(i, sub), sub_tag
+    if isinstance(src, ex.Affine) and any(j == i for j, _ in src.terms):
+        return src.subst(i, sub), ex.NONE  # a raw sum of the rest and the scaled sub
+    return src.subst(i, sub), src_tag
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_node_facts_match_a_reference_walk(data):
+    # random DAGs: constructor-made and raw nodes, shared children, retagged
+    # nodes and the outputs of remap and subst
+    pool = [(ex.var(0), ex.AFFINE)]
+    for _ in range(data.draw(st.integers(1, 10), label="new nodes")):
+        pool.append(_grow(data.draw, pool))
+    paths: dict[int, int] = {}
+    for node, tag in pool:
+        assert node.tag == tag
+        for n in _under(node):
+            assert (n.max_index(), n.is_affine()) == _reference_facts(n)
+        if _paths(node, paths) <= 200:
+            text = _recursive_sexpr(node, lambda i: f"v{i}")
+            assert ex.to_sexpr(node, lambda i: f"v{i}") == text
+            if len(text) <= 200:
+                assert repr(node) == f"{type(node).__name__}<{text}>"
 
 
 def test_one_child_nodes():
