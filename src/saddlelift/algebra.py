@@ -264,6 +264,8 @@ def compose_monotone_convex(f: SaddleForm, phi: Expr) -> SaddleForm:
             )
 
     g = phi.subst(0, f.g)
+    if "convex_joint_g" in f.declares:  # a monotone convex map of a convex g
+        g = g.with_tag(CONVEX)
     reference = None
     if f.reference is not None:
         reference = lambda x: phi.value(np.array([f.reference(x)]))

@@ -181,14 +181,6 @@ class IdentityAuditReport:
     classification: str
     counterexample: str
 
-    @property
-    def d2_ok(self) -> bool:
-        return self.classification in (CLASS_VERIFIED, CLASS_D2_ONLY)
-
-    @property
-    def d3_ok(self) -> bool:
-        return self.classification == CLASS_VERIFIED
-
 
 def _witness_row(form: SaddleForm, x):
     if form.witness is None or form.reference is None:
@@ -357,8 +349,9 @@ def sweep_resolution(form: SaddleForm) -> int:
     return 13
 
 
-def registry_sweep(forms, seed: int = 0) -> dict[str, RegistryEntry]:
-    """Classify forms with fixed audit parameters; divergent ones get entries.
+def registry_sweep(forms) -> dict[str, RegistryEntry]:
+    """Classify forms with fixed audit parameters (x sampled from seed 0);
+    divergent ones get entries.
 
     Grid-auditable forms (m1 + m2 <= 4) run the full identity audit; larger
     ones are checked on the witness identity alone and can only earn a
@@ -370,8 +363,7 @@ def registry_sweep(forms, seed: int = 0) -> dict[str, RegistryEntry]:
     for form in forms:
         if form.reference is None:
             continue
-        rng = np.random.default_rng(seed)
-        xs = form.sample_x(rng, SWEEP_SAMPLES)
+        xs = form.sample_x(np.random.default_rng(0), SWEEP_SAMPLES)
         if form.partition.m1 + form.partition.m2 <= 4:
             report = identity_audit(
                 form, xs, GridSpec(resolution=sweep_resolution(form)), tol=SWEEP_TOL

@@ -172,22 +172,25 @@ class Expr:
             if all(i != index for i, _ in node.terms):
                 return node
             kept = Affine(tuple((i, c) for i, c in node.terms if i != index), node.offset)
-            return Sum((kept, *(Scale(sub, c) for i, c in node.terms if i == index)))
+            return add(kept, *(scale(sub, c) for i, c in node.terms if i == index))
 
         return self._rebuild(leaf)
 
     def _rebuild(self, leaf: Callable[["Expr"], "Expr"]) -> "Expr":
         """This tree rebuilt children first, each variable and affine map
         replaced by ``leaf`` of it; a shared node is rebuilt once and stays
-        shared."""
+        shared.  A node whose tag was its derived one gets the derived tag
+        of its rebuilt self; an explicit tag is kept."""
         new: dict[int, Expr] = {}
         for node in postorder((self,)):
             if isinstance(node, Sum):
-                new[id(node)] = replace(node, parts=tuple(new[id(c)] for c in node.parts))
+                made = replace(node, parts=tuple(new[id(c)] for c in node.parts))
             elif isinstance(node, _Unary):
-                new[id(node)] = replace(node, child=new[id(node.child)])
+                made = replace(node, child=new[id(node.child)])
             else:
                 new[id(node)] = node if isinstance(node, Const) else leaf(node)
+                continue
+            new[id(node)] = _finish(made) if node.tag == _derived_tag(node) else made
         return new[id(self)]
 
     def with_tag(self, tag: str) -> "Expr":
@@ -642,6 +645,8 @@ def parse_sexpr(text: str, resolve: Callable[[str], int]) -> Expr:
         return float(tok)
 
     def expr():
+        # a generator: it yields where it needs a subexpression and is sent
+        # it, so the open forms wait on one explicit stack, not on frames
         nonlocal pos
         tok, at = need()
         if tok == ")":
@@ -677,36 +682,44 @@ def parse_sexpr(text: str, resolve: Callable[[str], int]) -> Expr:
         elif head == "+":
             parts = []
             while pos < len(tokens) and tokens[pos][0] != ")":
-                parts.append(expr())
+                parts.append((yield))
             node = add(*parts)
         elif head == "*":
             c = number()
-            node = scale(expr(), c)
+            node = scale((yield), c)
         elif head == "neg":
-            node = neg(expr())
+            node = neg((yield))
         elif head in _WORDS:
-            node = _finish(_WORDS[head](expr()))
+            node = _finish(_WORDS[head]((yield)))
         elif head == "pow":
-            child = expr()
+            child = yield
             k = number()
             if not k.is_integer():
                 tok, kat = tokens[pos - 1]
                 fail(f"expected an integer exponent, found {tok!r}", kat)
             node = ipow(child, k)
         elif head == "rpow":
-            child = expr()
+            child = yield
             node = rpow(child, number())
         elif head == "tag":
             tok, tat = need()
             if tok not in _TAGS:
                 fail(f"unknown curvature tag {tok!r}", tat)
-            node = expr().with_tag(tok)
+            node = (yield).with_tag(tok)
         else:
             fail(f"unknown operator {head!r}", hat)
         need(")")
         return node
 
-    node = expr()
+    stack, node = [expr()], None
+    while stack:
+        try:
+            stack[-1].send(node)  # yielded: the form waits for a subexpression
+            stack.append(expr())
+            node = None
+        except StopIteration as done:
+            stack.pop()
+            node = done.value
     if pos != len(tokens):
         fail("trailing tokens after expression", tokens[pos][1])
     return node

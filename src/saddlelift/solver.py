@@ -84,6 +84,12 @@ class InnerResult:
     converged: bool
 
 
+def pg_norm(p, g, lo, hi) -> float:
+    """The norm of the projected-gradient step p - P(p - g) onto the box [lo, hi]."""
+    r = p - np.minimum(np.maximum(p - g, lo), hi)
+    return math.sqrt(r @ r)  # np.linalg.norm of a float vector
+
+
 def inner_minimize(obj, lower, upper, start) -> InnerResult:
     """Projected gradient descent over a box.
 
@@ -110,24 +116,20 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
     f, g = obj(p, True)
     if not math.isfinite(f):
         raise ValueError(f"objective is not finite at the start point ({f})")
-    state = {"p": p, "f": f, "g": g, "iters": 0}
-
-    def pg_norm() -> float:
-        r = state["p"] - np.minimum(np.maximum(state["p"] - state["g"], lo), hi)
-        return math.sqrt(r @ r)  # np.linalg.norm of a float vector
-
-    def joint_phase() -> str:
+    iters = 0
+    converged = False
+    for _ in range(6):
+        # joint phase: spectral steps along -g until the tolerance, the cap or a stall
         step = _INITIAL_STEP
         prev_p = prev_g = None
-        while state["iters"] < _MAX_ITERS:
-            p, f, g = state["p"], state["f"], state["g"]
-            if pg_norm() <= _GRAD_TOL:
-                return "converged"
-            state["iters"] += 1
+        while iters < _MAX_ITERS:
+            if pg_norm(p, g, lo, hi) <= _GRAD_TOL:
+                converged = True
+                break
+            iters += 1
             if prev_p is not None:
                 s = p - prev_p
-                dy = g - prev_g
-                sy = float(s @ dy)
+                sy = float(s @ (g - prev_g))
                 if sy > 1e-18:
                     step = float(s @ s) / sy
             alpha = min(max(step, 1e-12), 1e10)
@@ -144,25 +146,25 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
                     break
                 alpha *= _BACKTRACK
             if not accepted or fq >= f:
-                return "stalled"
+                break  # stalled
             prev_p, prev_g = p, g
-            state["p"] = q
-            state["f"], state["g"] = obj(q, True)
-        return "budget"
+            p = q
+            f, g = obj(q, True)
+        if converged or iters >= _MAX_ITERS:
+            break
 
-    def coordinate_phase() -> bool:
-        improved_any = False
+        # coordinate phase after a stall: sweeps of one-coordinate moves
         lows, highs = lo.tolist(), hi.tolist()
-        warm = [max(abs(v), 1.0) for v in state["p"].tolist()]
+        warm = [max(abs(v), 1.0) for v in p.tolist()]
         blocked = [False] * len(warm)
+        improved = False
         for _ in range(60):
-            if state["iters"] >= _MAX_ITERS:
+            if iters >= _MAX_ITERS:
                 break
-            state["iters"] += 1
-            f = state["f"]
-            q = state["p"].copy()
+            iters += 1
+            q = p.copy()
             moved = False
-            for i, (gi, old) in enumerate(zip(state["g"].tolist(), q.tolist())):
+            for i, (gi, old) in enumerate(zip(g.tolist(), q.tolist())):
                 if gi == 0.0 or blocked[i]:
                     continue
                 alpha = warm[i]
@@ -184,29 +186,12 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
                     blocked[i] = True
             if not moved:
                 break
-            state["p"] = q
-            state["f"], state["g"] = obj(q, True)
-            improved_any = True
-        return improved_any
-
-    converged = False
-    for _ in range(6):
-        status = joint_phase()
-        if status == "converged":
-            converged = True
+            p = q
+            f, g = obj(q, True)
+            improved = True
+        if not improved:
             break
-        if status == "budget":
-            break
-        if not coordinate_phase():
-            break
-    return InnerResult(state["p"], state["f"], pg_norm(), state["iters"], converged)
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for u, v in zip(a, b):
-        if u != v:
-            return u < v
-    return False
+    return InnerResult(p, f, pg_norm(p, g, lo, hi), iters, converged)
 
 
 def inner_minimize_multistart(
@@ -223,7 +208,7 @@ def inner_minimize_multistart(
     for _ in range(restarts):
         cand = inner_minimize(obj, lower, upper, rng.uniform(wlo, whi))
         if cand.value < best.value or (
-            cand.value == best.value and _lex_less(cand.point, best.point)
+            cand.value == best.value and tuple(cand.point) < tuple(best.point)
         ):
             best = cand
     return best
@@ -317,8 +302,9 @@ def alternating_penalty_solve(
 ) -> SolveResult:
     """Run the alternating penalty loop on a form.
 
-    ``start`` may be a SaddlePoint or a raw vector; points outside the box
-    are projected in.  A solve draws no random numbers: ``seed`` is accepted
+    ``start`` may be a SaddlePoint or a vector of the partition's size
+    (anything else raises :class:`FormError`); points outside the box are
+    projected in.  A solve draws no random numbers: ``seed`` is accepted
     and ignored, and fixed parameters and start give a bit-for-bit
     reproducible trace.
     """
@@ -326,11 +312,13 @@ def alternating_penalty_solve(
     part = form.partition
     lo = form.box.lower_array()
     hi = form.box.upper_array()
-    if start is None:
-        start = np.zeros(part.total)
-    vec = start.vec if isinstance(start, SaddlePoint) else np.asarray(start, dtype=float)
-    p = np.clip(vec.astype(float), lo, hi)
+    p = np.clip(form._vector(np.zeros(part.total) if start is None else start), lo, hi)
     xy, zz = _blocks(part)
+    # looked up per solve, so a rebinding of these names in this module is seen
+    blocks = (
+        ("xy", xy, penalty_f_theta, penalty_f_theta_value),
+        ("z", zz, penalty_g_theta, penalty_g_theta_value),
+    )
     trace: list[TraceRow] = []
     status = STATUS_MAX_OUTER
     diagnostic = ""
@@ -338,26 +326,16 @@ def alternating_penalty_solve(
 
     for k in range(1, params.max_outer + 1):
         rho = params.rho1 * params.growth ** (k - 1)
-
-        obj_xy = _block_objective(
-            form, p, xy, penalty_f_theta, penalty_f_theta_value, rho, theta
-        )
-        res_xy = inner_minimize(obj_xy, lo[xy], hi[xy], p[xy])
         p2 = p.copy()
-        p2[xy] = res_xy.point
-
-        if part.m2 > 0:
-            obj_z = _block_objective(
-                form, p2, zz, penalty_g_theta, penalty_g_theta_value, rho, theta
-            )
-            res_z = inner_minimize(obj_z, lo[zz], hi[zz], p2[zz])
-            p2[zz] = res_z.point
-            diagnostic = (
-                f"inner xy: pg={res_xy.pg_norm:.3e} its={res_xy.iterations}; "
-                f"inner z: pg={res_z.pg_norm:.3e} its={res_z.iterations}"
-            )
-        else:
-            diagnostic = f"inner xy: pg={res_xy.pg_norm:.3e} its={res_xy.iterations}"
+        inner = []
+        for name, block, penalty, penalty_value in blocks:
+            if block.stop == block.start:
+                continue
+            obj = _block_objective(form, p2, block, penalty, penalty_value, rho, theta)
+            res = inner_minimize(obj, lo[block], hi[block], p2[block])
+            p2[block] = res.point
+            inner.append(f"inner {name}: pg={res.pg_norm:.3e} its={res.iterations}")
+        diagnostic = "; ".join(inner)
 
         sp2 = SaddlePoint(part, p2)
         with np.errstate(over="ignore"):  # a step between huge iterates reads inf

@@ -156,6 +156,15 @@ def test_compose_exp():
     _witness_suite(out, samples=100, seed=4)
 
 
+def test_compose_tags_g_convex_where_g_is_jointly_convex():
+    phi = ex.exp(ex.var(0))
+    assert alg.compose_monotone_convex(_sq_form(), phi).g.tag == ex.CONVEX
+    # dc declares no jointly convex g: exp of it keeps its derived tag
+    dc = make_catalog_form("dc")
+    out = alg.compose_monotone_convex(dc, phi)
+    assert "convex_joint_g" not in dc.declares and out.g.tag == ex.NONE
+
+
 def test_compose_identity():
     out = alg.compose_monotone_convex(_sq_form(), ex.var(0))
     x = np.array([1.7])

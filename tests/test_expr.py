@@ -2,6 +2,7 @@
 audits, and the text grammar."""
 
 import dataclasses
+import json
 import math
 import sys
 import time
@@ -159,6 +160,19 @@ def test_remap_and_subst():
     assert comp.value(np.array([0.0, 2.0])) == pytest.approx(math.exp(4.0))
 
 
+def test_subst_derives_a_derived_tag_again():
+    # the square of x0 is convex; the square of sin(x1) is not known to be
+    e = ex.square(ex.var(0)).subst(0, ex.sin(ex.var(1)))
+    assert e.tag == ex.NONE and ex.to_sexpr(e, "v{}".format) == "(sq (sin v1))"
+    # an explicit tag stays
+    kept = ex.sin(ex.var(0)).with_tag(ex.CONCAVE).subst(0, ex.affine([(1, 0.5)]))
+    assert kept.tag == ex.CONCAVE
+    # the affine split is made by add and scale, so it carries its derived tag
+    split = ex.affine([(0, 2.0), (1, 1.0)], 0.5).subst(0, ex.square(ex.var(2)))
+    assert split.tag == ex.CONVEX and split.parts[1].tag == ex.CONVEX
+    assert ex.affine([(0, 2.0)]).subst(0, ex.var(1)).tag == ex.AFFINE
+
+
 def test_a_long_sum_builds_and_answers():
     # builtin sum() nests 5,000 sums deep; the per-node methods recursed and
     # raised RecursionError from about 330 terms on
@@ -218,6 +232,25 @@ def test_a_long_sum_needs_no_frame_per_node():
     assert shown.startswith("Sum<(+ (+ (+ ") and len(shown) < 300
     assert v == vg and g.tobytes() == (2.0 * (p + -0.5)).tobytes()
     assert batch[0] == v
+
+
+def test_a_long_sum_reads_back_from_its_problem_file():
+    # the parser called itself once per open form, so the text it is
+    # written as could not be read back (RecursionError from about 1,000
+    # terms)
+    from saddlelift.catalog import trivial_convex
+    from saddlelift.cli import form_to_inline, inline_form
+
+    n = 5000
+    form = trivial_convex(sum(ex.square(ex.var(i) - 0.5) for i in range(n)), n, "long")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 60)
+    try:
+        back = inline_form(json.loads(json.dumps(form_to_inline(form))))
+        texts = [ex.to_sexpr(f.g, f.partition.name_of) for f in (form, back)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert back.partition == form.partition and texts[0] == texts[1]  # == recurses
 
 
 def test_repr_is_the_grammar_text_cut_short():
@@ -440,14 +473,21 @@ def _grow(draw, pool):
         return src.with_tag(tag), tag
     if kind == "remap":
         mapping = draw(st.dictionaries(st.integers(0, 5), st.integers(0, 5), max_size=3))
-        return src.remap(mapping), src_tag  # a rebuilt node keeps its tag
+        return src.remap(mapping), src_tag  # affinity, so every derived tag, is kept
     sub, sub_tag = pick()
     i = draw(st.integers(0, 5))
     if isinstance(src, ex.Var) and src.index == i:
         return src.subst(i, sub), sub_tag
+    try:
+        out = src.subst(i, sub)
+    except ValueError as err:  # a sine of the variable takes an affine sub only
+        assert "affine argument" in str(err) and not _reference_facts(sub)[1]
+        return src, src_tag
     if isinstance(src, ex.Affine) and any(j == i for j, _ in src.terms):
-        return src.subst(i, sub), ex.NONE  # a raw sum of the rest and the scaled sub
-    return src.subst(i, sub), src_tag
+        return out, _reference_tag(out)  # the rest plus the scaled sub, by add and scale
+    # a rebuilt node whose tag was its derived one is derived again; an
+    # explicit tag stays
+    return out, (_reference_tag(out) if src_tag == _reference_tag(src) else src_tag)
 
 
 @settings(max_examples=150, deadline=None)

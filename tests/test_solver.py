@@ -86,6 +86,70 @@ def test_inner_descent_is_monotone_and_in_box():
     assert res.value <= values[0]
 
 
+# -- the four exits of the inner loop, one synthetic objective each ----------
+
+
+def _logged(obj):
+    """``obj`` with every call's need_grad flag appended to ``calls``."""
+    calls = []
+
+    def logged(p, need_grad):
+        calls.append(need_grad)
+        return obj(p, need_grad)
+
+    return logged, calls
+
+
+def _ridge(p, need_grad):
+    # -x - y, plus 10 wherever both coordinates are positive: a joint step
+    # along -g = (1, 1) always lands on the plateau, a one-coordinate step never
+    v = -float(p[0]) - float(p[1]) + (10.0 if p[0] > 0.0 and p[1] > 0.0 else 0.0)
+    return v, (np.array([-1.0, -1.0]) if need_grad else None)
+
+
+def test_inner_exit_converged():
+    # an ill-conditioned bowl: 20 accepted spectral steps reach the tolerance
+    def bowl(p, need_grad):
+        d = p - np.array([3.0, -1.0])
+        w = np.array([1.0, 10.0])
+        return float(d @ (w * d)), (2.0 * w * d if need_grad else None)
+
+    obj, calls = _logged(bowl)
+    res = inner_minimize(obj, [0.0, -5.0], [10.0, 5.0], [0.0, 0.0])
+    assert res.converged and res.pg_norm <= 1e-8 and res.iterations == 20
+    assert res.point == pytest.approx([3.0, -1.0], abs=1e-9)
+    assert len(calls) == 57 and calls.count(True) == 21
+
+
+def test_inner_exit_iteration_cap():
+    # a falling line never converges and never stalls: every step of 1 is
+    # accepted until the 2,000-iteration cap, and no coordinate phase follows
+    obj, calls = _logged(lambda p, need_grad: (-float(p[0]), np.array([-1.0])))
+    res = inner_minimize(obj, [0.0], [np.inf], [0.0])
+    assert not res.converged and res.iterations == 2000 and res.pg_norm == 1.0
+    assert res.point.tolist() == [2000.0] and res.value == -2000.0
+    assert calls == [True] + [False, True] * 2000
+
+
+def test_inner_exit_stall_then_coordinates_improve():
+    # round 1: the joint step stalls (80 trials), a coordinate sweep moves x
+    # to its bound and the next finds nothing; round 2: the joint step
+    # stalls again and the coordinate phase finds nothing
+    obj, calls = _logged(_ridge)
+    res = inner_minimize(obj, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
+    assert not res.converged and res.iterations == 5 and res.pg_norm == 1.0
+    assert res.point.tolist() == [1.0, 0.0] and res.value == -1.0
+    assert calls == [True] + [False] * 80 + [False] * 31 + [True] + [False] * 80 + [False] * 30
+
+
+def test_inner_exit_stall_and_coordinates_find_nothing():
+    obj, calls = _logged(_ridge)
+    res = inner_minimize(obj, [0.0, 0.0], [1.0, 1.0], [1.0, 0.0])
+    assert not res.converged and res.iterations == 2 and res.pg_norm == 1.0
+    assert res.point.tolist() == [1.0, 0.0] and res.value == -1.0
+    assert calls == [True] + [False] * 80 + [False] * 30
+
+
 def _p51_start(n, z_sign):
     return np.concatenate(
         [np.arange(1.0, 2 * n + 2), z_sign * 1000.0 * np.arange(1, n + 1)]
@@ -127,6 +191,19 @@ def test_solver_statuses():
         form, SolverParams(max_outer=30, eps=1e-15, rho_cap=1e3)
     )
     assert res2.status in ("rho_cap_reached", "eps_feasible_converged")
+
+
+def test_a_start_of_the_wrong_size_is_a_form_error():
+    # a one-entry start was broadcast to every coordinate, a two-entry one
+    # raised numpy's broadcast ValueError
+    form = make_catalog_form("abs_power")
+    for start in ([5.0], [5.0, 5.0], np.zeros(4)):
+        with pytest.raises(FormError, match=r"partition needs \(3,\)"):
+            alternating_penalty_solve(form, start=start)
+    params = SolverParams(max_outer=2)
+    a = alternating_penalty_solve(form, params, start=[5, 5, 5])
+    b = alternating_penalty_solve(form, params, start=form.point([5, 5, 5]))
+    assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
 
 
 def test_solver_on_count_regularized_scalar():
