@@ -54,21 +54,28 @@ class GridSpec:
             raise ValueError("grid resolution must be >= 2")
 
 
-def _default_bounds(form: SaddleForm, x: np.ndarray) -> list[tuple[float, float]]:
-    """Window bounds per (y, z) axis, widened to cover the witness point."""
+def _map_point(form: SaddleForm, x) -> np.ndarray | None:
+    """The witness map's point at ``x`` as a vector, unchecked; None without
+    a map or where it raises."""
+    if form.witness is None:
+        return None
+    try:
+        return witness_eval(form, x, check=False).vec
+    except (ExprError, FormError):
+        return None
+
+
+def _default_bounds(form: SaddleForm, witness) -> list[tuple[float, float]]:
+    """Window bounds per (y, z) axis, widened to cover the ``witness``
+    vector's finite coordinates (None: the window alone)."""
     lo, hi = form.effective_window()
     n = form.partition.n
     bounds = [[float(a), float(b)] for a, b in zip(lo[n:], hi[n:])]
-    if form.witness is not None:
-        try:
-            p = witness_eval(form, x, check=False)
-            w = p.vec[n:]
-            for i, wi in enumerate(w):
-                if math.isfinite(wi):
-                    bounds[i][0] = min(bounds[i][0], wi - 1.0)
-                    bounds[i][1] = max(bounds[i][1], wi + 1.0)
-        except (ExprError, FormError):
-            pass
+    if witness is not None:
+        for i, wi in enumerate(witness[n:]):
+            if math.isfinite(wi):
+                bounds[i][0] = min(bounds[i][0], wi - 1.0)
+                bounds[i][1] = max(bounds[i][1], wi + 1.0)
     blo = form.box.lower_array()[n:]
     bhi = form.box.upper_array()[n:]
     return [
@@ -98,9 +105,9 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if form.box.slice(range(part.n)).excess(x) > D2_TOL:
         return math.inf, None
-    bounds = (
-        list(grid.bounds) if grid.bounds is not None else _default_bounds(form, x)
-    )
+    bounds = grid.bounds
+    if bounds is None:
+        bounds = _default_bounds(form, _map_point(form, x))
     if len(bounds) != part.m1 + part.m2:
         raise FormError(
             f"grid needs {part.m1 + part.m2} axis bounds, got {len(bounds)}"
@@ -182,26 +189,11 @@ class IdentityAuditReport:
     counterexample: str
 
 
-def _witness_row(form: SaddleForm, x):
-    if form.witness is None or form.reference is None:
-        return math.nan, False, math.inf
-    try:
-        report = witness_report(form, x)
-    except (ExprError, FormError):
-        return math.nan, False, math.inf
-    return report.value, report.membership.feasible, report.error
-
-
-def _gradient_bound(form: SaddleForm, x, probe=None) -> np.ndarray:
-    """Per-axis bound on the (y, z)-gradient of g at the point whose
-    discretization error matters: the oracle's achieved minmax point when
-    available, else the witness, else the window midpoint."""
+def _gradient_bound(form: SaddleForm, x, probe) -> np.ndarray:
+    """Per-axis bound on the (y, z)-gradient of g at the point ``probe``
+    whose discretization error matters (the oracle's achieved minmax point
+    when available, else the witness); None probes the window midpoint."""
     n = form.partition.n
-    if probe is None and form.witness is not None:
-        try:
-            probe = witness_eval(form, x, check=False).vec
-        except (ExprError, FormError):
-            pass
     if probe is None:
         lo, hi = form.effective_window()
         probe = np.concatenate([np.atleast_1d(x), (lo[n:] + hi[n:]) / 2.0])
@@ -234,14 +226,19 @@ def identity_audit(
             ref = reference_value(form, x)
         except WitnessOverflowError:
             ref = math.nan  # out of the float range: no gap can pass
-        wval, wfeas, wgap = _witness_row(form, x)
+        try:
+            report = witness_report(form, x) if form.witness is not None else None
+        except (ExprError, FormError):
+            report = None
+        # where the report raises, the bare map may still place the grid
+        witness = _map_point(form, x) if report is None else report.point.vec
         gx = grid
         if grid.bounds is None:
-            gx = replace(grid, bounds=tuple(_default_bounds(form, x)))
+            gx = replace(grid, bounds=tuple(_default_bounds(form, witness)))
         oracle, opoint = _grid_scan(form, x, gx)
         steps = np.array([(hi - lo) / (gx.resolution - 1) for lo, hi in gx.bounds])
         allowance = (
-            float(steps @ _gradient_bound(form, x, probe=opoint))
+            float(steps @ _gradient_bound(form, x, witness if opoint is None else opoint))
             if steps.size
             else 0.0
         )
@@ -250,9 +247,9 @@ def identity_audit(
             IdentityRow(
                 x=x,
                 reference=ref,
-                witness_value=wval,
-                witness_feasible=wfeas,
-                witness_gap=wgap,
+                witness_value=math.nan if report is None else report.value,
+                witness_feasible=report is not None and report.membership.feasible,
+                witness_gap=math.inf if report is None else report.error,
                 oracle=oracle,
                 oracle_gap=ogap,
                 allowance=allowance,

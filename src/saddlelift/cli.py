@@ -37,7 +37,6 @@ from .forms import (
     Box,
     FormError,
     SaddleForm,
-    SaddlePoint,
     VarPartition,
     witness_report,
 )
@@ -208,6 +207,8 @@ def load_problem_file(path: str):
             raise CliError(
                 f"start vector must have length {form.partition.total}, got {start.size}"
             )
+        if np.isnan(start).any():  # an infinite entry is clipped to the box
+            raise CliError(f"start vector must not hold NaN, got {start.tolist()}")
     return form, params, start
 
 
@@ -229,7 +230,7 @@ def cmd_solve(args) -> int:
     form, params, start = load_problem_file(args.file)
     try:
         result = alternating_penalty_solve(form, params, start=start, seed=args.seed)
-    except ex.ExprError as err:  # an iterate outside the domain, or at a kink
+    except (ex.ExprError, ValueError) as err:  # off the domain, at a kink, or a non-finite start
         _emit({"form": form.name, "error": str(err)})
         return 2
     p = result.point
@@ -296,7 +297,7 @@ def cmd_audit(args) -> int:
 
 def cmd_kkt(args) -> int:
     form, _, _ = load_problem_file(args.file)
-    p = SaddlePoint(form.partition, _parse_vector(args.point, form.partition.total, "--point"))
+    p = _parse_vector(args.point, form.partition.total, "--point")
     s, r = len(form.ineq), len(form.eq)
     alpha = _parse_vector(args.alpha, s + r, "--alpha") if args.alpha else None
     beta = _parse_vector(args.beta, s + r, "--beta") if args.beta else None

@@ -46,7 +46,7 @@ class WitnessOverflowError(FormError):
 
 @dataclass(frozen=True)
 class VarPartition:
-    """Dimensions of the x, y, z blocks."""
+    """Dimensions of the x, y, z blocks; ``xy`` and ``z`` slice a point's blocks."""
 
     n: int
     m1: int
@@ -61,12 +61,12 @@ class VarPartition:
         return self.n + self.m1 + self.m2
 
     @property
-    def z_indices(self) -> range:
-        return range(self.n + self.m1, self.total)
+    def xy(self) -> slice:
+        return slice(0, self.n + self.m1)
 
     @property
-    def xy_indices(self) -> range:
-        return range(0, self.n + self.m1)
+    def z(self) -> slice:
+        return slice(self.n + self.m1, self.total)
 
     def name_of(self, index: int) -> str:
         if index < 0 or index >= self.total:
@@ -102,8 +102,8 @@ class Box:
         if len(self.lower) != len(self.upper):
             raise FormError("box bound lengths differ")
         for lo, hi in zip(self.lower, self.upper):
-            if lo > hi:
-                raise FormError(f"box has lower {lo} > upper {hi}")
+            if not lo <= hi:  # written so that a NaN bound fails
+                raise FormError(f"box bounds ({lo}, {hi}) need lower <= upper")
 
     @classmethod
     def whole(cls, dim: int) -> "Box":
@@ -193,7 +193,7 @@ class SaddlePoint:
 
     @property
     def z(self) -> np.ndarray:
-        return self.vec[self.partition.n + self.partition.m1 :]
+        return self.vec[self.partition.z]
 
 
 WitnessMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -343,16 +343,16 @@ class MembershipReport:
         return math.inf if any(map(math.isnan, parts)) else max(parts)
 
 
-def _member_values(form: SaddleForm, p: SaddlePoint):
+def _member_values(form: SaddleForm, p: SaddlePoint | np.ndarray):
     """``form.values`` at ``p``, a domain error naming the membership check."""
     try:
-        return form.values(p.vec)
+        return form.values(p)
     except ex.DomainEvalError as err:
         raise ex.DomainEvalError(f"{err} (while checking membership of {form.name})", err.node)
 
 
 def membership(
-    form: SaddleForm, p: SaddlePoint, tol: float = D2_TOL, *, values=None
+    form: SaddleForm, p: SaddlePoint | np.ndarray, tol: float = D2_TOL, *, values=None
 ) -> MembershipReport:
     """Per-constraint violation report at ``p``.
 
@@ -360,8 +360,8 @@ def membership(
     evaluated as a whole, so a domain error in g raises here too; a caller
     that already holds ``form.values`` at ``p`` passes them as ``values``.
     """
-    v = p.vec
-    _, ivals, evals = _member_values(form, p) if values is None else values
+    v = form._vector(p)
+    _, ivals, evals = _member_values(form, v) if values is None else values
     iv = np.array([max(gv, 0.0) for gv in ivals])
     ev = np.array([abs(hv) for hv in evals])
     bx = form.box.excess(v)
@@ -522,9 +522,9 @@ def validate_form(form: SaddleForm, samples: int = 50, seed: int = 0) -> FormAud
             detail = f"counterexample u={u.tolist()} v={v.tolist()} t={t}"
         items.append(AuditItem(label, rep.passed, detail))
 
-    run(form.g, ex.CONVEX, list(part.xy_indices), "g convex on (x,y)", seed)
+    run(form.g, ex.CONVEX, range(part.total)[part.xy], "g convex on (x,y)", seed)
     if part.m2 > 0:
-        run(form.g, ex.CONCAVE, list(part.z_indices), "g concave on z", seed + 1)
+        run(form.g, ex.CONCAVE, range(part.total)[part.z], "g concave on z", seed + 1)
     for i, gi in enumerate(form.ineq):
         tag = gi.tag if gi.tag in (ex.CONVEX, ex.AFFINE) else ex.CONVEX
         run(gi, tag, None, f"g{i + 1} convex", seed + 2 + i)

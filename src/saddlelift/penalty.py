@@ -11,16 +11,15 @@ and the C^1 smoothed variants with exponent theta > 1:
     F_theta = g + rho * sum max(g_i,0)^theta + rho * sum |h_j|^theta
     G_theta = -g + ...
 
-F_theta, G_theta and G2 are one sum at power theta or 2, evaluated by one
-call of the form's penalty kernel (:meth:`SaddleForm.smoothed_penalty`),
-at a SaddlePoint or at its point vector.  The gradient of
-v^theta at v = 0 is taken as exactly 0 (the one-sided limit), so they are
-differentiable everywhere.  A NaN g_i counts as violated in every penalty.
-Where a violation's power leaves the float range, the smoothed sum reads inf
-(so F_theta, G_theta and G2 read inf wherever g is finite) and the gradient
-reads NaN.
-Box bounds are not penalized; solvers keep iterates inside the box by
-projection.
+Each function here reads its point as the form does (a SaddlePoint or its
+vector).  F_theta, G_theta and G2 are one sum at power theta or 2, evaluated
+by one call of the form's penalty kernel (:meth:`SaddleForm.smoothed_penalty`).
+The gradient of v^theta at v = 0 is taken as exactly 0 (the one-sided limit),
+so they are differentiable everywhere.  A NaN g_i counts as violated in every
+penalty.  Where a violation's power leaves the float range, the smoothed sum
+reads inf (so F_theta, G_theta and G2 read inf wherever g is finite) and the
+gradient reads NaN.  Box bounds are not penalized; solvers keep iterates
+inside the box by projection.
 """
 
 from __future__ import annotations
@@ -30,23 +29,23 @@ import numpy as np
 from .forms import SaddleForm, SaddlePoint, membership
 
 
-def _exact(form: SaddleForm, p: SaddlePoint):
+def _exact(form: SaddleForm, p: SaddlePoint | np.ndarray):
     """g and the total violation sum max(g_i, 0) + sum |h_j| at ``p``."""
-    gval, ivals, evals = form.values(p.vec)
+    gval, ivals, evals = form.values(p)
     return gval, np.maximum(ivals, 0.0).sum() + np.abs(evals).sum()
 
 
-def total_violation(form: SaddleForm, p: SaddlePoint) -> float:
+def total_violation(form: SaddleForm, p: SaddlePoint | np.ndarray) -> float:
     """P(p) = sum max(g_i, 0) + sum |h_j|."""
     return float(_exact(form, p)[1])
 
 
-def penalty_f(form: SaddleForm, p: SaddlePoint, rho: float) -> float:
+def penalty_f(form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float) -> float:
     gval, viol = _exact(form, p)
     return float(gval + rho * viol)
 
 
-def penalty_g(form: SaddleForm, p: SaddlePoint, rho: float) -> float:
+def penalty_g(form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float) -> float:
     gval, viol = _exact(form, p)
     return float(-gval + rho * viol)
 
@@ -82,13 +81,14 @@ def penalty_g2(form: SaddleForm, p: SaddlePoint | np.ndarray, rho: float) -> tup
     return form.smoothed_penalty(p, -1.0, rho, 2.0, True)
 
 
-def eps_feasible(form: SaddleForm, p: SaddlePoint, eps: float) -> bool:
+def eps_feasible(form: SaddleForm, p: SaddlePoint | np.ndarray, eps: float) -> bool:
     """True iff every g_i <= eps, every |h_j| <= eps, and box excess <= eps:
     :func:`~saddlelift.forms.membership` at tolerance eps, whose rule counts
     a NaN constraint value as violated.  Constraints are not evaluated
     outside the box."""
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    if form.box.excess(p.vec) > eps:
+    v = form._vector(p)
+    if form.box.excess(v) > eps:
         return False
-    return membership(form, p, eps).feasible
+    return membership(form, v, eps).feasible

@@ -214,11 +214,6 @@ def inner_minimize_multistart(
     return best
 
 
-def _blocks(part) -> tuple[slice, slice]:
-    """The (x, y) block and the z block of a point of the partition ``part``."""
-    return slice(0, part.n + part.m1), slice(part.n + part.m1, part.total)
-
-
 class _Block:
     """A block objective's point as a list of Python floats, its block slice
     and the form's penalty kernels at power ``theta``.  It stands in for the
@@ -313,11 +308,10 @@ def alternating_penalty_solve(
     lo = form.box.lower_array()
     hi = form.box.upper_array()
     p = np.clip(form._vector(np.zeros(part.total) if start is None else start), lo, hi)
-    xy, zz = _blocks(part)
     # looked up per solve, so a rebinding of these names in this module is seen
     blocks = (
-        ("xy", xy, penalty_f_theta, penalty_f_theta_value),
-        ("z", zz, penalty_g_theta, penalty_g_theta_value),
+        ("xy", part.xy, penalty_f_theta, penalty_f_theta_value),
+        ("z", part.z, penalty_g_theta, penalty_g_theta_value),
     )
     trace: list[TraceRow] = []
     status = STATUS_MAX_OUTER
@@ -336,24 +330,24 @@ def alternating_penalty_solve(
             p2[block] = res.point
             inner.append(f"inner {name}: pg={res.pg_norm:.3e} its={res.iterations}")
         diagnostic = "; ".join(inner)
+        p2.setflags(write=False)  # a reference writing into its argument cannot move it
 
-        sp2 = SaddlePoint(part, p2)
         with np.errstate(over="ignore"):  # a step between huge iterates reads inf
             step_norm = float(np.linalg.norm(p2 - p))
-        f_ref = form.reference(sp2.x) if form.reference is not None else math.nan
+        f_ref = form.reference(p2[: part.n]) if form.reference is not None else math.nan
         trace.append(
             TraceRow(
                 k=k,
                 rho=rho,
-                f_pen=penalty_f(form, sp2, rho),
-                g_pen=penalty_g(form, sp2, rho),
-                violation=total_violation(form, sp2),
+                f_pen=penalty_f(form, p2, rho),
+                g_pen=penalty_g(form, p2, rho),
+                violation=total_violation(form, p2),
                 step_norm=step_norm,
                 f_ref=f_ref,
             )
         )
         p = p2
-        if step_norm <= params.eps and eps_feasible(form, sp2, params.eps):
+        if step_norm <= params.eps and eps_feasible(form, p2, params.eps):
             status = STATUS_CONVERGED
             break
         if params.rho1 * params.growth**k > params.rho_cap:
@@ -412,7 +406,7 @@ def _estimate(target, cols, is_ineq, active):
 
 def kkt_residual(
     form: SaddleForm,
-    p: SaddlePoint,
+    p: SaddlePoint | np.ndarray,
     alpha=None,
     beta=None,
     feas_tol: float = 1e-6,
@@ -424,15 +418,16 @@ def kkt_residual(
     are forced to zero); with them the residuals of the supplied multipliers
     are reported unchanged.
     """
-    rep = membership(form, p, feas_tol)
+    v = form._vector(p)
+    rep = membership(form, v, feas_tol)
     if not rep.feasible:
         raise FormError(
             f"kkt_residual needs a feasible point; max violation {rep.max_violation:.3e}"
         )
-    xy, zz = _blocks(form.partition)
+    xy, zz = form.partition.xy, form.partition.z
     s, r = len(form.ineq), len(form.eq)
 
-    _, ivals, _, grad = form.values_grads(p.vec)
+    _, ivals, _, grad = form.values_grads(v)
     ggrad = grad(0)
     gi_vals = np.array(ivals)
     grads = [grad(k) for k in range(1, 1 + s + r)]
@@ -483,7 +478,7 @@ class ExactnessRow:
 
 def exactness_probe(
     form: SaddleForm,
-    p_star: SaddlePoint,
+    p_star: SaddlePoint | np.ndarray,
     rho_list,
     restarts: int = 8,
     seed: int = 0,
@@ -498,33 +493,30 @@ def exactness_probe(
     smoothed penalties use the solver's default theta.
     """
     theta = SolverParams.theta
-    part = form.partition
+    star = form._vector(p_star)
     lo = form.box.lower_array()
     hi = form.box.upper_array()
-    xy, zz = _blocks(part)
     rows = []
     for i, rho in enumerate(rho_list):
         rng = np.random.default_rng(seed + i)
         at_cand, at_star = [], []
         for block, penalty, penalty_value, exact in (
-            (xy, penalty_f_theta, penalty_f_theta_value, penalty_f),
-            (zz, penalty_g_theta, penalty_g_theta_value, penalty_g),
+            (form.partition.xy, penalty_f_theta, penalty_f_theta_value, penalty_f),
+            (form.partition.z, penalty_g_theta, penalty_g_theta_value, penalty_g),
         ):
-            cand = p_star.vec.copy()
+            cand = star.copy()
             if block.stop > block.start:
-                obj = _block_objective(
-                    form, p_star.vec, block, penalty, penalty_value, rho, theta
-                )
+                obj = _block_objective(form, star, block, penalty, penalty_value, rho, theta)
                 window = (
-                    np.maximum(lo[block], p_star.vec[block] - 2.0),
-                    np.minimum(hi[block], p_star.vec[block] + 2.0),
+                    np.maximum(lo[block], star[block] - 2.0),
+                    np.minimum(hi[block], star[block] + 2.0),
                 )
                 res = inner_minimize_multistart(
-                    obj, lo[block], hi[block], p_star.vec[block], restarts, rng, window
+                    obj, lo[block], hi[block], star[block], restarts, rng, window
                 )
                 cand[block] = res.point
-            at_cand.append(exact(form, SaddlePoint(part, cand), rho))
-            at_star.append(exact(form, p_star, rho))
+            at_cand.append(exact(form, cand, rho))
+            at_star.append(exact(form, star, rho))
         (f_cand, g_cand), (f_star, g_star) = at_cand, at_star
 
         rows.append(
@@ -578,7 +570,7 @@ def shifted_constraints(form: SaddleForm, eta, tau) -> SaddleForm:
 
 def stability_probe(
     form: SaddleForm,
-    p_star: SaddlePoint,
+    p_star: SaddlePoint | np.ndarray,
     perturbations,
     rho: float,
     params: SolverParams | None = None,
@@ -586,7 +578,7 @@ def stability_probe(
     """Solve right-hand-side-perturbed problems and test the value bound
     |g(p*) - g(perturbed optimum)| <= rho * (sum max(eta,0) + sum |tau|)."""
     params = params or SolverParams(max_outer=12)
-    base = form.g.value(p_star.vec)
+    base = form.g.value(form._vector(p_star))
     rows = []
     tightest = 0.0
     for eta, tau in perturbations:

@@ -193,7 +193,7 @@ def test_overflowing_witness_or_reference_fails_the_audit():
     with pytest.raises(WitnessOverflowError):
         witness_report(form, x)
     # the window alone bounds the grid
-    assert np.isfinite(_default_bounds(form, x)).all()
+    assert np.isfinite(_default_bounds(form, None)).all()
     with np.errstate(over="ignore"):  # the reference overflows to inf in numpy
         rep = identity_audit(form, [x], GridSpec(resolution=11))
     assert rep.classification == CLASS_FAILED
@@ -215,6 +215,24 @@ def test_overflowing_witness_or_reference_fails_the_audit():
     rep = identity_audit(big, [np.array([1000.0])], GridSpec(resolution=11))
     assert rep.classification == CLASS_FAILED
     assert math.isnan(rep.rows[0].reference) and math.isnan(rep.rows[0].oracle_gap)
+
+
+@pytest.mark.parametrize("name", ["dc", "pow_a_2n"])
+def test_identity_audit_reads_each_witness_once(name):
+    # one witness_report per sample places the grid and the gradient probe,
+    # also where no grid point is feasible (pow_a_2n at resolution 11)
+    form = make_catalog_form(name)
+    calls = []
+
+    def counted(x, witness=form.witness):
+        calls.append(x)
+        return witness(x)
+
+    form = dataclasses.replace(form, witness=counted)
+    xs = form.sample_x(np.random.default_rng(0), 3)
+    rep = identity_audit(form, xs, GridSpec(resolution=11))
+    assert len(calls) == len(xs)
+    assert any(r.minmax_point is None for r in rep.rows) == (name == "pow_a_2n")
 
 
 def test_refinement_shrinks_with_resolution():

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from saddlelift import audit
 from saddlelift import expr as ex
-from saddlelift.audit import GridSpec, _default_bounds, _grid_scan
+from saddlelift.audit import GridSpec, _default_bounds, _grid_scan, _map_point
 from saddlelift.catalog import make_catalog_form, trivial_convex
 from saddlelift.forms import D2_TOL, Box, SaddleForm, VarPartition
 from test_kernels import FORMS
@@ -33,7 +33,7 @@ def _ref_grid_scan(form, x, grid):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if form.box.slice(range(part.n)).excess(x) > D2_TOL:
         return math.inf, None
-    bounds = list(grid.bounds) if grid.bounds is not None else _default_bounds(form, x)
+    bounds = list(grid.bounds) if grid.bounds is not None else _default_bounds(form, _map_point(form, x))
     axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in bounds]
     y_axes, z_axes = axes[: part.m1], axes[part.m1 :]
     if z_axes:
@@ -224,7 +224,7 @@ def test_curvature_audit_matches_pairwise_loop(name):
         lo, hi = case.effective_window()
         part = case.partition
         exprs = [e for _, e in case.components()]
-        axis_sets = (None, list(part.xy_indices), list(part.z_indices))
+        axis_sets = (None, list(range(part.total)[part.xy]), list(range(part.total)[part.z]))
     else:
         e, lo, hi = case
         exprs, axis_sets = [e], (None,)

@@ -141,6 +141,26 @@ def test_point_outside_the_domain_is_an_error_line(tmp_path, capsys, argv):
     assert out["form"] == "entropy" and "log of non-positive value" in out["error"]
 
 
+@pytest.mark.parametrize("start", [[1e160, 0.0, 1e300], [float("inf"), 0.0, 0.0]])
+def test_start_where_the_penalty_is_not_finite_is_an_error_line(tmp_path, capsys, start):
+    # a failed solve, not a malformed file: it used to end in a ValueError traceback
+    doc = json.loads((PROBLEMS / "ex41.json").read_text())
+    path = _write(tmp_path, {**doc, "start": start})
+    code = cli.main(["solve", path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["form"] == "abs_power" and "not finite at the start point (inf)" in out["error"]
+
+
+def test_start_entry_the_box_clips_may_be_infinite(tmp_path, capsys):
+    # abs_power's y0 has lower bound 0, so -inf there starts at 0
+    doc = json.loads((PROBLEMS / "ex41.json").read_text())
+    assert cli.main(["solve", _write(tmp_path, {**doc, "start": [0.5, float("-inf"), 1.0]})]) == 0
+    clipped = capsys.readouterr().out
+    assert cli.main(["solve", _write(tmp_path, {**doc, "start": [0.5, 0.0, 1.0]})]) == 0
+    assert capsys.readouterr().out == clipped
+
+
 def test_catalog_list_and_describe(capsys):
     assert cli.main(["catalog", "list"]) == 0
     text = capsys.readouterr().out
@@ -237,6 +257,8 @@ _INLINE = {"partition": [1, 0, 0], "g": "(sq x0)"}
         ({"problem": {"inline": {**_INLINE, "g": "(pow x0 2.5)"}}}, "integer exponent, found '2.5'"),
         ({"problem": {"inline": {**_INLINE, "g": "(pow x0 inf)"}}}, "integer exponent, found 'inf'"),
         ({"problem": {"catalog": "pow_a_2n", "params": {"n2": 1.25}}}, "integer n2"),
+        ({**_dc_problem(), "start": [2.0, float("nan")]}, "start vector"),
+        ({"problem": {"inline": {**_INLINE, "lower": [float("nan")]}}}, "bad form"),
     ],
 )
 def test_malformed_problem_file_exits_one(tmp_path, capsys, doc, words):

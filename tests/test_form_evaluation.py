@@ -27,8 +27,15 @@ from saddlelift.forms import (
     witness_eval,
     witness_report,
 )
-from saddlelift.penalty import eps_feasible, total_violation
-from saddlelift.solver import KktReport, _estimate, kkt_residual
+from saddlelift.penalty import eps_feasible, penalty_f, penalty_g, total_violation
+from saddlelift.solver import (
+    KktReport,
+    SolverParams,
+    _estimate,
+    exactness_probe,
+    kkt_residual,
+    stability_probe,
+)
 from test_kernels import FORMS
 from test_penalty import _nan_form
 
@@ -155,6 +162,54 @@ def test_whole_form_readers_match_per_component_reference(name):
             else:
                 assert got == want
     assert nan_seen == (name == "nan_constraint")
+
+
+# -- one point rule: every reader takes a SaddlePoint or its vector
+
+
+def _point_readers(form):
+    """(name, reader of one point) for each form reader that takes a point."""
+    return (
+        ("membership", lambda p: membership(form, p)),
+        ("eps_feasible", lambda p: eps_feasible(form, p, EPS)),
+        ("penalty_f", lambda p: penalty_f(form, p, 1e3)),
+        ("penalty_g", lambda p: penalty_g(form, p, 1e3)),
+        ("total_violation", lambda p: total_violation(form, p)),
+    )
+
+
+def _feasible_point_readers(form):
+    """As :func:`_point_readers`, for the readers that need a feasible point
+    and the probes, which solve from it."""
+    unshifted = [(np.zeros(len(form.ineq)), np.zeros(len(form.eq)))]
+    return (
+        ("kkt_residual", lambda p: kkt_residual(form, p)),
+        ("exactness_probe", lambda p: tuple(map(_bits, exactness_probe(form, p, [1e2], restarts=0)))),
+        (
+            "stability_probe",
+            lambda p: tuple(
+                map(_bits, stability_probe(form, p, unshifted, 1.0, SolverParams(max_outer=0)).rows)
+            ),
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_every_point_reader_takes_a_saddle_point_or_its_vector(name):
+    form = FORMS[name]
+    rng = np.random.default_rng(11)
+    lo, hi = form.effective_window()
+    cases = [(_point_readers(form), rng.uniform(lo, hi)) for _ in range(3)]
+    for x in form.sample_x(rng, 1):  # the witness point is feasible where the identity holds
+        cases.append((_feasible_point_readers(form), witness_eval(form, x, check=False).vec))
+    with np.errstate(over="ignore"):
+        for readers, v in cases:
+            for label, read in readers:
+                assert _outcome(read, v) == _outcome(read, form.point(v)), label
+    short = np.zeros(form.partition.total - 1)
+    for label, read in _point_readers(form) + _feasible_point_readers(form):
+        with pytest.raises(FormError, match="partition needs"):
+            read(short)
 
 
 def test_membership_domain_error_names_the_form_and_node():

@@ -152,6 +152,10 @@ def test_box_and_window():
     # nothing is subtracted at an infinite bound, so this does not warn
     assert box.excess(np.array([-0.25, -np.inf])) == 0.25
     assert box.excess(np.array([0.5, np.nan])) == np.inf
+    # a NaN bound fails the check, and the message names the bad pair
+    for lower, upper in (((np.nan,), (1.0,)), ((0.0,), (np.nan,)), ((2.0,), (1.0,))):
+        with pytest.raises(FormError, match=rf"\({lower[0]}, {upper[0]}\)"):
+            Box(lower, upper)
 
 
 def test_witness_reports_do_not_warn():

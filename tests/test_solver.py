@@ -4,7 +4,7 @@ import hashlib
 import math
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -204,6 +204,27 @@ def test_a_start_of_the_wrong_size_is_a_form_error():
     a = alternating_penalty_solve(form, params, start=[5, 5, 5])
     b = alternating_penalty_solve(form, params, start=form.point([5, 5, 5]))
     assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
+
+
+def test_trace_readers_see_a_frozen_iterate(monkeypatch):
+    # the reference and the exact penalties read the iterate itself, frozen,
+    # so a reader writing into its argument cannot move the solve
+    form = make_catalog_form("abs_power")
+    flags = []
+
+    def reference(x, ref=form.reference):
+        flags.append(x.flags.writeable)
+        return ref(x)
+
+    def exact(p, rho, penalty=solver.penalty_f):
+        flags.append(form._vector(p).flags.writeable)
+        return penalty(form, p, rho)
+
+    monkeypatch.setattr(solver, "penalty_f", lambda form, p, rho: exact(p, rho))
+    res = alternating_penalty_solve(replace(form, reference=reference), SolverParams(max_outer=3))
+    assert len(flags) == 2 * len(res.trace) and not any(flags)
+    with pytest.raises(ValueError, match="read-only"):
+        res.point.vec[0] = 1.0
 
 
 def test_solver_on_count_regularized_scalar():
