@@ -1,6 +1,10 @@
 """Ready-made saddle forms for a library of nonsmooth/nonconvex functions.
 
-Every entry ships the lifted expressions, the box, a witness map, and a
+One table, :data:`CATALOG`, lists every form family, the structured builders
+that take problem data included; each :class:`CatalogEntry` also carries the
+parameters of its :func:`default_suite` instance.
+
+Every form ships the lifted expressions, the box, a witness map, and a
 direct reference evaluator of the represented function.  A few entries are
 known to break the witness identity (their lifted structure cannot reproduce
 the target value on part of the domain); those stay transcribed as-is and are
@@ -13,13 +17,14 @@ gadgets the entries share are written once: the l0 indicator pair
 (:func:`_l0_pair`, and the count :func:`_l0_terms` built on it), the product
 pair (:func:`_pair`), the quartic root pair (:func:`_quartic_pair`), the step
 constraints (:func:`_step_ineq`), the equality ReLU lift (:func:`_relu_lift`),
-and the step and ReLU witness maps.
+the bilinear splitting (:func:`_split_form`) and the step and ReLU witness
+maps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -54,7 +59,8 @@ class _Lift:
         )
 
 
-def _require_convex_tag(e: Expr, label: str) -> None:
+def _user_convex(e: Expr, n: int, label: str) -> None:
+    """A user-supplied expression: convex- or affine-tagged, reading only x."""
     if not isinstance(e, Expr):
         raise FormError(f"{label} must be an expression, not {type(e).__name__}")
     if e.tag not in (ex.CONVEX, ex.AFFINE):
@@ -62,11 +68,17 @@ def _require_convex_tag(e: Expr, label: str) -> None:
             f"{label} must carry a convex (or affine) curvature declaration; "
             f"found {e.tag!r}"
         )
-
-
-def _x_only(e: Expr, n: int, label: str) -> None:
     if e.max_index() >= n:
         raise FormError(f"{label} may reference only the first {n} coordinates")
+
+
+def _finite(label: str, value, positive: bool = False) -> np.ndarray:
+    """``value``, a number or an array, as floats; every entry must be finite
+    (and > 0 with ``positive``), so NaN and +-inf fail."""
+    v = np.asarray(value, dtype=float)
+    if not (np.isfinite(v).all() and (not positive or (v > 0).all())):
+        raise FormError(f"{label} must be finite" + (" and > 0" if positive else ""))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +176,7 @@ def trivial_convex(
     square intermediate values (products, power chains) need a modest window
     for the 1e-9 witness-identity tolerance to be meaningful in doubles.
     """
-    _require_convex_tag(q, "q")
-    _x_only(q, n, "q")
+    _user_convex(q, n, "q")
     win = None
     if window is not None:
         win = Box((float(window[0]),) * n, (float(window[1]),) * n)
@@ -238,8 +249,7 @@ def _bilinear2_b() -> SaddleForm:
 
 def _abs_half_reg(lam: float = 1.0) -> SaddleForm:
     # f(x0, x1) = (x0 + x1 - 1)^2 + lam * (|x0|^(1/2) + |x1|^(1/2))
-    if lam <= 0:
-        raise FormError("lam must be > 0")
+    _finite("lam", lam, positive=True)
     lift = _Lift([_FREE] * 2, [_NONNEG, _FREE] * 2, [_NONNEG] * 2)
     x, y, z = lift.x, lift.y, lift.z
     smooth = ex.square(ex.affine([(0, 1.0), (1, 1.0)], -1.0))
@@ -274,8 +284,7 @@ def _abs_half_reg(lam: float = 1.0) -> SaddleForm:
 
 def _l0_reg2(lam: float = 1.0) -> SaddleForm:
     # f(x0, x1) = (x0 + x1 - 1)^2 + lam * count_nonzero(x)
-    if lam <= 0:
-        raise FormError("lam must be > 0")
+    _finite("lam", lam, positive=True)
     lift = _Lift([_FREE] * 2, [_UNIT] * 2, [_NONNEG] * 2)
     parts = [ex.square(ex.affine([(0, 1.0), (1, 1.0)], -1.0)), lam * (lift.y[0] + lift.y[1])]
     ineq = []
@@ -373,10 +382,8 @@ def _dc(d: Expr | None = None, c: Expr | None = None, n: int = 1) -> SaddleForm:
         d = (2.0 * ex.square(ex.var(0))).with_tag(CONVEX)
     if c is None:
         c = ex.square(ex.var(0))
-    _require_convex_tag(d, "d")
-    _require_convex_tag(c, "c")
-    _x_only(d, n, "d")
-    _x_only(c, n, "c")
+    _user_convex(d, n, "d")
+    _user_convex(c, n, "c")
     lift = _Lift([_FREE] * n, z=[_FREE])
     (z0,) = lift.z
 
@@ -709,8 +716,7 @@ def _relu_convex(b: Expr | None = None, n: int = 1) -> SaddleForm:
     # f(x) = max(b(x), 0) for user-supplied convex b
     if b is None:
         b = (ex.square(ex.var(0)) - 1.0).with_tag(CONVEX)
-    _require_convex_tag(b, "b")
-    _x_only(b, n, "b")
+    _user_convex(b, n, "b")
     lift = _Lift([_FREE] * n, [_FREE] * 2, [_NONNEG] * 4)
     z = lift.z
     g, ineq, eq = _relu_lift(z[3], lift.y, z)
@@ -751,8 +757,7 @@ def _abs_power() -> SaddleForm:
 
 def _l0_scalar_reg(lam: float = 2.0) -> SaddleForm:
     # f(x) = (x - 1)^2 + lam * (1 if x != 0 else 0)
-    if lam <= 0:
-        raise FormError("lam must be > 0")
+    _finite("lam", lam, positive=True)
     lift = _Lift([_FREE], [_UNIT], [_NONNEG])
     (term,), ineq = _l0_terms(lam, lift.x, lift.y, lift.z)
 
@@ -801,7 +806,7 @@ def _maxabs_minus_sum(n: int = 5) -> SaddleForm:
 
 
 # ---------------------------------------------------------------------------
-# structured problem builders
+# structured entries: builders that take problem data
 
 
 def _geometric_poly(a, alpha) -> SaddleForm:
@@ -811,8 +816,7 @@ def _geometric_poly(a, alpha) -> SaddleForm:
     the log-lift of the monomial, so the witness cannot satisfy them and the
     entry lives in the known-issues registry.
     """
-    a = np.asarray(a, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
+    a, alpha = _finite("a", a), _finite("alpha", alpha)
     if a.ndim != 1 or alpha.ndim != 2 or alpha.shape[0] != a.size:
         raise FormError("need a of shape (m,) and alpha of shape (m, n)")
     if np.any(a == 0):
@@ -869,12 +873,10 @@ def _l01_svm(A, d, C: float = 1.0) -> SaddleForm:
     y_j >= 0, so any sample with a negative residual has no feasible witness;
     tracked in the known-issues registry.
     """
-    A = np.asarray(A, dtype=float)
-    d = np.asarray(d, dtype=float)
+    A, d = _finite("A", A), _finite("d", d)
     if A.ndim != 2 or d.shape != (A.shape[0],):
         raise FormError("need A of shape (m, n) and d of shape (m,)")
-    if C <= 0:
-        raise FormError("C must be > 0")
+    _finite("C", C, positive=True)
     m, n = A.shape
     lift = _Lift([_FREE] * (n + 1), [_NONNEG] * m + [_UNIT] * m + [_FREE] * m, [_NONNEG] * m)
     x, u, ind, root = lift.x, lift.y[:m], lift.y[m : 2 * m], lift.y[2 * m :]
@@ -912,10 +914,8 @@ def _l01_svm(A, d, C: float = 1.0) -> SaddleForm:
 
 def _sparse_l0(q: Expr, lam: float, n: int) -> SaddleForm:
     # f(x) = q(x) + lam * count_nonzero(x) for user-supplied smooth convex q
-    _require_convex_tag(q, "q")
-    _x_only(q, n, "q")
-    if lam <= 0:
-        raise FormError("lam must be > 0")
+    _user_convex(q, n, "q")
+    _finite("lam", lam, positive=True)
     lift = _Lift([_FREE] * n, [_UNIT] * n, [_NONNEG] * n)
     terms, ineq = _l0_terms(lam, lift.x, lift.y, lift.z)
 
@@ -940,10 +940,22 @@ def _sign_split_terms(coef: float, xi: Expr, xj: Expr, zi: Expr, zj: Expr) -> Ex
     return (abs(coef) / 2.0) * (quad - zi - zj)
 
 
+def _split_form(name: str, lift: _Lift, parts, reference) -> SaddleForm:
+    """A sum of bilinear splittings: each z_i bounds x_i^2, and the witness
+    is z = x^2."""
+    return lift.form(
+        name,
+        ex.add(*parts),
+        [ex.square(xi) - zi for xi, zi in zip(lift.x, lift.z)],
+        witness=lambda x: (np.empty(0), np.asarray(x, dtype=float) ** 2),
+        reference=reference,
+        declares=_JOINT,
+    )
+
+
 def _quadratic(A, c) -> SaddleForm:
     # f(x) = x^T A x + c^T x
-    A = np.asarray(A, dtype=float)
-    c = np.asarray(c, dtype=float)
+    A, c = _finite("A", A), _finite("c", c)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or c.shape != A.shape[:1]:
         raise FormError("need square A and matching c")
     n = A.shape[0]
@@ -965,21 +977,12 @@ def _quadratic(A, c) -> SaddleForm:
         xv = np.asarray(x, dtype=float)
         return float(xv @ A @ xv + c @ xv)
 
-    return lift.form(
-        "quadratic",
-        ex.add(*parts),
-        [ex.square(xi) - zi for xi, zi in zip(x, z)],
-        witness=lambda x: (np.empty(0), np.asarray(x, dtype=float) ** 2),
-        reference=reference,
-        declares=_JOINT,
-    )
+    return _split_form("quadratic", lift, parts, reference)
 
 
 def _bilinear_xy(A, c1, c2) -> SaddleForm:
     # f(x1, x2) = c1^T x1 + x1^T A x2 + c2^T x2
-    A = np.asarray(A, dtype=float)
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
+    A, c1, c2 = _finite("A", A), _finite("c1", c1), _finite("c2", c2)
     n, m = A.shape
     if c1.shape != (n,) or c2.shape != (m,):
         raise FormError("need A of shape (n, m), c1 of shape (n,), c2 of shape (m,)")
@@ -998,14 +1001,7 @@ def _bilinear_xy(A, c1, c2) -> SaddleForm:
         xv = np.asarray(x, dtype=float)
         return float(c1 @ xv[:n] + xv[:n] @ A @ xv[n:] + c2 @ xv[n:])
 
-    return lift.form(
-        "bilinear_xy",
-        ex.add(*parts),
-        [ex.square(xi) - zi for xi, zi in zip(x, z)],
-        witness=lambda x: (np.empty(0), np.asarray(x, dtype=float) ** 2),
-        reference=reference,
-        declares=_JOINT,
-    )
+    return _split_form("bilinear_xy", lift, parts, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -1014,54 +1010,77 @@ def _bilinear_xy(A, c1, c2) -> SaddleForm:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A family of lifted forms: its builder, what its parameters must
+    satisfy, and ``suite``, the parameters of its :func:`default_suite`
+    instance (empty where the builder's defaults are that instance)."""
+
     name: str
     summary: str
     build: Callable[..., SaddleForm]
     params_doc: str = ""
+    suite: dict = field(default_factory=dict)
 
 
+# The one table of form families.  Its order is the default suite's: the
+# families built at their defaults by name, then the structured ones.
 CATALOG: dict[str, CatalogEntry] = {
     e.name: e
     for e in [
-        CatalogEntry("bilinear2_a", "2*x0*x1 with one maximizer per square", _bilinear2_a),
-        CatalogEntry("bilinear2_b", "2*x0*x1 with a single shared maximizer", _bilinear2_b),
         CatalogEntry(
             "abs_half_reg", "(x0+x1-1)^2 + lam*(sqrt|x0| + sqrt|x1|)", _abs_half_reg, "lam > 0"
         ),
-        CatalogEntry("l0_reg2", "(x0+x1-1)^2 + lam*count_nonzero(x)", _l0_reg2, "lam > 0"),
-        CatalogEntry("sin_0_pi", "sin(x) on [0, pi]", _sin_0_pi),
-        CatalogEntry("sin_0_2pi", "sin(x) on [0, 2*pi]", _sin_0_2pi),
+        CatalogEntry("abs_power", "sqrt(|x|) via quartic lift", _abs_power),
+        CatalogEntry("bilinear2_a", "2*x0*x1 with one maximizer per square", _bilinear2_a),
+        CatalogEntry("bilinear2_b", "2*x0*x1 with a single shared maximizer", _bilinear2_b),
         CatalogEntry("cos_0_2pi", "cos(x) on [0, 2*pi]", _cos_0_2pi),
         CatalogEntry(
             "dc", "difference d(x) - c(x) of user convex parts", _dc, "d, c: convex-tagged exprs; n"
         ),
         CatalogEntry("entropy", "-sum x_i ln x_i on (0, 1]^n", _entropy, "n >= 1"),
-        CatalogEntry("sigmoid", "2/(1+exp(-x)) - 1 (known-issues entry)", _sigmoid),
+        CatalogEntry("l0_reg2", "(x0+x1-1)^2 + lam*count_nonzero(x)", _l0_reg2, "lam > 0"),
+        CatalogEntry("l0_scalar_reg", "(x-1)^2 + lam*[x != 0]", _l0_scalar_reg, "lam > 0"),
+        CatalogEntry("maxabs_minus_sum", "n*max|x_i| - sum|x_i|", _maxabs_minus_sum, "n >= 1"),
         CatalogEntry("pow_a", "x^a on x >= 0, 0 < a < 1", _pow_a, "0 < a < 1"),
-        CatalogEntry("pow_a_plus_1", "x^(a+1) on x >= 0, 0 < a < 1", _pow_a_plus_1, "0 < a < 1"),
         CatalogEntry("pow_a_2n", "x^(a+2*n2) on x >= 0", _pow_a_2n, "0 < a < 1, n2 >= 1"),
-        CatalogEntry("sgn3_a", "sign(x) in {-1,0,1}, inequality lift", _sgn3_a),
-        CatalogEntry("sgn3_b", "sign(x) in {-1,0,1}, equality lift", _sgn3_b),
-        CatalogEntry("sgn2_a", "step(x) in {0,1}, inequality lift", _sgn2_a),
-        CatalogEntry("sgn2_b", "step(x) in {0,1}, equality lift", _sgn2_b),
+        CatalogEntry("pow_a_plus_1", "x^(a+1) on x >= 0, 0 < a < 1", _pow_a_plus_1, "0 < a < 1"),
         CatalogEntry("relu_a", "max(x, 0), inequality lift", _relu_a),
         CatalogEntry("relu_b", "max(x, 0), equality lift", _relu_b),
         CatalogEntry(
             "relu_convex", "max(b(x), 0) for user convex b", _relu_convex,
             "b: convex-tagged expr; n",
         ),
-        CatalogEntry("abs_power", "sqrt(|x|) via quartic lift", _abs_power),
-        CatalogEntry("l0_scalar_reg", "(x-1)^2 + lam*[x != 0]", _l0_scalar_reg, "lam > 0"),
-        CatalogEntry("maxabs_minus_sum", "n*max|x_i| - sum|x_i|", _maxabs_minus_sum, "n >= 1"),
+        CatalogEntry("sgn2_a", "step(x) in {0,1}, inequality lift", _sgn2_a),
+        CatalogEntry("sgn2_b", "step(x) in {0,1}, equality lift", _sgn2_b),
+        CatalogEntry("sgn3_a", "sign(x) in {-1,0,1}, inequality lift", _sgn3_a),
+        CatalogEntry("sgn3_b", "sign(x) in {-1,0,1}, equality lift", _sgn3_b),
+        CatalogEntry("sigmoid", "2/(1+exp(-x)) - 1 (known-issues entry)", _sigmoid),
+        CatalogEntry("sin_0_2pi", "sin(x) on [0, 2*pi]", _sin_0_2pi),
+        CatalogEntry("sin_0_pi", "sin(x) on [0, pi]", _sin_0_pi),
+        CatalogEntry(
+            "geometric_poly", "sum_i a_i*prod_j x_j^alpha_ij on x > 0", _geometric_poly,
+            "a: (m,) nonzero, alpha: (m, n)",
+            {"a": [1.0, 0.5], "alpha": [[1.0, 2.0], [2.0, 1.0]]},
+        ),
+        CatalogEntry(
+            "l01_svm", "0.5*|x|^2 + C*count(1 - A.x - d*x0 > 0)", _l01_svm,
+            "A: (m, n), d: (m,), C > 0",
+            {"A": [[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]], "d": [1.0, -1.0, 0.5], "C": 1.0},
+        ),
+        CatalogEntry(
+            "sparse_l0", "q(x) + lam*count_nonzero(x) for user convex q", _sparse_l0,
+            "q: convex-tagged expr, lam > 0, n",
+            {"q": ex.square(ex.var(0) - 1.0), "lam": 2.0, "n": 1},
+        ),
+        CatalogEntry(
+            "quadratic", "x^T A x + c^T x", _quadratic, "A: (n, n), c: (n,)",
+            {"A": [[0.0, 1.0], [1.0, 0.0]], "c": [0.0, 0.0]},
+        ),
+        CatalogEntry(
+            "bilinear_xy", "c1^T x1 + x1^T A x2 + c2^T x2", _bilinear_xy,
+            "A: (n, m), c1: (n,), c2: (m,)",
+            {"A": [[1.0]], "c1": [0.0], "c2": [0.0]},
+        ),
     ]
-}
-
-STRUCTURED: dict[str, Callable[..., SaddleForm]] = {
-    "geometric_poly": _geometric_poly,
-    "l01_svm": _l01_svm,
-    "sparse_l0": _sparse_l0,
-    "quadratic": _quadratic,
-    "bilinear_xy": _bilinear_xy,
 }
 
 
@@ -1072,9 +1091,8 @@ def make_catalog_form(name: str, **params) -> SaddleForm:
 
 
 def make_structured(kind: str, data: dict) -> SaddleForm:
-    if kind not in STRUCTURED:
-        raise KeyError(f"unknown structured kind {kind!r}")
-    return STRUCTURED[kind](**data)
+    """The problem-file spelling of :func:`make_catalog_form`."""
+    return make_catalog_form(kind, **data)
 
 
 def list_catalog() -> list[str]:
@@ -1082,8 +1100,9 @@ def list_catalog() -> list[str]:
 
 
 def describe(name: str) -> dict:
+    """The entry's summary, parameter notes and the shape of its suite instance."""
     entry = CATALOG[name]
-    form = make_catalog_form(name)
+    form = entry.build(**entry.suite)
     p = form.partition
     return {
         "name": name,
@@ -1096,34 +1115,9 @@ def describe(name: str) -> dict:
 
 
 def default_suite() -> list[SaddleForm]:
-    """Catalog entries at default parameters plus small structured instances.
+    """Every catalog entry's suite instance, in table order.
 
     The acceptance suite and the known-issues registry both run over exactly
     this collection.
     """
-    forms = [make_catalog_form(name) for name in list_catalog()]
-    forms.append(
-        make_structured(
-            "geometric_poly",
-            {"a": [1.0, 0.5], "alpha": [[1.0, 2.0], [2.0, 1.0]]},
-        )
-    )
-    forms.append(
-        make_structured(
-            "l01_svm",
-            {
-                "A": [[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]],
-                "d": [1.0, -1.0, 0.5],
-                "C": 1.0,
-            },
-        )
-    )
-    forms.append(
-        make_structured(
-            "sparse_l0",
-            {"q": ex.square(ex.var(0) - 1.0), "lam": 2.0, "n": 1},
-        )
-    )
-    forms.append(make_structured("quadratic", {"A": [[0.0, 1.0], [1.0, 0.0]], "c": [0.0, 0.0]}))
-    forms.append(make_structured("bilinear_xy", {"A": [[1.0]], "c1": [0.0], "c2": [0.0]}))
-    return forms
+    return [make_catalog_form(name, **entry.suite) for name, entry in CATALOG.items()]

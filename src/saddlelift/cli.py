@@ -12,6 +12,7 @@ A problem file is a JSON document:
       "start":  [ ... optional full start vector ... ]
     }
 
+"catalog" and "structured" name an entry of the one catalog table alike.
 Expressions use the text grammar, e.g. "(+ (sq (aff x0 1 0)) (neg z0))".
 Box bounds use null for an unbounded end.  Every float printed by the CLI
 carries 9 significant digits, and solve output and trace files are
@@ -99,18 +100,11 @@ def load_form(doc: dict) -> SaddleForm:
     prob = doc.get("problem")
     if not isinstance(prob, dict):
         raise CliError("problem file needs a 'problem' object")
-    if "catalog" in prob:
-        params = _parse_expr_fields(prob.get("params", {}))
-        try:
-            return cat.make_catalog_form(prob["catalog"], **params)
-        except KeyError as err:
-            raise CliError(f"unknown catalog id: {err.args[0]}", 1)
-    if "structured" in prob:
-        data = _parse_expr_fields(prob.get("data", {}))
-        try:
-            return cat.make_structured(prob["structured"], data)
-        except KeyError as err:
-            raise CliError(f"unknown structured kind: {err.args[0]}", 1)
+    for key, fields in (("catalog", "params"), ("structured", "data")):
+        if key in prob:  # two spellings of one catalog lookup
+            if prob[key] not in cat.CATALOG:
+                raise CliError(f"unknown catalog id: {prob[key]}")
+            return cat.make_catalog_form(prob[key], **_parse_expr_fields(prob.get(fields, {})))
     if "inline" in prob:
         return inline_form(prob["inline"])
     raise CliError("'problem' must contain 'catalog', 'structured', or 'inline'")
@@ -259,6 +253,8 @@ def cmd_audit(args) -> int:
         raise CliError(f"--grid must be >= 2, got {args.grid}")
     if args.samples < 1:
         raise CliError(f"--samples must be >= 1, got {args.samples}")
+    if not 0.0 <= args.tol < math.inf:  # NaN fails too
+        raise CliError(f"--tol must be a finite number >= 0, got {args.tol}")
     form, _, _ = load_problem_file(args.file)
     if form.reference is None:
         raise CliError("audit needs a problem with a reference evaluator", 2)
@@ -296,6 +292,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_kkt(args) -> int:
+    if not 0.0 <= args.feas_tol < math.inf:  # NaN fails too
+        raise CliError(f"--feas-tol must be a finite number >= 0, got {args.feas_tol}")
     form, _, _ = load_problem_file(args.file)
     p = _parse_vector(args.point, form.partition.total, "--point")
     s, r = len(form.ineq), len(form.eq)
@@ -357,15 +355,13 @@ def cmd_catalog(args) -> int:
                 f"ineq={d['inequalities']} eq={d['equalities']}{flag}"
             )
         return 0
-    if args.action == "describe":
-        if not args.id:
-            raise CliError("catalog describe needs an id")
-        try:
-            _emit(cat.describe(args.id))
-        except KeyError:
-            raise CliError(f"unknown catalog id: {args.id}")
-        return 0
-    raise CliError("catalog action must be 'list' or 'describe'")
+    if not args.id:  # argparse's choices leave "describe"
+        raise CliError("catalog describe needs an id")
+    try:
+        _emit(cat.describe(args.id))
+    except KeyError:
+        raise CliError(f"unknown catalog id: {args.id}")
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .expr import DomainEvalError
 from .forms import FormError, SaddleForm, SaddlePoint, membership
 from .penalty import (
     eps_feasible,
@@ -95,10 +96,11 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
 
     ``obj(p, need_grad)`` returns (value, gradient-or-None).  Iterates stay
     inside [lower, upper]; accepted steps never increase the objective.  The
-    spectral (secant) step is safeguarded by monotone backtracking.  When the
-    joint step stalls on a penalty ridge (where the smoothed gradient is
-    numerically discontinuous and any full-gradient move costs more than it
-    gains), a coordinate-refinement sweep takes over: single-coordinate
+    spectral (secant) step is safeguarded by monotone backtracking, which
+    rejects a trial whose value is not finite or raises ``DomainEvalError``.
+    When the joint step stalls on a penalty ridge (where the smoothed gradient
+    is numerically discontinuous and any full-gradient move costs more than
+    it gains), a coordinate-refinement sweep takes over: single-coordinate
     backtracking moves cannot pay cross-coordinate ridge costs, so smooth
     coordinates keep descending.  The phases alternate until the gradient
     tolerance, the iteration cap, or no phase makes progress.
@@ -140,7 +142,10 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
                 d = q - p
                 if not np.count_nonzero(d):
                     break
-                fq = obj(q, False)[0]
+                try:
+                    fq = obj(q, False)[0]
+                except DomainEvalError:  # a trial off g's domain is a rejected one
+                    fq = math.inf
                 if math.isfinite(fq) and fq <= f + _ARMIJO * float(g @ d):
                     accepted = True
                     break
@@ -174,7 +179,10 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
                         alpha *= _BACKTRACK
                         continue
                     q[i] = ti
-                    fq = obj(q, False)[0]
+                    try:
+                        fq = obj(q, False)[0]
+                    except DomainEvalError:
+                        fq = math.inf
                     if math.isfinite(fq) and fq <= f - _ARMIJO * abs(gi * (ti - old)):
                         f = fq
                         warm[i] = 2.0 * alpha

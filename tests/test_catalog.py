@@ -171,6 +171,27 @@ def test_invalid_params_rejected():
     with pytest.raises(FormError):
         # supplied expressions must be declared convex
         make_structured("sparse_l0", {"q": ex.sin(ex.var(0)), "lam": 1.0, "n": 1})
+    # NaN passed the `lam <= 0` and `C <= 0` checks, and a NaN or infinite
+    # entry of the problem data built a form whose witness identity failed
+    for bad in (math.nan, math.inf, -math.inf, 0.0):
+        for name in ("abs_half_reg", "l0_reg2", "l0_scalar_reg"):
+            with pytest.raises(FormError, match="lam must be finite and > 0"):
+                make_catalog_form(name, lam=bad)
+        with pytest.raises(FormError, match="lam must be finite and > 0"):
+            make_catalog_form("sparse_l0", q=ex.square(ex.var(0)), lam=bad, n=1)
+        with pytest.raises(FormError, match="C must be finite and > 0"):
+            make_catalog_form("l01_svm", A=[[1.0]], d=[1.0], C=bad)
+    for bad in (math.nan, math.inf):
+        for name, data, key in (
+            ("quadratic", {"A": [[0.0, bad], [1.0, 0.0]], "c": [0.0, 0.0]}, "A"),
+            ("quadratic", {"A": [[1.0]], "c": [bad]}, "c"),
+            ("bilinear_xy", {"A": [[bad]], "c1": [0.0], "c2": [0.0]}, "A"),
+            ("geometric_poly", {"a": [1.0, bad], "alpha": [[1.0], [2.0]]}, "a"),
+            ("geometric_poly", {"a": [1.0], "alpha": [[bad]]}, "alpha"),
+            ("l01_svm", {"A": [[bad, 0.0]], "d": [1.0]}, "A"),
+        ):
+            with pytest.raises(FormError, match=f"{key} must be finite"):
+                make_structured(name, data)
 
 
 def test_witness_identity_holds_or_form_is_registered():
@@ -288,3 +309,18 @@ def test_describe_and_list():
     assert "abs_power" in names and "maxabs_minus_sum" in names
     d = describe("abs_power")
     assert d["partition"] == [1, 1, 1] and d["inequalities"] == 3
+
+
+def test_one_table_lists_describes_and_builds_every_suite_family():
+    # the structured builders were a second registry: describe("quadratic")
+    # raised KeyError and list_catalog() named 23 of the 28 suite families
+    suite = default_suite()
+    assert sorted(f.name for f in suite) == list_catalog()
+    assert len(suite) == 28
+    for form in suite:
+        d = describe(form.name)
+        p = form.partition
+        assert d["partition"] == [p.n, p.m1, p.m2], form.name
+        assert (d["inequalities"], d["equalities"]) == (len(form.ineq), len(form.eq)), form.name
+    assert describe("quadratic")["partition"] == [2, 0, 2]
+    assert make_structured("abs_power", {}).g == make_catalog_form("abs_power").g

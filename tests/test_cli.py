@@ -7,7 +7,7 @@ import pytest
 
 from saddlelift import cli
 from saddlelift import expr as ex
-from saddlelift.catalog import make_catalog_form, make_structured
+from saddlelift.catalog import default_suite, make_catalog_form, make_structured
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -170,6 +170,29 @@ def test_catalog_list_and_describe(capsys):
     assert out["partition"] == [1, 1, 1]
 
 
+def test_catalog_covers_the_structured_families(capsys):
+    # a problem file could name "structured": "quadratic", but the catalog
+    # command listed 23 families and `describe quadratic` exited 1
+    assert cli.main(["catalog", "list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 28
+    assert sorted(line.split(":")[0] for line in lines) == sorted(f.name for f in default_suite())
+    assert cli.main(["catalog", "describe", "quadratic"]) == 0
+    assert json.loads(capsys.readouterr().out)["partition"] == [2, 0, 2]
+    assert cli.main(["catalog", "describe", "nope"]) == 1
+    assert capsys.readouterr().err == "error: unknown catalog id: nope\n"
+
+
+@pytest.mark.parametrize("key, fields", [("catalog", "params"), ("structured", "data")])
+def test_both_problem_keys_name_any_catalog_family(key, fields):
+    data = {"A": [[0.0, 1.0], [1.0, 0.0]], "c": [0.0, 0.0]}
+    form = cli.load_form({"problem": {key: "quadratic", fields: data}})
+    assert form.g == make_catalog_form("quadratic", **data).g
+    assert cli.load_form({"problem": {key: "abs_power"}}).g == make_catalog_form("abs_power").g
+    with pytest.raises(cli.CliError, match="unknown catalog id: nope"):
+        cli.load_form({"problem": {key: "nope"}})
+
+
 def test_audit_command(tmp_path, capsys):
     path = _write(tmp_path, _dc_problem())
     code = cli.main(["audit", path, "--grid", "501", "--samples", "4", "--seed", "0"])
@@ -197,6 +220,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (None, ["--samples", "0"], 1),
         (None, ["--samples", "-3"], 1),
         ("p51_n5.json", ["--grid", "11", "--samples", "1"], 2),
+        # a NaN, negative or infinite tolerance gave a verdict with exit 0
+        (None, ["--tol", "nan"], 1),
+        (None, ["--tol", "-1"], 1),
+        (None, ["--tol", "inf"], 1),
     ],
 )
 def test_audit_rejects_what_it_cannot_audit(tmp_path, capsys, problem, args, code):
@@ -206,6 +233,18 @@ def test_audit_rejects_what_it_cannot_audit(tmp_path, capsys, problem, args, cod
     assert cli.main(["audit", path, *args]) == code
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_kkt_rejects_a_bad_feasibility_tolerance(capsys, tol):
+    # NaN and -1 read every point as infeasible: "needs a feasible point;
+    # max violation 0.000e+00", exit 2
+    argv = ["kkt", str(PROBLEMS / "ex41.json"), "--point", "0,0,0", "--feas-tol", tol]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "--feas-tol" in captured.err
     assert captured.out == ""
 
 
@@ -234,6 +273,7 @@ def test_nan_solver_parameters_exit_one(tmp_path, capsys, solver):
 
 
 _INLINE = {"partition": [1, 0, 0], "g": "(sq x0)"}
+_NAN = float("nan")
 
 
 @pytest.mark.parametrize(
@@ -259,6 +299,22 @@ _INLINE = {"partition": [1, 0, 0], "g": "(sq x0)"}
         ({"problem": {"catalog": "pow_a_2n", "params": {"n2": 1.25}}}, "integer n2"),
         ({**_dc_problem(), "start": [2.0, float("nan")]}, "start vector"),
         ({"problem": {"inline": {**_INLINE, "lower": [float("nan")]}}}, "bad form"),
+        # NaN parameters and data built forms, and the solve exited 2 with a
+        # misleading witness-identity line
+        ({"problem": {"catalog": "l0_scalar_reg", "params": {"lam": _NAN}}}, "lam must be finite"),
+        ({"problem": {"catalog": "abs_half_reg", "params": {"lam": _NAN}}}, "lam must be finite"),
+        (
+            {"problem": {"structured": "quadratic", "data": {"A": [[_NAN]], "c": [0.0]}}},
+            "A must be finite",
+        ),
+        (
+            {"problem": {"structured": "l01_svm", "data": {"A": [[1.0]], "d": [1.0], "C": _NAN}}},
+            "C must be finite",
+        ),
+        (
+            {"problem": {"structured": "geometric_poly", "data": {"a": [_NAN], "alpha": [[1.0]]}}},
+            "a must be finite",
+        ),
     ],
 )
 def test_malformed_problem_file_exits_one(tmp_path, capsys, doc, words):
@@ -285,8 +341,6 @@ def test_expression_parse_error_carries_position(tmp_path, capsys):
 
 
 def test_inline_round_trip():
-    from saddlelift.catalog import default_suite
-
     for form in default_suite():
         doc = cli.form_to_inline(form)
         back = cli.inline_form(doc)

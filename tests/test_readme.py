@@ -1,10 +1,15 @@
-"""The README's Python examples run exactly as written, so a rename that
-breaks them breaks the build."""
+"""The README's Python examples and CLI lines run exactly as written, so a
+rename that breaks them breaks the build."""
 
 import re
+import shlex
+import shutil
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from saddlelift import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_examples_run():
@@ -12,3 +17,15 @@ def test_readme_python_examples_run():
     assert len(blocks) == 2
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_cli_lines_exit_zero(tmp_path, monkeypatch, capsys):
+    # run in a copy of problems/, so `--trace trace.csv` writes nothing into the repo
+    (block,) = re.findall(r"^## CLI\n\n```\n(.*?)^```$", README.read_text(), re.S | re.M)
+    lines = block.splitlines()
+    assert len(lines) == 6 and all(line.startswith("saddlelift ") for line in lines)
+    shutil.copytree(ROOT / "problems", tmp_path / "problems")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
+    assert (tmp_path / "trace.csv").is_file()

@@ -13,7 +13,7 @@ from saddlelift import expr as ex
 from saddlelift import solver
 from saddlelift.expr import DomainEvalError
 from saddlelift.catalog import default_suite, make_catalog_form, trivial_convex
-from saddlelift.forms import FormError, SaddlePoint, membership
+from saddlelift.forms import FormError, SaddlePoint, membership, witness_eval
 from saddlelift.penalty import (
     penalty_f_theta,
     penalty_f_theta_value,
@@ -495,6 +495,26 @@ def test_golden_exactness_probe_rows():
     )
     assert got == GOLDEN_PROBE_ROWS
     assert all(r.f_improved and r.g_improved for r in rows)
+
+
+@pytest.mark.parametrize("name", ["entropy", "geometric_poly"])
+def test_a_trial_off_the_domain_is_a_rejected_trial(name):
+    # from the witness point at an x inside the window, line-search steps
+    # projected onto the box face 0 leave the logs' domain; they raised
+    # DomainEvalError out of the probe and the solve instead of backtracking
+    form = next(f for f in default_suite() if f.name == name)
+    rng = np.random.default_rng(11)  # the x that the point-reader test draws
+    lo, hi = form.effective_window()
+    for _ in range(3):
+        rng.uniform(lo, hi)
+    (x,) = form.sample_x(rng, 1)
+    p = witness_eval(form, x, check=False).vec
+    (row,) = exactness_probe(form, p, [1e2], restarts=0)
+    assert math.isfinite(row.f_at_candidate) and row.f_at_candidate <= row.f_at_point
+    assert alternating_penalty_solve(form, start=p).status == "eps_feasible_converged"
+    # a start off the domain still raises: there is no finite value to descend from
+    with pytest.raises(DomainEvalError):
+        alternating_penalty_solve(form, start=np.zeros(form.partition.total))
 
 
 
