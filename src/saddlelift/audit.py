@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .catalog import CATALOG
 from .expr import ExprError
 from .forms import (
     D2_TOL,
@@ -350,16 +351,20 @@ def registry_sweep(forms) -> dict[str, RegistryEntry]:
     """Classify forms with fixed audit parameters (x sampled from seed 0);
     divergent ones get entries.
 
-    Grid-auditable forms (m1 + m2 <= 4) run the full identity audit; larger
-    ones are checked on the witness identity alone and can only earn a
-    'failed' entry.  The shipped known_issues.txt is exactly the output of
-    this sweep over the default catalog suite, and tests re-run the sweep to
-    keep the file honest.
+    Grid-auditable forms (m1 + m2 <= 4) run the full identity audit.  A
+    larger form whose catalog family names ``audit_params`` is audited
+    through that instance instead; the others are checked on the witness
+    identity alone and can only earn a 'failed' entry.  The shipped
+    known_issues.txt is exactly the output of this sweep over the default
+    catalog suite, and tests re-run the sweep to keep the file honest.
     """
     entries: dict[str, RegistryEntry] = {}
     for form in forms:
         if form.reference is None:
             continue
+        entry = CATALOG.get(form.name)
+        if form.partition.m1 + form.partition.m2 > 4 and entry and entry.audit_params:
+            form = entry.build(**entry.audit_params)
         xs = form.sample_x(np.random.default_rng(0), SWEEP_SAMPLES)
         if form.partition.m1 + form.partition.m2 <= 4:
             report = identity_audit(

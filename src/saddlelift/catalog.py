@@ -2,7 +2,8 @@
 
 One table, :data:`CATALOG`, lists every form family, the structured builders
 that take problem data included; each :class:`CatalogEntry` also carries the
-parameters of its :func:`default_suite` instance.
+parameters of its :func:`default_suite` instance and, where that instance is
+beyond the grid oracle's reach, of the instance the registry sweep audits.
 
 Every form ships the lifted expressions, the box, a witness map, and a
 direct reference evaluator of the represented function.  A few entries are
@@ -24,6 +25,7 @@ maps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,6 +81,15 @@ def _finite(label: str, value, positive: bool = False) -> np.ndarray:
     if not (np.isfinite(v).all() and (not positive or (v > 0).all())):
         raise FormError(f"{label} must be finite" + (" and > 0" if positive else ""))
     return v
+
+
+def _integer(form: str, label: str, value, least: int = 1) -> int:
+    """``value``, an integral number >= ``least`` (not a bool or a string),
+    as an int; NaN and +-inf fail."""
+    integral = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (integral and value >= least and float(value).is_integer()):
+        raise FormError(f"{form} requires an integer {label} >= {least}, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +393,7 @@ def _dc(d: Expr | None = None, c: Expr | None = None, n: int = 1) -> SaddleForm:
         d = (2.0 * ex.square(ex.var(0))).with_tag(CONVEX)
     if c is None:
         c = ex.square(ex.var(0))
+    n = _integer("dc", "n", n)
     _user_convex(d, n, "d")
     _user_convex(c, n, "c")
     lift = _Lift([_FREE] * n, z=[_FREE])
@@ -399,8 +411,7 @@ def _dc(d: Expr | None = None, c: Expr | None = None, n: int = 1) -> SaddleForm:
 
 def _entropy(n: int = 2) -> SaddleForm:
     # f(x) = -sum x_i * ln(x_i) on 0 < x_i <= 1
-    if n < 1:
-        raise FormError("n must be >= 1")
+    n = _integer("entropy", "n", n)
     lift = _Lift([_UNIT] * n, [_NONNEG] * n, [_NONNEG] * n)
     parts = []
     ineq = []
@@ -496,8 +507,7 @@ def _pow_a_2n(a: float = 0.5, n2: int = 1) -> SaddleForm:
     # f(x) = x**(a + 2*n2) on x >= 0, 0 < a < 1, n2 >= 1
     if not 0.0 < a < 1.0:
         raise FormError("pow_a_2n requires 0 < a < 1")
-    if not (n2 >= 1 and float(n2).is_integer()):
-        raise FormError("pow_a_2n requires an integer n2 >= 1")
+    n2 = _integer("pow_a_2n", "n2", n2)
     lift = _Lift([_NONNEG], [_NONNEG] * 2, [_NONNEG] * 2)
     (x0,), (y0, y1), (z0, z1) = lift.x, lift.y, lift.z
     g = 0.5 * ex.square(y0 + y1) - 0.5 * z0 + ex.rpow(y0, 2.0 / a) - z1 + ex.square(x0) - z1
@@ -509,8 +519,8 @@ def _pow_a_2n(a: float = 0.5, n2: int = 1) -> SaddleForm:
     )
 
     def witness(x):
-        t = float(x[0])
-        y = np.array([t**a, t ** (2 * n2)])
+        t = float(x[0])  # below the box x^a reads NaN, as in pow_a
+        y = np.array([t**a if t >= 0.0 else math.nan, t ** (2 * n2)])
         return y, np.array([y[0] ** 2 + y[1] ** 2, t**2])
 
     return lift.form(
@@ -716,6 +726,7 @@ def _relu_convex(b: Expr | None = None, n: int = 1) -> SaddleForm:
     # f(x) = max(b(x), 0) for user-supplied convex b
     if b is None:
         b = (ex.square(ex.var(0)) - 1.0).with_tag(CONVEX)
+    n = _integer("relu_convex", "n", n)
     _user_convex(b, n, "b")
     lift = _Lift([_FREE] * n, [_FREE] * 2, [_NONNEG] * 4)
     z = lift.z
@@ -776,8 +787,7 @@ def _l0_scalar_reg(lam: float = 2.0) -> SaddleForm:
 
 def _maxabs_minus_sum(n: int = 5) -> SaddleForm:
     # f(x) = n * max_i |x_i| - sum_i |x_i|
-    if n < 1:
-        raise FormError("n must be >= 1")
+    n = _integer("maxabs_minus_sum", "n", n)
     lift = _Lift([_FREE] * n, [_NONNEG] * (n + 1), [_NONNEG] * n)
     x, y, z = lift.x, lift.y, lift.z
     ytop = y[n]  # y_{n+1}, the shared majorant
@@ -914,6 +924,7 @@ def _l01_svm(A, d, C: float = 1.0) -> SaddleForm:
 
 def _sparse_l0(q: Expr, lam: float, n: int) -> SaddleForm:
     # f(x) = q(x) + lam * count_nonzero(x) for user-supplied smooth convex q
+    n = _integer("sparse_l0", "n", n)
     _user_convex(q, n, "q")
     _finite("lam", lam, positive=True)
     lift = _Lift([_FREE] * n, [_UNIT] * n, [_NONNEG] * n)
@@ -1011,14 +1022,18 @@ def _bilinear_xy(A, c1, c2) -> SaddleForm:
 @dataclass(frozen=True)
 class CatalogEntry:
     """A family of lifted forms: its builder, what its parameters must
-    satisfy, and ``suite``, the parameters of its :func:`default_suite`
-    instance (empty where the builder's defaults are that instance)."""
+    satisfy, ``suite``, the parameters of its :func:`default_suite`
+    instance (empty where the builder's defaults are that instance), and
+    ``audit_params``, the parameters of the instance the registry sweep
+    audits where the suite instance is beyond the grid oracle's reach
+    (None: only the witness identity is checked there)."""
 
     name: str
     summary: str
     build: Callable[..., SaddleForm]
     params_doc: str = ""
     suite: dict = field(default_factory=dict)
+    audit_params: dict | None = None
 
 
 # The one table of form families.  Its order is the default suite's: the
@@ -1039,7 +1054,10 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry("entropy", "-sum x_i ln x_i on (0, 1]^n", _entropy, "n >= 1"),
         CatalogEntry("l0_reg2", "(x0+x1-1)^2 + lam*count_nonzero(x)", _l0_reg2, "lam > 0"),
         CatalogEntry("l0_scalar_reg", "(x-1)^2 + lam*[x != 0]", _l0_scalar_reg, "lam > 0"),
-        CatalogEntry("maxabs_minus_sum", "n*max|x_i| - sum|x_i|", _maxabs_minus_sum, "n >= 1"),
+        CatalogEntry(
+            "maxabs_minus_sum", "n*max|x_i| - sum|x_i|", _maxabs_minus_sum, "n >= 1",
+            audit_params={"n": 1},
+        ),
         CatalogEntry("pow_a", "x^a on x >= 0, 0 < a < 1", _pow_a, "0 < a < 1"),
         CatalogEntry("pow_a_2n", "x^(a+2*n2) on x >= 0", _pow_a_2n, "0 < a < 1, n2 >= 1"),
         CatalogEntry("pow_a_plus_1", "x^(a+1) on x >= 0, 0 < a < 1", _pow_a_plus_1, "0 < a < 1"),

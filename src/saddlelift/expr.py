@@ -14,7 +14,8 @@ empirically by sampling, never inferred symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import struct
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
@@ -66,7 +67,10 @@ class ParseError(ExprError):
 class Expr:
     """Immutable expression node.  Subclasses are frozen dataclasses.  A
     node fixes its largest variable index and its affinity when it is made,
-    from its children's, so asking either reads a field."""
+    from its children's, so asking either reads a field.  Two trees are
+    equal when they have the same structure, tags included and floats
+    compared by their bits (:func:`first_copies`); the hash reads only what
+    a node fixes when it is made, so equal trees hash alike."""
 
     tag: str
 
@@ -91,6 +95,15 @@ class Expr:
             if len(text) > _REPR_CHARS:
                 return f"{type(self).__name__}<{text[:_REPR_CHARS]}...>"
         return f"{type(self).__name__}<{text}>"
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        first = first_copies(postorder((self, other)), tags=True)
+        return first[id(self)] == first[id(other)]
+
+    def __hash__(self):
+        return hash((type(self), self._max_index, self._affine))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -232,19 +245,19 @@ class Expr:
 # node types
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Const(Expr):
     c: float
     tag: str = AFFINE
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Var(Expr):
     index: int
     tag: str = AFFINE
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Affine(Expr):
     """Sparse affine combination  sum_i coeff_i * v_i + offset."""
 
@@ -253,7 +266,7 @@ class Affine(Expr):
     tag: str = AFFINE
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Sum(Expr):
     parts: tuple[Expr, ...]
     tag: str = NONE
@@ -262,7 +275,7 @@ class Sum(Expr):
         return self.parts
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class _Unary(Expr):
     """A node of one child; ``tag`` is keyword-only, so a subclass's own
     fields follow ``child`` positionally."""
@@ -274,7 +287,7 @@ class _Unary(Expr):
         return (self.child,)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Scale(_Unary):
     c: float
 
@@ -283,7 +296,7 @@ class Square(_Unary):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class IntPow(_Unary):
     k: int
 
@@ -293,7 +306,7 @@ class IntPow(_Unary):
         super().__post_init__()
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class RealPow(_Unary):
     """child ** a for real a > 0, defined on child >= 0 only."""
 
@@ -327,8 +340,8 @@ _AFFINE_NODES = (Const, Var, Affine, Sum, Scale)
 
 
 # ---------------------------------------------------------------------------
-# the walk: the kernels, remap and subst read it, so a tree of any depth is
-# walked without recursion and a shared node once
+# the walk: the kernels, remap, subst and == read it, so a tree of any depth
+# is walked without recursion and a shared node once
 
 
 def postorder(roots) -> Iterator[Expr]:
@@ -349,6 +362,28 @@ def postorder(roots) -> Iterator[Expr]:
             else:
                 stack.pop()
                 yield node
+
+
+def first_copies(order, tags: bool = False) -> dict[int, int]:
+    """Node id -> id of the first node of ``order`` (a :func:`postorder`)
+    with the same structure: the same type, fields and children (by their
+    first copies), tags compared only with ``tags``.  Floats compare by
+    their bits, so 0.0 and -0.0 stay apart."""
+    first: dict[int, int] = {}
+    seen: dict[tuple, int] = {}
+
+    def key(v):
+        if isinstance(v, Expr):
+            return first[id(v)]
+        if isinstance(v, tuple):
+            return tuple(key(u) for u in v)
+        return struct.pack("d", v) if isinstance(v, float) else v
+
+    for node in order:
+        names = [f.name for f in fields(node) if tags or f.name != "tag"]
+        k = (type(node), *(key(getattr(node, name)) for name in names))
+        first[id(node)] = seen.setdefault(k, id(node))
+    return first
 
 
 # ---------------------------------------------------------------------------

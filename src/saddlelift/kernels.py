@@ -42,8 +42,6 @@ constraints.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
@@ -63,6 +61,7 @@ from .expr import (
     Square,
     Sum,
     Var,
+    first_copies,
     kink_error,
     postorder,
 )
@@ -94,26 +93,6 @@ def _times_zero(grad: np.ndarray, nonfinite, present) -> None:
         absent = np.ones(grad.size, dtype=bool)
         absent[present[k]] = False
         grad[absent] += zero
-
-
-def _first_copies(order) -> dict[int, int]:
-    """Node id -> id of the first node of ``order`` with the same arithmetic:
-    the same type, fields and children (by their first copies), tags
-    ignored.  Floats compare by their bits, so 0.0 and -0.0 stay apart."""
-    first: dict[int, int] = {}
-    seen: dict[tuple, int] = {}
-
-    def key(v):
-        if isinstance(v, Expr):
-            return first[id(v)]
-        if isinstance(v, tuple):
-            return tuple(key(u) for u in v)
-        return struct.pack("d", v) if isinstance(v, float) else v
-
-    for node in order:
-        k = (type(node), *(key(getattr(node, f.name)) for f in fields(node) if f.name != "tag"))
-        first[id(node)] = seen.setdefault(k, id(node))
-    return first
 
 
 class _Lowering:
@@ -148,7 +127,7 @@ class _Lowering:
         self.kinks: dict[int, str] = {}  # node id -> local naming its kink
         self.used: set[int] = set()
         order = list(postorder(outputs))
-        first = self.first = _first_copies(order)
+        first = self.first = first_copies(order)
         # first copy -> index of the node that reads it last; an output is
         # read after every node
         self.last_reader = {

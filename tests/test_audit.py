@@ -12,6 +12,8 @@ from saddlelift.audit import (
     GridSpec,
     RegistryEntry,
     _default_bounds,
+    _gradient_bound,
+    _grid_scan,
     grid_minmax,
     identity_audit,
     load_registry,
@@ -184,6 +186,30 @@ def test_nan_objective_at_the_witness_fails_the_identity():
         witness_report(form, [1e200], check=True)
     assert "witness identity" in [it.label for it in validate_form(form, samples=5).failures()]
     assert registry_sweep([form])["nan_objective"].classification == CLASS_FAILED
+
+
+def test_grid_scan_of_an_x_outside_the_box_is_infeasible():
+    form = make_catalog_form("pow_a")  # x >= 0
+    assert _grid_scan(form, [-1.0], GridSpec(resolution=5)) == (math.inf, None)
+    assert grid_minmax(form, [-1.0], GridSpec(resolution=5)) == math.inf
+
+
+def test_gradient_bound_falls_back_where_g_raises():
+    # log z0 has no value at z0 = 0: every axis gets the floor bound 0.5
+    form = SaddleForm(
+        name="log_z",
+        partition=VarPartition(1, 1, 1),
+        box=Box.whole(3),
+        g=ex.add(ex.var(1), ex.log(ex.var(2))),
+    )
+    assert _gradient_bound(form, [0.0], [0.0, 1.0, 0.0]).tolist() == [0.5, 0.5]
+    assert _gradient_bound(form, [0.0], [0.0, 1.0, 0.25]).tolist() == [1.0, 4.0]
+
+
+def test_sweep_skips_a_form_without_a_reference():
+    form = dataclasses.replace(make_catalog_form("abs_power"), reference=None)
+    assert "abs_power" in registry_sweep([make_catalog_form("abs_power")])
+    assert registry_sweep([form]) == {}
 
 
 def test_overflowing_witness_or_reference_fails_the_audit():

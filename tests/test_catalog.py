@@ -4,6 +4,8 @@ known-issues registry contract."""
 import hashlib
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from saddlelift.forms import (
     validate_form,
     witness_check,
     witness_eval,
+    witness_report,
 )
 
 BROKEN = {"sigmoid", "geometric_poly", "l01_svm"}
@@ -108,6 +111,25 @@ def test_bilinear_xy_reference():
     assert f.reference(np.array([2.0, 3.0])) == 6.0
 
 
+def test_bilinear_xy_with_all_zero_data_is_the_zero_form():
+    f = make_structured("bilinear_xy", {"A": [[0.0, 0.0]], "c1": [0.0], "c2": [0.0, 0.0]})
+    assert f.g == ex.add(ex.const(0.0))
+    report = witness_report(f, [2.0, -3.0, 5.0])
+    assert report.value == report.reference == 0.0 and report.error == 0.0
+
+
+def test_pow_a_2n_witness_below_the_box_reads_nan():
+    # t**a of a negative Python float is complex, and casting it into the
+    # witness point printed numpy's ComplexWarning
+    form = make_catalog_form("pow_a_2n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = witness_report(form, [-1.0])
+        at_two = witness_eval(form, [2.0]).vec
+    assert report.error == math.inf and math.isnan(report.point.y[0])
+    assert at_two.tolist() == [2.0, 2.0**0.5, 4.0, 2.0 + 16.0, 4.0]
+
+
 def test_l01_svm_shape():
     A = [[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]
     f = make_structured("l01_svm", {"A": A, "d": [1.0, -1.0, 0.5], "C": 1.0})
@@ -161,9 +183,23 @@ def test_invalid_params_rejected():
         make_catalog_form("l0_scalar_reg", lam=-1.0)
     with pytest.raises(FormError):
         make_catalog_form("maxabs_minus_sum", n=0)
-    for n2 in (1.25, math.nan, 0):  # 1.25 used to build x^2 against a witness of x^2.5
+    for n2 in (1.25, math.nan, 0, math.inf, "1", True):  # 1.25 built x^2 against a witness of x^2.5
         with pytest.raises(FormError, match="integer n2"):
             make_catalog_form("pow_a_2n", n2=n2)
+    # a size n that is not an integral number ended in a TypeError
+    q = ex.square(ex.var(0))
+    for name, params in (
+        ("maxabs_minus_sum", {}),
+        ("entropy", {}),
+        ("dc", {}),
+        ("relu_convex", {}),
+        ("sparse_l0", {"q": q, "lam": 1.0}),
+    ):
+        for n in (2.5, 2.0000001, "2", math.nan, math.inf, True, 0, -1):
+            with pytest.raises(FormError, match=f"{name} requires an integer n >= 1"):
+                make_catalog_form(name, n=n, **params)
+        form = make_catalog_form(name, n=2.0, **params)
+        assert form.partition.n == 2 and type(form.partition.n) is int
     with pytest.raises(KeyError):
         make_catalog_form("nope")
     with pytest.raises(FormError):
@@ -218,6 +254,15 @@ def test_structural_validation_over_suite():
         assert not bad, (form.name, bad)
         if form.name not in BROKEN:
             assert rep.passed, (form.name, rep.failures())
+
+
+def test_sweep_lists_the_flagship_through_its_audit_instance():
+    # the suite instance (n = 5) is beyond the grid's reach; the n = 1
+    # instance shows the grid minmax below the reference
+    entry = registry_sweep([make_catalog_form("maxabs_minus_sum")])["maxabs_minus_sum"]
+    assert entry.classification == "d2-only"
+    oracle, ref = (float(v) for v in re.findall(r"(?:oracle|ref)=(\S+)", entry.counterexample))
+    assert oracle < ref - 1.0
 
 
 def test_registry_matches_sweep():

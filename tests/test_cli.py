@@ -315,6 +315,15 @@ _NAN = float("nan")
             {"problem": {"structured": "geometric_poly", "data": {"a": [_NAN], "alpha": [[1.0]]}}},
             "a must be finite",
         ),
+        # a size n that is not an integral number ended in a TypeError
+        ({"problem": {"catalog": "maxabs_minus_sum", "params": {"n": 2.5}}}, "integer n >= 1"),
+        ({"problem": {"catalog": "maxabs_minus_sum", "params": {"n": "2"}}}, "integer n >= 1"),
+        ({"problem": {"catalog": "entropy", "params": {"n": _NAN}}}, "integer n >= 1"),
+        ({"problem": {"catalog": "relu_convex", "params": {"n": 1.5}}}, "integer n >= 1"),
+        (
+            {"problem": {"structured": "sparse_l0", "data": {"q": "(sq x0)", "lam": 1, "n": 2.5}}},
+            "integer n >= 1",
+        ),
     ],
 )
 def test_malformed_problem_file_exits_one(tmp_path, capsys, doc, words):

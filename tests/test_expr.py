@@ -214,12 +214,17 @@ def test_a_long_sum_needs_no_frame_per_node():
 
     n = 5000
     e = sum(ex.square(ex.var(i) - 0.5) for i in range(n))
+    twin = sum(ex.square(ex.var(i) - 0.5) for i in range(n))
     p = np.linspace(-1.0, 1.0, n)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_depth() + 60)
     try:
         facts = e.max_index(), e.is_affine()
+        # == and hash recursed once per level (RecursionError from about
+        # 300 terms for ==, 1,000 for hash)
+        same, hashed, member = e == twin, hash(e) == hash(twin), twin in {e}
         moved, put = e.remap({0: 1}), e.subst(0, ex.var(1))
+        unequal = e != moved and e != put
         text, shown = ex.to_sexpr(e, lambda i: f"x{i}"), repr(e)
         v, (vg, g) = e.value(p), e.value_grad(p)
         batch = e.value_batch(np.stack([p, -p], axis=1))
@@ -227,6 +232,7 @@ def test_a_long_sum_needs_no_frame_per_node():
     finally:
         sys.setrecursionlimit(limit)
     assert facts == (n - 1, False)
+    assert same and hashed and member and unequal
     assert moved.max_index() == put.max_index() == n - 1
     assert text.count("(sq ") == n and doc["g"] == text
     assert shown.startswith("Sum<(+ (+ (+ ") and len(shown) < 300
@@ -248,9 +254,22 @@ def test_a_long_sum_reads_back_from_its_problem_file():
     try:
         back = inline_form(json.loads(json.dumps(form_to_inline(form))))
         texts = [ex.to_sexpr(f.g, f.partition.name_of) for f in (form, back)]
+        same = back.g == form.g
     finally:
         sys.setrecursionlimit(limit)
-    assert back.partition == form.partition and texts[0] == texts[1]  # == recurses
+    assert back.partition == form.partition and texts[0] == texts[1] and same
+
+
+def test_equality_is_structural_with_floats_by_their_bits():
+    x0 = ex.var(0)
+    assert ex.square(x0 - 1.0) == ex.square(ex.var(0) - 1.0)
+    assert hash(ex.square(x0 - 1.0)) == hash(ex.square(ex.var(0) - 1.0))
+    # 0.0 == -0.0 as floats, but the kernels compile the two apart
+    assert ex.const(0.0) != ex.const(-0.0)
+    assert ex.affine([(0, 1.0)], 0.0) != ex.affine([(0, 1.0)], -0.0)
+    # the tag is part of the structure; other types never equal a node
+    assert x0 != x0.with_tag(ex.CONVEX) and x0 != 0 and ex.const(1.0) != 1.0
+    assert ex.square(x0) != ex.ipow(x0, 2)
 
 
 def test_repr_is_the_grammar_text_cut_short():
@@ -311,6 +330,14 @@ def test_a_shared_tree_is_walked_once_per_node(monkeypatch):
     assert n == 64 and moved.parts[0] is moved.parts[1] and moved.max_index() == 1
     put, n = walked(lambda: a.subst(0, ex.var(2)))
     assert n == 62 and put.parts[0] is put.parts[1] and put.max_index() == 2
+    # == walks each distinct node of both trees once (twenty levels here:
+    # a comparison per path takes about 2**20 steps)
+    short, twin = ex.square(ex.var(0)), ex.square(ex.var(0))
+    for _ in range(20):
+        short, twin = short + short, twin + twin
+    assert walked(lambda: short == twin) == (True, 44)
+    other = twin.remap({0: 1})
+    assert walked(lambda: short == other) == (False, 44)
     assert e.value(np.array([3.0])) == 9.0 * 2.0**30
 
 

@@ -128,6 +128,20 @@ def test_validate_dc_form():
     assert form.g.value(p.vec) == pytest.approx(4.0)
 
 
+def test_validate_form_names_a_curvature_counterexample():
+    # g = -x0^2 is concave, so the convexity audit over x finds a blend that fails
+    form = sl.SaddleForm(
+        name="concave_g",
+        partition=VarPartition(1, 0, 0),
+        box=Box.whole(1),
+        g=ex.neg(ex.square(ex.var(0))),
+    )
+    [item] = validate_form(form, samples=10, seed=0).failures()
+    assert item.label == "g convex on (x,y)"
+    assert item.detail.startswith("counterexample u=[") and " v=[" in item.detail
+    assert " t=" in item.detail
+
+
 def test_out_of_range_index_rejected():
     with pytest.raises(FormError):
         sl.SaddleForm(

@@ -29,3 +29,13 @@ def test_readme_cli_lines_exit_zero(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
     assert (tmp_path / "trace.csv").is_file()
+
+
+def test_readme_registry_recipe_prints_the_shipped_registry(capsys):
+    # the heredoc body of the README's regeneration recipe, run as written
+    section = README.read_text().split("## Regenerating the known-issues registry", 1)[1]
+    (script,) = re.findall(r"^python3 - <<'PY'\n(.*?)^PY$", section, re.S | re.M)
+    exec(compile(script, str(README), "exec"), {})
+    registry = ROOT / "src" / "saddlelift" / "known_issues.txt"
+    data = [line for line in registry.read_text().splitlines() if not line.startswith("#")]
+    assert capsys.readouterr().out.splitlines() == data

@@ -150,6 +150,21 @@ def test_inner_exit_stall_and_coordinates_find_nothing():
     assert calls == [True] + [False] * 80 + [False] * 30
 
 
+def test_inner_exit_iteration_cap_in_the_coordinate_phase():
+    # the falling line of the cap test, plus a plateau of 1e9 where both
+    # coordinates pass 1990: 1,990 joint steps, a stall, then sweeps that move
+    # x0 alone (its warm step doubling each time) until the cap ends a sweep
+    def plateau(p, need_grad):
+        v = -float(p[0]) - float(p[1]) + (1e9 if p[0] > 1990.0 and p[1] > 1990.0 else 0.0)
+        return v, (np.array([-1.0, -1.0]) if need_grad else None)
+
+    obj, calls = _logged(plateau)
+    res = inner_minimize(obj, [0.0, 0.0], [np.inf, np.inf], [0.0, 0.0])
+    assert not res.converged and res.iterations == 2000
+    assert res.point.tolist() == [1990.0 * 2**9, 1990.0]
+    assert calls.count(True) == 1 + 1990 + 9
+
+
 def _p51_start(n, z_sign):
     return np.concatenate(
         [np.arange(1.0, 2 * n + 2), z_sign * 1000.0 * np.arange(1, n + 1)]
