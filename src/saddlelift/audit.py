@@ -42,6 +42,8 @@ CLASS_VERIFIED = "d2-and-d3-verified"
 CLASS_D2_ONLY = "d2-only"
 CLASS_FAILED = "failed"
 
+GRID_AXES = 4  # the most (y, z) axes the grid oracle scans
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -99,10 +101,8 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     of a z axis once per point of that axis.  Only the achieving point is
     built as a vector."""
     part = form.partition
-    if part.m1 + part.m2 > 4:
-        raise FormError(
-            f"grid oracle supports m1 + m2 <= 4, form has {part.m1 + part.m2}"
-        )
+    if part.m1 + part.m2 > GRID_AXES:
+        raise FormError(f"grid oracle supports m1 + m2 <= {GRID_AXES}, form has {part.m1 + part.m2}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if form.box.slice(range(part.n)).excess(x) > D2_TOL:
         return math.inf, None
@@ -347,40 +347,41 @@ def sweep_resolution(form: SaddleForm) -> int:
     return 13
 
 
+def _audited(form: SaddleForm) -> SaddleForm | None:
+    """The form the grid oracle audits for ``form``: itself within reach, else
+    the ``audit_params`` instance of the catalog family of its name, or None."""
+    if form.partition.m1 + form.partition.m2 <= GRID_AXES:
+        return form
+    entry = CATALOG.get(form.name)
+    if entry is None or entry.audit_params is None:
+        return None
+    return entry.build(**entry.audit_params)
+
+
 def registry_sweep(forms) -> dict[str, RegistryEntry]:
     """Classify forms with fixed audit parameters (x sampled from seed 0);
     divergent ones get entries.
 
-    Grid-auditable forms (m1 + m2 <= 4) run the full identity audit.  A
-    larger form whose catalog family names ``audit_params`` is audited
-    through that instance instead; the others are checked on the witness
-    identity alone and can only earn a 'failed' entry.  The shipped
-    known_issues.txt is exactly the output of this sweep over the default
-    catalog suite, and tests re-run the sweep to keep the file honest.
+    A form runs the full identity audit on the form :func:`_audited` gives;
+    where it gives None, the witness identity alone is checked, which can
+    only earn a 'failed' entry.  The shipped known_issues.txt is exactly the
+    output of this sweep over the default catalog suite, and tests re-run
+    the sweep to keep the file honest.
     """
     entries: dict[str, RegistryEntry] = {}
     for form in forms:
         if form.reference is None:
             continue
-        entry = CATALOG.get(form.name)
-        if form.partition.m1 + form.partition.m2 > 4 and entry and entry.audit_params:
-            form = entry.build(**entry.audit_params)
-        xs = form.sample_x(np.random.default_rng(0), SWEEP_SAMPLES)
-        if form.partition.m1 + form.partition.m2 <= 4:
-            report = identity_audit(
-                form, xs, GridSpec(resolution=sweep_resolution(form)), tol=SWEEP_TOL
-            )
-            if report.classification != CLASS_VERIFIED:
-                entries[form.name] = RegistryEntry(
-                    form.name, report.classification, report.counterexample, SWEEP_DATE
-                )
+        audited = _audited(form)
+        xs = (audited or form).sample_x(np.random.default_rng(0), SWEEP_SAMPLES)
+        if audited is not None:
+            grid = GridSpec(resolution=sweep_resolution(audited))
+            report = identity_audit(audited, xs, grid, tol=SWEEP_TOL)
+            found = report.classification, report.counterexample
         else:
             worst, worst_x = witness_check(form, xs)
-            if worst > D2_TOL:
-                entries[form.name] = RegistryEntry(
-                    form.name,
-                    CLASS_FAILED,
-                    f"x={_fmt_vec(worst_x)} witness_gap={worst:.6g}",
-                    SWEEP_DATE,
-                )
+            cls = CLASS_FAILED if worst > D2_TOL else CLASS_VERIFIED
+            found = cls, f"x={_fmt_vec(worst_x)} witness_gap={worst:.6g}"
+        if found[0] != CLASS_VERIFIED:
+            entries[form.name] = RegistryEntry(form.name, *found, SWEEP_DATE)
     return entries

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -1024,9 +1024,10 @@ class CatalogEntry:
     """A family of lifted forms: its builder, what its parameters must
     satisfy, ``suite``, the parameters of its :func:`default_suite`
     instance (empty where the builder's defaults are that instance), and
-    ``audit_params``, the parameters of the instance the registry sweep
-    audits where the suite instance is beyond the grid oracle's reach
-    (None: only the witness identity is checked there)."""
+    ``audit_params``, the parameters of the instance ``audit._audited`` gives
+    the registry sweep and ``saddlelift audit`` for a form of the family
+    beyond the grid oracle's reach (None: none, so the sweep checks only
+    the witness identity there and the CLI cannot audit it)."""
 
     name: str
     summary: str
@@ -1121,12 +1122,11 @@ def describe(name: str) -> dict:
     """The entry's summary, parameter notes and the shape of its suite instance."""
     entry = CATALOG[name]
     form = entry.build(**entry.suite)
-    p = form.partition
     return {
         "name": name,
         "summary": entry.summary,
         "params": entry.params_doc,
-        "partition": [p.n, p.m1, p.m2],
+        "partition": list(astuple(form.partition)),
         "inequalities": len(form.ineq),
         "equalities": len(form.eq),
     }

@@ -28,13 +28,14 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from . import catalog as cat
 from . import expr as ex
-from .audit import GridSpec, identity_audit, load_registry
+from .audit import CLASS_FAILED, GRID_AXES, GridSpec, _audited, identity_audit, load_registry
 from .forms import (
     Box,
     FormError,
@@ -64,10 +65,8 @@ def _round_floats(obj):
         return float(f"{obj:.9g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):  # an array's entries are floats
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round_floats(float(v)) for v in obj]
     return obj
 
 
@@ -256,17 +255,16 @@ def cmd_audit(args) -> int:
     form, _, _ = load_problem_file(args.file)
     if form.reference is None:
         raise CliError("audit needs a problem with a reference evaluator", 2)
-    rng = np.random.default_rng(args.seed)
-    xs = form.sample_x(rng, args.samples)
-    try:
-        report = identity_audit(form, xs, GridSpec(resolution=args.grid), tol=args.tol)
-    except FormError as err:  # a form the grid oracle cannot reach
-        raise CliError(f"cannot audit {form.name}: {err}", 2)
-    registry = load_registry()
-    listed = registry.get(form.name)
+    audited = _audited(form)
+    if audited is None:  # beyond the grid, and its family names no audit instance
+        raise CliError(f"cannot audit {form.name}: grid oracle supports m1 + m2 <= {GRID_AXES}", 2)
+    xs = audited.sample_x(np.random.default_rng(args.seed), args.samples)
+    report = identity_audit(audited, xs, GridSpec(resolution=args.grid), tol=args.tol)
+    listed = load_registry().get(form.name)
     _emit(
         {
             "form": report.form,
+            "partition": dataclasses.astuple(audited.partition),
             "classification": report.classification,
             "counterexample": report.counterexample,
             "samples": len(report.rows),
@@ -276,7 +274,7 @@ def cmd_audit(args) -> int:
             "rows": [{k: getattr(r, k) for k in _AUDIT_ROW_FIELDS} for r in report.rows],
         }
     )
-    return 0 if report.classification != "failed" else 2
+    return 0 if report.classification != CLASS_FAILED else 2
 
 
 def cmd_kkt(args) -> int:
@@ -343,6 +341,10 @@ def cmd_catalog(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # "-1,1,1" and "-1e-3" are values
+
     def error(self, message):
         raise CliError(message)
 

@@ -13,7 +13,7 @@ separately, and divergences land in the known-issues registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
@@ -236,6 +236,8 @@ class SaddleForm:
         object.__setattr__(self, "eq", tuple(self.eq))
         object.__setattr__(self, "declares", frozenset(self.declares))
 
+    __getstate__ = Expr.__getstate__  # the tape stays behind, as an expression's does
+
     def components(self):
         yield "g", self.g
         for i, gi in enumerate(self.ineq):
@@ -290,16 +292,10 @@ class SaddleForm:
 
     def _penalty_kernel(self, power: float, grad: bool):
         """The tape's penalty kernel ``(p, sign, rho, power)`` over a list of
-        Python floats, for a power > 1: compiled on first use and kept on
-        the form, returned unevaluated."""
+        Python floats, for a power > 1, returned unevaluated."""
         if not power > 1:
             raise ValueError(f"smoothing power must be > 1, got {power}")
-        key = "_penalty_grad" if grad else "_penalty_value"
-        kernel = self.__dict__.get(key)
-        if kernel is None:
-            kernel = self.tape().penalty(len(self.ineq), grad)
-            object.__setattr__(self, key, kernel)
-        return kernel
+        return self.tape().penalty(len(self.ineq), grad)
 
     def point(self, vec) -> SaddlePoint:
         return SaddlePoint(self.partition, np.asarray(vec, dtype=float))
@@ -315,8 +311,6 @@ class SaddleForm:
         return rng.uniform(lo[:n], hi[:n], size=(count, n))
 
     def declare(self, *decls: str) -> "SaddleForm":
-        from dataclasses import replace
-
         return replace(self, declares=self.declares | set(decls))
 
 

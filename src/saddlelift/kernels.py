@@ -423,14 +423,15 @@ class Tape:
     once, not once per point; every operation is elementwise, so each point
     gets the same IEEE operations as on the dense grid.  ``dim`` is one more
     than the largest variable index referenced.  Every kernel is compiled
-    on its first call.  ``penalty(ineq, grad)`` compiles a penalty kernel
+    on its first call.  ``penalty(ineq, grad)`` is the penalty kernel
     ``(p, sign, rho, power)`` of the outputs read as (g, g_1..g_ineq, h_1..)
-    (see the module docstring).
+    (see the module docstring), compiled on first use and kept.
     """
 
     def __init__(self, outputs):
         self.outputs = tuple(outputs)
         self.dim = 1 + max((e.max_index() for e in self.outputs), default=-1)
+        self._penalties = {}
 
     @cached_property
     def value(self):
@@ -467,7 +468,9 @@ class Tape:
         return outs
 
     def penalty(self, ineq: int, grad: bool):
-        return self._compile("grad" if grad else "value", ineq)
+        if (ineq, grad) not in self._penalties:
+            self._penalties[ineq, grad] = self._compile("grad" if grad else "value", ineq)
+        return self._penalties[ineq, grad]
 
     def _compile(self, mode: str, ineq: int | None = None):
         low = _Lowering(self.outputs, mode)

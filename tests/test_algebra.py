@@ -175,6 +175,10 @@ def test_compose_identity():
 def test_compose_rejects_decreasing_phi():
     with pytest.raises(HypothesisViolationError):
         alg.compose_monotone_convex(_sq_form(), ex.neg(ex.var(0)))
+    with pytest.raises(HypothesisViolationError, match="phi fails the sampled convexity"):
+        alg.compose_monotone_convex(_sq_form(), ex.neg(ex.square(ex.var(0))))
+    with pytest.raises(FormError, match="phi must be univariate"):
+        alg.compose_monotone_convex(_sq_form(), ex.var(1))
 
 
 def test_power_half():

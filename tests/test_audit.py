@@ -9,8 +9,10 @@ import pytest
 from saddlelift import expr as ex
 from saddlelift.audit import (
     CLASS_FAILED,
+    GRID_AXES,
     GridSpec,
     RegistryEntry,
+    _audited,
     _default_bounds,
     _gradient_bound,
     _grid_scan,
@@ -20,7 +22,7 @@ from saddlelift.audit import (
     parse_registry_line,
     registry_sweep,
 )
-from saddlelift.catalog import make_catalog_form, trivial_convex
+from saddlelift.catalog import CATALOG, default_suite, make_catalog_form, trivial_convex
 from saddlelift.forms import (
     Box,
     FormError,
@@ -67,6 +69,8 @@ def test_dimension_cap():
     form = make_catalog_form("maxabs_minus_sum", n=5)  # m1 + m2 = 11
     with pytest.raises(FormError):
         grid_minmax(form, np.zeros(5))
+    with pytest.raises(FormError, match="grid needs 2 axis bounds, got 1"):
+        grid_minmax(make_catalog_form("abs_power"), [0.5], GridSpec(11, bounds=((0.0, 1.0),)))
 
 
 def test_identity_audit_positive_controls():
@@ -92,11 +96,16 @@ def test_identity_audit_needs_a_sample():
     # zero rows used to classify as d2-and-d3-verified
     with pytest.raises(ValueError):
         identity_audit(make_catalog_form("dc"), [], GridSpec(resolution=41))
+    bare = dataclasses.replace(make_catalog_form("dc"), reference=None)
+    with pytest.raises(FormError, match="needs a form with a reference evaluator"):
+        identity_audit(bare, [[0.0]], GridSpec(resolution=41))
 
 
 def test_grid_spec_settings():
     # the feasibility tolerance is forms.D2_TOL, not a setting
     assert [f.name for f in dataclasses.fields(GridSpec)] == ["resolution", "bounds"]
+    with pytest.raises(ValueError, match="grid resolution must be >= 2"):
+        GridSpec(resolution=1)
 
 
 def test_witness_outside_a_constraint_domain_fails_the_audit():
@@ -204,6 +213,22 @@ def test_gradient_bound_falls_back_where_g_raises():
     )
     assert _gradient_bound(form, [0.0], [0.0, 1.0, 0.0]).tolist() == [0.5, 0.5]
     assert _gradient_bound(form, [0.0], [0.0, 1.0, 0.25]).tolist() == [1.0, 4.0]
+
+
+def test_one_rule_picks_the_audited_form():
+    for form in default_suite():
+        part = form.partition
+        if part.m1 + part.m2 <= GRID_AXES:
+            assert _audited(form) is form
+    flagship = _audited(make_catalog_form("maxabs_minus_sum", n=5))
+    assert flagship.name == "maxabs_minus_sum"
+    assert flagship.partition == VarPartition(1, 2, 1)
+    for name in ("l01_svm", "geometric_poly"):  # beyond reach, no audit instance
+        assert _audited(make_catalog_form(name, **CATALOG[name].suite)) is None
+    for entry in CATALOG.values():  # an audit instance is within reach
+        if entry.audit_params is not None:
+            part = entry.build(**entry.audit_params).partition
+            assert part.m1 + part.m2 <= GRID_AXES, entry.name
 
 
 def test_sweep_skips_a_form_without_a_reference():

@@ -202,6 +202,21 @@ def test_invalid_params_rejected():
         assert form.partition.n == 2 and type(form.partition.n) is int
     with pytest.raises(KeyError):
         make_catalog_form("nope")
+    for name, params, words in (
+        ("pow_a_plus_1", {"a": 1.5}, "pow_a_plus_1 requires 0 < a < 1"),
+        ("pow_a_2n", {"a": 0.0}, "pow_a_2n requires 0 < a < 1"),
+        ("dc", {"d": ex.square(ex.var(1))}, "d may reference only the first 1"),
+        ("geometric_poly", {"a": [1.0], "alpha": [1.0]}, "need a of shape (m,) and alpha"),
+        ("geometric_poly", {"a": [0.0], "alpha": [[1.0]]}, "coefficients a_i must be nonzero"),
+        ("l01_svm", {"A": [[1.0]], "d": [1.0, 2.0]}, "need A of shape (m, n) and d"),
+        ("bilinear_xy", {"A": [[1.0]], "c1": [0.0, 0.0], "c2": [0.0]}, "need A of shape (n, m)"),
+    ):
+        with pytest.raises(FormError) as err:
+            make_catalog_form(name, **params)
+        assert words in str(err.value)
+    for coord in (-1, 2):
+        with pytest.raises(FormError, match="coord outside x block"):
+            abs_sqrt_term(2, coord)
     with pytest.raises(FormError):
         make_structured("quadratic", {"A": [[1.0, 2.0]], "c": [0.0]})
     with pytest.raises(FormError):

@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, exit codes, round trips, determinism."""
 
+import inspect
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from saddlelift import cli
 from saddlelift import expr as ex
-from saddlelift.catalog import default_suite, make_catalog_form, make_structured
+from saddlelift.audit import GridSpec, identity_audit
+from saddlelift.catalog import CATALOG, default_suite, make_catalog_form, make_structured
+from saddlelift.solver import kkt_residual
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -181,6 +185,8 @@ def test_catalog_covers_the_structured_families(capsys):
     assert json.loads(capsys.readouterr().out)["partition"] == [2, 0, 2]
     assert cli.main(["catalog", "describe", "nope"]) == 1
     assert capsys.readouterr().err == "error: unknown catalog id: nope\n"
+    assert cli.main(["catalog", "describe"]) == 1
+    assert capsys.readouterr().err == "error: catalog describe needs an id\n"
 
 
 @pytest.mark.parametrize("key, fields", [("catalog", "params"), ("structured", "data")])
@@ -201,6 +207,48 @@ def test_audit_command(tmp_path, capsys):
     assert out["classification"] == "d2-and-d3-verified"
 
 
+def test_audit_reaches_the_flagship_through_its_audit_instance(capsys):
+    # m1 + m2 = 11 at n = 5: the audit exited 2 with "cannot audit", while the
+    # registry sweep audits the n = 1 instance and lists the family d2-only
+    argv = ["audit", str(PROBLEMS / "p51_n5.json"), "--grid", "11", "--samples", "2"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["form"] == "maxabs_minus_sum" and out["partition"] == [1, 2, 1]
+    assert out["classification"] == out["registry"] == "d2-only"
+    assert all(len(row["x"]) == 1 for row in out["rows"])
+
+
+def test_the_cli_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    audit_args = parser.parse_args(["audit", "p.json"])
+    assert audit_args.grid == GridSpec().resolution
+    assert audit_args.tol == inspect.signature(identity_audit).parameters["tol"].default
+    kkt_args = parser.parse_args(["kkt", "p.json", "--point", "0"])
+    assert kkt_args.feas_tol == inspect.signature(kkt_residual).parameters["feas_tol"].default
+
+
+def test_non_finite_floats_print_as_null(capsys):
+    cli._emit({"a": math.inf, "b": [math.nan, -math.inf, 1.0]})
+    assert capsys.readouterr().out == '{"a": null, "b": [null, null, 1.0]}\n'
+
+
+@pytest.mark.parametrize(
+    "argv, code, words",
+    [
+        # argparse read a value starting "-1," or "-1e" as an option and exited 1
+        # with "expected one argument"; only --point=-1,1,1 worked
+        (["kkt", "--point", "-1,1,1"], 0, '"form": "abs_power"'),
+        (["witness", "--x", "-1e-3"], 0, '"y": [0.0316227766]'),
+        (["kkt", "--point", "0,a,0"], 1, "could not parse --point: '0,a,0'"),
+        (["witness", "--x", "1,2"], 1, "--x must have 1 entries, got 2"),
+    ],
+)
+def test_vector_arguments(capsys, argv, code, words):
+    assert cli.main([argv[0], str(PROBLEMS / "ex41.json"), *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert words in (captured.out if code == 0 else captured.err)
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
@@ -213,23 +261,33 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+_UNAUDITABLE = {
+    # m1 + m2 = 12, beyond the grid, and the family names no audit instance
+    "l01_svm": {"problem": {"catalog": "l01_svm", "params": CATALOG["l01_svm"].suite}},
+    # no reference evaluator to audit against
+    "inline": {"problem": {"inline": {"partition": [1, 0, 0], "g": "(sq x0)"}}},
+}
+
+
 @pytest.mark.parametrize(
     "problem, args, code",
     [
         (None, ["--grid", "1"], 1),
         (None, ["--samples", "0"], 1),
         (None, ["--samples", "-3"], 1),
-        ("p51_n5.json", ["--grid", "11", "--samples", "1"], 2),
+        ("l01_svm", ["--grid", "11", "--samples", "1"], 2),
         # a NaN, negative or infinite tolerance gave a verdict with exit 0
         (None, ["--tol", "nan"], 1),
         (None, ["--tol", "-1"], 1),
         (None, ["--tol", "inf"], 1),
+        ("inline", [], 2),
     ],
 )
 def test_audit_rejects_what_it_cannot_audit(tmp_path, capsys, problem, args, code):
-    # a degenerate grid or sample count, and a form with m1 + m2 > 4, used to
-    # end in a traceback (or, for --samples 0, in a verdict from no rows)
-    path = str(PROBLEMS / problem) if problem else _write(tmp_path, _dc_problem())
+    # a degenerate grid or sample count, and a form beyond the grid with no
+    # audit instance, used to end in a traceback (or, for --samples 0, in a
+    # verdict from no rows)
+    path = _write(tmp_path, _UNAUDITABLE[problem] if problem else _dc_problem())
     assert cli.main(["audit", path, *args]) == code
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
@@ -324,6 +382,11 @@ _NAN = float("nan")
             {"problem": {"structured": "sparse_l0", "data": {"q": "(sq x0)", "lam": 1, "n": 2.5}}},
             "integer n >= 1",
         ),
+        ({"solver": {}}, "problem file needs a 'problem' object"),
+        ({"problem": {"expr": "(sq x0)"}}, "'problem' must contain 'catalog'"),
+        ({"problem": {"inline": {"g": "(sq x0)"}}}, "inline form needs 'partition'"),
+        ({"problem": {"inline": {**_INLINE, "upper": [1.0, 2.0]}}}, "'upper' must have 1 entries"),
+        ({**_dc_problem(), "start": [2.0]}, "start vector must have length 2, got 1"),
     ],
 )
 def test_malformed_problem_file_exits_one(tmp_path, capsys, doc, words):

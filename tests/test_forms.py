@@ -1,5 +1,6 @@
 """Form data model: membership, witness evaluation, structural validation."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -75,6 +76,8 @@ def test_witness_abs_power(f41):
     p = witness_eval(f41, [4.0])
     np.testing.assert_allclose(p.vec, [4.0, 2.0, 16.0])
     assert f41.g.value(p.vec) == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(FormError, match=r"x has shape \(2,\), expected \(1,\)"):
+        witness_eval(f41, [4.0, 1.0], check=False)
 
 
 def test_witness_sparse_l0_scalar_at_zero():
@@ -152,6 +155,20 @@ def test_out_of_range_index_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "changes, words",
+    [
+        ({"box": Box.whole(2)}, "box dimension does not match partition"),
+        ({"window": Box.whole(4)}, "window dimension does not match partition"),
+        ({"declares": {"concave"}}, "unknown declarations ['concave']"),
+    ],
+)
+def test_inconsistent_form_rejected(f41, changes, words):
+    with pytest.raises(FormError) as err:
+        dataclasses.replace(f41, **changes)
+    assert str(err.value) == words
+
+
 def test_box_and_window():
     box = Box((0.0, -np.inf), (1.0, np.inf))
     assert box.excess(np.array([1.5, 0.0])) == 0.5
@@ -170,6 +187,8 @@ def test_box_and_window():
     for lower, upper in (((np.nan,), (1.0,)), ((0.0,), (np.nan,)), ((2.0,), (1.0,))):
         with pytest.raises(FormError, match=rf"\({lower[0]}, {upper[0]}\)"):
             Box(lower, upper)
+    with pytest.raises(FormError, match="box bound lengths differ"):
+        Box((0.0,), (1.0, 2.0))
 
 
 def test_witness_reports_do_not_warn():
@@ -213,3 +232,8 @@ def test_partition_names():
     assert [part.index_of(n) for n in names] == [0, 1, 2, 3]
     with pytest.raises(KeyError):
         part.index_of("y5")
+    with pytest.raises(FormError, match="index 4 outside partition of size 4"):
+        part.name_of(4)
+    for n, m1, m2 in ((0, 1, 1), (1, -1, 0), (1, 0, -1)):
+        with pytest.raises(FormError, match="partition requires n >= 1"):
+            VarPartition(n, m1, m2)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saddlelift import algebra
+from saddlelift import algebra, cli
 from saddlelift import expr as ex
 from saddlelift.catalog import default_suite, make_catalog_form, trivial_convex
 from saddlelift.forms import Box, SaddleForm, SaddlePoint, VarPartition
@@ -324,6 +324,14 @@ def test_sine_of_an_infinite_argument_reads_nan():
     assert math.isnan(v) and np.isnan(g).all()
 
 
+def test_an_unknown_node_type_does_not_compile():
+    class Cube(ex._Unary):
+        pass
+
+    with pytest.raises(TypeError, match="cannot compile node Cube"):
+        Cube(ex.var(0)).value([1.0])
+
+
 def test_domain_error_names_the_offending_node():
     bad = ex.log(ex.var(1))
     e = ex.add(ex.square(ex.var(0)), bad)
@@ -421,6 +429,32 @@ def test_evaluated_expressions_pickle():
     back = pickle.loads(pickle.dumps(e))
     assert back == e
     assert back.value_grad([1.0])[0] == e.value([1.0])
+
+
+def test_evaluated_forms_pickle():
+    # the penalty kernels were kept on the form itself, so a form that had
+    # computed a penalty raised PicklingError
+    doc = {
+        "inline": {
+            "partition": [1, 1, 1],
+            "lower": [None, 0.0, 0.0],
+            "g": "(+ y0 (pow y0 4) (neg z0) (sq x0) (neg z0))",
+            "ineq": ["(+ (pow y0 4) (neg z0))", "(+ (sq x0) (neg z0))", "(neg y0)"],
+            "eq": ["(aff y0 1 x0 -1 -0.25)"],
+        }
+    }
+    form = cli.load_form({"problem": doc})
+    v = [0.7, 0.4, 0.3]
+    before = [form.values(v)] + [
+        form.smoothed_penalty(v, -1.0, 10.0, 1.5, grad) for grad in (False, True)
+    ]
+    back = pickle.loads(pickle.dumps(form))
+    assert "_tape" not in back.__dict__
+    after = [back.values(v)] + [
+        back.smoothed_penalty(v, -1.0, 10.0, 1.5, grad) for grad in (False, True)
+    ]
+    assert after[:2] == before[:2]
+    assert after[2][0] == before[2][0] and after[2][1].tobytes() == before[2][1].tobytes()
 
 
 def _rebuilt(e):

@@ -309,6 +309,10 @@ def test_kkt_rejects_infeasible_point():
     form = make_catalog_form("abs_power")
     with pytest.raises(FormError):
         kkt_residual(form, SaddlePoint(form.partition, np.array([1.0, 1.0, 0.0])))
+    origin = SaddlePoint(form.partition, np.zeros(3))
+    for name, size in (("alpha", 2), ("beta", 4)):
+        with pytest.raises(ValueError, match=f"{name} must have length 3"):
+            kkt_residual(form, origin, **{name: np.ones(size)})
 
 
 def test_exactness_probe_on_quartic_lift():
@@ -351,6 +355,8 @@ def test_stability_probe_zero_perturbation():
     rep = stability_probe(form, p, [(np.zeros(3), np.zeros(0))], rho=10.0)
     assert rep.rows[0].holds
     assert rep.rows[0].size == 0.0
+    with pytest.raises(FormError, match="perturbation sizes must match"):
+        stability_probe(form, p, [(np.zeros(2), np.zeros(0))], rho=10.0)
 
 
 def test_stability_probe_small_and_large_perturbations():
