@@ -25,16 +25,8 @@ import numpy as np
 
 from .catalog import CATALOG
 from .expr import ExprError
-from .forms import (
-    D2_TOL,
-    FormError,
-    SaddleForm,
-    WitnessOverflowError,
-    reference_value,
-    witness_check,
-    witness_eval,
-    witness_report,
-)
+from .forms import D2_TOL, FormError, SaddleForm, _witness_read, reference_value
+from .forms import witness_check, witness_eval
 
 _CHUNK = 200_000
 
@@ -220,37 +212,34 @@ def identity_audit(
     if form.reference is None:
         raise FormError("identity_audit needs a form with a reference evaluator")
     grid = grid or GridSpec()
+    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
+    points, values, refs, violation, error, raised = _witness_read(form, xs)
     rows = []
-    for x in xs:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        try:
-            ref = reference_value(form, x)
-        except WitnessOverflowError:
-            ref = math.nan  # out of the float range: no gap can pass
-        try:
-            report = witness_report(form, x) if form.witness is not None else None
-        except (ExprError, FormError):
-            report = None
-        # where the report raises, the bare map may still place the grid
-        witness = _map_point(form, x) if report is None else report.point.vec
+    for k, x in enumerate(xs):
+        witness, ref = points[k], float(refs[k])
+        if k in raised:  # the bare map may still place the grid
+            witness = _map_point(form, x)
+            try:
+                with np.errstate(all="ignore"):
+                    ref = reference_value(form, x)
+            except FormError:
+                ref = math.nan  # out of the float range or not a number: no gap can pass
         gx = grid
         if grid.bounds is None:
             gx = replace(grid, bounds=tuple(_default_bounds(form, witness)))
         oracle, opoint = _grid_scan(form, x, gx)
         steps = np.array([(hi - lo) / (gx.resolution - 1) for lo, hi in gx.bounds])
-        allowance = (
-            float(steps @ _gradient_bound(form, x, witness if opoint is None else opoint))
-            if steps.size
-            else 0.0
-        )
+        probe = witness if opoint is None else opoint
+        with np.errstate(over="ignore"):  # inf where a far witness widened the grid
+            allowance = float(steps @ _gradient_bound(form, x, probe)) if steps.size else 0.0
         ogap = abs(oracle - ref) if math.isfinite(oracle) else math.inf
         rows.append(
             IdentityRow(
                 x=x,
                 reference=ref,
-                witness_value=math.nan if report is None else report.value,
-                witness_feasible=report is not None and report.membership.feasible,
-                witness_gap=math.inf if report is None else report.error,
+                witness_value=float(values[k]),
+                witness_feasible=bool(violation[k] <= D2_TOL),
+                witness_gap=float(error[k]),
                 oracle=oracle,
                 oracle_gap=ogap,
                 allowance=allowance,
@@ -380,8 +369,9 @@ def registry_sweep(forms) -> dict[str, RegistryEntry]:
             found = report.classification, report.counterexample
         else:
             worst, worst_x = witness_check(form, xs)
-            cls = CLASS_FAILED if worst > D2_TOL else CLASS_VERIFIED
-            found = cls, f"x={_fmt_vec(worst_x)} witness_gap={worst:.6g}"
+            found = CLASS_VERIFIED, ""  # worst_x is None where every error is 0
+            if worst > D2_TOL:
+                found = CLASS_FAILED, f"x={_fmt_vec(worst_x)} witness_gap={worst:.6g}"
         if found[0] != CLASS_VERIFIED:
             entries[form.name] = RegistryEntry(form.name, *found, SWEEP_DATE)
     return entries

@@ -13,6 +13,7 @@ separately, and divergences land in the known-issues registry.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -137,15 +138,15 @@ class Box:
         lo_finite, hi_finite = np.isfinite(lo), np.isfinite(hi)
         return np.where(lo_finite, lo, 0.0), lo_finite, np.where(hi_finite, hi, 0.0), hi_finite
 
-    def excess(self, p: np.ndarray) -> float:
+    def excess(self, p: np.ndarray) -> float | np.ndarray:
         """Largest coordinatewise violation of the bounds (0 if inside, inf
-        at a NaN coordinate)."""
+        at a NaN coordinate): a float for a point, an array for points
+        stacked along the first axis."""
         lo, lo_finite, hi, hi_finite = self._bound_arrays
-        if np.isnan(p).any():
-            return math.inf
         below = np.where(lo_finite, lo - p, -math.inf)
-        above = np.where(hi_finite, p - hi, -math.inf)
-        return float(max(0.0, below.max(initial=-math.inf), above.max(initial=-math.inf)))
+        worst = np.maximum(below, np.where(hi_finite, p - hi, -math.inf)).max(axis=-1)
+        out = np.where(np.isnan(p).any(axis=-1), math.inf, np.where(worst > 0.0, worst, 0.0))
+        return out if out.ndim else float(out)
 
     def slice(self, indices) -> "Box":
         idx = list(indices)
@@ -177,11 +178,7 @@ class SaddlePoint:
 
     @classmethod
     def from_blocks(cls, partition: VarPartition, x, y=(), z=()) -> "SaddlePoint":
-        v = np.concatenate(
-            [np.atleast_1d(np.asarray(b, dtype=float)) if np.size(b) else np.empty(0) for b in (x, y, z)]
-        )
-        v.setflags(write=False)  # the point owns the concatenation, uncopied
-        return cls(partition, v)
+        return cls(partition, _stack(x, y, z))
 
     @property
     def x(self) -> np.ndarray:
@@ -194,6 +191,14 @@ class SaddlePoint:
     @property
     def z(self) -> np.ndarray:
         return self.vec[self.partition.z]
+
+
+def _stack(*blocks) -> np.ndarray:
+    """The blocks (scalars or vectors) as one read-only float vector."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    v = np.concatenate([b.reshape(b.size) if b.ndim == 0 or b.size == 0 else b for b in blocks])
+    v.setflags(write=False)
+    return v
 
 
 WitnessMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -329,12 +334,15 @@ class MembershipReport:
     @property
     def max_violation(self) -> float:
         """The largest violation; inf where a constraint value is NaN."""
-        parts = [self.box_excess]
-        if self.ineq_violation.size:
-            parts.append(float(self.ineq_violation.max()))
-        if self.eq_violation.size:
-            parts.append(float(self.eq_violation.max()))
-        return math.inf if any(map(math.isnan, parts)) else max(parts)
+        return float(_largest(self.box_excess, self.ineq_violation, self.eq_violation))
+
+
+def _largest(bx, ivals, evals):
+    """The feasibility rule: the largest violation of a point, from its box
+    excess bx and its g_i and h_j values (or max(g_i, 0) and |h_j|), or of
+    each of points stacked along the first axis; inf where one is NaN."""
+    worst = np.concatenate([np.asarray(bx)[..., None], ivals, np.abs(evals)], axis=-1).max(axis=-1)
+    return np.where(np.isnan(worst), math.inf, np.where(worst > 0.0, worst, 0.0))
 
 
 def _member_values(form: SaddleForm, p: SaddlePoint | np.ndarray):
@@ -356,15 +364,30 @@ def membership(
     """
     v = form._vector(p)
     _, ivals, evals = _member_values(form, v) if values is None else values
-    iv = np.array([max(gv, 0.0) for gv in ivals])
-    ev = np.array([abs(hv) for hv in evals])
-    bx = form.box.excess(v)
-    feasible = bx <= tol
-    if iv.size:
-        feasible = feasible and bool(iv.max() <= tol)
-    if ev.size:
-        feasible = feasible and bool(ev.max() <= tol)
-    return MembershipReport(feasible, iv, ev, bx, tol)
+    ivals, evals, bx = np.array(ivals, dtype=float), np.array(evals, dtype=float), form.box.excess(v)
+    iv = np.where(ivals < 0.0, 0.0, ivals)  # max(g_i, 0.0), a NaN kept
+    return MembershipReport(bool(_largest(bx, ivals, evals) <= tol), iv, np.abs(evals), bx, tol)
+
+
+def _witness_vector(form: SaddleForm, x) -> np.ndarray:
+    """:func:`witness_eval` unchecked, as a read-only vector, under the
+    caller's errstate."""
+    if form.witness is None:
+        raise WitnessAbsentError(f"form {form.name!r} has no witness map")
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if xv.shape != (form.partition.n,):
+        raise FormError(f"x has shape {xv.shape}, expected ({form.partition.n},)")
+    try:
+        blocks = form.witness(xv)
+    except OverflowError as err:
+        raise WitnessOverflowError(
+            f"witness map of {form.name!r} overflows at x={xv.tolist()}: {err}"
+        ) from err
+    try:
+        y, z = blocks
+        return form._vector(_stack(xv, y, z))
+    except (TypeError, ValueError, FormError) as err:  # not a pair of blocks filling the point
+        raise FormError(f"witness map of {form.name!r} is malformed at x={xv.tolist()}: {err}") from err
 
 
 def witness_eval(form: SaddleForm, x, check: bool = True) -> SaddlePoint:
@@ -378,30 +401,23 @@ def witness_eval(form: SaddleForm, x, check: bool = True) -> SaddlePoint:
     """
     if check:
         return witness_report(form, x, check=True).point
-    if form.witness is None:
-        raise WitnessAbsentError(f"form {form.name!r} has no witness map")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.shape != (form.partition.n,):
-        raise FormError(f"x has shape {xv.shape}, expected ({form.partition.n},)")
-    try:
-        with np.errstate(all="ignore"):  # an inf or NaN is judged by the report
-            y, z = form.witness(xv)
-    except OverflowError as err:
-        raise WitnessOverflowError(
-            f"witness map of {form.name!r} overflows at x={xv.tolist()}: {err}"
-        ) from err
-    return SaddlePoint.from_blocks(form.partition, xv, y, z)
+    with np.errstate(all="ignore"):  # an inf or NaN is judged by the report
+        return SaddlePoint(form.partition, _witness_vector(form, x))
 
 
 def reference_value(form: SaddleForm, x) -> float:
-    """The form's reference f(x); an overflow raises :class:`WitnessOverflowError`."""
+    """The form's reference f(x) as a float, under the caller's errstate; an
+    overflow raises :class:`WitnessOverflowError`, a result that is not a
+    real number :class:`FormError`."""
     try:
-        with np.errstate(all="ignore"):  # as in witness_eval
-            return form.reference(x)
+        f = form.reference(x)
     except OverflowError as err:
         raise WitnessOverflowError(
             f"reference of {form.name!r} overflows at x={np.asarray(x).tolist()}: {err}"
         ) from err
+    if not isinstance(f, numbers.Real):
+        raise FormError(f"reference of {form.name!r} gives {type(f).__name__}, not a real number")
+    return float(f)
 
 
 @dataclass(frozen=True)
@@ -432,19 +448,16 @@ def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
     """Evaluate the witness at ``x`` and measure the witness identity there.
 
     Evaluation errors (:class:`~saddlelift.expr.ExprError`, and
-    :class:`FormError` for a missing or malformed witness or one whose map
-    or reference overflows) propagate.  With ``check``, an
+    :class:`FormError` for a missing or malformed witness or reference, or
+    one whose map or reference overflows) propagate.  With ``check``, an
     :attr:`WitnessReport.error` above D2_TOL raises
     :class:`WitnessInfeasibleError`.
     """
     p = witness_eval(form, x, check=False)
     values = _member_values(form, p)
-    report = WitnessReport(
-        p,
-        membership(form, p, D2_TOL, values=values),
-        values[0],
-        None if form.reference is None else reference_value(form, p.x),
-    )
+    with np.errstate(all="ignore"):  # as in witness_eval
+        ref = None if form.reference is None else reference_value(form, p.x)
+    report = WitnessReport(p, membership(form, p, D2_TOL, values=values), values[0], ref)
     if check and report.error > D2_TOL:
         gap = "no reference" if report.gap is None else f"{report.gap:.3e}"
         raise WitnessInfeasibleError(
@@ -454,20 +467,45 @@ def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
     return report
 
 
+def _witness_read(form: SaddleForm, xs, stop: bool = False):
+    """:func:`witness_report` at each x of the sequence ``xs``: per sample
+    the witness map, the form's value kernel and the reference, then numpy
+    reductions.  Gives the points, g, f, the largest violations, the errors
+    and the samples where one of the three raised (rows of NaN and inf);
+    with ``stop`` the pass ends at the first of those."""
+    k_s, n, kernel = 1 + len(form.ineq), form.partition.n, form.tape().value
+    points = np.full((len(xs), form.partition.total), math.nan)
+    values = np.full((len(xs), k_s + len(form.eq)), math.nan)
+    refs, raised = np.full(len(xs), math.nan), []
+    with np.errstate(all="ignore"):
+        for k, x in enumerate(xs):
+            try:
+                v = _witness_vector(form, x)
+                vals = kernel(v.tolist())
+                if form.reference is not None:
+                    refs[k] = reference_value(form, v[:n])
+                points[k], values[k] = v, vals
+            except (ex.ExprError, FormError):
+                raised.append(k)
+                if stop:
+                    break
+        worst = _largest(form.box.excess(points), values[:, 1:k_s], values[:, k_s:])
+        gap = np.abs(values[:, 0] - refs) if form.reference is not None else np.zeros(len(xs))
+        error = np.maximum(np.where(np.isnan(gap), math.inf, gap), worst)
+    return points, values[:, 0], refs, worst, error, raised
+
+
 def witness_check(form: SaddleForm, xs) -> tuple[float, np.ndarray | None]:
     """The largest :attr:`WitnessReport.error` over ``xs`` and the first x
     reaching it (None while it is 0); inf at the first x where the witness,
     the reference or g raises.  The witness identity holds where the error
     is at most D2_TOL."""
-    worst, at = 0.0, None
-    for x in xs:
-        try:
-            err = witness_report(form, x).error
-        except (ex.ExprError, FormError):
-            return math.inf, x
-        if err > worst:
-            worst, at = err, x
-    return worst, at
+    xs = list(xs)
+    error, raised = _witness_read(form, xs, stop=True)[-2:]
+    if raised:
+        return math.inf, xs[raised[0]]
+    worst = error.max(initial=0.0)
+    return (float(worst), xs[int(error.argmax())]) if worst > 0.0 else (0.0, None)
 
 
 @dataclass(frozen=True)

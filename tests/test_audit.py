@@ -151,6 +151,13 @@ def test_witness_check_reports_the_violation():
     assert witness_check(_z0_form(5, lambda x: (np.empty(0), np.zeros(5))), xs) == (0.0, None)
 
 
+def test_sweep_lists_no_exact_witness_beyond_reach():
+    # witness_check gives x None where every error is 0; the sweep formatted
+    # that None into a counterexample and raised TypeError
+    exact = _z0_form(5, lambda x: (np.empty(0), np.zeros(5)))
+    assert registry_sweep([exact]) == {}
+
+
 def test_witness_check_stops_at_the_first_raising_x():
     def witness(x):
         if x[0] > 0.0:
@@ -245,8 +252,8 @@ def test_overflowing_witness_or_reference_fails_the_audit():
         witness_report(form, x)
     # the window alone bounds the grid
     assert np.isfinite(_default_bounds(form, None)).all()
-    with np.errstate(over="ignore"):  # the reference overflows to inf in numpy
-        rep = identity_audit(form, [x], GridSpec(resolution=11))
+    # the reference overflows to inf in numpy; no warning leaks from the audit
+    rep = identity_audit(form, [x], GridSpec(resolution=11))
     assert rep.classification == CLASS_FAILED
     assert math.isinf(rep.rows[0].witness_gap)
 
@@ -269,21 +276,33 @@ def test_overflowing_witness_or_reference_fails_the_audit():
 
 
 @pytest.mark.parametrize("name", ["dc", "pow_a_2n"])
-def test_identity_audit_reads_each_witness_once(name):
-    # one witness_report per sample places the grid and the gradient probe,
-    # also where no grid point is feasible (pow_a_2n at resolution 11)
+def test_identity_audit_reads_each_witness_once(name, monkeypatch):
+    # one read of the witness per sample places the grid and the gradient
+    # probe, also where no grid point is feasible (pow_a_2n at resolution
+    # 11); validate_form reads it once per sample too, and each read calls
+    # the form's value kernel once
     form = make_catalog_form(name)
-    calls = []
+    calls, kernel_calls = [], []
 
     def counted(x, witness=form.witness):
         calls.append(x)
         return witness(x)
 
     form = dataclasses.replace(form, witness=counted)
+    kernel = form.tape().value
+
+    def counted_kernel(p):
+        kernel_calls.append(p)
+        return kernel(p)
+
+    monkeypatch.setattr(form.tape(), "value", counted_kernel)
     xs = form.sample_x(np.random.default_rng(0), 3)
     rep = identity_audit(form, xs, GridSpec(resolution=11))
-    assert len(calls) == len(xs)
+    assert len(calls) == len(kernel_calls) == len(xs)
     assert any(r.minmax_point is None for r in rep.rows) == (name == "pow_a_2n")
+    del calls[:], kernel_calls[:]
+    assert validate_form(form, samples=4).passed
+    assert len(calls) == len(kernel_calls) == 4
 
 
 def test_refinement_shrinks_with_resolution():

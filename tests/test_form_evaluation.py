@@ -12,6 +12,8 @@ import pytest
 
 from saddlelift import expr as ex
 from saddlelift import forms as fm
+from saddlelift.audit import CLASS_FAILED, GRID_AXES, GridSpec, identity_audit, registry_sweep
+from saddlelift.catalog import make_catalog_form
 from saddlelift.forms import (
     D2_TOL,
     Box,
@@ -24,6 +26,7 @@ from saddlelift.forms import (
     WitnessReport,
     membership,
     validate_form,
+    witness_check,
     witness_eval,
     witness_report,
 )
@@ -274,3 +277,127 @@ def test_nan_violation_reads_inf_and_fails_the_witness_identity():
         items = {it.label: it for it in validate_form(form, samples=3).items}
     assert not items["witness identity"].passed
     assert "worst error inf" in items["witness identity"].detail
+
+
+# -- the witness identity read in bulk
+
+
+def _ref_witness_check(form, xs):
+    """The per-sample rule: the largest :func:`_ref_witness_report` error
+    and the first x reaching it, or inf at the first x where it raises (a
+    reference overflow is a WitnessOverflowError in witness_report)."""
+    worst, at = 0.0, None
+    for x in xs:
+        try:
+            err = _ref_witness_report(form, x).error
+        except (ex.ExprError, FormError, OverflowError):
+            return math.inf, x
+        if err > worst:
+            worst, at = err, x
+    return worst, at
+
+
+def _ref_identity_row(form, x):
+    """(witness_value, witness_feasible, witness_gap) of an identity-audit
+    row, from :func:`_ref_witness_report`."""
+    try:
+        report = _ref_witness_report(form, x)
+    except (ex.ExprError, FormError, OverflowError):
+        return tuple(map(_bits, (math.nan, False, math.inf)))
+    return tuple(map(_bits, (report.value, report.membership.feasible, report.error)))
+
+
+def _witness_cases():
+    """(name, form, xs): every form with a witness on window samples and
+    far-out points, and forms whose witness identity reads NaN, overflows
+    or raises mid-list."""
+    rng = np.random.default_rng(17)
+    for name in sorted(FORMS):
+        form = FORMS[name]
+        if form.witness is not None:
+            far = [np.full(form.partition.n, v) for v in (1e160, -1e200)]
+            yield name, form, list(form.sample_x(rng, 12)) + far
+    nan_constraint = dataclasses.replace(
+        _nan_form(), witness=lambda x: ((), ()), reference=lambda x: float(x[0])
+    )
+    yield "nan_constraint", nan_constraint, [np.array([3.0]), np.array([1e200]), np.array([-1e200])]
+    nan_objective = SaddleForm(  # g = x0^2 - x0^2 is NaN at 1e200, where f = 0
+        "nan_objective",
+        VarPartition(1, 0, 1),
+        Box.whole(2),
+        ex.add(ex.ipow(ex.var(0), 2), ex.neg(ex.ipow(ex.var(0), 2))),
+        witness=lambda x: ((), [0.0]),
+        reference=lambda x: 0.0,
+    )
+    yield "nan_objective", nan_objective, [np.array([2.0]), np.array([1e200]), np.array([1e200])]
+    l0 = make_catalog_form("l0_scalar_reg")  # its witness map overflows at 1e160
+    yield "overflowing_witness", l0, [np.array([0.5]), np.array([1e160]), np.array([2.0])]
+
+    def witness(x):
+        if x[0] > 0.0:
+            raise OverflowError("witness leaves the float range")
+        return (), [x[0] ** 2]
+
+    raising = SaddleForm(
+        "raising_witness",
+        VarPartition(1, 0, 1),
+        Box((-1.0, -math.inf), (1.0, 0.5)),
+        ex.var(0),
+        witness=witness,
+        reference=lambda x: float(x[0]),
+    )
+    yield "raising_witness", raising, [np.array([-0.9]), np.array([-0.5]), np.array([0.25]), np.array([-1.0])]
+
+
+WITNESS_CASES = {name: (form, xs) for name, form, xs in _witness_cases()}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+def test_witness_check_is_the_per_sample_rule_bit_for_bit(case):
+    form, xs = WITNESS_CASES[case]
+    got_worst, got_at = witness_check(form, xs)
+    with np.errstate(all="ignore"):  # the per-sample rule calls the reference bare
+        want_worst, want_at = _ref_witness_check(form, xs)
+        want_rows = [_ref_identity_row(form, x) for x in xs]
+    assert _bits(got_worst) == _bits(want_worst) and got_at is want_at
+    part = form.partition
+    if form.reference is not None and part.m1 + part.m2 <= GRID_AXES:
+        rows = identity_audit(form, xs, GridSpec(resolution=3)).rows
+        got_rows = [tuple(map(_bits, (r.witness_value, r.witness_feasible, r.witness_gap))) for r in rows]
+        assert got_rows == want_rows
+
+
+def _plain_form(witness=lambda x: ((), [0.0]), reference=lambda x: float(x[0])):
+    """f = x0 on [-1, 1], lifted with g = x0 and one free z."""
+    box = Box((-1.0, -math.inf), (1.0, math.inf))
+    return SaddleForm("plain", VarPartition(1, 0, 1), box, ex.var(0), witness=witness, reference=reference)
+
+
+MALFORMED = {
+    "map gives None": dict(witness=lambda x: None),
+    "map gives one block": dict(witness=lambda x: (np.zeros(0),)),
+    "map gives ['a']": dict(witness=lambda x: ["a"]),
+    "z block of shape (1, 1)": dict(witness=lambda x: ((), np.zeros((1, 1)))),
+    "z block ['a']": dict(witness=lambda x: ((), ["a"])),
+    "z block too long": dict(witness=lambda x: ((), [0.0, 0.0])),
+    "reference gives None": dict(reference=lambda x: None),
+    "reference gives an array": dict(reference=lambda x: np.array([x[0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_witness_or_reference_is_a_form_error(case):
+    # these escaped as TypeError or ValueError, and a reference giving None
+    # passed the identity with error 0.0
+    assert witness_check(_plain_form(), [np.array([0.5])]) == (0.0, None)
+    form = _plain_form(**MALFORMED[case])
+    xs = [np.array([0.5]), np.array([-0.25])]
+    with pytest.raises(FormError, match="plain"):
+        witness_report(form, xs[0])
+    assert witness_check(form, xs) == (math.inf, xs[0])
+    [item] = validate_form(form, samples=3).failures()
+    assert item.label == "witness identity" and item.detail.startswith("worst error inf")
+    rep = identity_audit(form, xs, GridSpec(resolution=5))
+    assert rep.classification == CLASS_FAILED
+    assert all(r.witness_gap == math.inf and not r.witness_feasible for r in rep.rows)
+    assert registry_sweep([form])["plain"].classification == CLASS_FAILED
