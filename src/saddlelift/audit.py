@@ -25,7 +25,7 @@ import numpy as np
 
 from .catalog import CATALOG
 from .expr import ExprError
-from .forms import D2_TOL, FormError, SaddleForm, _witness_read, reference_value
+from .forms import D2_TOL, FormError, SaddleForm, _witness_read
 from .forms import witness_check, witness_eval
 
 _CHUNK = 200_000
@@ -83,15 +83,19 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     restricted to grid points feasible at D2_TOL; (+inf, None) when no
     grid point is feasible.
 
-    The grid is evaluated open, per chunk of whole y slices, with one
-    broadcast dimension for the chunk's y rows and one per z axis: each x
-    coordinate as a (1, 1, ..., 1) array, the chunk's y points as
-    (rows, 1, ..., 1) arrays built from the chunk's own indices, and z axis
-    j as its linspace of length resolution at position 1 + j.  So memory
-    stays bounded by _CHUNK, and a subexpression is computed on the axes it
-    reads: one of x alone once per chunk, one of x and y once per slice, one
-    of a z axis once per point of that axis.  Only the achieving point is
-    built as a vector."""
+    The grid is evaluated open, per chunk of at most _CHUNK points: whole
+    y slices while a slice's z grid fits in a chunk, else a block of one
+    slice's leading z axes by its remaining ones.  Dimension 0 holds the
+    chunk's y points or its block of leading z points, and each remaining
+    z axis a dimension of its own: each x coordinate as a (1, 1, ..., 1)
+    array, the leading coordinates as (rows, 1, ..., 1) arrays built from
+    the chunk's own indices, and remaining z axis j as its linspace of
+    length resolution at position 1 + j.  So no batch call exceeds a chunk,
+    and a subexpression is computed on the axes it reads: one of x alone
+    once per chunk, one of x and the leading axes once per row, one of a
+    remaining z axis once per point of that axis.  Each slice keeps its
+    largest feasible g over its blocks and the first z reaching it in C
+    order.  Only the achieving point is built as a vector."""
     part = form.partition
     if part.m1 + part.m2 > GRID_AXES:
         raise FormError(f"grid oracle supports m1 + m2 <= {GRID_AXES}, form has {part.m1 + part.m2}")
@@ -107,28 +111,37 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
         )
     axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in bounds]
     r, m1, m2 = grid.resolution, part.m1, part.m2
-    ny, nz = r**m1, r**m2
+    ny = r**m1
+    lead = m1  # the axes dimension 0 runs over: the y axes, then the z axes a slice needs
+    while r ** (m1 + m2 - lead) > _CHUNK:
+        lead += 1
+    tail, blocks = r ** (m1 + m2 - lead), r ** (lead - m1)  # points per row, blocks per slice
+    rows = max(1, _CHUNK // tail)
 
     def coords(flat, ax):
         """The coordinates on axes ``ax`` of the C-order flat indices ``flat``."""
         idx = np.unravel_index(flat, (r,) * len(ax)) if ax else ()
         return [a[i] for a, i in zip(ax, idx)]
 
-    # dimension 0 holds the chunk's y rows, dimension 1 + j z axis j
-    col = (1,) * m2
+    # dimension 0 holds the chunk's rows, dimension 1 + j remaining z axis j
+    col = (1,) * (m1 + m2 - lead)
     xs = list(x.reshape((-1, 1) + col))
-    zs = [a.reshape((1,) + col[:j] + (r,) + col[j + 1 :]) for j, a in enumerate(axes[m1:])]
+    zs = [a.reshape((1,) + col[:j] + (r,) + col[j + 1 :]) for j, a in enumerate(axes[lead:])]
+    # chunks as y slices [s, e) by blocks [a, b) of the leading z axes
+    if blocks == 1:
+        chunks = ((s, min(s + rows, ny), 0, 1) for s in range(0, ny, rows))
+    else:
+        chunks = ((k, k + 1, a, min(a + rows, blocks)) for k in range(ny) for a in range(0, blocks, rows))
 
     # per y slice: max of g over its feasible z (-inf when there is none) and
-    # the first z achieving it, in C order; chunks hold whole slices
+    # the first z achieving it, in C order
     slice_max = np.full(ny, -math.inf)
     slice_arg = np.zeros(ny, dtype=np.intp)
-    rows = max(1, _CHUNK // nz)
     checks = [(gi, False) for gi in form.ineq] + [(hj, True) for hj in form.eq]
-    for s in range(0, ny, rows):
-        e = min(s + rows, ny)
-        pts = xs + [y.reshape((-1,) + col) for y in coords(np.arange(s, e), axes[:m1])] + zs
-        feas = np.ones((e - s,) + (r,) * m2, dtype=bool)
+    for s, e, a, b in chunks:
+        lead_pts = coords(np.arange(s, e), axes[:m1]) + coords(np.arange(a, b), axes[m1:lead])
+        pts = xs + [c.reshape((-1,) + col) for c in lead_pts] + zs
+        feas = np.ones(((e - s) * (b - a),) + (r,) * len(col), dtype=bool)
         # per constraint, so a chunk stops at the first one leaving no point feasible
         for c, is_eq in checks:
             vals = c.value_batch(pts)
@@ -136,10 +149,13 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
             if not feas.any():
                 break
         else:
-            g = form.g.value_batch(pts).reshape(e - s, nz)
-            g[np.isnan(g) | ~feas.reshape(e - s, nz)] = -math.inf
-            slice_arg[s:e] = g.argmax(axis=1)
-            slice_max[s:e] = g[np.arange(e - s), slice_arg[s:e]]
+            g = form.g.value_batch(pts).reshape(e - s, -1)
+            g[np.isnan(g) | ~feas.reshape(g.shape)] = -math.inf
+            arg = g.argmax(axis=1)
+            top = g[np.arange(e - s), arg]
+            better = top > slice_max[s:e]  # an earlier block keeps a tie
+            slice_max[s:e] = np.where(better, top, slice_max[s:e])
+            slice_arg[s:e] = np.where(better, a * tail + arg, slice_arg[s:e])
     # a slice whose max is -inf has no feasible z; one whose max is +inf never wins
     slice_max[slice_max == -math.inf] = math.inf
     k = int(np.argmin(slice_max))
@@ -213,17 +229,10 @@ def identity_audit(
         raise FormError("identity_audit needs a form with a reference evaluator")
     grid = grid or GridSpec()
     xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
-    points, values, refs, violation, error, raised = _witness_read(form, xs)
+    points, mapped, values, refs, violation, error, _ = _witness_read(form, xs)
     rows = []
     for k, x in enumerate(xs):
-        witness, ref = points[k], float(refs[k])
-        if k in raised:  # the bare map may still place the grid
-            witness = _map_point(form, x)
-            try:
-                with np.errstate(all="ignore"):
-                    ref = reference_value(form, x)
-            except FormError:
-                ref = math.nan  # out of the float range or not a number: no gap can pass
+        witness, ref = points[k] if mapped[k] else None, float(refs[k])
         gx = grid
         if grid.bounds is None:
             gx = replace(grid, bounds=tuple(_default_bounds(form, witness)))

@@ -92,6 +92,15 @@ def _integer(form: str, label: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def _fraction(form: str, label: str, value) -> float:
+    """``value``, a real number strictly between 0 and 1 (not a bool or a
+    string), as a float."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0.0 < value < 1.0):
+        raise FormError(f"{form} requires 0 < {label} < 1, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # gadgets shared by several entries
 
@@ -473,8 +482,7 @@ def _sigmoid() -> SaddleForm:
 
 def _pow_a(a: float = 0.5) -> SaddleForm:
     # f(x) = x**a on x >= 0, 0 < a < 1
-    if not 0.0 < a < 1.0:
-        raise FormError("pow_a requires 0 < a < 1")
+    a = _fraction("pow_a", "a", a)
     lift = _Lift([_NONNEG], [_NONNEG], [_NONNEG])
     (x0,), (y0,), (z0,) = lift.x, lift.y, lift.z
     return lift.form(
@@ -489,8 +497,7 @@ def _pow_a(a: float = 0.5) -> SaddleForm:
 
 def _pow_a_plus_1(a: float = 0.5) -> SaddleForm:
     # f(x) = x**(a+1) on x >= 0, 0 < a < 1
-    if not 0.0 < a < 1.0:
-        raise FormError("pow_a_plus_1 requires 0 < a < 1")
+    a = _fraction("pow_a_plus_1", "a", a)
     lift = _Lift([_NONNEG], [_NONNEG], [_NONNEG] * 2)
     (x0,), (y0,), (z0, z1) = lift.x, lift.y, lift.z
     return lift.form(
@@ -505,8 +512,7 @@ def _pow_a_plus_1(a: float = 0.5) -> SaddleForm:
 
 def _pow_a_2n(a: float = 0.5, n2: int = 1) -> SaddleForm:
     # f(x) = x**(a + 2*n2) on x >= 0, 0 < a < 1, n2 >= 1
-    if not 0.0 < a < 1.0:
-        raise FormError("pow_a_2n requires 0 < a < 1")
+    a = _fraction("pow_a_2n", "a", a)
     n2 = _integer("pow_a_2n", "n2", n2)
     lift = _Lift([_NONNEG], [_NONNEG] * 2, [_NONNEG] * 2)
     (x0,), (y0, y1), (z0, z1) = lift.x, lift.y, lift.z

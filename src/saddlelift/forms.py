@@ -241,7 +241,9 @@ class SaddleForm:
         object.__setattr__(self, "eq", tuple(self.eq))
         object.__setattr__(self, "declares", frozenset(self.declares))
 
-    __getstate__ = Expr.__getstate__  # the tape stays behind, as an expression's does
+    def __getstate__(self):
+        # the tape and the window stay behind, as an expression's tape does
+        return {k: v for k, v in self.__dict__.items() if k not in ("_tape", "_window")}
 
     def components(self):
         yield "g", self.g
@@ -306,9 +308,16 @@ class SaddleForm:
         return SaddlePoint(self.partition, np.asarray(vec, dtype=float))
 
     def effective_window(self):
-        """Bounded sampling window (lower, upper arrays) over all axes."""
+        """Bounded sampling window (lower, upper arrays) over all axes,
+        computed once per form and read-only."""
+        return self._window
+
+    @cached_property
+    def _window(self):
         src = self.window if self.window is not None else self.box
-        return ex.sample_window(src.lower_array(), src.upper_array())
+        lo, hi = ex.sample_window(src.lower_array(), src.upper_array())
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
 
     def sample_x(self, rng: np.random.Generator, count: int) -> np.ndarray:
         lo, hi = self.effective_window()
@@ -345,10 +354,11 @@ def _largest(bx, ivals, evals):
     return np.where(np.isnan(worst), math.inf, np.where(worst > 0.0, worst, 0.0))
 
 
-def _member_values(form: SaddleForm, p: SaddlePoint | np.ndarray):
-    """``form.values`` at ``p``, a domain error naming the membership check."""
+def _member_values(form: SaddleForm, p: SaddlePoint | np.ndarray, grads: bool = False):
+    """``form.values`` (with ``grads``, ``form.values_grads``) at ``p``, a
+    domain error naming the membership check."""
     try:
-        return form.values(p)
+        return form.values_grads(p) if grads else form.values(p)
     except ex.DomainEvalError as err:
         raise ex.DomainEvalError(f"{err} (while checking membership of {form.name})", err.node)
 
@@ -467,32 +477,39 @@ def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
     return report
 
 
-def _witness_read(form: SaddleForm, xs, stop: bool = False):
+def _witness_read(form: SaddleForm, xs):
     """:func:`witness_report` at each x of the sequence ``xs``: per sample
-    the witness map, the form's value kernel and the reference, then numpy
-    reductions.  Gives the points, g, f, the largest violations, the errors
-    and the samples where one of the three raised (rows of NaN and inf);
-    with ``stop`` the pass ends at the first of those."""
-    k_s, n, kernel = 1 + len(form.ineq), form.partition.n, form.tape().value
-    points = np.full((len(xs), form.partition.total), math.nan)
-    values = np.full((len(xs), k_s + len(form.eq)), math.nan)
-    refs, raised = np.full(len(xs), math.nan), []
+    one call each of the witness map, the form's value kernel at the map's
+    point and the reference at x, then numpy reductions.  Gives the points
+    (NaN rows where the map raised), whether the map gave each, g, f (NaN
+    where the reference raised), the largest violations, the errors and
+    whether one of the three raised; such a row reads NaN values and an inf
+    violation and error."""
+    k_s, n, kernel, count = 1 + len(form.ineq), form.partition.n, form.tape().value, len(xs)
+    points = np.full((count, form.partition.total), math.nan)
+    values = np.full((count, k_s + len(form.eq)), math.nan)
+    refs, mapped, raised = np.full(count, math.nan), np.zeros(count, bool), np.zeros(count, bool)
     with np.errstate(all="ignore"):
         for k, x in enumerate(xs):
+            xv = np.atleast_1d(np.asarray(x, dtype=float))
             try:
-                v = _witness_vector(form, x)
+                points[k] = v = _witness_vector(form, xv)
+                mapped[k] = True
                 vals = kernel(v.tolist())
-                if form.reference is not None:
-                    refs[k] = reference_value(form, v[:n])
-                points[k], values[k] = v, vals
             except (ex.ExprError, FormError):
-                raised.append(k)
-                if stop:
-                    break
+                raised[k] = True
+            if form.reference is not None and xv.shape == (n,):  # else the map raised
+                try:
+                    refs[k] = reference_value(form, xv)
+                except (ex.ExprError, FormError):
+                    raised[k] = True
+            if not raised[k]:
+                values[k] = vals
         worst = _largest(form.box.excess(points), values[:, 1:k_s], values[:, k_s:])
-        gap = np.abs(values[:, 0] - refs) if form.reference is not None else np.zeros(len(xs))
+        worst[raised] = math.inf
+        gap = np.abs(values[:, 0] - refs) if form.reference is not None else np.zeros(count)
         error = np.maximum(np.where(np.isnan(gap), math.inf, gap), worst)
-    return points, values[:, 0], refs, worst, error, raised
+    return points, mapped, values[:, 0], refs, worst, error, raised
 
 
 def witness_check(form: SaddleForm, xs) -> tuple[float, np.ndarray | None]:
@@ -501,9 +518,9 @@ def witness_check(form: SaddleForm, xs) -> tuple[float, np.ndarray | None]:
     the reference or g raises.  The witness identity holds where the error
     is at most D2_TOL."""
     xs = list(xs)
-    error, raised = _witness_read(form, xs, stop=True)[-2:]
-    if raised:
-        return math.inf, xs[raised[0]]
+    error, raised = _witness_read(form, xs)[-2:]
+    if raised.any():
+        return math.inf, xs[int(raised.argmax())]
     worst = error.max(initial=0.0)
     return (float(worst), xs[int(error.argmax())]) if worst > 0.0 else (0.0, None)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expr import DomainEvalError
-from .forms import FormError, SaddleForm, SaddlePoint, membership
+from .forms import FormError, SaddleForm, SaddlePoint, _member_values, membership
 from .penalty import (
     eps_feasible,
     penalty_f,
@@ -381,34 +381,24 @@ class KktReport:
 
 def _stationarity(target, cols, weights):
     r = target.copy()
-    for c, w in zip(cols, weights):
+    for c, w in zip(cols.T, weights):
         r += w * c
     return float(np.linalg.norm(r))
 
 
-def _estimate(target, cols, is_ineq, active):
-    """Least squares for  sum w_i col_i = -target  with w >= 0 on active
-    inequality columns and w = 0 forced on inactive ones.  scipy is
-    imported here, its one use, so importing saddlelift does not load it."""
+def _estimate(target, cols, lower):
+    """Least squares for  cols @ w = -target  with w >= lower, where a NaN
+    bound leaves its column out and forces its weight to 0 (an inactive
+    inequality).  scipy is imported here, its one use, so importing
+    saddlelift does not load it."""
     from scipy.optimize import lsq_linear
 
-    free_cols = []
-    free_idx = []
-    lb = []
-    for idx, (c, ineq_flag, act) in enumerate(zip(cols, is_ineq, active)):
-        if ineq_flag and not act:
-            continue
-        free_cols.append(c)
-        free_idx.append(idx)
-        lb.append(0.0 if ineq_flag else -np.inf)
-    w = np.zeros(len(cols))
-    if not free_cols:
+    w, keep = np.zeros(lower.size), ~np.isnan(lower)
+    if not keep.any():
         return w, float(np.linalg.norm(target))
-    A = np.column_stack(free_cols)
-    b = -target
-    sol = lsq_linear(A, b, bounds=(np.array(lb), np.full(len(lb), np.inf)))
-    for j, idx in enumerate(free_idx):
-        w[idx] = sol.x[j]
+    A, b = np.ascontiguousarray(cols[:, keep]), -target
+    sol = lsq_linear(A, b, bounds=(lower[keep], np.full(A.shape[1], np.inf)))
+    w[keep] = sol.x
     return w, float(np.linalg.norm(A @ sol.x - b))
 
 
@@ -424,32 +414,29 @@ def kkt_residual(
     Without ``alpha``/``beta`` the multipliers are estimated by bounded
     least squares over the active constraints (inactive inequality weights
     are forced to zero); with them the residuals of the supplied multipliers
-    are reported unchanged.
+    are reported unchanged.  The form is evaluated once, with gradients.
     """
     v = form._vector(p)
-    rep = membership(form, v, feas_tol)
+    g, ivals, evals, grad = _member_values(form, v, grads=True)
+    rep = membership(form, v, feas_tol, values=(g, ivals, evals))
     if not rep.feasible:
         raise FormError(
             f"kkt_residual needs a feasible point; max violation {rep.max_violation:.3e}"
         )
     xy, zz = form.partition.xy, form.partition.z
     s, r = len(form.ineq), len(form.eq)
-
-    _, ivals, _, grad = form.values_grads(v)
-    ggrad = grad(0)
-    gi_vals = np.array(ivals)
-    grads = [grad(k) for k in range(1, 1 + s + r)]
-    is_ineq = [True] * s + [False] * r
-    active = [gi_vals[i] >= -_ACT_TOL for i in range(s)] + [True] * r
+    jac = np.array([grad(k) for k in range(1 + s + r)])  # row 0 is g, then the g_i and h_j
+    # weight bounds: 0 on an active inequality, -inf on an equality, NaN leaves an inactive one out
+    lower = np.array([0.0 if gv >= -_ACT_TOL else math.nan for gv in ivals] + [-math.inf] * r)
 
     # residual forms: grad_xy g + sum w grad_xy c = 0 and -grad_z g + sum w grad_z c = 0
     found = []
     for given, name, target, cols in (
-        (alpha, "alpha", ggrad[xy], [c[xy] for c in grads]),
-        (beta, "beta", -ggrad[zz], [c[zz] for c in grads]),
+        (alpha, "alpha", jac[0, xy], jac[1:, xy].T),
+        (beta, "beta", -jac[0, zz], jac[1:, zz].T),
     ):
         if given is None:
-            found.append(_estimate(target, cols, is_ineq, active))
+            found.append(_estimate(target, cols, lower))
             continue
         weights = np.asarray(given, dtype=float)
         if weights.shape != (s + r,):
@@ -460,7 +447,7 @@ def kkt_residual(
     comp = 0.0
     sign = 0.0
     for i in range(s):
-        comp = max(comp, abs(alpha[i] * gi_vals[i]), abs(beta[i] * gi_vals[i]))
+        comp = max(comp, abs(alpha[i] * ivals[i]), abs(beta[i] * ivals[i]))
         sign = max(sign, -min(alpha[i], 0.0), -min(beta[i], 0.0))
     return KktReport(alpha, beta, res_xy, res_z, comp, sign)
 

@@ -1,5 +1,6 @@
 """Composition algebra: dimension bookkeeping, witness preservation, closure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -327,3 +328,13 @@ def test_assembled_forms_are_pinned():
     for op, form in built.items():
         assert form_to_inline(form) == ASSEMBLED[op], op
         assert (form.window is None) == ("window_lower" not in ASSEMBLED[op]), op
+
+
+def test_a_declared_sign_without_a_reference_is_not_spot_checked():
+    # the spot check samples the reference: the lying declaration caught
+    # above passes where there is no reference to sample, and so does the
+    # product, which then has no reference either
+    lying = trivial_convex(ex.square(ex.var(0)) - 1.0, 1, "liar").declare("convex_joint_g", "nonneg")
+    blind = dataclasses.replace(lying, reference=None)
+    form = alg.product(blind, _sq_form())
+    assert form.name == "product(liar,sq)" and form.reference is None

@@ -16,6 +16,7 @@ from saddlelift.audit import (
     _default_bounds,
     _gradient_bound,
     _grid_scan,
+    _map_point,
     grid_minmax,
     identity_audit,
     load_registry,
@@ -166,6 +167,9 @@ def test_witness_check_stops_at_the_first_raising_x():
 
     xs = [np.array([-0.5]), np.array([0.25]), np.array([0.75])]
     assert witness_check(_z0_form(5, witness), xs) == (math.inf, xs[1])
+    # an x of the wrong size raises in the map; the reference is not asked
+    xs = [np.array([-0.5]), np.zeros(0), np.array([0.75])]
+    assert witness_check(_z0_form(5, witness), xs) == (math.inf, xs[1])
 
 
 def test_one_witness_rule_for_every_audit():
@@ -303,6 +307,87 @@ def test_identity_audit_reads_each_witness_once(name, monkeypatch):
     del calls[:], kernel_calls[:]
     assert validate_form(form, samples=4).passed
     assert len(calls) == len(kernel_calls) == 4
+
+
+def _raising_kernel():
+    # g = -log x0 - z0 has no value at x0 <= 0, and neither has the reference
+    return make_catalog_form("dc", d=ex.neg(ex.log(ex.var(0))).with_tag(ex.CONVEX))
+
+
+def _raising_reference():
+    form = make_catalog_form("dc")
+
+    def reference(x):
+        if x[0] > 0.0:
+            raise OverflowError("reference leaves the float range")
+        return form.reference(x)
+
+    return dataclasses.replace(form, reference=reference)
+
+
+@pytest.mark.parametrize("make", [_raising_kernel, _raising_reference])
+def test_identity_audit_reads_map_kernel_and_reference_once(make, monkeypatch):
+    # a row where the kernel or the reference raised read the map and the
+    # reference a second time, and a reference raising a domain error there
+    # ended the audit in a traceback
+    form = make()
+    calls = {"map": 0, "kernel": 0, "reference": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return call
+
+    form = dataclasses.replace(
+        form, witness=counted("map", form.witness), reference=counted("reference", form.reference)
+    )
+    monkeypatch.setattr(form.tape(), "value", counted("kernel", form.tape().value))
+    xs = [np.array([v]) for v in (-2.0, 0.5, -0.25, 3.0)]
+    rep = identity_audit(form, xs, GridSpec(resolution=11))
+    assert calls == {"map": 4, "kernel": 4, "reference": 4}
+    assert rep.classification == CLASS_FAILED
+    raised = [r for r in rep.rows if (r.x[0] < 0.0) == (make is _raising_kernel)]
+    assert len(raised) == 2
+    for row in raised:
+        assert math.isnan(row.witness_value) and not row.witness_feasible and row.witness_gap == math.inf
+    if make is _raising_reference:  # the map's point still places the grid
+        assert all(math.isnan(r.reference) and math.isfinite(r.oracle) for r in raised)
+
+
+def test_a_raised_row_of_a_constraint_free_form_is_infeasible():
+    # no g_i or h_j reads the NaN values of a raised row: its violation is
+    # inf all the same, although the map's point lies in the box
+    form = SaddleForm(
+        name="free_log",
+        partition=VarPartition(1, 0, 1),
+        box=Box.whole(2),
+        g=ex.log(ex.var(0)) - ex.square(ex.var(1)),
+        witness=lambda x: ((), [0.0]),
+        reference=lambda x: math.log(x[0]) if x[0] > 0.0 else 0.0,
+    )
+    rep = identity_audit(form, [np.array([-1.0]), np.array([2.0])], GridSpec(resolution=5))
+    bad, good = rep.rows
+    assert (bad.witness_feasible, bad.witness_gap, bad.reference) == (False, math.inf, 0.0)
+    assert good.witness_feasible and good.witness_gap == 0.0
+    assert witness_check(form, [np.array([2.0]), np.array([-1.0])])[0] == math.inf
+
+
+def test_a_raising_map_leaves_the_grid_to_the_window():
+    # grid_minmax places its default grid by the witness map's point; where
+    # the map raises, the window alone bounds it
+    form = _raising_reference()
+
+    def witness(x):
+        raise OverflowError("witness leaves the float range")
+
+    form = dataclasses.replace(form, witness=witness)
+    assert _map_point(form, [1.0]) is None
+    bounds = tuple(_default_bounds(form, None))
+    assert grid_minmax(form, [1.0], GridSpec(resolution=11)) == grid_minmax(
+        form, [1.0], GridSpec(resolution=11, bounds=bounds)
+    )
 
 
 def test_refinement_shrinks_with_resolution():

@@ -1,7 +1,9 @@
 """The grid oracle and the curvature audit evaluate in bulk.  The grid scan
-makes one batch call per component per chunk of whole y slices, on an open
-grid: the chunk's y rows are one broadcast dimension and each z axis is one
-more, holding only that axis's points, so no z mesh is built.  The curvature
+makes one batch call per component per chunk of at most ``audit._CHUNK``
+points, on an open grid: whole y slices while a slice fits in a chunk, else
+blocks of a slice's leading z axes.  The chunk's rows are one broadcast
+dimension and each remaining z axis is one more, holding only that axis's
+points, so no z mesh is built.  The curvature
 audit draws and evaluates its first ``samples`` attempts in one batch call
 (the others in one more, only after a skip) and tests their blends with
 numpy.  Both must give, bit for bit, what the earlier loops gave: the grid
@@ -138,6 +140,7 @@ def _grid_cases():
         *((make_catalog_form(n), None, 7) for n in ("dc", "abs_power", "bilinear2_a", "pow_a_plus_1")),
         (make_catalog_form("cos_0_2pi"), None, 5),
         (make_catalog_form("relu_a"), None, 5),
+        (make_catalog_form("sin_0_2pi"), None, 7),
         # m2 = 0: each y slice is one point
         (_form("m2_zero", VarPartition(1, 1, 0), ex.square(y - ex.var(0)), ineq=(y - 1.0,)), None, 9),
         (trivial_convex(ex.square(ex.var(0)), 1, "sq"), None, 5),
@@ -189,9 +192,11 @@ def test_grid_scan_matches_per_slice_scan(name, chunk, monkeypatch):
     grid = GridSpec(resolution=res, bounds=bounds)
     rng = np.random.default_rng(3)
     xs = form.sample_x(rng, 3) if name != "abs_power/bounded" else [np.array([5.0])]
+    batch = _Counter(monkeypatch, "value_batch")
     results = []
     for x in xs:
         got = _grid_scan(form, x, grid)
+        assert max(batch.sizes) <= chunk  # no batch call outgrows the chunk
         want = _ref_grid_scan(form, x, grid)
         assert _bits(*got) == _bits(*want), x
         results.append(got)
@@ -266,19 +271,48 @@ class _Counter:
         monkeypatch.setattr(ex.Expr, name, counted)
 
 
+def _leading_z(res, m2, chunk):
+    """How many leading z axes a chunk takes blocks of: none while a y
+    slice's z grid fits in a chunk, else the fewest that make the rest fit."""
+    lead = 0
+    while res ** (m2 - lead) > chunk:
+        lead += 1
+    return lead
+
+
+def _chunk_count(res, m1, m2, chunk):
+    """Chunks of a scan: whole y slices per chunk, or blocks of one slice."""
+    lead = _leading_z(res, m2, chunk)
+    rows = chunk // res ** (m2 - lead)
+    return -(-(res**m1) // rows) if lead == 0 else res**m1 * -(-(res**lead) // rows)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 40, audit._CHUNK])
 @pytest.mark.parametrize("name", ["eq", "relu_a", "nan_y", "m2_zero"])
 def test_grid_scan_batch_calls_per_chunk(name, chunk, monkeypatch):
     monkeypatch.setattr(audit, "_CHUNK", chunk)
     form, bounds, res = GRID_CASES[name]
     part = form.partition
-    ny, nz = res**part.m1, res**part.m2
-    bound = (len(form.ineq) + len(form.eq) + 1) * -(-ny // max(1, chunk // nz))
+    bound = (len(form.ineq) + len(form.eq) + 1) * _chunk_count(res, part.m1, part.m2, chunk)
     batch = _Counter(monkeypatch, "value_batch")
     for x in form.sample_x(np.random.default_rng(3), 3):
         batch.calls = 0
         _grid_scan(form, x, GridSpec(resolution=res, bounds=bounds))
         assert 0 < batch.calls <= bound
+    assert max(batch.sizes) <= chunk
+
+
+def test_no_batch_call_outgrows_a_small_chunk(monkeypatch):
+    # a y slice's z grid larger than the chunk is scanned in blocks of its
+    # leading z axes: cos_0_2pi (m2 = 4) made one call over its whole 11^4
+    # grid, 14,641 points, however small the chunk
+    monkeypatch.setattr(audit, "_CHUNK", 100)
+    form, grid = make_catalog_form("cos_0_2pi"), GridSpec(resolution=11)
+    batch = _Counter(monkeypatch, "value_batch")
+    for x in form.sample_x(np.random.default_rng(4), 2):
+        got = _grid_scan(form, x, grid)
+        assert max(batch.sizes) <= 100
+        assert _bits(*got) == _bits(*_ref_grid_scan(form, x, grid))
 
 
 @pytest.mark.parametrize("chunk, calls", [(1, 2 * 9), (4, 2 * 3), (audit._CHUNK, 2)])
@@ -318,11 +352,14 @@ def test_grid_scan_arrays_stay_within_a_chunk(monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 7, 40, audit._CHUNK])
 @pytest.mark.parametrize("name", ["z3_eq", "y1_z3", "relu_a", "cos_0_2pi", "eq"])
 def test_grid_scan_z_axes_are_open(name, chunk, monkeypatch):
-    # every z array a batch call sees holds one axis's `resolution` points,
-    # and so does the array it views: no z mesh is built
+    # every z axis a chunk takes whole is an array of that axis's
+    # `resolution` points, and so is the array it views: no z mesh is
+    # built.  Where a y slice outgrows the chunk, its leading z axes are
+    # blocks of at most a chunk's points along dimension 0
     monkeypatch.setattr(audit, "_CHUNK", chunk)
     form, bounds, res = GRID_CASES[name]
     part = form.partition
+    lead = _leading_z(res, part.m2, chunk)
     batch = []
     method = ex.Expr.value_batch
     monkeypatch.setattr(ex.Expr, "value_batch", lambda e, pts: batch.append(pts) or method(e, pts))
@@ -333,7 +370,11 @@ def test_grid_scan_z_axes_are_open(name, chunk, monkeypatch):
         zs = pts[part.n + part.m1 :]
         assert len(zs) == part.m2
         for j, a in enumerate(zs):
-            assert np.shape(a)[1 + j] == np.size(a) == _root(np.asarray(a)).size == res
+            size = _root(np.asarray(a)).size
+            if j < lead:
+                assert np.shape(a) == (size,) + (1,) * (part.m2 - lead) and size <= chunk
+            else:
+                assert np.shape(a)[1 + j - lead] == np.size(a) == size == res
 
 
 def test_curvature_audit_is_one_batch_call(monkeypatch):

@@ -183,6 +183,13 @@ def test_invalid_params_rejected():
         make_catalog_form("l0_scalar_reg", lam=-1.0)
     with pytest.raises(FormError):
         make_catalog_form("maxabs_minus_sum", n=0)
+    # one rule for a: a real number strictly between 0 and 1; the string
+    # "0.5" ended in a TypeError
+    for name in ("pow_a", "pow_a_plus_1", "pow_a_2n"):
+        for a in ("0.5", True, False, None, math.nan, math.inf, 0, 1, 0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(FormError, match=rf"{name} requires 0 < a < 1, got {re.escape(repr(a))}"):
+                make_catalog_form(name, a=a)
+        assert make_catalog_form(name, a=np.float64(0.25)).g == make_catalog_form(name, a=0.25).g
     for n2 in (1.25, math.nan, 0, math.inf, "1", True):  # 1.25 built x^2 against a witness of x^2.5
         with pytest.raises(FormError, match="integer n2"):
             make_catalog_form("pow_a_2n", n2=n2)

@@ -207,6 +207,17 @@ def test_audit_command(tmp_path, capsys):
     assert out["classification"] == "d2-and-d3-verified"
 
 
+def test_audit_of_a_reference_outside_its_domain_fails(tmp_path, capsys):
+    # d = -log x0 has no value at the sampled x < 0, in g or in the
+    # reference: the audit ended in a DomainEvalError traceback (exit 1)
+    doc = {"problem": {"catalog": "dc", "params": {"d": "(tag convex (neg (log x0)))"}}}
+    code = cli.main(["audit", _write(tmp_path, doc), "--grid", "11", "--samples", "3"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["classification"] == "failed"
+    raised = [row for row in out["rows"] if row["x"][0] < 0.0]
+    assert raised and all(row["reference"] is None and not row["witness_feasible"] for row in raised)
+
+
 def test_audit_reaches_the_flagship_through_its_audit_instance(capsys):
     # m1 + m2 = 11 at n = 5: the audit exited 2 with "cannot audit", while the
     # registry sweep audits the n = 1 instance and lists the family d2-only
@@ -410,6 +421,13 @@ def test_expression_parse_error_carries_position(tmp_path, capsys):
     assert cli.main(["solve", path]) == 1
     err = capsys.readouterr().err
     assert "nope" in err
+
+
+def test_a_structured_field_reads_only_x(tmp_path, capsys):
+    # an expression field of a catalog family is a function of x alone
+    doc = {"problem": {"structured": "dc", "data": {"c": "(sq y0)"}}}
+    assert cli.main(["solve", _write(tmp_path, doc)]) == 1
+    assert "unknown variable 'y0' (line 1, column 5)" in capsys.readouterr().err
 
 
 def test_inline_round_trip():

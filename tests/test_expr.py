@@ -613,3 +613,62 @@ def test_integer_powers_reject_fractional_exponents():
             ex.parse_sexpr(f"(pow x0 {k})", _resolve)
         assert (err.value.line, err.value.column) == (1, 9)
     assert ex.parse_sexpr("(pow x0 2.0)", _resolve) == ex.ipow(ex.var(0), 2)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("(neg x0 x1)", "expected ')', found 'x1'", 1, 9),
+        ("(* x0 x0)", "expected a number, found 'x0'", 1, 4),
+        ("(neg )", "unexpected ')'", 1, 6),
+        ("(aff x0 1)", "aff expects var/coeff pairs plus a trailing offset", 1, 2),
+        ("(aff x0 y0 0)", "expected coefficient, found 'y0'", 1, 9),
+        ("(aff w9 1 0)", "unknown variable 'w9'", 1, 6),
+        ("(aff x0 1 q)", "expected offset, found 'q'", 1, 11),
+        ("(tag wobbly x0)", "unknown curvature tag 'wobbly'", 1, 6),
+        ("x0 x1", "trailing tokens after expression", 1, 4),
+        # a newline starts line 2 at column 0
+        ("(+ x0\n  (sq x1) ))", "trailing tokens after expression", 2, 12),
+        ("(+ x0\n\n (tag no x1))", "unknown curvature tag 'no'", 3, 7),
+    ],
+)
+def test_every_parse_error_names_its_line_and_column(text, message, line, column):
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse_sexpr(text, _resolve)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_the_grammar_reads_a_const_form_and_lines():
+    assert ex.parse_sexpr("(const 2.5)", _resolve) == ex.Const(2.5)
+    e = ex.parse_sexpr("(+\n  (sq x0)\n  (neg z0))", _resolve)
+    assert e == ex.parse_sexpr("(+ (sq x0) (neg z0))", _resolve)
+
+
+def test_operator_sugar_and_constructor_checks():
+    x, y = ex.var(0), ex.var(1)
+    p = np.array([3.0, 5.0])
+    assert (1.0 - x).value(p) == -2.0 and (1.0 - x) == ex.add(ex.Const(1.0), ex.neg(x))
+    assert -x == ex.neg(x) and (-x).value(p) == -3.0
+    with pytest.raises(TypeError):  # a product of two expressions has no node
+        x * y
+    with pytest.raises(ValueError, match="variable index must be nonnegative"):
+        ex.var(-1)
+    with pytest.raises(ValueError, match="unknown curvature tag 'wobbly'"):
+        x.with_tag("wobbly")
+    # an affine map that does not read the substituted index stays as it is
+    aff = ex.affine([(0, 2.0)], 1.0)
+    assert aff.subst(1, ex.square(y)) == aff
+
+
+def test_an_untagged_curvature_audit_checks_nothing():
+    rep = ex.curvature_audit(ex.sin(ex.var(0)), [0.0], [1.0], tag=ex.NONE)
+    assert rep == ex.CurvatureReport(ex.NONE, True, 0)
+
+
+def test_the_printer_rejects_an_unknown_node():
+    class Cube(ex._Unary):
+        pass
+
+    with pytest.raises(TypeError, match="unknown node Cube"):
+        ex.to_sexpr(Cube(ex.var(0)), _names)

@@ -6,10 +6,13 @@ as it always was in ``membership``."""
 
 import dataclasses
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
 
+from saddlelift import cli
 from saddlelift import expr as ex
 from saddlelift import forms as fm
 from saddlelift.audit import CLASS_FAILED, GRID_AXES, GridSpec, identity_audit, registry_sweep
@@ -34,7 +37,6 @@ from saddlelift.penalty import eps_feasible, penalty_f, penalty_g, total_violati
 from saddlelift.solver import (
     KktReport,
     SolverParams,
-    _estimate,
     exactness_probe,
     kkt_residual,
     stability_probe,
@@ -86,6 +88,29 @@ def _ref_witness_report(form, x):
     return WitnessReport(p, _ref_membership(form, p), form.g.value(p.vec), ref)
 
 
+def _ref_estimate(target, cols, is_ineq, active):
+    """Bounded least squares over per-column lists, as kkt_residual solved
+    it before its columns and bounds became one matrix and one vector."""
+    from scipy.optimize import lsq_linear
+
+    free_cols, free_idx, lb = [], [], []
+    for idx, (c, ineq_flag, act) in enumerate(zip(cols, is_ineq, active)):
+        if ineq_flag and not act:
+            continue
+        free_cols.append(c)
+        free_idx.append(idx)
+        lb.append(0.0 if ineq_flag else -np.inf)
+    w = np.zeros(len(cols))
+    if not free_cols:
+        return w, float(np.linalg.norm(target))
+    A = np.column_stack(free_cols)
+    b = -target
+    sol = lsq_linear(A, b, bounds=(np.array(lb), np.full(len(lb), np.inf)))
+    for j, idx in enumerate(free_idx):
+        w[idx] = sol.x[j]
+    return w, float(np.linalg.norm(A @ sol.x - b))
+
+
 def _ref_kkt(form, p, feas_tol=1e-6, act_tol=1e-6):
     if not _ref_membership(form, p, feas_tol).feasible:
         raise FormError("infeasible")
@@ -98,8 +123,8 @@ def _ref_kkt(form, p, feas_tol=1e-6, act_tol=1e-6):
     grads = [e.value_grad(v)[1] for e in (*form.ineq, *form.eq)]
     is_ineq = [True] * s + [False] * r
     active = [gi_vals[i] >= -act_tol for i in range(s)] + [True] * r
-    alpha, res_xy = _estimate(ggrad[xy], [c[xy] for c in grads], is_ineq, active)
-    beta, res_z = _estimate(-ggrad[zz], [c[zz] for c in grads], is_ineq, active)
+    alpha, res_xy = _ref_estimate(ggrad[xy], [c[xy] for c in grads], is_ineq, active)
+    beta, res_z = _ref_estimate(-ggrad[zz], [c[zz] for c in grads], is_ineq, active)
     comp = sign = 0.0
     for i in range(s):
         comp = max(comp, abs(alpha[i] * gi_vals[i]), abs(beta[i] * gi_vals[i]))
@@ -401,3 +426,71 @@ def test_a_malformed_witness_or_reference_is_a_form_error(case):
     assert rep.classification == CLASS_FAILED
     assert all(r.witness_gap == math.inf and not r.witness_feasible for r in rep.rows)
     assert registry_sweep([form])["plain"].classification == CLASS_FAILED
+
+
+def _count_kernel_calls(form, monkeypatch):
+    """The form's value and value+gradient kernel calls, counted."""
+    calls = {"value": 0, "value_grad": 0}
+    tape = form.tape()
+    for mode in calls:
+        kernel = getattr(tape, mode)
+
+        def counted(p, mode=mode, kernel=kernel):
+            calls[mode] += 1
+            return kernel(p)
+
+        monkeypatch.setattr(tape, mode, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(n for n, f in FORMS.items() if f.witness is not None))
+def test_kkt_residual_evaluates_the_form_once(name, monkeypatch):
+    # one value+gradient call feeds the membership check and both systems;
+    # the check read the form again with a value call
+    form = FORMS[name]
+    calls = _count_kernel_calls(form, monkeypatch)
+    seen = 0
+    for x in form.sample_x(np.random.default_rng(11), 3):
+        with np.errstate(all="ignore"):
+            v = witness_eval(form, x, check=False).vec
+        for given in ({}, {"alpha": np.zeros(len(form.ineq) + len(form.eq))}):
+            before = dict(calls)
+            try:
+                kkt_residual(form, v, **given)
+            except (ex.ExprError, FormError):
+                pass
+            assert (calls["value"] - before["value"], calls["value_grad"] - before["value_grad"]) == (0, 1)
+            seen += 1
+    assert seen == 6
+
+
+def test_the_window_is_computed_once_per_form(monkeypatch):
+    # validate_form, sample_x and each identity-audit row read the window;
+    # it was recomputed on every read.  The curvature audit clips the
+    # window it is given on its own, so its calls do not count here
+    calls = []
+    window = ex.sample_window
+
+    def counted(lower, upper):
+        if sys._getframe(1).f_code is not ex.curvature_audit.__code__:
+            calls.append(lower)
+        return window(lower, upper)
+
+    monkeypatch.setattr(ex, "sample_window", counted)
+    for name in ("dc", "sin_0_2pi", "relu_a", "pow_a"):
+        form = make_catalog_form(name)
+        del calls[:]
+        validate_form(form, samples=5)
+        identity_audit(form, form.sample_x(np.random.default_rng(0), 3), GridSpec(resolution=5))
+        assert len(calls) == 1, name
+        lo, hi = form.effective_window()
+        assert not lo.flags.writeable and not hi.flags.writeable
+        assert dataclasses.replace(form).effective_window() is not form.effective_window()
+    # a pickled copy computes its own, read-only too
+    doc = {"inline": {"partition": [1, 1, 1], "lower": [None, 0.0, 0.0], "g": "(+ y0 (neg z0))"}}
+    form = cli.load_form({"problem": doc})
+    lo, hi = form.effective_window()
+    back = pickle.loads(pickle.dumps(form))
+    assert "_window" not in back.__dict__
+    for got, want in zip(back.effective_window(), (lo, hi)):
+        assert not got.flags.writeable and got.tobytes() == want.tobytes()

@@ -237,3 +237,15 @@ def test_partition_names():
     for n, m1, m2 in ((0, 1, 1), (1, -1, 0), (1, 0, -1)):
         with pytest.raises(FormError, match="partition requires n >= 1"):
             VarPartition(n, m1, m2)
+
+
+def test_a_report_without_a_reference_has_no_gap():
+    # the error is then the largest violation alone
+    form = make_catalog_form("abs_power")
+    blind = dataclasses.replace(form, reference=None)
+    report = witness_report(blind, [2.0])
+    assert report.reference is None and report.gap is None
+    assert report.error == report.membership.max_violation < 1e-9
+    shifted = dataclasses.replace(blind, witness=lambda x: (np.array([0.0]), np.array([-1.0])))
+    report = witness_report(shifted, [2.0])
+    assert report.gap is None and report.error == report.membership.max_violation > 1.0
