@@ -102,8 +102,10 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
     is numerically discontinuous and any full-gradient move costs more than
     it gains), a coordinate-refinement sweep takes over: single-coordinate
     backtracking moves cannot pay cross-coordinate ridge costs, so smooth
-    coordinates keep descending.  The phases alternate until the gradient
-    tolerance, the iteration cap, or no phase makes progress.
+    coordinates keep descending.  A sweep counts only when it lowers the
+    objective strictly: a sweep of tie moves ends the coordinate phase, and
+    its moves are dropped.  The phases alternate until the gradient
+    tolerance, the iteration cap, or a coordinate phase without progress.
 
     ``obj`` receives float arrays of the block's size.  Each trial costs
     one ``obj`` call (for the solver's :func:`_block_objective`, one call of
@@ -184,9 +186,9 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
                     except DomainEvalError:
                         fq = math.inf
                     if math.isfinite(fq) and fq <= f - _ARMIJO * abs(gi * (ti - old)):
+                        moved = moved or fq < f  # a tie is kept in place but is no progress
                         f = fq
                         warm[i] = 2.0 * alpha
-                        moved = True
                         break
                     alpha *= _BACKTRACK
                 else:
