@@ -25,8 +25,7 @@ import numpy as np
 
 from .catalog import CATALOG
 from .expr import ExprError
-from .forms import D2_TOL, FormError, SaddleForm, _witness_read
-from .forms import witness_check, witness_eval
+from .forms import D2_TOL, FormError, SaddleForm, _witness_read, witness_check
 
 _CHUNK = 200_000
 
@@ -49,20 +48,10 @@ class GridSpec:
             raise ValueError("grid resolution must be >= 2")
 
 
-def _map_point(form: SaddleForm, x) -> np.ndarray | None:
-    """The witness map's point at ``x`` as a vector, unchecked; None without
-    a map or where it raises."""
-    if form.witness is None:
-        return None
-    try:
-        return witness_eval(form, x, check=False).vec
-    except (ExprError, FormError):
-        return None
-
-
 def _default_bounds(form: SaddleForm, witness) -> list[tuple[float, float]]:
     """Window bounds per (y, z) axis, widened to cover the ``witness``
-    vector's finite coordinates (None: the window alone)."""
+    vector's finite coordinates (None, or the NaN row of a map that raised:
+    the window alone)."""
     lo, hi = form.effective_window()
     n = form.partition.n
     bounds = [[float(a), float(b)] for a, b in zip(lo[n:], hi[n:])]
@@ -103,8 +92,8 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     if form.box.slice(range(part.n)).excess(x) > D2_TOL:
         return math.inf, None
     bounds = grid.bounds
-    if bounds is None:
-        bounds = _default_bounds(form, _map_point(form, x))
+    if bounds is None:  # placed by the witness map's point, as an identity audit places it
+        bounds = _default_bounds(form, _witness_read(form, [x])[0][0])
     if len(bounds) != part.m1 + part.m2:
         raise FormError(
             f"grid needs {part.m1 + part.m2} axis bounds, got {len(bounds)}"
@@ -229,16 +218,16 @@ def identity_audit(
         raise FormError("identity_audit needs a form with a reference evaluator")
     grid = grid or GridSpec()
     xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
-    points, mapped, values, refs, violation, error, _ = _witness_read(form, xs)
+    points, mapped, values, refs, _, violation, error, _ = _witness_read(form, xs)
     rows = []
     for k, x in enumerate(xs):
-        witness, ref = points[k] if mapped[k] else None, float(refs[k])
+        ref = float(refs[k])
         gx = grid
         if grid.bounds is None:
-            gx = replace(grid, bounds=tuple(_default_bounds(form, witness)))
+            gx = replace(grid, bounds=tuple(_default_bounds(form, points[k])))
         oracle, opoint = _grid_scan(form, x, gx)
         steps = np.array([(hi - lo) / (gx.resolution - 1) for lo, hi in gx.bounds])
-        probe = witness if opoint is None else opoint
+        probe = opoint if opoint is not None else points[k] if mapped[k] else None
         with np.errstate(over="ignore"):  # inf where a far witness widened the grid
             allowance = float(steps @ _gradient_bound(form, x, probe)) if steps.size else 0.0
         ogap = abs(oracle - ref) if math.isfinite(oracle) else math.inf

@@ -311,8 +311,8 @@ def cmd_witness(args) -> int:
         "z": p.z,
         "g_value": report.value,
         "reference": report.reference,
-        "max_violation": report.membership.max_violation,
-        "feasible": report.membership.feasible,
+        "max_violation": report.violation,
+        "feasible": report.feasible,
     }
     if report.gap is not None:
         out["witness_gap"] = report.gap

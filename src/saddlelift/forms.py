@@ -360,7 +360,12 @@ def _member_values(form: SaddleForm, p: SaddlePoint | np.ndarray, grads: bool = 
     try:
         return form.values_grads(p) if grads else form.values(p)
     except ex.DomainEvalError as err:
-        raise ex.DomainEvalError(f"{err} (while checking membership of {form.name})", err.node)
+        raise _membership_error(form, err)
+
+
+def _membership_error(form: SaddleForm, err: ex.DomainEvalError) -> ex.DomainEvalError:
+    """The domain error ``err`` of the form's kernels, naming the membership check."""
+    return ex.DomainEvalError(f"{err} (while checking membership of {form.name})", err.node)
 
 
 def membership(
@@ -393,6 +398,8 @@ def _witness_vector(form: SaddleForm, x) -> np.ndarray:
         raise WitnessOverflowError(
             f"witness map of {form.name!r} overflows at x={xv.tolist()}: {err}"
         ) from err
+    except ValueError as err:  # outside the domain of Python's math
+        raise FormError(f"witness map of {form.name!r} is undefined at x={xv.tolist()}: {err}") from err
     try:
         y, z = blocks
         return form._vector(_stack(xv, y, z))
@@ -417,13 +424,18 @@ def witness_eval(form: SaddleForm, x, check: bool = True) -> SaddlePoint:
 
 def reference_value(form: SaddleForm, x) -> float:
     """The form's reference f(x) as a float, under the caller's errstate; an
-    overflow raises :class:`WitnessOverflowError`, a result that is not a
-    real number :class:`FormError`."""
+    overflow raises :class:`WitnessOverflowError`, a ``ValueError`` (outside
+    the domain of Python's math) or a result that is not a real number
+    :class:`FormError`."""
     try:
         f = form.reference(x)
     except OverflowError as err:
         raise WitnessOverflowError(
             f"reference of {form.name!r} overflows at x={np.asarray(x).tolist()}: {err}"
+        ) from err
+    except ValueError as err:
+        raise FormError(
+            f"reference of {form.name!r} is undefined at x={np.asarray(x).tolist()}: {err}"
         ) from err
     if not isinstance(f, numbers.Real):
         raise FormError(f"reference of {form.name!r} gives {type(f).__name__}, not a real number")
@@ -432,47 +444,39 @@ def reference_value(form: SaddleForm, x) -> float:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """The witness point at some x and how well it keeps the witness identity."""
+    """The witness point at some x and how well it keeps the witness identity:
+    one row of :func:`_witness_read`."""
 
     point: SaddlePoint
-    membership: MembershipReport
     value: float  # g at the witness point
     reference: float | None  # f(x); None for a form without a reference
-
-    @property
-    def gap(self) -> float | None:
-        """|g - f(x)| at the witness point, inf where it is NaN; None
-        without a reference."""
-        if self.reference is None:
-            return None
-        gap = abs(self.value - self.reference)
-        return math.inf if math.isnan(gap) else gap
-
-    @property
-    def error(self) -> float:
-        """The larger of the identity gap and the largest violation."""
-        return max(self.gap or 0.0, self.membership.max_violation)
+    gap: float | None  # |g - f(x)|, inf where it is NaN; None without a reference
+    violation: float  # the largest violation, inf where a constraint value is NaN
+    error: float  # the larger of the gap and the violation
+    feasible: bool  # violation <= D2_TOL
 
 
 def witness_report(form: SaddleForm, x, check: bool = False) -> WitnessReport:
-    """Evaluate the witness at ``x`` and measure the witness identity there.
+    """Evaluate the witness at ``x`` and measure the witness identity there:
+    row 0 of :func:`_witness_read` at ``[x]``.
 
-    Evaluation errors (:class:`~saddlelift.expr.ExprError`, and
+    The row's evaluation error (:class:`~saddlelift.expr.ExprError`, and
     :class:`FormError` for a missing or malformed witness or reference, or
-    one whose map or reference overflows) propagate.  With ``check``, an
-    :attr:`WitnessReport.error` above D2_TOL raises
-    :class:`WitnessInfeasibleError`.
+    one whose map or reference overflows or leaves the domain of Python's
+    math) is raised.  With ``check``, an :attr:`WitnessReport.error` above
+    D2_TOL raises :class:`WitnessInfeasibleError`.
     """
-    p = witness_eval(form, x, check=False)
-    values = _member_values(form, p)
-    with np.errstate(all="ignore"):  # as in witness_eval
-        ref = None if form.reference is None else reference_value(form, p.x)
-    report = WitnessReport(p, membership(form, p, D2_TOL, values=values), values[0], ref)
+    points, _, values, refs, gaps, violations, errors, raised = _witness_read(form, [x])
+    if raised[0] is not None:
+        raise raised[0]
+    p, violation = SaddlePoint(form.partition, points[0]), float(violations[0])
+    ref, gap = (float(refs[0]), float(gaps[0])) if form.reference is not None else (None, None)
+    report = WitnessReport(p, float(values[0]), ref, gap, violation, float(errors[0]), violation <= D2_TOL)
     if check and report.error > D2_TOL:
-        gap = "no reference" if report.gap is None else f"{report.gap:.3e}"
+        gap = "no reference" if gap is None else f"{gap:.3e}"
         raise WitnessInfeasibleError(
             f"witness identity of {form.name!r} fails at x={p.x.tolist()}: "
-            f"max violation {report.membership.max_violation:.3e}, |g - f| = {gap}"
+            f"max violation {violation:.3e}, |g - f| = {gap}"
         )
     return report
 
@@ -482,13 +486,14 @@ def _witness_read(form: SaddleForm, xs):
     one call each of the witness map, the form's value kernel at the map's
     point and the reference at x, then numpy reductions.  Gives the points
     (NaN rows where the map raised), whether the map gave each, g, f (NaN
-    where the reference raised), the largest violations, the errors and
-    whether one of the three raised; such a row reads NaN values and an inf
-    violation and error."""
+    where the reference raised), the identity gaps (0 without a reference),
+    the largest violations, the errors, and each row's first exception (a
+    domain error of the kernel naming the membership check) or None; a row
+    with one reads NaN values and an inf violation and error."""
     k_s, n, kernel, count = 1 + len(form.ineq), form.partition.n, form.tape().value, len(xs)
     points = np.full((count, form.partition.total), math.nan)
     values = np.full((count, k_s + len(form.eq)), math.nan)
-    refs, mapped, raised = np.full(count, math.nan), np.zeros(count, bool), np.zeros(count, bool)
+    refs, mapped, raised = np.full(count, math.nan), np.zeros(count, bool), [None] * count
     with np.errstate(all="ignore"):
         for k, x in enumerate(xs):
             xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -496,20 +501,21 @@ def _witness_read(form: SaddleForm, xs):
                 points[k] = v = _witness_vector(form, xv)
                 mapped[k] = True
                 vals = kernel(v.tolist())
-            except (ex.ExprError, FormError):
-                raised[k] = True
+            except (ex.ExprError, FormError) as err:  # after the map, a domain error of the kernel
+                raised[k] = _membership_error(form, err) if mapped[k] else err
             if form.reference is not None and xv.shape == (n,):  # else the map raised
                 try:
                     refs[k] = reference_value(form, xv)
-                except (ex.ExprError, FormError):
-                    raised[k] = True
-            if not raised[k]:
+                except (ex.ExprError, FormError) as err:
+                    raised[k] = raised[k] or err
+            if raised[k] is None:
                 values[k] = vals
         worst = _largest(form.box.excess(points), values[:, 1:k_s], values[:, k_s:])
-        worst[raised] = math.inf
+        worst[np.array([e is not None for e in raised], bool)] = math.inf
         gap = np.abs(values[:, 0] - refs) if form.reference is not None else np.zeros(count)
-        error = np.maximum(np.where(np.isnan(gap), math.inf, gap), worst)
-    return points, mapped, values[:, 0], refs, worst, error, raised
+        gap[np.isnan(gap)] = math.inf
+        error = np.maximum(gap, worst)
+    return points, mapped, values[:, 0], refs, gap, worst, error, raised
 
 
 def witness_check(form: SaddleForm, xs) -> tuple[float, np.ndarray | None]:
@@ -519,8 +525,9 @@ def witness_check(form: SaddleForm, xs) -> tuple[float, np.ndarray | None]:
     is at most D2_TOL."""
     xs = list(xs)
     error, raised = _witness_read(form, xs)[-2:]
-    if raised.any():
-        return math.inf, xs[int(raised.argmax())]
+    for x, err in zip(xs, raised):
+        if err is not None:
+            return math.inf, x
     worst = error.max(initial=0.0)
     return (float(worst), xs[int(error.argmax())]) if worst > 0.0 else (0.0, None)
 

@@ -29,14 +29,12 @@ smoothed penalty sign*g + rho * sum max(g_i,0)^power + rho * sum
 mode also its full-space gradient.  The epilogue is the plain sum written
 out: terms added to 0.0 in constraint order, a NaN g_i counted as
 violated, the coefficient rho*power*v**(power-1.0) (times the sign of h_j)
-added into one accumulator per variable from 0.0, and sign*dg added last.
-So value and gradient are bit for bit those of that sum over the dense
-Jacobian: where a coefficient is not finite, the entries outside its
-constraint's gradient read its product with 0.0, a NaN, as there (which
-of two NaNs survives a sum is not fixed by CPython's float arithmetic
-anyway).  A float power that overflows makes the value inf and the
-gradient NaN, and a missing gradient raises only for g and the active
-constraints.
+added into one accumulator per variable from 0.0, and sign*dg added last,
+so value and gradient are bit for bit those of that sum over the dense
+Jacobian.  One rule covers a term that is not finite: a float power that
+overflows makes the value inf, and it or a coefficient that is not finite
+makes the gradient NaN throughout.  A missing gradient raises only for g
+and the active constraints.
 """
 
 from __future__ import annotations
@@ -84,15 +82,6 @@ def _overflow_pow(v: float, e) -> float:
     """``v ** e`` where Python floats raise OverflowError: numpy gives inf."""
     with np.errstate(over="ignore"):
         return float(np.float64(v) ** e)
-
-
-def _times_zero(grad: np.ndarray, nonfinite, present) -> None:
-    """Add c*0.0 (a NaN) to the entries outside constraint k's gradient, for
-    each (k, c*0.0) in ``nonfinite``: the dense sum adds c times a zero there."""
-    for k, zero in nonfinite:
-        absent = np.ones(grad.size, dtype=bool)
-        absent[present[k]] = False
-        grad[absent] += zero
 
 
 class _Lowering:
@@ -193,7 +182,7 @@ class _Lowering:
             for i, entry in sorted(self.entries[id(e)].items()):
                 term = "coef" if entry == 1.0 else f"coef * {self.operand(entry)}"
                 terms.append(f"    a{i} = a{i} + {term}")
-            terms += ["    if coef - coef != 0.0:", f"        nonfinite.append(({k}, coef * 0.0))"]
+            terms += ["    if coef - coef != 0.0:", "        finite = False"]
         g = self.value[id(outputs[0])]
         lines = ["pen = 0.0"]
         if self.grad:
@@ -201,16 +190,16 @@ class _Lowering:
             if kink:
                 lines += [f"if {kink}:", f"    raise _kink_error({kink})"]
             acc = {i for e in outputs[1:] for i in self.entries[id(e)]}
-            lines += [f"a{i} = 0.0" for i in sorted(acc)] + ["pm1 = power - 1.0", "nonfinite = []"]
+            lines += [f"a{i} = 0.0" for i in sorted(acc)] + ["pm1 = power - 1.0", "finite = True"]
         if terms:
-            lines += ["try:", *("    " + s for s in terms), "except OverflowError:"]
+            overflow = ["    pen = _inf"] + (["    finite = False"] if self.grad else [])
+            lines += ["try:", *("    " + s for s in terms), "except OverflowError:", *overflow]
         if not self.grad:
-            overflow = ["    pen = _inf"] if terms else []
-            return lines + overflow + [f"return sign * {g} + pen"]
-        dg = self.entries[id(outputs[0])]
+            return lines + [f"return sign * {g} + pen"]
         if terms:
-            # the gradient of a penalty whose power overflowed is NaN throughout
-            lines.append(f"    return sign * {g} + _inf, _full(len(p), _nan)")
+            # a term whose power overflows or whose coefficient is not finite: NaN throughout
+            lines += ["if not finite:", f"    return sign * {g} + pen, _full(len(p), _nan)"]
+        dg = self.entries[id(outputs[0])]
         cols = sorted(acc | set(dg))
         # sign*0.0 + a_i is a_i bit for bit: a sum from 0.0 is never -0.0
         finals = [
@@ -218,21 +207,12 @@ class _Lowering:
             for i in cols
         ]
         self.namespace.update(
-            _zeros=np.zeros,
-            _cols=np.array(cols, dtype=np.intp),
-            _present=[np.array(sorted(self.entries[id(e)]), dtype=np.intp) for e in outputs],
-            _full=np.full,
-            _nan=math.nan,
-            _times_zero=_times_zero,
+            _zeros=np.zeros, _cols=np.array(cols, dtype=np.intp), _full=np.full, _nan=math.nan
         )
         lines.append("grad = _zeros(len(p))")
         if finals:
             lines.append(f"grad[_cols] = [{', '.join(finals)}]")
-        return lines + [
-            "if nonfinite:",
-            "    _times_zero(grad, nonfinite, _present)",
-            f"return sign * {g} + pen, grad",
-        ]
+        return lines + [f"return sign * {g} + pen, grad"]
 
     def operand(self, entry) -> str:
         return self.const(entry) if isinstance(entry, float) else entry

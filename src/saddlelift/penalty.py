@@ -17,9 +17,10 @@ by one call of the form's penalty kernel (:meth:`SaddleForm.smoothed_penalty`).
 The gradient of v^theta at v = 0 is taken as exactly 0 (the one-sided limit),
 so they are differentiable everywhere.  A NaN g_i counts as violated in every
 penalty.  Where a violation's power leaves the float range, the smoothed sum
-reads inf (so F_theta, G_theta and G2 read inf wherever g is finite) and the
-gradient reads NaN.  Box bounds are not penalized; solvers keep iterates
-inside the box by projection.
+reads inf (so F_theta, G_theta and G2 read inf wherever g is finite); there,
+and where a term's coefficient is not finite, the gradient reads NaN
+throughout.  Box bounds are not penalized; solvers keep iterates inside the
+box by projection.
 """
 
 from __future__ import annotations

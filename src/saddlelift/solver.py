@@ -39,6 +39,7 @@ from .penalty import (
 STATUS_CONVERGED = "eps_feasible_converged"
 STATUS_RHO_CAP = "rho_cap_reached"
 STATUS_MAX_OUTER = "max_outer_reached"
+STATUS_DIVERGED = "diverged"
 
 # inner line search: first trial step, backtracking factor, Armijo slope fraction
 _INITIAL_STEP = 1.0
@@ -225,16 +226,15 @@ def inner_minimize_multistart(
 
 
 class _Block:
-    """A block objective's point as a list of Python floats, its block slice
-    and the form's penalty kernels at power ``theta``.  It stands in for the
-    form in the penalty functions, which read only ``smoothed_penalty``, so
-    a trial reaches the kernel with nothing converted or checked again."""
+    """A block objective's point as a list of Python floats and the form's
+    penalty kernels at power ``theta``.  It stands in for the form in the
+    penalty functions, which read only ``smoothed_penalty``, so a trial
+    reaches the kernel with nothing converted or checked again."""
 
-    __slots__ = ("point", "block", "kernels")
+    __slots__ = ("point", "kernels")
 
-    def __init__(self, form: SaddleForm, base, block: slice, theta: float):
+    def __init__(self, form: SaddleForm, base, theta: float):
         self.point = form._vector(base).tolist()
-        self.block = block
         self.kernels = (form._penalty_kernel(theta, False), form._penalty_kernel(theta, True))
 
     def smoothed_penalty(self, p, sign, rho, power, grad):
@@ -246,8 +246,8 @@ def _block_objective(form: SaddleForm, base, block, penalty, penalty_value, rho,
     over the coordinates ``block`` of ``base``, the others held fixed.  Each
     trial writes ``sub`` into a :class:`_Block`'s point and passes the block
     to ``penalty`` or ``penalty_value`` in the form's place: one kernel call."""
-    blk = _Block(form, base, block, theta)
-    full, block = blk.point, blk.block
+    blk = _Block(form, base, theta)
+    full = blk.point
 
     def obj(sub, need_grad):
         full[block] = sub.tolist()
@@ -257,6 +257,15 @@ def _block_objective(form: SaddleForm, base, block, penalty, penalty_value, rho,
         return penalty_value(blk, full, rho, theta), None
 
     return obj
+
+
+def _blocks(form: SaddleForm):
+    """Each block of the partition with its name, its slice, its smoothed
+    penalty with and without the gradient and its exact penalty: F over
+    (x, y), G over z.  The names are looked up per call, so a rebinding of
+    them in this module is seen."""
+    yield "xy", form.partition.xy, penalty_f_theta, penalty_f_theta_value, penalty_f
+    yield "z", form.partition.z, penalty_g_theta, penalty_g_theta_value, penalty_g
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +320,15 @@ def alternating_penalty_solve(
     (anything else raises :class:`FormError`); points outside the box are
     projected in.  A solve draws no random numbers: ``seed`` is accepted
     and ignored, and fixed parameters and start give a bit-for-bit
-    reproducible trace.
+    reproducible trace.  A solve that ends at a coordinate that is not
+    finite or at the largest float in magnitude has diverged, whatever
+    stopped the loop.
     """
     params = params or SolverParams()
     part = form.partition
     lo = form.box.lower_array()
     hi = form.box.upper_array()
     p = np.clip(form._vector(np.zeros(part.total) if start is None else start), lo, hi)
-    # looked up per solve, so a rebinding of these names in this module is seen
-    blocks = (
-        ("xy", part.xy, penalty_f_theta, penalty_f_theta_value),
-        ("z", part.z, penalty_g_theta, penalty_g_theta_value),
-    )
     trace: list[TraceRow] = []
     status = STATUS_MAX_OUTER
     diagnostic = ""
@@ -332,7 +338,7 @@ def alternating_penalty_solve(
         rho = params.rho1 * params.growth ** (k - 1)
         p2 = p.copy()
         inner = []
-        for name, block, penalty, penalty_value in blocks:
+        for name, block, penalty, penalty_value, _ in _blocks(form):
             if block.stop == block.start:
                 continue
             obj = _block_objective(form, p2, block, penalty, penalty_value, rho, theta)
@@ -363,7 +369,8 @@ def alternating_penalty_solve(
         if params.rho1 * params.growth**k > params.rho_cap:
             status = STATUS_RHO_CAP
             break
-
+    if not (np.abs(p) < np.finfo(float).max).all():  # NaN fails too
+        status = STATUS_DIVERGED
     return SolveResult(SaddlePoint(part, p), status, tuple(trace), diagnostic)
 
 
@@ -497,10 +504,7 @@ def exactness_probe(
     for i, rho in enumerate(rho_list):
         rng = np.random.default_rng(seed + i)
         at_cand, at_star = [], []
-        for block, penalty, penalty_value, exact in (
-            (form.partition.xy, penalty_f_theta, penalty_f_theta_value, penalty_f),
-            (form.partition.z, penalty_g_theta, penalty_g_theta_value, penalty_g),
-        ):
+        for _, block, penalty, penalty_value, exact in _blocks(form):
             cand = star.copy()
             if block.stop > block.start:
                 obj = _block_objective(form, star, block, penalty, penalty_value, rho, theta)
@@ -549,22 +553,6 @@ class StabilityReport:
     tightest_rho: float
 
 
-def shifted_constraints(form: SaddleForm, eta, tau) -> SaddleForm:
-    """The form with inequality offsets g_i <= eta_i and equalities h_j = tau_j."""
-    eta = np.asarray(eta, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if eta.shape != (len(form.ineq),) or tau.shape != (len(form.eq),):
-        raise FormError("perturbation sizes must match the constraint lists")
-    return replace(
-        form,
-        name=f"{form.name}[shifted]",
-        ineq=tuple(gi - float(e) for gi, e in zip(form.ineq, eta)),
-        eq=tuple(hj - float(t) for hj, t in zip(form.eq, tau)),
-        witness=None,
-        reference=None,
-    )
-
-
 def stability_probe(
     form: SaddleForm,
     p_star: SaddlePoint | np.ndarray,
@@ -572,19 +560,24 @@ def stability_probe(
     rho: float,
     params: SolverParams | None = None,
 ) -> StabilityReport:
-    """Solve right-hand-side-perturbed problems and test the value bound
+    """Solve right-hand-side-perturbed problems (g_i <= eta_i, h_j = tau_j)
+    and test the value bound
     |g(p*) - g(perturbed optimum)| <= rho * (sum max(eta,0) + sum |tau|)."""
     params = params or SolverParams(max_outer=12)
-    base = form.g.value(form._vector(p_star))
+    base = form.values(p_star)[0]
     rows = []
     tightest = 0.0
     for eta, tau in perturbations:
         eta = np.asarray(eta, dtype=float)
         tau = np.asarray(tau, dtype=float)
+        if eta.shape != (len(form.ineq),) or tau.shape != (len(form.eq),):
+            raise FormError("perturbation sizes must match the constraint lists")
         size = float(np.maximum(eta, 0.0).sum() + np.abs(tau).sum())
-        pert = shifted_constraints(form, eta, tau)
+        ineq = tuple(gi - float(e) for gi, e in zip(form.ineq, eta))
+        eq = tuple(hj - float(t) for hj, t in zip(form.eq, tau))
+        pert = replace(form, name=f"{form.name}[shifted]", ineq=ineq, eq=eq, witness=None, reference=None)
         res = alternating_penalty_solve(pert, params, start=p_star)
-        val = form.g.value(res.point.vec)
+        val = form.values(res.point)[0]
         diff = abs(base - val)
         bound = rho * size
         holds = diff <= bound + 1e-9

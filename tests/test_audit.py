@@ -16,7 +16,6 @@ from saddlelift.audit import (
     _default_bounds,
     _gradient_bound,
     _grid_scan,
-    _map_point,
     grid_minmax,
     identity_audit,
     load_registry,
@@ -208,6 +207,20 @@ def test_nan_objective_at_the_witness_fails_the_identity():
     assert registry_sweep([form])["nan_objective"].classification == CLASS_FAILED
 
 
+@pytest.mark.parametrize("name", ["sin_0_pi", "sin_0_2pi", "cos_0_2pi"])
+def test_a_map_or_reference_outside_the_math_domain_reads_an_inf_error(name):
+    # at x = +-inf the map and the reference raise ValueError in Python's
+    # math, which ended witness_check and identity_audit in a traceback
+    form = make_catalog_form(name)
+    for x in (np.array([math.inf]), np.array([-math.inf])):
+        with pytest.raises(FormError, match=f"witness map of '{name}' is undefined at x="):
+            witness_report(form, x)
+        worst, at = witness_check(form, [np.array([1.0]), x])
+        assert worst == math.inf and at is x
+        (row,) = identity_audit(form, [x], GridSpec(resolution=3)).rows
+        assert row.witness_gap == math.inf and not row.witness_feasible and math.isnan(row.reference)
+
+
 def test_grid_scan_of_an_x_outside_the_box_is_infeasible():
     form = make_catalog_form("pow_a")  # x >= 0
     assert _grid_scan(form, [-1.0], GridSpec(resolution=5)) == (math.inf, None)
@@ -383,7 +396,6 @@ def test_a_raising_map_leaves_the_grid_to_the_window():
         raise OverflowError("witness leaves the float range")
 
     form = dataclasses.replace(form, witness=witness)
-    assert _map_point(form, [1.0]) is None
     bounds = tuple(_default_bounds(form, None))
     assert grid_minmax(form, [1.0], GridSpec(resolution=11)) == grid_minmax(
         form, [1.0], GridSpec(resolution=11, bounds=bounds)

@@ -20,13 +20,22 @@ from hypothesis import given, settings, strategies as st
 
 from saddlelift import audit
 from saddlelift import expr as ex
-from saddlelift.audit import GridSpec, _default_bounds, _grid_scan, _map_point
+from saddlelift.audit import GridSpec, _default_bounds, _grid_scan
 from saddlelift.catalog import make_catalog_form, trivial_convex
-from saddlelift.forms import D2_TOL, Box, SaddleForm, VarPartition
+from saddlelift.forms import D2_TOL, Box, FormError, SaddleForm, VarPartition, witness_eval
 from test_kernels import FORMS
 
 
 # -- references: the loops the bulk evaluation replaced
+
+
+def _ref_map_point(form, x):
+    """The witness map's point at ``x``, or None without a map or where it
+    raises: what places a default grid."""
+    try:
+        return witness_eval(form, x, check=False).vec
+    except (ex.ExprError, FormError):
+        return None
 
 
 def _ref_grid_scan(form, x, grid):
@@ -35,7 +44,7 @@ def _ref_grid_scan(form, x, grid):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if form.box.slice(range(part.n)).excess(x) > D2_TOL:
         return math.inf, None
-    bounds = list(grid.bounds) if grid.bounds is not None else _default_bounds(form, _map_point(form, x))
+    bounds = list(grid.bounds) if grid.bounds is not None else _default_bounds(form, _ref_map_point(form, x))
     axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in bounds]
     y_axes, z_axes = axes[: part.m1], axes[part.m1 :]
     if z_axes:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, round trips, determinism."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -122,6 +123,17 @@ def test_witness_overflow_is_an_error_line(tmp_path, capsys):
     code = cli.main(["witness", path, "--x", "1e160"])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and "overflows" in out["error"]
+
+
+@pytest.mark.parametrize("name", ["sin_0_pi", "sin_0_2pi", "cos_0_2pi"])
+@pytest.mark.parametrize("x", ["inf", "-inf"])
+def test_a_witness_outside_the_math_domain_is_an_error_line(tmp_path, capsys, name, x):
+    # the witness map and the reference call Python's math at x, which ended
+    # the command in a ValueError traceback
+    path = _write(tmp_path, {"problem": {"catalog": name}})
+    code = cli.main(["witness", path, f"--x={x}"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and name in out["error"] and "math domain error" in out["error"]
 
 
 @pytest.mark.parametrize(
@@ -477,3 +489,32 @@ def test_byte_identical_reruns(tmp_path, capsys):
         traces.append(Path(trace).read_bytes())
     assert outs[0] == outs[1]
     assert traces[0] == traces[1]
+
+
+# Recorded before the witness report became a row of the bulk witness read:
+# stdout and exit code of `saddlelift witness` on every catalog family's
+# suite instance, each x coordinate set to one of these values.
+_WITNESS_XS = (0.0, 0.5, -1.5, 2.0, 7.25, 1e-3, 1e160)
+_WITNESS_SHA256 = "a3809763051390e58591123dad6ab943fc00e3cb3887c117b194a9c9ce279165"
+
+
+def _suite_problem(entry):
+    """The problem file of a catalog family's ``default_suite()`` instance."""
+    params = {
+        k: ex.to_sexpr(v, "x{}".format) if isinstance(v, ex.Expr) else v for k, v in entry.suite.items()
+    }
+    return {"problem": {"catalog": entry.name, "params": params}}
+
+
+def test_witness_output_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    runs = 0
+    for name, entry in CATALOG.items():
+        path = _write(tmp_path, _suite_problem(entry), f"{name}.json")
+        n = cli.load_problem_file(path)[0].partition.n
+        for x in _WITNESS_XS:
+            code = cli.main(["witness", path, "--x", ",".join([repr(x)] * n)])
+            digest.update(f"{name}:{x!r}:{code}:{capsys.readouterr().out}".encode())
+            runs += 1
+    assert runs == 196
+    assert digest.hexdigest() == _WITNESS_SHA256

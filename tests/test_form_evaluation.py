@@ -14,7 +14,6 @@ import pytest
 
 from saddlelift import cli
 from saddlelift import expr as ex
-from saddlelift import forms as fm
 from saddlelift.audit import CLASS_FAILED, GRID_AXES, GridSpec, identity_audit, registry_sweep
 from saddlelift.catalog import make_catalog_form
 from saddlelift.forms import (
@@ -85,7 +84,13 @@ def _ref_total_violation(form, p):
 def _ref_witness_report(form, x):
     p = witness_eval(form, x, check=False)
     ref = None if form.reference is None else form.reference(p.x)
-    return WitnessReport(p, _ref_membership(form, p), form.g.value(p.vec), ref)
+    value, m = form.g.value(p.vec), _ref_membership(form, p)
+    parts = np.array([m.box_excess, *m.ineq_violation, *m.eq_violation])
+    violation = math.inf if np.isnan(parts).any() else max(0.0, float(parts.max()))
+    gap = None if ref is None else abs(value - ref)
+    if gap is not None and math.isnan(gap):
+        gap = math.inf
+    return WitnessReport(p, value, ref, gap, violation, max(gap or 0.0, violation), m.feasible)
 
 
 def _ref_estimate(target, cols, is_ineq, active):
@@ -254,28 +259,18 @@ def test_membership_domain_error_names_the_form_and_node():
 
 
 def test_witness_report_evaluates_the_form_once(monkeypatch):
-    # membership reads the same evaluation that gives g at the witness
-    calls = {"values": 0, "membership": 0}
-    values, member = SaddleForm.values, fm.membership
-
-    def counted_values(form, v):
-        calls["values"] += 1
-        return values(form, v)
-
-    def counted_membership(*args, **kw):
-        calls["membership"] += 1
-        return member(*args, **kw)
-
-    monkeypatch.setattr(SaddleForm, "values", counted_values)
-    monkeypatch.setattr(fm, "membership", counted_membership)
+    # a report is a row of the bulk witness read: one call of the form's
+    # value kernel gives g and the constraint values its violation reads
     reports = 0
     for form in FORMS.values():
         if form.witness is None:
             continue
+        calls = _count_kernel_calls(form, monkeypatch)
         for x in form.sample_x(np.random.default_rng(5), 2):
             witness_report(form, x)
             reports += 1
-    assert reports and calls == {"values": reports, "membership": reports}
+        assert calls == {"value": 2, "value_grad": 0}, form.name
+    assert reports
     # a domain error still names the membership check
     bad = ex.log(ex.var(0))
     form = SaddleForm("logwit", VarPartition(1, 0, 0), Box.whole(1), bad, witness=lambda x: ((), ()))
@@ -294,8 +289,8 @@ def test_nan_violation_reads_inf_and_fails_the_witness_identity():
     )
     with np.errstate(over="ignore"):
         report = witness_report(form, [1e200])
-        assert not report.membership.feasible
-        assert report.membership.max_violation == math.inf
+        assert not report.feasible
+        assert report.violation == math.inf
         assert report.error == math.inf
         with pytest.raises(WitnessInfeasibleError):
             witness_report(form, [1e200], check=True)
@@ -329,7 +324,7 @@ def _ref_identity_row(form, x):
         report = _ref_witness_report(form, x)
     except (ex.ExprError, FormError, OverflowError):
         return tuple(map(_bits, (math.nan, False, math.inf)))
-    return tuple(map(_bits, (report.value, report.membership.feasible, report.error)))
+    return tuple(map(_bits, (report.value, report.feasible, report.error)))
 
 
 def _witness_cases():

@@ -205,24 +205,46 @@ def test_smoothed_penalties_read_inf_where_the_power_overflows():
         assert value == math.inf and np.isnan(grad).all()
 
 
+def test_an_infinite_constraint_value_makes_the_gradient_nan_throughout():
+    # exp(x0) leaves the float range at x0 = 1000: the constraint reads inf
+    # and so does its coefficient.  The gradient read inf at x0, where the
+    # constraint's gradient is, and NaN at x1, as a power that overflows
+    # makes it NaN throughout
+    part = VarPartition(2, 0, 0)
+    g, gi = ex.add(ex.var(0), ex.var(1)), ex.exp(ex.var(0))
+    form = SaddleForm("exp_constraint", part, Box.whole(2), g, ineq=(gi,))
+    for sign in (1.0, -1.0):
+        for power in (1.01, 2.0):
+            value, grad = form.smoothed_penalty(np.array([1000.0, 0.0]), sign, 10.0, power, True)
+            assert value == math.inf and np.isnan(grad).all()
+            _fused_matches_plain(form, np.array([1000.0, 0.0]), sign, 10.0, power)
+
+
 # -- reference: the separate smoothed sums F_theta/G_theta and G2 had before
 #    they shared one loop (a NaN g_i compared false there and was dropped)
 
 
 def _ref_terms(ivals, evals, rho, theta, grad=None, size=0):
+    """The penalty sum and its gradient, None where a coefficient is not
+    finite (the gradient is NaN throughout there)."""
     value = 0.0
     out = np.zeros(size) if grad is not None else None
+    finite = True
     for k, gv in enumerate(ivals, 1):
         if gv > 0.0:
             value += rho * gv**theta
             if grad is not None:
-                out += rho * theta * gv ** (theta - 1.0) * grad(k)
+                coef = rho * theta * gv ** (theta - 1.0)
+                out += coef * grad(k)
+                finite = finite and math.isfinite(coef)
     for k, hv in enumerate(evals, 1 + len(ivals)):
         if hv != 0.0:
             value += rho * abs(hv) ** theta
             if grad is not None:
-                out += rho * theta * abs(hv) ** (theta - 1.0) * np.sign(hv) * grad(k)
-    return value, out
+                coef = rho * theta * abs(hv) ** (theta - 1.0)
+                out += coef * np.sign(hv) * grad(k)
+                finite = finite and math.isfinite(coef)
+    return value, out if finite else None
 
 
 def _ref_theta_value(form, p, sign, rho, theta):
@@ -236,22 +258,28 @@ def _ref_theta(form, p, sign, rho, theta):
     gval, ivals, evals, grad = form.values_grads(p.vec)
     ggrad = grad(0)
     pv, pg = _ref_terms(ivals, evals, rho, theta, grad, p.vec.size)
-    if sign > 0:
-        return float(gval + pv), ggrad + pg
-    return float(-gval + pv), -ggrad + pg
+    value = float(gval + pv) if sign > 0 else float(-gval + pv)
+    if pg is None:
+        return value, np.full(p.vec.size, math.nan)
+    return value, (ggrad if sign > 0 else -ggrad) + pg
 
 
 def _ref_g2(form, p, rho):
     gval, ivals, evals, grad = form.values_grads(p.vec)
     value = -gval
     out = -grad(0)
+    coefs = []
     for k, gv in enumerate(ivals, 1):
         if gv > 0.0:
             value += rho * gv**2
-            out += 2.0 * rho * gv * grad(k)
+            coefs.append(2.0 * rho * gv)
+            out += coefs[-1] * grad(k)
     for k, hv in enumerate(evals, 1 + len(ivals)):
         value += rho * hv**2
-        out += 2.0 * rho * hv * grad(k)
+        coefs.append(2.0 * rho * hv)
+        out += coefs[-1] * grad(k)
+    if not all(map(math.isfinite, coefs)):  # the gradient is NaN throughout
+        out = np.full(out.size, math.nan)
     return float(value), out
 
 
@@ -332,23 +360,27 @@ def _plain_sum(form, v, sign, rho, power, grad):
         out = np.zeros(v.size)
     else:
         gval, ivals, evals = form.values(v)
-    value = 0.0
+    value, finite = 0.0, True
     try:
         for k, gv in enumerate(ivals, 1):
             if not gv <= 0.0:
                 value += rho * gv**power
                 if grad:
-                    out += rho * power * gv ** (power - 1.0) * jac(k)
+                    coef = rho * power * gv ** (power - 1.0)
+                    out += coef * jac(k)
+                    finite = finite and math.isfinite(coef)
         for k, hv in enumerate(evals, 1 + len(ivals)):
             if hv != 0.0:
                 value += rho * abs(hv) ** power
                 if grad:
-                    out += rho * power * abs(hv) ** (power - 1.0) * np.sign(hv) * jac(k)
+                    coef = rho * power * abs(hv) ** (power - 1.0)
+                    out += coef * np.sign(hv) * jac(k)
+                    finite = finite and math.isfinite(coef)
     except OverflowError:
-        value = math.inf
-        if grad:
-            out = np.full(v.size, math.nan)
+        value, finite = math.inf, False
     if grad:
+        if not finite:  # a power that overflows or a coefficient that is not finite
+            out = np.full(v.size, math.nan)
         return float(sign * gval + value), sign * ggrad + out
     return float(sign * gval + value)
 

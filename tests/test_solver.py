@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from saddlelift import expr as ex
-from saddlelift import solver
+from saddlelift import cli, solver
 from saddlelift.expr import DomainEvalError
 from saddlelift.catalog import default_suite, make_catalog_form, trivial_convex
 from saddlelift.forms import FormError, SaddlePoint, membership, witness_eval
@@ -610,12 +610,33 @@ def test_overflowing_solves_emit_no_runtime_warning():
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
-# Recorded since a coordinate sweep counts only when it lowers the
-# objective strictly: every default-suite form from the default start (less
-# sgn2_b, sgn3_b and l01_svm, whose solves take seconds each) and the n=10
-# max-abs solve from the +1000*k start with the paper parameters.  sgn2_a and sgn3_a drive their
-# iterates to +-1.8e308, where float and numpy-scalar arithmetic could part.
-_SOLVES_SHA256 = "51a4afd4cd60100d3325267992ba694a735902a8b059d989f4a3db1e68b01732"
+def test_a_solve_that_ends_off_the_float_range_has_diverged(tmp_path, capsys):
+    # sgn3_a drives x0 to the largest float from the default start; the loop
+    # stopped at the rho cap, and the solve read rho_cap_reached
+    res = alternating_penalty_solve(make_catalog_form("sgn3_a"))
+    assert np.abs(res.point.vec).max() == np.finfo(float).max
+    assert res.status == solver.STATUS_DIVERGED == "diverged" and not res.converged
+    default = SolverParams()
+    assert res.trace[-1].rho * default.growth > default.rho_cap  # what stopped the loop
+    # a coordinate that is not finite: an infinite start the box does not clip
+    form = trivial_convex(ex.square(ex.var(0)), 1, "bowl")
+    res = alternating_penalty_solve(form, SolverParams(max_outer=0), start=[math.inf])
+    assert res.status == "diverged" and res.trace == ()
+    # the CLI still exits 2
+    path = tmp_path / "sgn2_a.json"
+    path.write_text('{"problem": {"catalog": "sgn2_a"}}')
+    assert cli.main(["solve", str(path)]) == 2
+    assert '"status": "diverged"' in capsys.readouterr().out
+
+
+# Recorded since a solve ending off the float range reads diverged (the
+# traces and points are those recorded when a coordinate sweep began to count
+# only when it lowers the objective strictly): every default-suite form from
+# the default start (less sgn2_b, sgn3_b and l01_svm, whose solves take
+# seconds each) and the n=10 max-abs solve from the +1000*k start with the
+# paper parameters.  sgn2_a and sgn3_a drive their iterates to +-1.8e308,
+# where float and numpy-scalar arithmetic could part.
+_SOLVES_SHA256 = "8139ba65ea07b95f140eae52d8b17dc5cf8a4fa472adf5124ddd2d026eee5715"
 _SLOW_SOLVES = ("sgn2_b", "sgn3_b", "l01_svm")
 
 
