@@ -69,8 +69,8 @@ def _default_bounds(form: SaddleForm, witness) -> list[tuple[float, float]]:
 
 def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     """(value, achieving point) of min over grid-y of max over grid-z of g
-    restricted to grid points feasible at D2_TOL; (+inf, None) when no
-    grid point is feasible.
+    restricted to grid points feasible at D2_TOL, the box included (explicit
+    bounds may reach past it); (+inf, None) when no grid point is feasible.
 
     The grid is evaluated open, per chunk of at most _CHUNK points: whole
     y slices while a slice's z grid fits in a chunk, else a block of one
@@ -127,10 +127,15 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     slice_max = np.full(ny, -math.inf)
     slice_arg = np.zeros(ny, dtype=np.intp)
     checks = [(gi, False) for gi in form.ineq] + [(hj, True) for hj in form.eq]
+    # the box rule, at the grid points of each axis whose bounds reach past the box (or are NaN)
+    reach = [(i, form.box.slice([i])) for i, (lo, hi) in enumerate(bounds, part.n)
+             if not form.box.lower[i] - D2_TOL <= lo <= hi <= form.box.upper[i] + D2_TOL]
     for s, e, a, b in chunks:
         lead_pts = coords(np.arange(s, e), axes[:m1]) + coords(np.arange(a, b), axes[m1:lead])
         pts = xs + [c.reshape((-1,) + col) for c in lead_pts] + zs
         feas = np.ones(((e - s) * (b - a),) + (r,) * len(col), dtype=bool)
+        for i, box in reach:
+            feas &= box.excess(pts[i][..., None]) <= D2_TOL
         # per constraint, so a chunk stops at the first one leaving no point feasible
         for c, is_eq in checks:
             vals = c.value_batch(pts)

@@ -6,8 +6,8 @@ then minimize the smoothed ascent penalty over the z block with (x, y)
 frozen.  It stops when consecutive iterates move by at most eps and the
 current point is eps-feasible; otherwise rho is multiplied by a fixed growth
 factor.  The inner solver is projected gradient descent with a spectral step
-and monotone backtracking, which keeps every iterate inside the box and the
-objective non-increasing.
+and monotone backtracking, then one coordinate phase after a stall; iterates
+stay inside the box and the objective never increases.
 
 Also here: multiplier estimation / stationarity residuals for the two
 first-order systems (over (x, y) with nonnegative weights on active
@@ -105,8 +105,8 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
     backtracking moves cannot pay cross-coordinate ridge costs, so smooth
     coordinates keep descending.  A sweep counts only when it lowers the
     objective strictly: a sweep of tie moves ends the coordinate phase, and
-    its moves are dropped.  The phases alternate until the gradient
-    tolerance, the iteration cap, or a coordinate phase without progress.
+    its moves are dropped.  Each phase runs at most once, and the result has
+    converged when its projected-gradient norm is within the tolerance.
 
     ``obj`` receives float arrays of the block's size.  Each trial costs
     one ``obj`` call (for the solver's :func:`_block_objective`, one call of
@@ -122,50 +122,43 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
     if not math.isfinite(f):
         raise ValueError(f"objective is not finite at the start point ({f})")
     iters = 0
-    converged = False
-    for _ in range(6):
-        # joint phase: spectral steps along -g until the tolerance, the cap or a stall
-        step = _INITIAL_STEP
-        prev_p = prev_g = None
-        while iters < _MAX_ITERS:
-            if pg_norm(p, g, lo, hi) <= _GRAD_TOL:
-                converged = True
+    # joint phase: spectral steps along -g until the tolerance, the cap or a stall
+    step = _INITIAL_STEP
+    prev_p = prev_g = None
+    while iters < _MAX_ITERS and not pg_norm(p, g, lo, hi) <= _GRAD_TOL:  # NaN goes on
+        iters += 1
+        if prev_p is not None:
+            s = p - prev_p
+            sy = float(s @ (g - prev_g))
+            if sy > 1e-18:
+                step = float(s @ s) / sy
+        alpha = min(max(step, 1e-12), 1e10)
+        accepted = False
+        fq, q = f, p
+        for _ in range(80):
+            q = np.minimum(np.maximum(p - alpha * g, lo), hi)
+            d = q - p
+            if not np.count_nonzero(d):
                 break
-            iters += 1
-            if prev_p is not None:
-                s = p - prev_p
-                sy = float(s @ (g - prev_g))
-                if sy > 1e-18:
-                    step = float(s @ s) / sy
-            alpha = min(max(step, 1e-12), 1e10)
-            accepted = False
-            fq, q = f, p
-            for _ in range(80):
-                q = np.minimum(np.maximum(p - alpha * g, lo), hi)
-                d = q - p
-                if not np.count_nonzero(d):
-                    break
-                try:
-                    fq = obj(q, False)[0]
-                except DomainEvalError:  # a trial off g's domain is a rejected one
-                    fq = math.inf
-                if math.isfinite(fq) and fq <= f + _ARMIJO * float(g @ d):
-                    accepted = True
-                    break
-                alpha *= _BACKTRACK
-            if not accepted or fq >= f:
-                break  # stalled
-            prev_p, prev_g = p, g
-            p = q
-            f, g = obj(q, True)
-        if converged or iters >= _MAX_ITERS:
-            break
+            try:
+                fq = obj(q, False)[0]
+            except DomainEvalError:  # a trial off g's domain is a rejected one
+                fq = math.inf
+            if math.isfinite(fq) and fq <= f + _ARMIJO * float(g @ d):
+                accepted = True
+                break
+            alpha *= _BACKTRACK
+        if not accepted or fq >= f:
+            break  # stalled
+        prev_p, prev_g = p, g
+        p = q
+        f, g = obj(q, True)
 
-        # coordinate phase after a stall: sweeps of one-coordinate moves
+    if iters < _MAX_ITERS and not pg_norm(p, g, lo, hi) <= _GRAD_TOL:  # a stall
+        # coordinate phase: sweeps of one-coordinate moves until one makes no progress
         lows, highs = lo.tolist(), hi.tolist()
         warm = [max(abs(v), 1.0) for v in p.tolist()]
         blocked = [False] * len(warm)
-        improved = False
         for _ in range(60):
             if iters >= _MAX_ITERS:
                 break
@@ -199,10 +192,8 @@ def inner_minimize(obj, lower, upper, start) -> InnerResult:
                 break
             p = q
             f, g = obj(q, True)
-            improved = True
-        if not improved:
-            break
-    return InnerResult(p, f, pg_norm(p, g, lo, hi), iters, converged)
+    norm = pg_norm(p, g, lo, hi)
+    return InnerResult(p, f, norm, iters, norm <= _GRAD_TOL)
 
 
 def inner_minimize_multistart(

@@ -227,6 +227,20 @@ def test_grid_scan_of_an_x_outside_the_box_is_infeasible():
     assert grid_minmax(form, [-1.0], GridSpec(resolution=5)) == math.inf
 
 
+def test_grid_points_outside_the_box_are_infeasible():
+    # explicit bounds reach past sigmoid's box (y >= 1): y = (-2.4, 2.0)
+    # meets every constraint with g = -16.88 but lies 3.4 below the box,
+    # and it won the scan; the box rule leaves the best grid point inside
+    form = make_catalog_form("sigmoid")
+    grid = GridSpec(resolution=31, bounds=((-3.0, 3.0), (-3.0, 3.0), (0.0, 10.0)))
+    value, point = _grid_scan(form, [0.5], grid)
+    assert form.box.excess(point) == 0.0
+    assert value == -2.5866666666666616 and point[1:3].tolist() == [1.0, 2.2]
+    # a y axis wholly below the box leaves no grid point feasible
+    below = GridSpec(resolution=5, bounds=((-3.0, 0.0), (1.0, 3.0), (0.0, 10.0)))
+    assert _grid_scan(form, [0.5], below) == (math.inf, None)
+
+
 def test_gradient_bound_falls_back_where_g_raises():
     # log z0 has no value at z0 = 0: every axis gets the floor bound 0.5
     form = SaddleForm(

@@ -74,6 +74,31 @@ def test_the_flagship_lift_misses_its_minmax_identity(n):
             assert form.g.value(up) < g
 
 
+def test_the_sgn3_a_lift_misses_its_minmax_identity():
+    # at x = -2 the witness reaches g = f(x) = -1, but it does not maximize
+    # over z: every z_k enters g with a negative coefficient and z4 is fixed
+    # by the equality, so z1 at its least feasible value (y2 + y0)**2 = 2
+    # gives the largest g, 0.  And the min over y of the max over z is
+    # unbounded below: y = (0, 0, sqrt 2, -t), z = (1, 2, 2, t**2, 1 + t)
+    # is feasible with g = -2 - 2t
+    form = make_catalog_form("sgn3_a")
+    x = np.array([-2.0])
+    assert form.reference(x) == -1.0
+    w = witness_eval(form, x).vec
+    assert w[1:].tolist() == [0.0, 0.0, math.sqrt(2.0), 1.0, 1.0, 2.5, 2.0, 1.0, 0.0]
+    assert form.g.value(w) == pytest.approx(-1.0, abs=1e-12)
+    up = w.copy()
+    up[6] = 2.0  # z1
+    assert membership(form, SaddlePoint(form.partition, up)).feasible
+    assert form.g.value(up) == pytest.approx(0.0, abs=1e-12)
+    up[6] = 1.9  # below (y2 + y0)**2
+    assert not membership(form, SaddlePoint(form.partition, up)).feasible
+    for t in (1.0, 10.0):
+        vec = np.array([-2.0, 0.0, 0.0, math.sqrt(2.0), -t, 1.0, 2.0, 2.0, t * t, 1.0 + t])
+        assert membership(form, SaddlePoint(form.partition, vec)).feasible
+        assert form.g.value(vec) == pytest.approx(-2.0 - 2.0 * t, abs=1e-12)
+
+
 def test_bilinear2_a():
     f = make_catalog_form("bilinear2_a")
     assert f.reference(np.array([1.0, 1.0])) == 2.0

@@ -47,7 +47,7 @@ def _run(body: str) -> list:
 
 
 def test_package_cli_and_bench_passes_load_no_scipy():
-    steps = _run(
+    steps, problems = _run(
         """
         import saddlelift
         from saddlelift import cli
@@ -64,14 +64,18 @@ def test_package_cli_and_bench_passes_load_no_scipy():
 
         import workloads  # bench/workloads.py, read as it is
         expected = workloads.load_expected()
+        problems = []  # what each op's own check finds wrong with its result
         for name, build in workloads.BUILDERS.items():
             ops = build(0, expected)
             for op in ops:
-                op.run()
+                problem = op.check(op.run())
+                if problem is not None:
+                    problems.append(f"{op.label}: {problem}")
             steps.append((f"{name} pass of {len(ops)} ops", scipy_modules()))
-        print(json.dumps(steps))
+        print(json.dumps([steps, problems]))
         """
     )
+    assert problems == []  # every op's own check passes
     assert [s for s, _ in steps][1:6] == [
         "solve problems/ex41.json -> 0",
         "witness problems/ex41.json -> 0",

@@ -1,6 +1,7 @@
 """Inner minimizer, alternating penalty loop, first-order residuals, probes."""
 
 import hashlib
+import json
 import math
 import sys
 import warnings
@@ -132,14 +133,15 @@ def test_inner_exit_iteration_cap():
 
 
 def test_inner_exit_stall_then_coordinates_improve():
-    # round 1: the joint step stalls (80 trials), a coordinate sweep moves x
-    # to its bound and the next finds nothing; round 2: the joint step
-    # stalls again and the coordinate phase finds nothing
+    # the joint step stalls (80 trials), a coordinate sweep moves x to its
+    # bound (1 trial) and blocks y (30 trials), and the next sweep finds
+    # nothing without a trial: the one coordinate phase ends, and so does
+    # the call, with no second joint phase
     obj, calls = _logged(_ridge)
     res = inner_minimize(obj, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
-    assert not res.converged and res.iterations == 5 and res.pg_norm == 1.0
+    assert not res.converged and res.iterations == 3 and res.pg_norm == 1.0
     assert res.point.tolist() == [1.0, 0.0] and res.value == -1.0
-    assert calls == [True] + [False] * 80 + [False] * 31 + [True] + [False] * 80 + [False] * 30
+    assert calls == [True] + [False] * 80 + [False] * 31 + [True]
 
 
 def test_inner_exit_stall_and_coordinates_find_nothing():
@@ -449,19 +451,19 @@ def test_trace_csv_shape():
 
 
 # The n=5 max-abs solve from the z>0 acceptance start with the paper
-# parameters, recorded since a coordinate sweep counts only when it lowers
-# the objective strictly.  Any change to evaluation order or solver
+# parameters, recorded since the inner minimizer runs each phase at most
+# once per call.  Any change to evaluation order or solver
 # arithmetic moves these bytes.
 GOLDEN_N5_TRACE = (
     "k,rho,F,G,P,step_norm,f_ref\n"
     "1,10,-1.23660311,1.23660311,2.77555756e-17,7415.72906,0\n"
-    "2,1000,-1.23660311,1.23660311,0,4.57850722e-13,0\n"
+    "2,1000,-1.23660311,1.23660311,0,7.4339052e-13,0\n"
 )
 GOLDEN_N5_POINT = (
     "0000000000000000000000000000000000000000000000000000000000000000"
-    "0000000000000000ee89ff99fbd3df3fee89ff99fbd3df3f7d74ff99fbd3df3f"
-    "5b72ff99fbd3df3fee89ff99fbd3df3fee89ff99fbd3df3f3a4618c033a8cf3f"
-    "3a4618c033a8cf3fe02f18c033a8cf3fe22f18c033a8cf3fe62f18c033a8cf3f"
+    "0000000000000000ee89ff99fbd3df3fee89ff99fbd3df3f735aff99fbd3df3f"
+    "7d74ff99fbd3df3fee89ff99fbd3df3fee89ff99fbd3df3f3a4618c033a8cf3f"
+    "3a4618c033a8cf3fe02f18c033a8cf3fde2f18c033a8cf3fe62f18c033a8cf3f"
 )
 
 
@@ -474,14 +476,14 @@ def test_golden_trajectory_maxabs_n5():
     assert trace_to_csv(res.trace) == GOLDEN_N5_TRACE
     assert res.point.vec.tobytes().hex() == GOLDEN_N5_POINT
     assert res.diagnostic == (
-        "inner xy: pg=4.975e-01 its=11; inner z: pg=5.530e-01 its=5"
+        "inner xy: pg=4.975e-01 its=10; inner z: pg=5.530e-01 its=4"
     )
 
 
-# The n=5 max-abs solve from the z<0 acceptance start, recorded since a
-# coordinate sweep counts only when it lowers the objective strictly: the
-# first xy solve runs 68 inner iterations through coordinate refinement, and
-# each later one ends after a joint stall and one sweep without a decrease.
+# The n=5 max-abs solve from the z<0 acceptance start, recorded since the
+# inner minimizer runs each phase at most once per call: the first xy solve
+# runs 63 inner iterations through coordinate refinement, the later ones 5
+# and 2, and the first z solve stops at the 2,000-iteration cap.
 GOLDEN_N5_ZNEG_TRACE = (
     "k,rho,F,G,P,step_norm,f_ref\n"
     "1,10,-0.0114107241,0.0114107241,0,22.3872591,1.06242913e-08\n"
@@ -489,10 +491,10 @@ GOLDEN_N5_ZNEG_TRACE = (
     "3,100000,-0.0111840118,0.0111840118,0,0,1.06242913e-08\n"
 )
 GOLDEN_N5_ZNEG_POINT = (
-    "1440b37170df25be17ec28fb284c1dbe5de06ea8ebfb13be37d274d64fcd313e"
-    "45d0c2aace8f023eb6d493a80737a83fb6d493a80737a83fb6d493a80737a83f"
-    "b6d493a80737a83fb6d493a80737a83fb6d493a80737a83f7910331fea52623f"
-    "7510331fea52623f9210331fea52623f7910331fea52623f7910331fea52623f"
+    "1840b37170df25be1cec28fb284c1dbe60e06ea8ebfb13be3ad274d64fcd313e"
+    "48d0c2aace8f023ebad493a80737a83fbad493a80737a83fbad493a80737a83f"
+    "bad493a80737a83fbad493a80737a83fbad493a80737a83f8110331fea52623f"
+    "7d10331fea52623f9a10331fea52623f8110331fea52623f8110331fea52623f"
 )
 
 
@@ -587,33 +589,47 @@ def test_a_trial_off_the_domain_is_a_rejected_trial(name):
 
 
 
+# g = -x0 - x1 falls along the free x0; x1 in [0, 1] starts with a projected
+# gradient of 1, and the constant inequality 1 <= 0 keeps every iterate
+# infeasible.  From x0 = 1e308 no joint step changes the rounded value, so
+# the joint phase stalls at once and the coordinate phase doubles x0 into
+# overflowing trials, backing off to the largest float; the loop then runs
+# on to the rho cap.
+_RAY = {
+    "name": "ray",
+    "partition": [2, 0, 0],
+    "lower": [None, 0],
+    "upper": [None, 1],
+    "g": "(neg (+ x0 x1))",
+    "ineq": ["1"],
+}
+_RAY_START = [1e308, 0.0]
+
+
 def test_overflowing_solves_do_not_warn_in_the_inner_loops():
-    # from the default start, sgn2_a and sgn3_a drive x0 to the largest float;
     # the inner loops' scalar arithmetic overflows to inf silently on Python
     # floats, where numpy scalars warned at every overflowing trial
-    for name in ("sgn2_a", "sgn3_a"):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = alternating_penalty_solve(make_catalog_form(name))
-        assert np.abs(res.point.vec).max() == np.finfo(float).max
-        assert [str(w.message) for w in caught if w.filename == solver.__file__] == []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = alternating_penalty_solve(cli.inline_form(_RAY), start=_RAY_START)
+    assert np.abs(res.point.vec).max() == np.finfo(float).max
+    assert [str(w.message) for w in caught if w.filename == solver.__file__] == []
 
 
 def test_overflowing_solves_emit_no_runtime_warning():
     # the outer loop's step norm between iterates near the largest float
     # overflows in numpy's own norm; it reads inf without a warning from any file
-    for name in ("sgn2_a", "sgn3_a"):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = alternating_penalty_solve(make_catalog_form(name))
-        assert math.inf in [row.step_norm for row in res.trace]
-        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = alternating_penalty_solve(cli.inline_form(_RAY), start=_RAY_START)
+    assert math.inf in [row.step_norm for row in res.trace]
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_a_solve_that_ends_off_the_float_range_has_diverged(tmp_path, capsys):
-    # sgn3_a drives x0 to the largest float from the default start; the loop
-    # stopped at the rho cap, and the solve read rho_cap_reached
-    res = alternating_penalty_solve(make_catalog_form("sgn3_a"))
+    # the ray's x0 ends at the largest float; the loop stopped at the rho
+    # cap, and the solve read rho_cap_reached
+    res = alternating_penalty_solve(cli.inline_form(_RAY), start=_RAY_START)
     assert np.abs(res.point.vec).max() == np.finfo(float).max
     assert res.status == solver.STATUS_DIVERGED == "diverged" and not res.converged
     default = SolverParams()
@@ -623,20 +639,18 @@ def test_a_solve_that_ends_off_the_float_range_has_diverged(tmp_path, capsys):
     res = alternating_penalty_solve(form, SolverParams(max_outer=0), start=[math.inf])
     assert res.status == "diverged" and res.trace == ()
     # the CLI still exits 2
-    path = tmp_path / "sgn2_a.json"
-    path.write_text('{"problem": {"catalog": "sgn2_a"}}')
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps({"problem": {"inline": _RAY}, "start": _RAY_START}))
     assert cli.main(["solve", str(path)]) == 2
     assert '"status": "diverged"' in capsys.readouterr().out
 
 
-# Recorded since a solve ending off the float range reads diverged (the
-# traces and points are those recorded when a coordinate sweep began to count
-# only when it lowers the objective strictly): every default-suite form from
-# the default start (less sgn2_b, sgn3_b and l01_svm, whose solves take
-# seconds each) and the n=10 max-abs solve from the +1000*k start with the
-# paper parameters.  sgn2_a and sgn3_a drive their iterates to +-1.8e308,
-# where float and numpy-scalar arithmetic could part.
-_SOLVES_SHA256 = "8139ba65ea07b95f140eae52d8b17dc5cf8a4fa472adf5124ddd2d026eee5715"
+# Recorded since the inner minimizer runs each phase at most once per call:
+# every default-suite form from the default start (less sgn2_b, sgn3_b and
+# l01_svm, whose solves take seconds each) and the n=10 max-abs solve from
+# the +1000*k start with the paper parameters.  sgn2_a and sgn3_a drive x0
+# to 2.2e93 and 1.1e93 by the rho cap.
+_SOLVES_SHA256 = "ff2c06360f6fbd34e9d151ee0db362c58573ebeebdbd5bedf844fb9ef4559697"
 _SLOW_SOLVES = ("sgn2_b", "sgn3_b", "l01_svm")
 
 
