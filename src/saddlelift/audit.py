@@ -19,6 +19,7 @@ registry is a deliberate, reviewable change.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,8 +45,10 @@ class GridSpec:
     bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError("grid resolution must be >= 2")
+        if not isinstance(self.resolution, numbers.Integral) or self.resolution < 2:
+            raise ValueError(f"grid resolution must be >= 2 and an integer, got {self.resolution!r}")
+        if not all(isinstance(b, numbers.Real) and math.isfinite(b) for p in self.bounds or () for b in p):
+            raise ValueError(f"grid bounds must be finite numbers, got {self.bounds!r}")
 
 
 def _default_bounds(form: SaddleForm, witness) -> list[tuple[float, float]]:
@@ -127,7 +130,7 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     slice_max = np.full(ny, -math.inf)
     slice_arg = np.zeros(ny, dtype=np.intp)
     checks = [(gi, False) for gi in form.ineq] + [(hj, True) for hj in form.eq]
-    # the box rule, at the grid points of each axis whose bounds reach past the box (or are NaN)
+    # the box rule, at the grid points of each axis whose bounds reach past the box
     reach = [(i, form.box.slice([i])) for i, (lo, hi) in enumerate(bounds, part.n)
              if not form.box.lower[i] - D2_TOL <= lo <= hi <= form.box.upper[i] + D2_TOL]
     for s, e, a, b in chunks:
@@ -350,31 +353,39 @@ def _audited(form: SaddleForm) -> SaddleForm | None:
     return entry.build(**entry.audit_params)
 
 
+def _audit_plan(form: SaddleForm, seed: int, samples: int):
+    """The form :func:`_audited` gives for ``form`` and, where that is another
+    form or none, a failed report without rows when ``form``'s own witness
+    identity breaks over its own ``samples`` x's from ``seed`` (an audit
+    instance speaks only for the minmax identity); else None in its place."""
+    audited = _audited(form)
+    if audited is not form:
+        worst, worst_x = witness_check(form, form.sample_x(np.random.default_rng(seed), samples))
+        if worst > D2_TOL:
+            broken = f"x={_fmt_vec(worst_x)} witness_gap={worst:.6g}"
+            return audited, IdentityAuditReport(form.name, (), CLASS_FAILED, broken)
+    return audited, None
+
+
 def registry_sweep(forms) -> dict[str, RegistryEntry]:
     """Classify forms with fixed audit parameters (x sampled from seed 0);
     divergent ones get entries.
 
-    A form runs the full identity audit on the form :func:`_audited` gives;
-    where it gives None, the witness identity alone is checked, which can
-    only earn a 'failed' entry.  The shipped known_issues.txt is exactly the
-    output of this sweep over the default catalog suite, and tests re-run
-    the sweep to keep the file honest.
+    A form fails where :func:`_audit_plan` finds its witness broken, else
+    runs the full identity audit on the form :func:`_audited` gives, if
+    any.  The shipped known_issues.txt is exactly this sweep's output over
+    the default catalog suite, and tests re-run it to keep the file honest.
     """
     entries: dict[str, RegistryEntry] = {}
     for form in forms:
         if form.reference is None:
             continue
-        audited = _audited(form)
-        xs = (audited or form).sample_x(np.random.default_rng(0), SWEEP_SAMPLES)
-        if audited is not None:
+        audited, report = _audit_plan(form, 0, SWEEP_SAMPLES)
+        if report is None and audited is not None:
+            xs = audited.sample_x(np.random.default_rng(0), SWEEP_SAMPLES)
             grid = GridSpec(resolution=sweep_resolution(audited))
             report = identity_audit(audited, xs, grid, tol=SWEEP_TOL)
+        if report is not None and report.classification != CLASS_VERIFIED:
             found = report.classification, report.counterexample
-        else:
-            worst, worst_x = witness_check(form, xs)
-            found = CLASS_VERIFIED, ""  # worst_x is None where every error is 0
-            if worst > D2_TOL:
-                found = CLASS_FAILED, f"x={_fmt_vec(worst_x)} witness_gap={worst:.6g}"
-        if found[0] != CLASS_VERIFIED:
             entries[form.name] = RegistryEntry(form.name, *found, SWEEP_DATE)
     return entries

@@ -14,6 +14,8 @@ empirically by sampling, never inferred symbolically.
 
 from __future__ import annotations
 
+import numbers
+import re
 import struct
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -558,6 +560,8 @@ def curvature_audit(
     {1/4, 1/2, 3/4}.  A pair with a NaN value (outside the domain) is
     skipped.  The first violated pair is returned as counterexample.
     """
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     tag = e.tag if tag is None else tag
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -614,32 +618,36 @@ def curvature_audit(
 # ---------------------------------------------------------------------------
 # text grammar:  (+ (sq (aff x0 1 0)) (neg z0))
 
-# the one-child nodes written (word <child>), for the parser and the printer
-_WORDS = {"sq": Square, "exp": Exp, "log": Log, "sin": Sin}
+# each fixed-arity head: its builder, called with the arguments in text order,
+# and their kinds ("e" a subexpression, "n" a number, "k" an integral number,
+# "t" a curvature tag); a node class builds a node of that head without its tag
+_FORMS = {
+    "const": (Const, "n"),
+    "*": (lambda c, e: scale(e, c), "ne"),
+    "neg": (neg, "e"),
+    "sq": (Square, "e"),
+    "exp": (Exp, "e"),
+    "log": (Log, "e"),
+    "sin": (Sin, "e"),
+    "pow": (IntPow, "ek"),
+    "rpow": (RealPow, "en"),
+    "tag": (lambda t, e: e.with_tag(t), "te"),
+}
+
+# a newline (counted for line and column), a parenthesis, or a word
+_TOKEN = re.compile(r"\n|[()]|[^\s()]+")
 
 
 def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 0
-    word = ""
-    word_pos = (1, 0)
-    for ch in text:
-        col += 1
-        if ch == "\n":
-            line += 1
-            col = 0
-        if ch in "()" or ch.isspace():
-            if word:
-                tokens.append((word, word_pos))
-                word = ""
-            if ch in "()":
-                tokens.append((ch, (line, col)))
+    """The tokens of ``text``, each with its (line, column); the column of a
+    line's first character is 1 on line 1 and 0 after a newline."""
+    tokens, line, newline = [], 1, -1  # newline: where the current line's \n is
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if tok == "\n":
+            line, newline = line + 1, m.start()
         else:
-            if not word:
-                word_pos = (line, col)
-            word += ch
-    if word:
-        tokens.append((word, word_pos))
+            tokens.append((tok, (line, m.start() - newline)))
     return tokens
 
 
@@ -657,93 +665,78 @@ def parse_sexpr(text: str, resolve: Callable[[str], int]) -> Expr:
     ``resolve`` maps a variable name (``x0``, ``y2``, ``z1``) to its global
     index in the flat variable vector.
     """
-    tokens = _tokenize(text)
-    pos = 0
+    tokens, pos = _tokenize(text), 0
 
-    def fail(msg, at):
-        raise ParseError(msg, at[0], at[1])
-
-    def need(kind=None):
+    def need():
         nonlocal pos
         if pos >= len(tokens):
             raise ParseError("unexpected end of expression", 1, len(text))
-        tok, at = tokens[pos]
         pos += 1
-        if kind is not None and tok != kind:
-            fail(f"expected {kind!r}, found {tok!r}", at)
-        return tok, at
+        return tokens[pos - 1]
 
-    def number():
+    def word(kind):
+        # the next token as an argument of kind "n", "k" or "t"
         tok, at = need()
+        if kind == "t":
+            if tok not in _TAGS:
+                raise ParseError(f"unknown curvature tag {tok!r}", *at)
+            return tok
         if not _is_number(tok):
-            fail(f"expected a number, found {tok!r}", at)
-        return float(tok)
+            raise ParseError(f"expected a number, found {tok!r}", *at)
+        if kind == "k" and not float(tok).is_integer():
+            raise ParseError(f"expected an integer exponent, found {tok!r}", *at)
+        return int(float(tok)) if kind == "k" else float(tok)
 
     def expr():
         # a generator: it yields where it needs a subexpression and is sent
         # it, so the open forms wait on one explicit stack, not on frames
-        nonlocal pos
         tok, at = need()
         if tok == ")":
-            fail("unexpected ')'", at)
+            raise ParseError("unexpected ')'", *at)
         if tok != "(":
             if _is_number(tok):
                 return Const(float(tok))
             try:
                 return Var(resolve(tok))
             except KeyError:
-                fail(f"unknown variable {tok!r}", at)
+                raise ParseError(f"unknown variable {tok!r}", *at)
         head, hat = need()
-        if head == "const":
-            node = Const(number())
-        elif head == "aff":
+        if head == "aff":
             items = []
             while pos < len(tokens) and tokens[pos][0] != ")":
                 items.append(need())
             if len(items) % 2 != 1:
-                fail("aff expects var/coeff pairs plus a trailing offset", hat)
+                raise ParseError("aff expects var/coeff pairs plus a trailing offset", *hat)
             terms = []
-            for vtok, ctok in zip(items[:-1:2], items[1::2]):
-                name, nat = vtok
-                if not _is_number(ctok[0]):
-                    fail(f"expected coefficient, found {ctok[0]!r}", ctok[1])
+            for (name, nat), (coef, cat) in zip(items[:-1:2], items[1::2]):
+                if not _is_number(coef):
+                    raise ParseError(f"expected coefficient, found {coef!r}", *cat)
                 try:
-                    terms.append((resolve(name), float(ctok[0])))
+                    terms.append((resolve(name), float(coef)))
                 except KeyError:
-                    fail(f"unknown variable {name!r}", nat)
-            if not _is_number(items[-1][0]):
-                fail(f"expected offset, found {items[-1][0]!r}", items[-1][1])
-            node = Affine(tuple(terms), float(items[-1][0]))
+                    raise ParseError(f"unknown variable {name!r}", *nat)
+            offset, oat = items[-1]
+            if not _is_number(offset):
+                raise ParseError(f"expected offset, found {offset!r}", *oat)
+            node = Affine(tuple(terms), float(offset))
         elif head == "+":
             parts = []
             while pos < len(tokens) and tokens[pos][0] != ")":
                 parts.append((yield))
             node = add(*parts)
-        elif head == "*":
-            c = number()
-            node = scale((yield), c)
-        elif head == "neg":
-            node = neg((yield))
-        elif head in _WORDS:
-            node = _finish(_WORDS[head]((yield)))
-        elif head == "pow":
-            child = yield
-            k = number()
-            if not k.is_integer():
-                tok, kat = tokens[pos - 1]
-                fail(f"expected an integer exponent, found {tok!r}", kat)
-            node = ipow(child, k)
-        elif head == "rpow":
-            child = yield
-            node = rpow(child, number())
-        elif head == "tag":
-            tok, tat = need()
-            if tok not in _TAGS:
-                fail(f"unknown curvature tag {tok!r}", tat)
-            node = (yield).with_tag(tok)
+        elif head in _FORMS:
+            build, kinds = _FORMS[head]
+            args = []
+            for kind in kinds:
+                args.append((yield) if kind == "e" else word(kind))
+            node = build(*args)
+            if isinstance(build, type):  # a bare node: give it its derived tag
+                node = _finish(node)
         else:
-            fail(f"unknown operator {head!r}", hat)
-        need(")")
+            raise ParseError(f"unknown operator {head!r}", *hat)
+        tok, at = need()
+        if tok != ")":
+            raise ParseError(f"expected ')', found {tok!r}", *at)
         return node
 
     stack, node = [expr()], None
@@ -756,7 +749,7 @@ def parse_sexpr(text: str, resolve: Callable[[str], int]) -> Expr:
             stack.pop()
             node = done.value
     if pos != len(tokens):
-        fail("trailing tokens after expression", tokens[pos][1])
+        raise ParseError("trailing tokens after expression", *tokens[pos][1])
     return node
 
 
@@ -777,13 +770,11 @@ def _spelling(node: Expr, name_of) -> list:
         return ["(+ ", *[b for c in node.parts for b in (" ", c)][1:], ")"]
     if isinstance(node, Scale):
         return ["(neg " if node.c == -1.0 else f"(* {_num(node.c)} ", node.child, ")"]
-    if isinstance(node, IntPow):
-        return ["(pow ", node.child, f" {node.k})"]
-    if isinstance(node, RealPow):
-        return ["(rpow ", node.child, f" {_num(node.a)})"]
-    for word, kind in _WORDS.items():
-        if isinstance(node, kind):
-            return [f"({word} ", node.child, ")"]
+    for head, (build, kinds) in _FORMS.items():
+        if build is type(node):  # the child, then the number field if any
+            values = [getattr(node, f.name) for f in fields(node) if f.name not in ("child", "tag")]
+            spelt = [f" {v}" if kind == "k" else f" {_num(v)}" for kind, v in zip(kinds[1:], values)]
+            return [f"({head} ", node.child, *spelt, ")"]
     raise TypeError(f"unknown node {type(node).__name__}")
 
 

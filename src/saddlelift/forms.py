@@ -384,6 +384,18 @@ def membership(
     return MembershipReport(bool(_largest(bx, ivals, evals) <= tol), iv, np.abs(evals), bx, tol)
 
 
+def _user_call(what: str, form: SaddleForm, fn, x):
+    """``fn(x)``, the form's user-supplied ``what``: an overflow raises
+    :class:`WitnessOverflowError`, a ``ValueError`` (outside the domain of
+    Python's math) :class:`FormError`."""
+    try:
+        return fn(x)
+    except (OverflowError, ValueError) as err:
+        overflow = isinstance(err, OverflowError)
+        error, fails = (WitnessOverflowError, "overflows") if overflow else (FormError, "is undefined")
+        raise error(f"{what} of {form.name!r} {fails} at x={np.asarray(x).tolist()}: {err}") from err
+
+
 def _witness_vector(form: SaddleForm, x) -> np.ndarray:
     """:func:`witness_eval` unchecked, as a read-only vector, under the
     caller's errstate."""
@@ -392,14 +404,7 @@ def _witness_vector(form: SaddleForm, x) -> np.ndarray:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.shape != (form.partition.n,):
         raise FormError(f"x has shape {xv.shape}, expected ({form.partition.n},)")
-    try:
-        blocks = form.witness(xv)
-    except OverflowError as err:
-        raise WitnessOverflowError(
-            f"witness map of {form.name!r} overflows at x={xv.tolist()}: {err}"
-        ) from err
-    except ValueError as err:  # outside the domain of Python's math
-        raise FormError(f"witness map of {form.name!r} is undefined at x={xv.tolist()}: {err}") from err
+    blocks = _user_call("witness map", form, form.witness, xv)
     try:
         y, z = blocks
         return form._vector(_stack(xv, y, z))
@@ -423,20 +428,10 @@ def witness_eval(form: SaddleForm, x, check: bool = True) -> SaddlePoint:
 
 
 def reference_value(form: SaddleForm, x) -> float:
-    """The form's reference f(x) as a float, under the caller's errstate; an
-    overflow raises :class:`WitnessOverflowError`, a ``ValueError`` (outside
-    the domain of Python's math) or a result that is not a real number
+    """The form's reference f(x) as a float, under the caller's errstate and
+    :func:`_user_call`'s rule; a result that is not a real number raises
     :class:`FormError`."""
-    try:
-        f = form.reference(x)
-    except OverflowError as err:
-        raise WitnessOverflowError(
-            f"reference of {form.name!r} overflows at x={np.asarray(x).tolist()}: {err}"
-        ) from err
-    except ValueError as err:
-        raise FormError(
-            f"reference of {form.name!r} is undefined at x={np.asarray(x).tolist()}: {err}"
-        ) from err
+    f = _user_call("reference", form, form.reference, x)
     if not isinstance(f, numbers.Real):
         raise FormError(f"reference of {form.name!r} gives {type(f).__name__}, not a real number")
     return float(f)

@@ -73,7 +73,7 @@ class SolverParams:
             raise ValueError("theta must be > 1")
         if not self.rho_cap >= self.rho1:
             raise ValueError("rho_cap must be >= rho1")
-        if not isinstance(self.max_outer, int) or self.max_outer < 0:
+        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, int) or self.max_outer < 0:
             raise ValueError("max_outer must be an integer >= 0")
 
 

@@ -108,6 +108,31 @@ def test_grid_spec_settings():
         GridSpec(resolution=1)
 
 
+def test_grid_specs_that_cannot_be_scanned_are_rejected():
+    # at dc's x = 2, bounds (0, inf) warned and read +inf ("no feasible
+    # point"), bounds (nan, 20) scanned z = 20 alone and read -12.0, and a
+    # resolution of 2.5 raised TypeError inside linspace
+    for bounds in (((0.0, math.inf),), ((math.nan, 20.0),), ((0.0, "20"),)):
+        with pytest.raises(ValueError, match="grid bounds must be finite numbers"):
+            GridSpec(11, bounds)
+    for resolution in (2.5, 11.0, 1, True):
+        with pytest.raises(ValueError, match="grid resolution must be >= 2"):
+            GridSpec(resolution)
+    dc = make_catalog_form("dc")
+    assert grid_minmax(dc, [2.0], GridSpec(np.int64(11), ((0.0, 20.0),))) == grid_minmax(dc, [2.0], GridSpec(11)) == 4.0
+
+
+def test_a_form_audited_through_its_family_instance_keeps_its_own_witness_identity():
+    # the sweep audited the family's n = 1 instance in this form's place and
+    # listed it d2-only, though its own witness misses f = 123 by about 110
+    form = dataclasses.replace(make_catalog_form("maxabs_minus_sum"), reference=lambda x: 123.0)
+    assert _audited(form) is not form
+    (entry,) = registry_sweep([form]).values()
+    assert (entry.name, entry.classification) == ("maxabs_minus_sum", CLASS_FAILED)
+    assert entry.counterexample.endswith("witness_gap=110.606")
+    assert "witness identity" in [it.label for it in validate_form(form).failures()]
+
+
 def test_witness_outside_a_constraint_domain_fails_the_audit():
     # the witness puts y = -1, where the constraint -log(y) <= 0 is undefined
     form = SaddleForm(

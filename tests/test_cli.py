@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, round trips, determinism."""
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -12,7 +13,7 @@ from saddlelift import cli
 from saddlelift import expr as ex
 from saddlelift.audit import GridSpec, identity_audit
 from saddlelift.catalog import CATALOG, default_suite, make_catalog_form, make_structured
-from saddlelift.solver import kkt_residual
+from saddlelift.solver import SolverParams, kkt_residual
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -239,6 +240,29 @@ def test_audit_reaches_the_flagship_through_its_audit_instance(capsys):
     assert out["form"] == "maxabs_minus_sum" and out["partition"] == [1, 2, 1]
     assert out["classification"] == out["registry"] == "d2-only"
     assert all(len(row["x"]) == 1 for row in out["rows"])
+
+
+def test_audit_checks_the_witness_of_a_form_it_audits_through_an_instance(monkeypatch, capsys):
+    # the n = 1 instance's clean witness rows stood for a flagship whose own
+    # witness identity breaks, and the audit exited 0 with d2-only
+    load = cli.load_problem_file
+    broken = dataclasses.replace(make_catalog_form("maxabs_minus_sum", n=5), reference=lambda x: 123.0)
+    monkeypatch.setattr(cli, "load_problem_file", lambda path: (broken, *load(path)[1:]))
+    argv = ["audit", str(PROBLEMS / "p51_n5.json"), "--grid", "11", "--samples", "2"]
+    assert cli.main(argv) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["form"] == "maxabs_minus_sum" and out["partition"] == list(dataclasses.astuple(broken.partition))
+    assert out["classification"] == "failed" and "witness_gap=" in out["counterexample"]
+    assert out["registry"] == "d2-only" and out["samples"] == 2 and out["rows"] == []
+
+
+def test_a_boolean_outer_iteration_count_is_rejected(tmp_path, capsys):
+    # json's true passed as an int, and the solve ran one outer iteration
+    with pytest.raises(ValueError, match="max_outer must be an integer >= 0"):
+        SolverParams(max_outer=True)
+    path = _write(tmp_path, {**_dc_problem(), "solver": {"max_outer": True}})
+    assert cli.main(["solve", path]) == 1
+    assert "error: bad solver parameters: max_outer" in capsys.readouterr().err
 
 
 def test_the_cli_defaults_are_the_library_defaults():

@@ -2,8 +2,10 @@
 audits, and the text grammar."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import random
 import sys
 import time
 
@@ -666,9 +668,93 @@ def test_an_untagged_curvature_audit_checks_nothing():
     assert rep == ex.CurvatureReport(ex.NONE, True, 0)
 
 
+def test_curvature_audit_rejects_a_sample_count_below_one():
+    # samples=-3 raised numpy's "negative dimensions are not allowed"
+    for samples in (-3, 0, 2.0):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            ex.curvature_audit(ex.square(ex.var(0)), [0.0], [1.0], tag=ex.CONVEX, samples=samples)
+
+
 def test_the_printer_rejects_an_unknown_node():
     class Cube(ex._Unary):
         pass
 
     with pytest.raises(TypeError, match="unknown node Cube"):
         ex.to_sexpr(Cube(ex.var(0)), _names)
+
+
+# the grammar's words for the corpus below: every head, the variable names
+# `_resolve` knows and one it does not, numbers of each kind the parser
+# tells apart, and the curvature tags with one unknown
+_CORPUS_HEADS = ("const", "*", "neg", "sq", "exp", "log", "sin", "pow", "rpow", "tag", "+", "aff", "abs")
+_CORPUS_NAMES = ("x0", "x1", "y0", "z0", "w9")
+_CORPUS_NUMBERS = ("0", "1", "2", "3", "-1", "2.0", "2.5", "-0.5", "1e3", "1e400", "nan", "inf", "-0.0", "0.7")
+_CORPUS_TAGS = (*ex._TAGS, "wobbly")
+_CORPUS_GAPS = (" ", " ", " ", "\n", "  ", "\n  ", "\t", "")
+
+
+def _corpus_form(rng, depth):
+    """The text of a random well-formed form (its constructors may still reject it)."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_CORPUS_NAMES[:4] + _CORPUS_NUMBERS[:8])
+    head = rng.choice(_CORPUS_HEADS[:-1])
+
+    def sub():
+        return _corpus_form(rng, depth - 1)
+
+    if head == "+":
+        args = [sub() for _ in range(rng.randint(0, 3))]
+    elif head == "aff":
+        args = [b for _ in range(rng.randint(0, 2)) for b in (rng.choice(_CORPUS_NAMES[:4]), rng.choice(_CORPUS_NUMBERS))]
+        args.append(rng.choice(_CORPUS_NUMBERS))
+    elif head == "const":
+        args = [rng.choice(_CORPUS_NUMBERS)]
+    elif head == "*":
+        args = [rng.choice(_CORPUS_NUMBERS), sub()]
+    elif head in ("pow", "rpow"):
+        args = [sub(), rng.choice(_CORPUS_NUMBERS)]
+    elif head == "tag":
+        args = [rng.choice(_CORPUS_TAGS), sub()]
+    else:
+        args = [sub()]
+    return "(" + " ".join([head, *args]) + ")"
+
+
+def _grammar_corpus(count=20_000, seed=29):
+    """Half random token strings, half well-formed forms (a third of them
+    with one character dropped), seeded."""
+    rng = random.Random(seed)
+    words = (*_CORPUS_HEADS, *_CORPUS_NAMES, *_CORPUS_NUMBERS, *_CORPUS_TAGS, "(", "(", ")", ")")
+    texts = []
+    for i in range(count):
+        if i % 2 == 0:
+            toks = [rng.choice(words) for _ in range(rng.randint(1, 12))]
+            texts.append("".join(t + rng.choice(_CORPUS_GAPS) for t in toks))
+            continue
+        text = _corpus_form(rng, rng.randint(0, 4)).replace(" ", rng.choice(_CORPUS_GAPS[:6]))
+        if rng.random() < 1 / 3:
+            cut = rng.randrange(len(text))
+            text = text[:cut] + text[cut + 1:]
+        texts.append(text)
+    return texts
+
+
+# the outcome of parsing every text of `_grammar_corpus()`: the printed
+# result and its tag, or the exception's class, message, line and column
+_GRAMMAR_SHA256 = "cb9483f85b9c366382de83f84566be596d4afe7b57e94fed48e7797fcae6e3de"
+
+
+def test_the_grammar_corpus_outcomes_are_pinned():
+    digest, kinds = hashlib.sha256(), {}
+    for text in _grammar_corpus():
+        try:
+            e = ex.parse_sexpr(text, _resolve)
+            outcome = f"{ex.to_sexpr(e, _names)}|{e.tag}"
+            kind = "parsed"
+        except (ex.ParseError, ValueError) as err:
+            kind = type(err).__name__
+            outcome = f"{kind}|{err}|{getattr(err, 'line', None)}|{getattr(err, 'column', None)}"
+        kinds[kind] = kinds.get(kind, 0) + 1
+        digest.update(f"{text!r}->{outcome}\n".encode())
+    assert kinds == {"parsed": 7264, "ParseError": 12233, "ValueError": 503}
+    assert digest.hexdigest() == _GRAMMAR_SHA256

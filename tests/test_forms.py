@@ -131,6 +131,14 @@ def test_validate_dc_form():
     assert form.g.value(p.vec) == pytest.approx(4.0)
 
 
+def test_validate_form_rejects_a_sample_count_below_one():
+    # with samples=0 every curvature claim read as failed ("no in-domain
+    # sample pairs found") while the witness identity passed on no samples
+    for samples in (0, -2):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            validate_form(make_catalog_form("dc"), samples=samples)
+
+
 def test_validate_form_names_a_curvature_counterexample():
     # g = -x0^2 is concave, so the convexity audit over x finds a blend that fails
     form = sl.SaddleForm(
