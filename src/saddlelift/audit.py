@@ -39,7 +39,8 @@ GRID_AXES = 4  # the most (y, z) axes the grid oracle scans
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-axis bounds over the (y, z) axes and a shared resolution."""
+    """Per-axis bounds (finite, lo <= hi) over the (y, z) axes and a shared
+    resolution (an integer >= 2)."""
 
     resolution: int = 201
     bounds: tuple[tuple[float, float], ...] | None = None
@@ -49,6 +50,8 @@ class GridSpec:
             raise ValueError(f"grid resolution must be >= 2 and an integer, got {self.resolution!r}")
         if not all(isinstance(b, numbers.Real) and math.isfinite(b) for p in self.bounds or () for b in p):
             raise ValueError(f"grid bounds must be finite numbers, got {self.bounds!r}")
+        if any(lo > hi for lo, hi in self.bounds or ()):
+            raise ValueError(f"grid bounds must have lo <= hi, got {self.bounds!r}")
 
 
 def _default_bounds(form: SaddleForm, witness) -> list[tuple[float, float]]:
@@ -75,19 +78,20 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     restricted to grid points feasible at D2_TOL, the box included (explicit
     bounds may reach past it); (+inf, None) when no grid point is feasible.
 
-    The grid is evaluated open, per chunk of at most _CHUNK points: whole
-    y slices while a slice's z grid fits in a chunk, else a block of one
-    slice's leading z axes by its remaining ones.  Dimension 0 holds the
-    chunk's y points or its block of leading z points, and each remaining
-    z axis a dimension of its own: each x coordinate as a (1, 1, ..., 1)
-    array, the leading coordinates as (rows, 1, ..., 1) arrays built from
-    the chunk's own indices, and remaining z axis j as its linspace of
-    length resolution at position 1 + j.  So no batch call exceeds a chunk,
-    and a subexpression is computed on the axes it reads: one of x alone
-    once per chunk, one of x and the leading axes once per row, one of a
-    remaining z axis once per point of that axis.  Each slice keeps its
-    largest feasible g over its blocks and the first z reaching it in C
-    order.  Only the achieving point is built as a vector."""
+    The grid is evaluated open, per chunk of at most _CHUNK points.  One
+    C-order index runs over the rows of the lead axes (the y axes, then as
+    many leading z axes as a row's remaining z points need to fit in a
+    chunk), and a chunk takes whole rows, crossing y slices as it may.
+    Dimension 0 holds the chunk's rows and each remaining z axis a dimension
+    of its own: each x coordinate as a (1, 1, ..., 1) array, the lead
+    coordinates as (rows, 1, ..., 1) arrays built from the chunk's own
+    indices, and remaining z axis j as its linspace of length resolution at
+    position 1 + j.  So no batch call exceeds a chunk, and a subexpression is
+    computed on the axes it reads: one of x alone once per chunk, one of x
+    and the lead axes once per row, one of a remaining z axis once per point
+    of that axis.  Each row keeps its largest feasible g and the first z
+    reaching it, and a y slice the first of its rows reaching their maximum:
+    the first z in C order.  Only the achieving point is built as a vector."""
     part = form.partition
     if part.m1 + part.m2 > GRID_AXES:
         raise FormError(f"grid oracle supports m1 + m2 <= {GRID_AXES}, form has {part.m1 + part.m2}")
@@ -103,12 +107,10 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
         )
     axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in bounds]
     r, m1, m2 = grid.resolution, part.m1, part.m2
-    ny = r**m1
-    lead = m1  # the axes dimension 0 runs over: the y axes, then the z axes a slice needs
+    lead = m1  # the y axes, then the z axes a row needs to fit in a chunk
     while r ** (m1 + m2 - lead) > _CHUNK:
         lead += 1
-    tail, blocks = r ** (m1 + m2 - lead), r ** (lead - m1)  # points per row, blocks per slice
-    rows = max(1, _CHUNK // tail)
+    nrows, rows = r**lead, max(1, _CHUNK // r ** (m1 + m2 - lead))
 
     def coords(flat, ax):
         """The coordinates on axes ``ax`` of the C-order flat indices ``flat``."""
@@ -119,24 +121,18 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     col = (1,) * (m1 + m2 - lead)
     xs = list(x.reshape((-1, 1) + col))
     zs = [a.reshape((1,) + col[:j] + (r,) + col[j + 1 :]) for j, a in enumerate(axes[lead:])]
-    # chunks as y slices [s, e) by blocks [a, b) of the leading z axes
-    if blocks == 1:
-        chunks = ((s, min(s + rows, ny), 0, 1) for s in range(0, ny, rows))
-    else:
-        chunks = ((k, k + 1, a, min(a + rows, blocks)) for k in range(ny) for a in range(0, blocks, rows))
-
-    # per y slice: max of g over its feasible z (-inf when there is none) and
+    # per row: max of g over its feasible z (-inf when there is none) and
     # the first z achieving it, in C order
-    slice_max = np.full(ny, -math.inf)
-    slice_arg = np.zeros(ny, dtype=np.intp)
+    row_max = np.full(nrows, -math.inf)
+    row_arg = np.zeros(nrows, dtype=np.intp)
     checks = [(gi, False) for gi in form.ineq] + [(hj, True) for hj in form.eq]
     # the box rule, at the grid points of each axis whose bounds reach past the box
     reach = [(i, form.box.slice([i])) for i, (lo, hi) in enumerate(bounds, part.n)
              if not form.box.lower[i] - D2_TOL <= lo <= hi <= form.box.upper[i] + D2_TOL]
-    for s, e, a, b in chunks:
-        lead_pts = coords(np.arange(s, e), axes[:m1]) + coords(np.arange(a, b), axes[m1:lead])
-        pts = xs + [c.reshape((-1,) + col) for c in lead_pts] + zs
-        feas = np.ones(((e - s) * (b - a),) + (r,) * len(col), dtype=bool)
+    for s in range(0, nrows, rows):
+        e = min(s + rows, nrows)
+        pts = xs + [c.reshape((-1,) + col) for c in coords(np.arange(s, e), axes[:lead])] + zs
+        feas = np.ones((e - s,) + (r,) * len(col), dtype=bool)
         for i, box in reach:
             feas &= box.excess(pts[i][..., None]) <= D2_TOL
         # per constraint, so a chunk stops at the first one leaving no point feasible
@@ -148,17 +144,17 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
         else:
             g = form.g.value_batch(pts).reshape(e - s, -1)
             g[np.isnan(g) | ~feas.reshape(g.shape)] = -math.inf
-            arg = g.argmax(axis=1)
-            top = g[np.arange(e - s), arg]
-            better = top > slice_max[s:e]  # an earlier block keeps a tie
-            slice_max[s:e] = np.where(better, top, slice_max[s:e])
-            slice_arg[s:e] = np.where(better, a * tail + arg, slice_arg[s:e])
+            row_arg[s:e] = g.argmax(axis=1)
+            row_max[s:e] = g[np.arange(e - s), row_arg[s:e]]
+    by_slice = row_max.reshape(r**m1, -1)  # the rows of each y slice
+    slice_max = by_slice.max(axis=1)
     # a slice whose max is -inf has no feasible z; one whose max is +inf never wins
     slice_max[slice_max == -math.inf] = math.inf
     k = int(np.argmin(slice_max))
     if slice_max[k] == math.inf:
         return math.inf, None
-    point = [*x, *coords(k, axes[:m1]), *coords(slice_arg[k], axes[m1:])]
+    row = k * by_slice.shape[1] + int(by_slice[k].argmax())  # an earlier row keeps a tie
+    point = [*x, *coords(row, axes[:lead]), *coords(row_arg[row], axes[lead:])]
     return float(slice_max[k]), np.array(point)
 
 
@@ -353,38 +349,40 @@ def _audited(form: SaddleForm) -> SaddleForm | None:
     return entry.build(**entry.audit_params)
 
 
-def _audit_plan(form: SaddleForm, seed: int, samples: int):
-    """The form :func:`_audited` gives for ``form`` and, where that is another
-    form or none, a failed report without rows when ``form``'s own witness
-    identity breaks over its own ``samples`` x's from ``seed`` (an audit
-    instance speaks only for the minmax identity); else None in its place."""
+def _audit(form: SaddleForm, seed: int, samples: int, resolution, tol: float):
+    """The audit of ``form`` on ``samples`` x's from ``seed``, as (the form
+    whose rows the report holds, the report): the identity audit of the form
+    :func:`_audited` gives, at ``resolution(that form)`` points per axis.
+    Where that is another form or none, ``form``'s own witness identity is
+    checked first, and where it breaks a failed report without rows stands
+    for ``form`` (an audit instance speaks only for the minmax identity);
+    the report is None where nothing is left to audit."""
     audited = _audited(form)
     if audited is not form:
         worst, worst_x = witness_check(form, form.sample_x(np.random.default_rng(seed), samples))
         if worst > D2_TOL:
             broken = f"x={_fmt_vec(worst_x)} witness_gap={worst:.6g}"
-            return audited, IdentityAuditReport(form.name, (), CLASS_FAILED, broken)
-    return audited, None
+            return form, IdentityAuditReport(form.name, (), CLASS_FAILED, broken)
+        if audited is None:
+            return form, None
+    xs = audited.sample_x(np.random.default_rng(seed), samples)
+    return audited, identity_audit(audited, xs, GridSpec(resolution(audited)), tol)
 
 
 def registry_sweep(forms) -> dict[str, RegistryEntry]:
     """Classify forms with fixed audit parameters (x sampled from seed 0);
     divergent ones get entries.
 
-    A form fails where :func:`_audit_plan` finds its witness broken, else
-    runs the full identity audit on the form :func:`_audited` gives, if
-    any.  The shipped known_issues.txt is exactly this sweep's output over
-    the default catalog suite, and tests re-run it to keep the file honest.
+    Each form with a reference gets one :func:`_audit` at
+    :func:`sweep_resolution`.  The shipped known_issues.txt is exactly this
+    sweep's output over the default catalog suite, and tests re-run it to
+    keep the file honest.
     """
     entries: dict[str, RegistryEntry] = {}
     for form in forms:
         if form.reference is None:
             continue
-        audited, report = _audit_plan(form, 0, SWEEP_SAMPLES)
-        if report is None and audited is not None:
-            xs = audited.sample_x(np.random.default_rng(0), SWEEP_SAMPLES)
-            grid = GridSpec(resolution=sweep_resolution(audited))
-            report = identity_audit(audited, xs, grid, tol=SWEEP_TOL)
+        report = _audit(form, 0, SWEEP_SAMPLES, sweep_resolution, SWEEP_TOL)[1]
         if report is not None and report.classification != CLASS_VERIFIED:
             found = report.classification, report.counterexample
             entries[form.name] = RegistryEntry(form.name, *found, SWEEP_DATE)

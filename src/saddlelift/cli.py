@@ -35,7 +35,7 @@ import numpy as np
 
 from . import catalog as cat
 from . import expr as ex
-from .audit import CLASS_FAILED, GRID_AXES, GridSpec, _audit_plan, identity_audit, load_registry
+from .audit import CLASS_FAILED, GRID_AXES, _audit, load_registry
 from .forms import (
     Box,
     FormError,
@@ -255,14 +255,12 @@ def cmd_audit(args) -> int:
     form, _, _ = load_problem_file(args.file)
     if form.reference is None:
         raise CliError("audit needs a problem with a reference evaluator", 2)
-    audited, report = _audit_plan(form, args.seed, args.samples)
-    if audited is None:  # beyond the grid, and its family names no audit instance
+    try:
+        audited, report = _audit(form, args.seed, args.samples, lambda _: args.grid, args.tol)
+    except ValueError as err:  # a grid the default placement cannot scan
+        raise CliError(f"cannot place the audit grid of {form.name}: {err}", 2)
+    if report is None:  # beyond the grid, and its family names no audit instance
         raise CliError(f"cannot audit {form.name}: grid oracle supports m1 + m2 <= {GRID_AXES}", 2)
-    if report is None:
-        xs = audited.sample_x(np.random.default_rng(args.seed), args.samples)
-        report = identity_audit(audited, xs, GridSpec(resolution=args.grid), tol=args.tol)
-    else:  # no grid audit: the instance cannot vouch for this form's witness
-        audited = form
     listed = load_registry().get(form.name)
     _emit(
         {

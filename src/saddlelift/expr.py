@@ -640,7 +640,7 @@ _TOKEN = re.compile(r"\n|[()]|[^\s()]+")
 
 def _tokenize(text: str):
     """The tokens of ``text``, each with its (line, column); the column of a
-    line's first character is 1 on line 1 and 0 after a newline."""
+    line's first character is 1 on every line."""
     tokens, line, newline = [], 1, -1  # newline: where the current line's \n is
     for m in _TOKEN.finditer(text):
         tok = m[0]
@@ -670,7 +670,8 @@ def parse_sexpr(text: str, resolve: Callable[[str], int]) -> Expr:
     def need():
         nonlocal pos
         if pos >= len(tokens):
-            raise ParseError("unexpected end of expression", 1, len(text))
+            # at the end of the last line
+            raise ParseError("unexpected end of expression", text.count("\n") + 1, len(text) - 1 - text.rfind("\n"))
         pos += 1
         return tokens[pos - 1]
 

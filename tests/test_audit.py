@@ -9,6 +9,7 @@ import pytest
 from saddlelift import expr as ex
 from saddlelift.audit import (
     CLASS_FAILED,
+    CLASS_VERIFIED,
     GRID_AXES,
     GridSpec,
     RegistryEntry,
@@ -120,6 +121,13 @@ def test_grid_specs_that_cannot_be_scanned_are_rejected():
             GridSpec(resolution)
     dc = make_catalog_form("dc")
     assert grid_minmax(dc, [2.0], GridSpec(np.int64(11), ((0.0, 20.0),))) == grid_minmax(dc, [2.0], GridSpec(11)) == 4.0
+    # reversed bounds (20, 0) made a negative grid step: the allowance read
+    # -0.5, and the audit d2-only although the oracle equals the reference
+    with pytest.raises(ValueError, match="grid bounds must have lo <= hi"):
+        GridSpec(41, ((20.0, 0.0),))
+    report = identity_audit(dc, [np.array([2.0])], GridSpec(41, ((0.0, 20.0),)), tol=1e-2)
+    assert (report.classification, report.rows[0].allowance) == (CLASS_VERIFIED, 0.5)
+    assert grid_minmax(dc, [2.0], GridSpec(2, ((4.0, 4.0),))) == 4.0  # equal bounds stay legal
 
 
 def test_a_form_audited_through_its_family_instance_keeps_its_own_witness_identity():

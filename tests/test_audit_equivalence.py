@@ -1,9 +1,10 @@
 """The grid oracle and the curvature audit evaluate in bulk.  The grid scan
 makes one batch call per component per chunk of at most ``audit._CHUNK``
-points, on an open grid: whole y slices while a slice fits in a chunk, else
-blocks of a slice's leading z axes.  The chunk's rows are one broadcast
-dimension and each remaining z axis is one more, holding only that axis's
-points, so no z mesh is built.  The curvature
+points, on an open grid: one flat index runs over the rows of the y axes
+and as many leading z axes as a row needs to fit in a chunk, and a chunk
+holds whole rows, which may cross a y slice.  The chunk's rows are one
+broadcast dimension and each remaining z axis is one more, holding only
+that axis's points, so no z mesh is built.  The curvature
 audit draws and evaluates its first ``samples`` attempts in one batch call
 (the others in one more, only after a skip) and tests their blends with
 numpy.  Both must give, bit for bit, what the earlier loops gave: the grid
@@ -290,10 +291,10 @@ def _leading_z(res, m2, chunk):
 
 
 def _chunk_count(res, m1, m2, chunk):
-    """Chunks of a scan: whole y slices per chunk, or blocks of one slice."""
+    """Chunks of a scan: whole rows of the y and leading z axes per chunk."""
     lead = _leading_z(res, m2, chunk)
     rows = chunk // res ** (m2 - lead)
-    return -(-(res**m1) // rows) if lead == 0 else res**m1 * -(-(res**lead) // rows)
+    return -(-(res ** (m1 + lead)) // rows)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 40, audit._CHUNK])
@@ -322,6 +323,25 @@ def test_no_batch_call_outgrows_a_small_chunk(monkeypatch):
         got = _grid_scan(form, x, grid)
         assert max(batch.sizes) <= 100
         assert _bits(*got) == _bits(*_ref_grid_scan(form, x, grid))
+
+
+def test_a_chunk_crossing_y_slices_keeps_the_first_maximizer(monkeypatch):
+    # m1 = 1, m2 = 2 at resolution 5 with chunks of 15 points: a slice's 25
+    # z points outgrow the chunk, so rows are (y, z0) pairs of 5 z1 points,
+    # 3 to a chunk, and rows 3-5 cross from y slice 0 to slice 1.  Every
+    # slice's maximum is reached at z0 = -1 and z0 = +1, in two blocks: the
+    # first, z0 = -1, is the maximizer
+    monkeypatch.setattr(audit, "_CHUNK", 15)
+    y, z0, z1 = ex.var(1), ex.var(2), ex.var(3)
+    form = _form("tie", VarPartition(1, 1, 2), ex.square(y - ex.var(0)) - ex.square(ex.square(z0) - 1.0) - ex.square(z1))
+    grid = GridSpec(resolution=5)
+    batch = []
+    method = ex.Expr.value_batch
+    monkeypatch.setattr(ex.Expr, "value_batch", lambda e, pts: batch.append(pts) or method(e, pts))
+    value, point = _grid_scan(form, [0.5], grid)
+    assert max(np.size(pts[1]) for pts in batch) == 3
+    assert any(np.unique(pts[1]).size == 2 for pts in batch)  # a chunk crosses a y slice
+    assert point[2] == -1.0 and _bits(value, point) == _bits(*_ref_grid_scan(form, np.array([0.5]), grid))
 
 
 @pytest.mark.parametrize("chunk, calls", [(1, 2 * 9), (4, 2 * 3), (audit._CHUNK, 2)])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from saddlelift import cli
+from saddlelift import audit, cli
 from saddlelift import expr as ex
 from saddlelift.audit import GridSpec, identity_audit
 from saddlelift.catalog import CATALOG, default_suite, make_catalog_form, make_structured
@@ -309,8 +309,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 
 _UNAUDITABLE = {
-    # m1 + m2 = 12, beyond the grid, and the family names no audit instance
-    "l01_svm": {"problem": {"catalog": "l01_svm", "params": CATALOG["l01_svm"].suite}},
+    # m1 + m2 = 5, beyond the grid, a clean witness and no audit instance
+    "relu_b": {"problem": {"catalog": "relu_b"}},
     # no reference evaluator to audit against
     "inline": {"problem": {"inline": {"partition": [1, 0, 0], "g": "(sq x0)"}}},
 }
@@ -322,7 +322,7 @@ _UNAUDITABLE = {
         (None, ["--grid", "1"], 1),
         (None, ["--samples", "0"], 1),
         (None, ["--samples", "-3"], 1),
-        ("l01_svm", ["--grid", "11", "--samples", "1"], 2),
+        ("relu_b", ["--grid", "11", "--samples", "1"], 2),
         # a NaN, negative or infinite tolerance gave a verdict with exit 0
         (None, ["--tol", "nan"], 1),
         (None, ["--tol", "-1"], 1),
@@ -339,6 +339,42 @@ def test_audit_rejects_what_it_cannot_audit(tmp_path, capsys, problem, args, cod
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+def test_audit_of_a_window_that_misses_the_box_is_an_error(tmp_path, monkeypatch, capsys):
+    # the window [5, 6] of y0 lies outside its box [0, 1]: the default grid
+    # placement clipped it to the reversed bounds (5, 1), and the audit
+    # printed a verdict from a grid with a negative step
+    inline = {"partition": [1, 1, 0], "lower": [-1, 0], "upper": [1, 1], "g": "(sq y0)"}
+    doc = {"problem": {"inline": {**inline, "window_lower": [-1, 5], "window_upper": [1, 6]}}}
+    load = cli.load_problem_file
+    with_reference = lambda path: (dataclasses.replace(load(path)[0], reference=lambda x: 0.0), *load(path)[1:])
+    monkeypatch.setattr(cli, "load_problem_file", with_reference)
+    assert cli.main(["audit", _write(tmp_path, doc), "--grid", "11", "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot place the audit grid of inline: grid bounds must have lo <= hi")
+    assert captured.out == ""
+
+
+_REGISTRY = audit.load_registry()
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_the_audit_command_reproduces_each_registry_line(tmp_path, capsys, name):
+    # l01_svm and geometric_poly, beyond the grid with a broken witness and no
+    # audit instance, exited 2 with "cannot audit" though the sweep lists them failed
+    params = {k: ex.to_sexpr(v, lambda i: f"x{i}") if isinstance(v, ex.Expr) else v
+              for k, v in CATALOG[name].suite.items()}
+    path = _write(tmp_path, {"problem": {"catalog": name, "params": params}})
+    form = cli.load_problem_file(path)[0]
+    grid = audit.sweep_resolution(audit._audited(form) or form)
+    sweep = ["--samples", str(audit.SWEEP_SAMPLES), "--tol", str(audit.SWEEP_TOL), "--grid", str(grid)]
+    argv = ["audit", path, "--seed", "0", *sweep]
+    entry = _REGISTRY[name]
+    assert cli.main(argv) == (2 if entry.classification == audit.CLASS_FAILED else 0)
+    out = json.loads(capsys.readouterr().out)
+    assert (out["classification"], out["counterexample"]) == (entry.classification, entry.counterexample)
+    assert out["registry"] == entry.classification
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

@@ -629,9 +629,12 @@ def test_integer_powers_reject_fractional_exponents():
         ("(aff x0 1 q)", "expected offset, found 'q'", 1, 11),
         ("(tag wobbly x0)", "unknown curvature tag 'wobbly'", 1, 6),
         ("x0 x1", "trailing tokens after expression", 1, 4),
-        # a newline starts line 2 at column 0
+        # a line's first character is column 1 on every line
         ("(+ x0\n  (sq x1) ))", "trailing tokens after expression", 2, 12),
         ("(+ x0\n\n (tag no x1))", "unknown curvature tag 'no'", 3, 7),
+        # the end of the last line: it read (line 1, column len(text))
+        ("(+ x0\n  (sq x0)", "unexpected end of expression", 2, 9),
+        ("(+ x0", "unexpected end of expression", 1, 5),
     ],
 )
 def test_every_parse_error_names_its_line_and_column(text, message, line, column):
@@ -741,7 +744,7 @@ def _grammar_corpus(count=20_000, seed=29):
 
 # the outcome of parsing every text of `_grammar_corpus()`: the printed
 # result and its tag, or the exception's class, message, line and column
-_GRAMMAR_SHA256 = "cb9483f85b9c366382de83f84566be596d4afe7b57e94fed48e7797fcae6e3de"
+_GRAMMAR_SHA256 = "1f30c1b9679d486b3431832d0ba0b644a838198b737133cc36998a6c5d0ae0a7"
 
 
 def test_the_grammar_corpus_outcomes_are_pinned():
