@@ -55,22 +55,20 @@ class GridSpec:
 
 
 def _default_bounds(form: SaddleForm, witness) -> list[tuple[float, float]]:
-    """Window bounds per (y, z) axis, widened to cover the ``witness``
-    vector's finite coordinates (None, or the NaN row of a map that raised:
-    the window alone)."""
+    """Window bounds per (y, z) axis as Python floats, widened to cover the
+    ``witness`` vector's finite coordinates (None, or the NaN row of a map
+    that raised: the window alone) and cut to the box.  A caller places
+    them in a :class:`GridSpec`, whose check they pass or fail."""
     lo, hi = form.effective_window()
     n = form.partition.n
     bounds = [[float(a), float(b)] for a, b in zip(lo[n:], hi[n:])]
     if witness is not None:
-        for i, wi in enumerate(witness[n:]):
+        for i, wi in enumerate(witness[n:].tolist()):
             if math.isfinite(wi):
                 bounds[i][0] = min(bounds[i][0], wi - 1.0)
                 bounds[i][1] = max(bounds[i][1], wi + 1.0)
-    blo = form.box.lower_array()[n:]
-    bhi = form.box.upper_array()[n:]
-    return [
-        (max(b[0], l), min(b[1], u)) for b, l, u in zip(bounds, blo, bhi)
-    ]
+    box = form.box
+    return [(float(max(b[0], l)), float(min(b[1], u))) for b, l, u in zip(bounds, box.lower[n:], box.upper[n:])]
 
 
 def _grid_scan(form: SaddleForm, x, grid: GridSpec):
@@ -98,9 +96,9 @@ def _grid_scan(form: SaddleForm, x, grid: GridSpec):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if form.box.slice(range(part.n)).excess(x) > D2_TOL:
         return math.inf, None
+    if grid.bounds is None:  # placed by the witness map's point, as an identity audit places it
+        grid = replace(grid, bounds=tuple(_default_bounds(form, _witness_read(form, [x])[0][0])))
     bounds = grid.bounds
-    if bounds is None:  # placed by the witness map's point, as an identity audit places it
-        bounds = _default_bounds(form, _witness_read(form, [x])[0][0])
     if len(bounds) != part.m1 + part.m2:
         raise FormError(
             f"grid needs {part.m1 + part.m2} axis bounds, got {len(bounds)}"

@@ -388,6 +388,36 @@ def first_copies(order, tags: bool = False) -> dict[int, int]:
     return first
 
 
+def linear_tail(e: Expr, first: int) -> dict[int, float] | None:
+    """Index -> coefficient c_i when ``e`` is r + sum_i c_i v_i over the
+    variables i >= ``first``, with r reading only variables below ``first``;
+    None where a node other than a constant, variable, affine map, sum or
+    scaling reads one of them.  A variable that is read keeps its entry,
+    even where its coefficients cancel to 0."""
+    lin: dict[int, dict | None] = {}
+    for node in postorder((e,)):
+        kids = [lin[id(c)] for c in node.children()]
+        if node._max_index < first:
+            co = {}
+        elif isinstance(node, Var):
+            co = {node.index: 1.0}
+        elif isinstance(node, Affine):
+            co = {}
+            for i, c in node.terms:
+                if i >= first:
+                    co[i] = co.get(i, 0.0) + c
+        elif isinstance(node, (Sum, Scale)) and None not in kids:
+            co = {}
+            w = node.c if isinstance(node, Scale) else 1.0
+            for kid in kids:
+                for i, c in kid.items():
+                    co[i] = co.get(i, 0.0) + w * c
+        else:
+            co = None
+        lin[id(node)] = co
+    return lin[id(e)]
+
+
 # ---------------------------------------------------------------------------
 # constructors: every node carries its derived curvature tag; `.with_tag`
 # overrides it

@@ -242,8 +242,8 @@ class SaddleForm:
         object.__setattr__(self, "declares", frozenset(self.declares))
 
     def __getstate__(self):
-        # the tape and the window stay behind, as an expression's tape does
-        return {k: v for k, v in self.__dict__.items() if k not in ("_tape", "_window")}
+        # the tape, the window and the z split stay behind, as an expression's tape does
+        return {k: v for k, v in self.__dict__.items() if k not in ("_tape", "_window", "_z_split")}
 
     def components(self):
         yield "g", self.g
@@ -318,6 +318,34 @@ class SaddleForm:
         lo, hi = ex.sample_window(src.lower_array(), src.upper_array())
         lo.flags.writeable = hi.flags.writeable = False
         return lo, hi
+
+    @cached_property
+    def _z_split(self):
+        """How G_theta over the z block splits into one function per z_k,
+        computed once per form; None where it does not split.  It splits
+        when g = r(x, y) + sum_k s_k z_k with finite constants s_k <= 0,
+        every inequality reads at most one z_k, as a(x, y) + d z_k with a
+        finite constant d < 0, and no equality reads z
+        (:func:`~saddlelift.expr.linear_tail`).  Gives the slopes c_k = -s_k,
+        then the index, the k and the d of each inequality that reads z, as
+        arrays."""
+        first, m2 = self.partition.n + self.partition.m1, self.partition.m2
+        slopes = ex.linear_tail(self.g, first)
+        if not m2 or slopes is None or any(h.max_index() >= first for h in self.eq):
+            return None
+        c = np.zeros(m2)
+        for k, s in slopes.items():
+            if not -math.inf < s <= 0.0:
+                return None
+            c[k - first] = -s
+        reads = []
+        for i, gi in enumerate(self.ineq):
+            co = ex.linear_tail(gi, first)
+            if co is None or len(co) > 1 or not all(-math.inf < d < 0.0 for d in co.values()):
+                return None
+            reads += [(i, k - first, d) for k, d in co.items()]
+        rows, ks, ds = np.array(reads, dtype=float).reshape(-1, 3).T
+        return c, rows.astype(np.intp), ks.astype(np.intp), ds
 
     def sample_x(self, rng: np.random.Generator, count: int) -> np.ndarray:
         lo, hi = self.effective_window()

@@ -7,7 +7,9 @@ frozen.  It stops when consecutive iterates move by at most eps and the
 current point is eps-feasible; otherwise rho is multiplied by a fixed growth
 factor.  The inner solver is projected gradient descent with a spectral step
 and monotone backtracking, then one coordinate phase after a stall; iterates
-stay inside the box and the objective never increases.
+stay inside the box and the objective never increases.  The z block of a
+form whose smoothed ascent penalty splits over z is solved exactly instead,
+one bisected root per z_k, under the same never-increasing rule.
 
 Also here: multiplier estimation / stationarity residuals for the two
 first-order systems (over (x, y) with nonnegative weights on active
@@ -259,6 +261,46 @@ def _blocks(form: SaddleForm):
     yield "z", form.partition.z, penalty_g_theta, penalty_g_theta_value, penalty_g
 
 
+def _exact_z(form: SaddleForm, p, rho: float, theta: float, lo, hi):
+    """The minimum of G_theta over the z block at the (x, y) of ``p``, for
+    a form whose z block splits (``SaddleForm._z_split``); None where an
+    a_i is not finite or a z_k with c_k > 0 is bounded by nothing below.
+
+    Each z_k minimizes c_k t + rho sum_i max(a_i + d_i t, 0)^theta over
+    [lo_k, hi_k], the sum over the inequalities that read z_k, whose a_i
+    come from one value-kernel call at z = 0.  The derivative increases in
+    t, and its root lies between the largest root t_i of one term alone
+    (-inf where it overflows) and the largest zero T_i = -a_i/d_i.  The
+    roots are bisected at once in that bracket, clipped to the box, for at
+    most 64 halvings; a bracket with an infinite end stays as it is.  Where
+    c_k = 0, every t >= max T_i is a minimum: z_k is projected onto
+    [max T_i, hi_k]."""
+    c, rows, ks, ds = form._z_split
+    zb = form.partition.z
+    q = p.copy()
+    q[zb] = 0.0
+    a = np.array(form.values(q)[1])[rows]
+    if not np.isfinite(a).all():
+        return None
+    lo, hi, top, low = lo[zb], hi[zb], np.full(c.size, -math.inf), np.full(c.size, -math.inf)
+    np.maximum.at(top, ks, -a / ds)
+    if ((c > 0.0) & (top == -math.inf) & (lo == -math.inf)).any():
+        return None
+    w = rho * theta * -ds
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.maximum.at(low, ks, ((c[ks] / w) ** (1.0 / (theta - 1.0)) - a) / ds)
+        L, U = np.clip(low, lo, hi), np.clip(top, lo, hi)
+        for _ in range(64):
+            mid = 0.5 * L + 0.5 * U
+            live = (L < mid) & (mid < U)
+            if not live.any():
+                break
+            terms = w * np.maximum(a + ds * mid[ks], 0.0) ** (theta - 1.0)
+            up = c > np.bincount(ks, terms, c.size)
+            U, L = np.where(live & up, mid, U), np.where(live & ~up, mid, L)
+    return np.where(c > 0.0, U, np.minimum(np.maximum(p[zb], top), hi))
+
+
 # ---------------------------------------------------------------------------
 # alternating penalty solver
 
@@ -333,6 +375,13 @@ def alternating_penalty_solve(
             if block.stop == block.start:
                 continue
             obj = _block_objective(form, p2, block, penalty, penalty_value, rho, theta)
+            z = None if name == "xy" or form._z_split is None else _exact_z(form, p2, rho, theta, lo, hi)
+            if z is not None:  # kept only where G_theta does not rise
+                kept = obj(z, False)[0] <= obj(p2[block], False)[0]
+                if kept:
+                    p2[block] = z
+                inner.append("exact z" if kept else "exact z: start kept")
+                continue
             res = inner_minimize(obj, lo[block], hi[block], p2[block])
             p2[block] = res.point
             inner.append(f"inner {name}: pg={res.pg_norm:.3e} its={res.iterations}")

@@ -130,6 +130,26 @@ def test_grid_specs_that_cannot_be_scanned_are_rejected():
     assert grid_minmax(dc, [2.0], GridSpec(2, ((4.0, 4.0),))) == 4.0  # equal bounds stay legal
 
 
+def test_a_default_grid_off_the_box_is_rejected_alike_by_both_oracles():
+    # box y0 in [0, 1], window y0 in [5, 6]: the placed bounds are (5, 1).
+    # grid_minmax scanned a descending linspace and read 1.0 (only y0 = 1
+    # lies in the box), while identity_audit raised, naming np.float64(1.0)
+    form = SaddleForm(
+        "off_box", VarPartition(1, 1, 0), Box((-math.inf, 0.0), (math.inf, 1.0)),
+        ex.var(0) + ex.var(1), window=Box((-1.0, 5.0), (1.0, 6.0)), reference=lambda x: float(x[0]),
+    )
+    assert _default_bounds(form, None) == [(5.0, 1.0)]
+    errors = []
+    for call in (
+        lambda: grid_minmax(form, [0.5], GridSpec(11)),
+        lambda: identity_audit(form, [np.array([0.5])], GridSpec(11)),
+    ):
+        with pytest.raises(ValueError, match="lo <= hi") as err:
+            call()
+        errors.append(str(err.value))
+    assert errors == ["grid bounds must have lo <= hi, got ((5.0, 1.0),)"] * 2
+
+
 def test_a_form_audited_through_its_family_instance_keeps_its_own_witness_identity():
     # the sweep audited the family's n = 1 instance in this form's place and
     # listed it d2-only, though its own witness misses f = 123 by about 110

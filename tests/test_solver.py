@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saddlelift import expr as ex
 from saddlelift import cli, solver
@@ -451,19 +452,19 @@ def test_trace_csv_shape():
 
 
 # The n=5 max-abs solve from the z>0 acceptance start with the paper
-# parameters, recorded since the inner minimizer runs each phase at most
-# once per call.  Any change to evaluation order or solver
-# arithmetic moves these bytes.
+# parameters, recorded since the z block of a separable form is solved
+# exactly.  Any change to evaluation order or solver arithmetic moves
+# these bytes.
 GOLDEN_N5_TRACE = (
     "k,rho,F,G,P,step_norm,f_ref\n"
-    "1,10,-1.23660311,1.23660311,2.77555756e-17,7415.72906,0\n"
-    "2,1000,-1.23660311,1.23660311,0,7.4339052e-13,0\n"
+    "1,10,-1.23660311,1.23660311,0,7415.72906,0\n"
+    "2,1000,-1.23660311,1.23660311,0,6.80566714e-14,0\n"
 )
 GOLDEN_N5_POINT = (
     "0000000000000000000000000000000000000000000000000000000000000000"
-    "0000000000000000ee89ff99fbd3df3fee89ff99fbd3df3f735aff99fbd3df3f"
-    "7d74ff99fbd3df3fee89ff99fbd3df3fee89ff99fbd3df3f3a4618c033a8cf3f"
-    "3a4618c033a8cf3fe02f18c033a8cf3fde2f18c033a8cf3fe62f18c033a8cf3f"
+    "0000000000000000ed89ff99fbd3df3fed89ff99fbd3df3fed89ff99fbd3df3f"
+    "ed89ff99fbd3df3fed89ff99fbd3df3fed89ff99fbd3df3fe42f18c033a8cf3f"
+    "e42f18c033a8cf3fe42f18c033a8cf3fe42f18c033a8cf3fe42f18c033a8cf3f"
 )
 
 
@@ -476,25 +477,24 @@ def test_golden_trajectory_maxabs_n5():
     assert trace_to_csv(res.trace) == GOLDEN_N5_TRACE
     assert res.point.vec.tobytes().hex() == GOLDEN_N5_POINT
     assert res.diagnostic == (
-        "inner xy: pg=4.975e-01 its=10; inner z: pg=5.530e-01 its=4"
+        "inner xy: pg=4.975e-01 its=10; exact z"
     )
 
 
 # The n=5 max-abs solve from the z<0 acceptance start, recorded since the
-# inner minimizer runs each phase at most once per call: the first xy solve
-# runs 63 inner iterations through coordinate refinement, the later ones 5
-# and 2, and the first z solve stops at the 2,000-iteration cap.
+# z block of a separable form is solved exactly: each z solve is one value
+# call and a bisection, where the first inner z solve used to stop at the
+# 2,000-iteration cap, and the solve stops after 2 outer steps, not 3.
 GOLDEN_N5_ZNEG_TRACE = (
     "k,rho,F,G,P,step_norm,f_ref\n"
-    "1,10,-0.0114107241,0.0114107241,0,22.3872591,1.06242913e-08\n"
-    "2,1000,-0.0111840118,0.0111840118,0,6.56280851e-05,1.06242913e-08\n"
-    "3,100000,-0.0111840118,0.0111840118,0,0,1.06242913e-08\n"
+    "1,10,-0.0111840118,0.0111840118,0,22.3872591,1.06242913e-08\n"
+    "2,1000,-0.0111840118,0.0111840118,0,1.94289029e-16,1.06242913e-08\n"
 )
 GOLDEN_N5_ZNEG_POINT = (
     "1840b37170df25be1cec28fb284c1dbe60e06ea8ebfb13be3ad274d64fcd313e"
-    "48d0c2aace8f023ebad493a80737a83fbad493a80737a83fbad493a80737a83f"
-    "bad493a80737a83fbad493a80737a83fbad493a80737a83f8110331fea52623f"
-    "7d10331fea52623f9a10331fea52623f8110331fea52623f8110331fea52623f"
+    "48d0c2aace8f023eb6d493a80737a83fb6d493a80737a83fb6d493a80737a83f"
+    "b6d493a80737a83fb6d493a80737a83fb6d493a80737a83f7510331fea52623f"
+    "7510331fea52623f7510331fea52623f7510331fea52623f7510331fea52623f"
 )
 
 
@@ -506,7 +506,7 @@ def test_golden_trajectory_maxabs_n5_negative_z_start():
     assert trace_to_csv(res.trace) == GOLDEN_N5_ZNEG_TRACE
     assert res.point.vec.tobytes().hex() == GOLDEN_N5_ZNEG_POINT
     assert res.diagnostic == (
-        "inner xy: pg=2.025e+00 its=2; inner z: pg=5.002e-03 its=2"
+        "inner xy: pg=2.025e+00 its=16; exact z"
     )
 
 
@@ -645,12 +645,12 @@ def test_a_solve_that_ends_off_the_float_range_has_diverged(tmp_path, capsys):
     assert '"status": "diverged"' in capsys.readouterr().out
 
 
-# Recorded since the inner minimizer runs each phase at most once per call:
-# every default-suite form from the default start (less sgn2_b, sgn3_b and
+# Recorded since the z block of a separable form is solved exactly: every
+# default-suite form from the default start (less sgn2_b, sgn3_b and
 # l01_svm, whose solves take seconds each) and the n=10 max-abs solve from
 # the +1000*k start with the paper parameters.  sgn2_a and sgn3_a drive x0
 # to 2.2e93 and 1.1e93 by the rho cap.
-_SOLVES_SHA256 = "ff2c06360f6fbd34e9d151ee0db362c58573ebeebdbd5bedf844fb9ef4559697"
+_SOLVES_SHA256 = "6e11e73f473a8a5c97ac2b50e21369560f776e19ffac35629e767721120e656f"
 _SLOW_SOLVES = ("sgn2_b", "sgn3_b", "l01_svm")
 
 
@@ -781,3 +781,106 @@ def test_a_trial_stays_lean():
                 sys.setprofile(None)
             assert len(codes) <= 4, [c.co_name for c in codes]
             assert codes.count(entry.__code__) == 1
+
+
+# -- the exact z solve of a form whose G_theta splits over z
+
+_SEPARABLE = {
+    "abs_half_reg", "abs_power", "bilinear2_a", "bilinear2_b", "dc", "entropy",
+    "l0_reg2", "l0_scalar_reg", "maxabs_minus_sum", "pow_a", "pow_a_2n",
+    "pow_a_plus_1", "relu_a", "sgn2_a", "sigmoid", "l01_svm", "sparse_l0",
+    "quadratic", "bilinear_xy",
+}
+_SPLIT_FORMS = [f for f in default_suite() if f.name in _SEPARABLE] + [
+    make_catalog_form("maxabs_minus_sum", n=n) for n in (5, 10)
+]
+
+
+def test_the_separable_forms_are_pinned():
+    assert {f.name for f in default_suite() if f._z_split is not None} == _SEPARABLE
+    assert all(f._z_split is not None for f in _SPLIT_FORMS)
+    # the split is computed once per form and stays behind when the form is pickled
+    form = make_catalog_form("dc")
+    assert form._z_split is form._z_split and "_z_split" not in form.__getstate__()
+
+
+def _inline(g, ineq=(), eq=(), m2=2):
+    return cli.inline_form({"partition": [1, 0, m2], "g": g, "ineq": list(ineq), "eq": list(eq)})
+
+
+def test_a_form_splits_over_z_only_by_the_structural_rule():
+    c, rows, ks, ds = _inline("(+ (sq x0) (* -2 z0) (neg z1))", ["(+ (sq x0) (* -3 z1))", "(+ x0 1)"])._z_split
+    assert (c.tolist(), rows.tolist(), ks.tolist(), ds.tolist()) == ([2.0, 1.0], [0], [1], [-3.0])
+    for g, ineq, eq in (
+        ("(neg z0)", ["(+ x0 (neg z0))"], ["(+ x0 z1)"]),  # an equality reads z
+        ("(neg z0)", ["(+ x0 (neg z0) (neg z1))"], []),  # one constraint reads two z
+        ("(+ x0 (neg (sq z0)))", ["(+ x0 (neg z0))"], []),  # g reads z nonlinearly
+        ("(+ x0 z0)", ["(+ x0 (neg z0))"], []),  # s_0 > 0
+        ("(neg z0)", ["(+ x0 z0)"], []),  # d > 0
+        ("(neg z0)", ["(+ x0 (sq (neg z0)))"], []),  # a constraint reads z nonlinearly
+    ):
+        assert _inline(g, ineq, eq)._z_split is None, (g, ineq, eq)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    k=st.integers(0, len(_SPLIT_FORMS) - 1),
+    u=st.lists(st.floats(0.0, 1.0), min_size=41, max_size=41),
+    rho=st.sampled_from([10.0, 1e3, 1e5]),
+    theta=st.sampled_from([SolverParams.theta, 2.0]),
+)
+def test_the_exact_z_solve_is_no_worse_than_the_inner_minimizer(k, u, rho, theta):
+    # at theta = 1.01 a single term's root sits within an ulp of its
+    # constraint's zero; at theta = 2 the bracket is wide and is bisected
+    form = _SPLIT_FORMS[k]
+    lo, hi = form.box.lower_array(), form.box.upper_array()
+    wlo, whi = form.effective_window()
+    p = wlo + np.array(u[: form.partition.total]) * (whi - wlo)
+    zb = form.partition.z
+    start = penalty_g_theta_value(form, p, rho, theta)
+    z = solver._exact_z(form, p, rho, theta, lo, hi)
+    assert ((lo[zb] <= z) & (z <= hi[zb])).all()
+    exact = penalty_g_theta_value(form, np.concatenate([p[: zb.start], z]), rho, theta)
+    obj = solver._block_objective(form, p, zb, penalty_g_theta, penalty_g_theta_value, rho, theta)
+    inner = inner_minimize(obj, lo[zb], hi[zb], p[zb]).value
+    assert exact <= start + 1e-9 * (1 + abs(start))
+    assert exact <= inner + 1e-9 * (1 + abs(inner))
+
+
+def test_the_exact_z_solve_finds_the_root_shared_by_two_terms():
+    # 3t + (1 - t)_+^2 + (2 - t)_+^2 has its derivative's root at t = 0.75,
+    # where both terms are active; c = 3, rho = 1, theta = 2, a = (1, 2)
+    form = _inline("(* -3 z0)", ["(+ x0 (neg z0))", "(+ x0 1 (neg z0))"], m2=1)
+    free = np.full(2, math.inf)
+    assert solver._exact_z(form, np.array([1.0, 9.0]), 1.0, 2.0, -free, free) == pytest.approx([0.75], abs=1e-15)
+    box = np.array([-math.inf, 0.8])  # a box above the root holds z at its lower end
+    assert solver._exact_z(form, np.array([1.0, 9.0]), 1.0, 2.0, box, free) == pytest.approx([0.8], abs=1e-15)
+
+
+def test_an_overflowing_single_term_root_ends_classified_without_warnings():
+    # c / (rho * theta * |d|) = 1e5 / 10.1 at rho = 10, and its power
+    # 1 / (theta - 1) = 100 overflows: the bracket's lower end is -inf
+    form = _inline("(+ (sq x0) (* -100000 z0))", ["(+ (sq x0) (neg z0) -1)"], m2=1)
+    p = np.array([2.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = solver._exact_z(form, p, 10.0, 1.01, np.full(2, -math.inf), np.full(2, math.inf))
+        res = alternating_penalty_solve(form, start=p)
+    assert z.tolist() == [3.0]  # the bisection does not move from an infinite end
+    assert res.status in (solver.STATUS_CONVERGED, solver.STATUS_RHO_CAP, solver.STATUS_MAX_OUTER)
+    assert "exact z" in res.diagnostic
+
+
+def test_an_unbounded_z_falls_back_to_the_inner_minimizer():
+    # g falls along z0 with nothing bounding it below: no exact minimum to
+    # return, so the z block goes to inner_minimize, which ends classified
+    form = _inline("(+ (sq x0) (neg z0))", m2=1)
+    p = np.array([1.0, 0.0])
+    assert solver._exact_z(form, p, 10.0, 1.01, np.full(2, -math.inf), np.full(2, math.inf)) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = alternating_penalty_solve(form, SolverParams(max_outer=2), start=p)
+    assert res.status == solver.STATUS_MAX_OUTER and "inner z:" in res.diagnostic
+    # a non-finite a_i falls back as well
+    form = _inline("(neg z0)", ["(+ (exp x0) (neg z0))"], m2=1)
+    assert solver._exact_z(form, np.array([1e3, 0.0]), 10.0, 1.01, np.full(2, -math.inf), np.full(2, math.inf)) is None
