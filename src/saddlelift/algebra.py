@@ -8,8 +8,9 @@ operand's, then any auxiliaries introduced by the operation.
 
 Semantic hypotheses (nonnegativity, sign, joint convexity of the lifted
 objective, monotonicity of a composed scalar map) are caller declarations;
-every operation requires the ones it needs and spot-checks them by sampling,
-and a detected violation is a hard error.
+every operation requires the ones it needs and spot-checks them, a
+convexity by composition rules where they apply and by sampling elsewhere,
+the others by sampling; a detected violation is a hard error.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _spot_check_sign(form: SaddleForm, decl: str, op: str):
 
 def _spot_check_joint_convexity(form: SaddleForm, op: str):
     lo, hi = form.effective_window()
-    rep = ex.curvature_audit(form.g, lo, hi, tag=CONVEX, samples=25, seed=11)
+    rep = ex.check_curvature(form.g, lo, hi, CONVEX, samples=25, seed=11)
     if not rep.passed:
         raise HypothesisViolationError(
             f"{op}: lifted objective of {form.name!r} is declared jointly convex "
@@ -252,7 +253,7 @@ def compose_monotone_convex(f: SaddleForm, phi: Expr) -> SaddleForm:
     if phi.max_index() > 0:
         raise FormError("phi must be univariate over variable index 0")
     lo, hi = np.array([-10.0]), np.array([10.0])
-    rep = ex.curvature_audit(phi, lo, hi, tag=CONVEX, samples=25, seed=3)
+    rep = ex.check_curvature(phi, lo, hi, CONVEX, samples=25, seed=3)
     if not rep.passed:
         raise HypothesisViolationError("phi fails the sampled convexity check")
     rng = np.random.default_rng(3)

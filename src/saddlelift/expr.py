@@ -8,12 +8,14 @@ Python, compiled on first evaluation and cached on the node (or on the form
 whose components it evaluates together).  From one lowering it gives exact
 values, the exact chain-rule gradient in sparse forward mode, and the
 lenient batch values over many points that the grid audit scans.
-Curvature is *declared* metadata attached to each node and checked
-empirically by sampling, never inferred symbolically.
+Curvature is *declared* metadata attached to each node; a claim about it is
+proved by composition rules where they apply (:func:`block_curvature`) and
+checked empirically by sampling elsewhere (:func:`curvature_audit`).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 import struct
@@ -29,6 +31,8 @@ CONVEX = "convex"
 CONCAVE = "concave"
 AFFINE = "affine"
 NONE = "none"
+# the block curvature of a node that reads no moving variable
+CONST = "const"
 
 _TAGS = (CONVEX, CONCAVE, AFFINE, NONE)
 
@@ -548,6 +552,8 @@ class CurvatureReport:
     passed: bool
     pairs_checked: int
     counterexample: tuple[np.ndarray, np.ndarray, float] | None = None
+    # passed by proof (check_curvature), with no pairs sampled
+    proved: bool = False
 
 
 # unbounded ends of a sampling window are clipped to +-WINDOW_CLIP
@@ -590,8 +596,7 @@ def curvature_audit(
     {1/4, 1/2, 3/4}.  A pair with a NaN value (outside the domain) is
     skipped.  The first violated pair is returned as counterexample.
     """
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    _check_samples(samples)
     tag = e.tag if tag is None else tag
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -643,6 +648,148 @@ def curvature_audit(
     if checked == 0:
         raise DomainEvalError("no in-domain sample pairs found for audit", e)
     return CurvatureReport(tag, True, checked)
+
+
+def _check_samples(samples) -> None:
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+
+
+# a node the rules prove nothing about; its range is not needed
+_UNKNOWN = (NONE, -math.inf, math.inf)
+
+
+def _sum_curvature(curvs) -> str:
+    kinds = set(curvs) - {CONST}
+    if not kinds:
+        return CONST
+    for c in (AFFINE, CONVEX, CONCAVE):
+        if kinds <= {AFFINE, c}:
+            return c
+    return NONE
+
+
+def _increasing(kid: str, shape: str) -> str:
+    """The curvature of a nondecreasing map of curvature ``shape`` applied
+    to a child of curvature ``kid`` (Grant-Boyd-Ye composition rule)."""
+    if kid == CONST:
+        return CONST
+    return shape if kid in (AFFINE, shape) else NONE
+
+
+def _sin_range(lo: float, hi: float) -> tuple[float, float]:
+    ends = (math.sin(lo), math.sin(hi))
+    # the first crest (pi/2 + 2 pi n) and trough (-pi/2 + 2 pi n) at or above lo
+    crest = math.ceil((lo - math.pi / 2) / (2 * math.pi)) * 2 * math.pi + math.pi / 2
+    trough = math.ceil((lo + math.pi / 2) / (2 * math.pi)) * 2 * math.pi - math.pi / 2
+    return (-1.0 if trough <= hi else min(ends)), (1.0 if crest <= hi else max(ends))
+
+
+def _node_rule(node: Expr, kids, moving, lower, upper) -> tuple[str, float, float]:
+    """(curvature, range lower, range upper) of ``node`` from its children's."""
+    if isinstance(node, Const):
+        return CONST, node.c, node.c
+    if isinstance(node, Var):
+        i = node.index
+        return (AFFINE if i in moving else CONST), lower[i], upper[i]
+    if isinstance(node, Affine):
+        lo = hi = node.offset
+        for i, c in node.terms:
+            a, b = sorted((c * lower[i], c * upper[i]))
+            lo, hi = lo + a, hi + b
+        return (AFFINE if any(i in moving for i, _ in node.terms) else CONST), lo, hi
+    if isinstance(node, Sum):
+        return (
+            _sum_curvature(k[0] for k in kids),
+            sum(k[1] for k in kids),
+            sum(k[2] for k in kids),
+        )
+    ((kid, lo, hi),) = kids
+    if isinstance(node, Scale):
+        c = node.c
+        flip = {CONVEX: CONCAVE, CONCAVE: CONVEX} if c < 0 else {}
+        return (flip.get(kid, kid), *sorted((c * lo, c * hi)))
+    if isinstance(node, (Square, IntPow)):
+        k = 2 if isinstance(node, Square) else node.k
+        ends = sorted((lo**k, hi**k))
+        if k % 2 == 1:
+            return (kid if kid == CONST else NONE), *ends
+        bottom = 0.0 if lo < 0.0 < hi else ends[0]
+        return {CONST: CONST, AFFINE: CONVEX}.get(kid, NONE), bottom, ends[1]
+    if isinstance(node, RealPow):
+        if lo < 0.0:  # outside the domain somewhere in the window
+            return _UNKNOWN
+        shape = CONVEX if node.a >= 1.0 else CONCAVE
+        return _increasing(kid, shape), lo**node.a, hi**node.a
+    if isinstance(node, Exp):
+        return _increasing(kid, CONVEX), math.exp(lo), math.exp(hi)
+    if isinstance(node, Log):
+        if lo <= 0.0:
+            return _UNKNOWN
+        return _increasing(kid, CONCAVE), math.log(lo), math.log(hi)
+    if isinstance(node, Sin):  # the argument is affine: kid is CONST or AFFINE
+        # sin is concave on [2n pi, (2n+1) pi] and convex on the next half period
+        half = math.floor(lo / math.pi)
+        if kid == AFFINE:
+            kid = (CONCAVE if half % 2 == 0 else CONVEX) if hi <= (half + 1) * math.pi else NONE
+        return (kid, *_sin_range(lo, hi))
+    return _UNKNOWN
+
+
+def block_curvature(e: Expr, moving, lower, upper) -> str:
+    """The curvature of ``e`` in the variables ``moving``, the others held
+    fixed, proved by disciplined-convex-programming composition rules over
+    the window ``lower <= v <= upper`` (a sampling window, such as a form's
+    ``effective_window``): CONST where no moving variable is read, AFFINE,
+    CONVEX, CONCAVE, or NONE where the rules prove nothing.  Declared tags
+    are not read.
+
+    One walk over :func:`postorder` gives each node its curvature and its
+    range of values over the window in Python floats.  The rules: sums;
+    scalings, flipped where negative; square and even integer powers of an
+    affine child; nondecreasing maps of a child of matching curvature
+    (``rpow`` convex for a >= 1 and concave below, ``exp`` convex, ``log``
+    concave); ``sin`` concave where its argument's range lies in
+    [2n pi, (2n+1) pi] and convex where it lies in [(2n+1) pi, (2n+2) pi].
+    A node proves nothing, nor does any node above it, where its range is
+    not a finite interval (a non-finite constant or window bound, an
+    overflow) or where the argument of ``log`` can be <= 0 or that of
+    ``rpow`` < 0.  So every node of a proved expression has a finite value
+    at every point of the window.
+    """
+    lower = np.asarray(lower, dtype=float).tolist()
+    upper = np.asarray(upper, dtype=float).tolist()
+    if e._max_index >= len(lower):
+        return NONE
+    moving = set(moving)
+    found: dict[int, tuple[str, float, float]] = {}
+    for node in postorder((e,)):
+        kids = [found[id(c)] for c in node.children()]
+        if any(k[0] == NONE for k in kids):
+            found[id(node)] = _UNKNOWN
+            continue
+        try:
+            curv, lo, hi = _node_rule(node, kids, moving, lower, upper)
+        except OverflowError:  # an unbounded range
+            curv, lo, hi = _UNKNOWN
+        bounded = -math.inf < lo <= hi < math.inf
+        found[id(node)] = (curv, lo, hi) if curv != NONE and bounded else _UNKNOWN
+    return found[id(e)][0]
+
+
+def check_curvature(
+    e: Expr, lower, upper, tag: str, samples: int = 100, seed: int = 0, axes=None
+) -> CurvatureReport:
+    """The claim that ``e`` is ``tag`` (CONVEX, CONCAVE or AFFINE) in
+    ``axes`` (every axis when None) over the window [lower, upper]: proved
+    by :func:`block_curvature` where its rules apply, a passed report with
+    ``proved`` set and no pairs checked; elsewhere :func:`curvature_audit`
+    with the same arguments, so its verdict and errors are the sampler's."""
+    _check_samples(samples)
+    moving = range(len(lower)) if axes is None else axes
+    if block_curvature(e, moving, lower, upper) in (CONST, AFFINE, tag):
+        return CurvatureReport(tag, True, 0, proved=True)
+    return curvature_audit(e, lower, upper, tag=tag, samples=samples, seed=seed, axes=axes)
 
 
 # ---------------------------------------------------------------------------

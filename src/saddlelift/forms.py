@@ -576,12 +576,14 @@ class FormAuditReport:
 
 
 def validate_form(form: SaddleForm, samples: int = 50, seed: int = 0) -> FormAuditReport:
-    """Sampled audit of the declared structure of a form.
+    """Audit of the declared structure of a form.
 
-    Checks g for convexity over the (x, y) block (z held fixed at sampled
-    values) and concavity over the z block, each g_i for convexity on the
-    whole box, each h_j for affinity, and the witness identity when a witness
-    and reference are present.
+    Checks g for convexity over the (x, y) block (z held fixed) and
+    concavity over the z block, each g_i for convexity on the whole box and
+    each h_j for affinity: each claim proved by composition rules where they
+    apply, sampled elsewhere (:func:`~saddlelift.expr.check_curvature` over
+    the form's window), and its passed item's detail says which.  Then the
+    witness identity, sampled, when a witness and reference are present.
     """
     lo, hi = form.effective_window()
     part = form.partition
@@ -589,14 +591,13 @@ def validate_form(form: SaddleForm, samples: int = 50, seed: int = 0) -> FormAud
 
     def run(e: Expr, tag: str, axes, label: str, sd: int):
         try:
-            rep = ex.curvature_audit(
-                e, lo, hi, tag=tag, samples=samples, seed=sd, axes=axes
-            )
+            rep = ex.check_curvature(e, lo, hi, tag, samples=samples, seed=sd, axes=axes)
         except ex.DomainEvalError as err:
             items.append(AuditItem(label, False, f"domain error during audit: {err}"))
             return
-        detail = ""
-        if not rep.passed and rep.counterexample is not None:
+        if rep.passed:
+            detail = "proved" if rep.proved else "sampled"
+        else:
             u, v, t = rep.counterexample
             detail = f"counterexample u={u.tolist()} v={v.tolist()} t={t}"
         items.append(AuditItem(label, rep.passed, detail))

@@ -182,6 +182,26 @@ def test_compose_rejects_decreasing_phi():
         alg.compose_monotone_convex(_sq_form(), ex.var(1))
 
 
+def test_algebra_samples_only_the_convexity_it_cannot_prove(monkeypatch):
+    sampled = []
+    audit = ex.curvature_audit
+
+    def counted(e, *args, **kw):
+        sampled.append(e)
+        return audit(e, *args, **kw)
+
+    monkeypatch.setattr(ex, "curvature_audit", counted)
+    # the joint convexity of each operand's g and an exp phi are proved
+    root = alg.power(_sq_form(), 0.5)
+    alg.product(root, _sq_form())
+    alg.compose_monotone_convex(root, ex.exp(ex.var(0)))
+    assert sampled == []
+    # exp(x)^2 is convex, but the rules square only an affine child
+    phi = ex.square(ex.exp(ex.var(0)))
+    alg.compose_monotone_convex(root, phi)
+    assert sampled == [phi]
+
+
 def test_power_half():
     pw = alg.power(_sq_form(), 0.5)
     x = np.array([2.0])

@@ -1,7 +1,10 @@
 """Form data model: membership, witness evaluation, structural validation."""
 
 import dataclasses
+import json
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +154,72 @@ def test_validate_form_names_a_curvature_counterexample():
     assert item.label == "g convex on (x,y)"
     assert item.detail.startswith("counterexample u=[") and " v=[" in item.detail
     assert " t=" in item.detail
+
+
+def _one_axis_form(g, lower, upper, ineq=()):
+    return sl.SaddleForm(
+        name="one_axis", partition=VarPartition(1, 0, 0), box=Box((lower,), (upper,)), g=g, ineq=ineq
+    )
+
+
+def test_validate_form_says_how_each_claim_passed():
+    rep = validate_form(make_catalog_form("dc"), samples=10)
+    assert [(it.label, it.detail) for it in rep.items[:-1]] == [
+        ("g convex on (x,y)", "proved"),
+        ("g concave on z", "proved"),
+        ("g1 convex", "proved"),
+    ]
+    # log's argument crosses 0 on the window: no proof, so the sampler
+    # skips the pairs outside the domain and passes on the rest
+    form = _one_axis_form(ex.neg(ex.log(ex.var(0))), -np.inf, np.inf)
+    [item] = validate_form(form, samples=10).items
+    assert (item.passed, item.detail) == (True, "sampled")
+    # an affine g of large values is proved; the sampler's absolute blend
+    # tolerance read its rounding as a counterexample
+    [item] = validate_form(_one_axis_form(ex.affine([(0, 1e7)]), -10.0, 10.0), samples=10).items
+    assert (item.passed, item.detail) == (True, "proved")
+
+
+def test_a_claim_the_rules_refute_keeps_the_samplers_counterexample():
+    # the walk reads no declared tag: this g1 is concave, so it is sampled
+    g1 = ex.parse_sexpr("(tag convex (neg (sq x0)))", {"x0": 0}.__getitem__)
+    form = _one_axis_form(ex.var(0), -np.inf, np.inf, ineq=(g1,))
+    [item] = validate_form(form, samples=10, seed=3).failures()
+    lo, hi = form.effective_window()
+    rep = ex.curvature_audit(g1, lo, hi, tag=ex.CONVEX, samples=10, seed=5)
+    u, v, t = rep.counterexample
+    assert item.label == "g1 convex"
+    assert item.detail == f"counterexample u={u.tolist()} v={v.tolist()} t={t}"
+
+
+@pytest.mark.parametrize(
+    "g, lower, upper",
+    [
+        (ex.neg(ex.log(ex.neg(ex.var(0)))), 0.0, 5.0),  # log's argument <= 0 on the whole window
+        (ex.square(ex.var(0)) + ex.const(np.nan), -1.0, 1.0),  # a non-finite constant proves nothing
+    ],
+)
+def test_a_claim_without_a_value_on_the_window_is_a_domain_error(g, lower, upper):
+    [item] = validate_form(_one_axis_form(g, lower, upper), samples=10).failures()
+    assert item.detail == "domain error during audit: no in-domain sample pairs found for audit"
+
+
+def _readme_compositions():
+    # bench/workloads.readme_compositions: the README's algebra on a convex square
+    sq = trivial_convex(ex.square(ex.var(0)), 1, "sq", nonneg=True)
+    root = sl.power(sq, 0.5)
+    return [root, sl.product(root, sq), sl.scaled_sum(root, sq, 1.0, 2.0)]
+
+
+def test_every_suite_claim_is_proved_and_the_failures_match_the_benchmark():
+    expected = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+    details, failures = Counter(), {}
+    for form in default_suite() + _readme_compositions():
+        rep = validate_form(form)
+        details.update(it.detail for it in rep.items if it.label != "witness identity")
+        failures[form.name] = [it.label for it in rep.failures()]
+    assert details == {"proved": 214}
+    assert failures == expected["validate"]
 
 
 def test_out_of_range_index_rejected():
